@@ -23,6 +23,10 @@ class ZeroInverse(FtpError):
     pass
 
 
+class NormOutsideBase(FtpError):
+    """A tower norm that should lie in F_q0 did not: the tower is inconsistent."""
+
+
 class FieldMismatch(FtpError):
     pass
 

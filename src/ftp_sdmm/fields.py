@@ -19,6 +19,7 @@ from .errors import (
     FieldMismatch,
     NoIrreducible,
     NonPrime,
+    NormOutsideBase,
     PrimesNotAscendingDistinct,
     SingularGram,
     ZeroInverse,
@@ -610,32 +611,47 @@ class TowerField:
         return not np.take(x, range(1, self.primes[i - 1]), axis=i - 1).any()
 
     def inv(self, x):
+        """Itoh-Tsujii.  x lies in K = F_q0(a_i : i supported), of degree n
+        over F_q0; x^-1 = N(x)^-1 * x^(r-1), where r = (q0^n - 1)/(q0 - 1),
+        x^(r-1) = prod_{t=1}^{n-1} x^(q0^t), and the norm N(x) = x * x^(r-1)
+        lies in F_q0."""
         if self.is_zero(x):
             raise ZeroInverse("0 has no inverse")
-        # x lies in the subfield generated by its supported axes; using that
-        # field's order keeps the exponent (and the squaring chain) small.
-        prod = 1
+        x = x % self.base.p
+        origin = (0,) * self.L
+        n = 1
         for i in self.support_axes(x):
-            prod *= self.primes[i - 1]
-        return self.pow(x, self.base.order**prod - 2)
-
-    def frobenius_once(self, x):
-        d = self.base.d
-        cur = x
-        for i in range(self.L):
-            arr = np.moveaxis(cur, i, -2)
-            lead = arr.shape[:-2]
-            arr = arr.reshape(-1, self.primes[i], d)
-            out = np.einsum("nsa,sfab->nfb", arr, self._frob_mats[i]) % self.base.p
-            cur = np.moveaxis(out.reshape(lead + (self.primes[i], d)), -2, i)
-        return np.ascontiguousarray(cur)
+            n *= self.primes[i - 1]
+        if n == 1:
+            return self.embed_base(self.base.inv(x[origin]))
+        # t_k = x^(1 + q0 + ... + q0^(k-1)), built along the bits of n - 1:
+        # t_2k = t_k * t_k^(q0^k) and t_(k+1) = x * t_k^q0.
+        t, k = x, 1
+        for bit in bin(n - 1)[3:]:
+            t = self.mul(t, self.frobenius(t, k))
+            k *= 2
+            if bit == "1":
+                t = self.mul(x, self.frobenius(t))
+                k += 1
+        x_r1 = self.frobenius(t)
+        norm = self.mul(x, x_r1)
+        if self.support_axes(norm):
+            raise NormOutsideBase("the norm of x is not in F_q0")
+        return self.scalar_mul(x_r1, self.base.inv(norm[origin]))
 
     def frobenius(self, x, e=1):
-        """x^(q0^e) via repeated q0-th powering."""
-        cur = x % self.base.p
-        for _ in range(e):
-            cur = self.frobenius_once(cur)
-        return cur
+        """x^(q0^e).  The q0-power map acts on each axis alone, as the linear
+        map _frob_mats[i] of order p_i, so axis i takes e mod p_i steps."""
+        d, p = self.base.d, self.base.p
+        cur = x % p
+        for i, p_i in enumerate(self.primes):
+            arr = np.moveaxis(cur, i, -2)
+            lead = arr.shape[:-2]
+            arr = arr.reshape(-1, p_i, d)
+            for _ in range(e % p_i):
+                arr = np.einsum("nsa,sfab->nfb", arr, self._frob_mats[i]) % p
+            cur = np.moveaxis(arr.reshape(lead + (p_i, d)), -2, i)
+        return np.ascontiguousarray(cur)
 
     def trace_to_subfield(self, x, i):
         """tr_{F_q/F_i}(x): collapse axis i with the small-trace scalars."""
@@ -683,24 +699,6 @@ def make_tower(base, primes):
     return TowerField(base, primes)
 
 
-def tower_arith(field, x, y, op):
-    """Dispatch helper mirroring the element-level API."""
-    for v in (x,) if op == "inv" else (x, y):
-        if v is not None and np.shape(v) != field.shape:
-            raise FieldMismatch(f"element shape {np.shape(v)} != field shape {field.shape}")
-    if op == "add":
-        return field.add(x, y)
-    if op == "sub":
-        return field.sub(x, y)
-    if op == "mul":
-        return field.mul(x, y)
-    if op == "inv":
-        return field.inv(x)
-    if op == "pow":
-        return field.pow(x, y)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def frobenius(field, x, e=1):
     if e < 0:
         raise ValueError("exponent must be >= 0")
@@ -728,6 +726,31 @@ def batch_inv(field, xs):
         acc = field.mul(acc, xs[k])
     out[0] = acc
     return out
+
+
+def power_basis_dual(field, scale, i):
+    """The basis lambda_s = scale * a_i^s (s < p_i) of F_q over F_i, and its
+    trace dual in closed form (Lidl & Niederreiter, Finite Fields, 2.3).
+    m_i stays the minimal polynomial of a_i over F_i, since the axis degrees
+    are coprime.  With m_i(x)/(x - a_i) = sum_s b_s x^s, the dual is
+    mu_s = b_s / (scale * m_i'(a_i)), and m_i'(a_i) = sum_s b_s a_i^s, so the
+    whole dual costs one inversion."""
+    field._check_axis(i)
+    gen = field.gen(i)
+    lambdas = [scale]
+    for _ in range(field.primes[i - 1] - 1):
+        lambdas.append(field.mul(lambdas[-1], gen))
+    # Synthetic division: b_(p_i-1) = 1 and b_(s-1) = m_i[s] + a_i * b_s.
+    m = field.moduli[i - 1]
+    b = [field.one()]
+    for s in range(len(m) - 2, 0, -1):
+        b.append(field.add(field.embed_base(m[s]), field.mul(gen, b[-1])))
+    b.reverse()
+    deriv = field.zero()  # scale * m_i'(a_i)
+    for b_s, lam in zip(b, lambdas):
+        deriv = field.add(deriv, field.mul(b_s, lam))
+    d_inv = field.inv(deriv)
+    return lambdas, [field.mul(b_s, d_inv) for b_s in b]
 
 
 def trace_dual_basis(field, lambdas, i):

@@ -16,7 +16,9 @@ from .errors import (
     TooFewEvalPoints,
     TooLargeForExhaustive,
 )
-from .fields import batch_inv, is_prime, make_tower, trace_dual_basis
+from .fields import batch_inv, is_prime, make_tower, power_basis_dual
+# Exported from here too: perfbench/tracing.py times ftp.trace_dual_basis.
+from .fields import trace_dual_basis  # noqa: F401
 from .linalg import rank as mat_rank
 from .matrices import Mat, SplitMix64, mat_mul, partition_inner, random_mat
 from .poly import EvalDomain, Poly, annihilator, eval_poly, eval_poly_scalar
@@ -121,13 +123,9 @@ def build_scheme(L, T, primes, base, a, b, c):
     lambdas, mus = [], []
     for i in range(1, L + 1):
         scale = tower.mul(domain.weights[i - 1], eval_poly(k_polys[i - 1], points[i - 1]))
-        lam = []
-        cur = scale
-        for _ in range(primes[i - 1]):
-            lam.append(cur)
-            cur = tower.mul(cur, gens[i - 1])
+        lam, mu = power_basis_dual(tower, scale, i)
         lambdas.append(lam)
-        mus.append(trace_dual_basis(tower, lam, i))
+        mus.append(mu)
 
     scheme = SchemeParams(
         L=L, T=T, primes=primes, base=base, tower=tower, a=a, b=b, c=c,

@@ -184,14 +184,13 @@ _tower_cache_lock = threading.Lock()
 
 
 def _cached_tower(p, d, modulus, primes):
+    # One lock over lookup and build, so concurrent PARAMS frames for a new
+    # field build its tower once.
     key = (p, d, modulus, primes)
     with _tower_cache_lock:
-        hit = _tower_cache.get(key)
-    if hit is not None:
-        return hit
-    tower = TowerField(BaseField(p, d, list(modulus)), primes)
-    with _tower_cache_lock:
-        _tower_cache[key] = tower
+        tower = _tower_cache.get(key)
+        if tower is None:
+            tower = _tower_cache[key] = TowerField(BaseField(p, d, list(modulus)), primes)
     return tower
 
 

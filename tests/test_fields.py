@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ftp_sdmm.errors import (
     BadGroupIndex,
     NonPrime,
+    NormOutsideBase,
     PrimesNotAscendingDistinct,
     Singular,
     SingularGram,
@@ -19,9 +20,11 @@ from ftp_sdmm.fields import (
     frobenius,
     make_base_field,
     make_tower,
+    power_basis_dual,
     trace_dual_basis,
     trace_to_subfield,
 )
+from ftp_sdmm.ftp import build_scheme
 from ftp_sdmm.linalg import linear_solve, mat_inverse, rank
 from ftp_sdmm.matrices import SplitMix64
 
@@ -118,6 +121,84 @@ def test_frobenius_is_automorphism(tower11_6):
     assert t.is_zero(t.sub(frobenius(t, b), b))
     x = t.random(SplitMix64(3))
     assert t.is_zero(t.sub(frobenius(t, x, 6), x))
+
+
+def _fermat_inv(t, x):
+    """x^(|F_q| - 2): the inversion oracle."""
+    return t.pow(x, t.base.order**t.flat_size - 2)
+
+
+def test_inv_matches_fermat_exhaustive_f16(tower16):
+    for k in range(1, 16):
+        x = tower16.from_int(k)
+        assert np.array_equal(tower16.inv(x), _fermat_inv(tower16, x))
+
+
+@pytest.mark.parametrize("support", [[], [1], [2], [1, 2]])
+def test_inv_matches_fermat_by_support_11_6(tower11_6, support):
+    """Elements of F_q0, of one axis's subfield, and of the whole tower."""
+    t = tower11_6
+    rng = SplitMix64(60 + len(support) + sum(support))
+    checked = 0
+    while checked < 12:
+        x = t.random(rng)
+        for i in range(1, t.L + 1):
+            if i not in support:
+                x[(slice(None),) * (i - 1) + (slice(1, None),)] = 0
+        if t.support_axes(x) != support or t.is_zero(x):
+            continue
+        assert np.array_equal(t.inv(x), _fermat_inv(t, x))
+        checked += 1
+
+
+def test_inv_full_support_f27():
+    """F_27(5, 7, 11), the paper's worked example: Fermat would take ~12 s."""
+    t = make_tower(make_base_field(3, 3), (5, 7, 11))
+    x = t.random(SplitMix64(27))
+    assert t.support_axes(x) == [1, 2, 3]
+    assert t.eq(t.mul(x, t.inv(x)), t.one())
+
+
+def test_inv_rejects_norm_outside_base(monkeypatch, f11):
+    t = make_tower(f11, (2, 3))
+    # A Frobenius that fixes everything makes the "norm" x^n, not in F_q0.
+    monkeypatch.setattr(t, "frobenius", lambda x, e=1: x % t.base.p)
+    with pytest.raises(NormOutsideBase):
+        t.inv(t.add(t.one(), t.gen(1)))
+
+
+def test_frobenius_matches_repeated_powering(tower11_6):
+    t = tower11_6
+    q0 = t.base.order
+    rng = SplitMix64(31)
+    for _ in range(3):
+        x = t.random(rng)
+        want = x
+        for e in range(2 * 6 + 2):  # 0 .. 2 * lcm(2, 3) + 1
+            assert np.array_equal(frobenius(t, x, e), want)
+            want = t.pow(want, q0)
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5)])
+def test_frobenius_flat_size_is_identity(f11, primes):
+    t = make_tower(f11, primes)
+    x = t.random(SplitMix64(sum(primes)))
+    assert np.array_equal(frobenius(t, x, t.flat_size), x)
+
+
+@pytest.mark.parametrize("q0, primes", [((2, 2), (2,)), ((11, 1), (2, 3)), ((11, 1), (2, 3, 5))])
+def test_power_basis_dual_matches_gram_oracle(q0, primes):
+    L = len(primes)
+    scheme = build_scheme(L=L, T=1, primes=primes, base=make_base_field(*q0), a=1, b=L, c=1)
+    t = scheme.tower
+    for i in range(1, L + 1):
+        lam = scheme.lambdas[i - 1]
+        again, mus = power_basis_dual(t, lam[0], i)
+        oracle = trace_dual_basis(t, lam, i)
+        for s in range(primes[i - 1]):
+            assert np.array_equal(again[s], lam[s])
+            assert np.array_equal(mus[s], oracle[s])
+            assert np.array_equal(scheme.mus[i - 1][s], oracle[s])
 
 
 def _naive_trace(tower, x, i):

@@ -1,5 +1,6 @@
 """Wire format, framing, traffic ledger, in-process and TCP runners."""
 
+import sys
 import threading
 
 import numpy as np
@@ -55,6 +56,40 @@ def test_digit_overflow():
                        a=1, b=1, c=1)
     with pytest.raises(DigitOverflow):
         proto.elem_to_bytes(big.tower, big.tower.one())
+
+
+def test_cold_tower_built_once(monkeypatch):
+    """Concurrent PARAMS frames for a new field build its tower once."""
+    monkeypatch.setattr(proto, "_tower_cache", {})
+    builds = []
+    real = proto.TowerField
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(proto, "TowerField", counting)
+    n = 8
+    barrier = threading.Barrier(n, timeout=30)
+    got = [None] * n
+
+    def worker(k):
+        barrier.wait()
+        got[k] = proto._cached_tower(11, 1, (0, 1), (2, 3, 5))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(builds) == 1
+    assert all(g is got[0] for g in got)
 
 
 def test_framing_roundtrip():
