@@ -27,7 +27,7 @@ def _canonical_points(field, count, nonzero=False):
     out = []
     k = 1 if nonzero else 0
     make = getattr(field, "embed_scalar_int", None) or field.from_int
-    limit = field.base.order if hasattr(field, "base") else field.order
+    limit = field.base.order
     while len(out) < count:
         if k >= limit:
             raise TooFewPoints(f"field has too few scalar points for {count}")

@@ -10,6 +10,8 @@ scheme uses node interpolation.  Both are exercised by tests."""
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .fields import BaseField
 from .matrices import Mat, SplitMix64, mat_mul, random_mat
 
@@ -69,11 +71,13 @@ def run_demo(a=2, b=2, c=2, seed=0):
     def g_at(y):
         return B.add(S.scale(F.sub(y, alpha)))
 
+    # tr is F_2-linear: its matrix acting on coefficient rows.
+    trace = np.array([trace_to_f4(F, e) for e in np.eye(F.d, dtype=np.int64)])
     responses = []
     for i, y in enumerate(points):
         h = mat_mul(f_at(y), g_at(y))
         w = F.inv(alpha_pow(F, SERVER_TRACE_EXPONENTS[i]))
-        responses.append(h.map(lambda v: trace_to_f4(F, F.mul(w, v))))
+        responses.append(Mat(F, a, c, h.scale(w).data @ trace % F.p))
 
     s1, s2, s3, s4 = responses
     combined = s1.add(s2).add(s3).add(s4).scale(F.pow(field_alpha, 4))

@@ -27,6 +27,10 @@ class NormOutsideBase(FtpError):
     """A tower norm that should lie in F_q0 did not: the tower is inconsistent."""
 
 
+class RoundingBoundExceeded(FtpError):
+    """A product too large for its floating-point transform to stay exact."""
+
+
 class FieldMismatch(FtpError):
     pass
 

@@ -24,7 +24,7 @@ from .errors import (
     SingularGram,
     ZeroInverse,
 )
-from .kernels import convolve
+from .kernels import convolve, reduce
 
 
 def is_prime(n):
@@ -199,6 +199,11 @@ class BaseField:
             raise NoIrreducible(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = tuple(modulus)
         self._redmat = self._build_redmat()
+        # A tower with no axes, so that tensors of base-field elements go
+        # through the same product as tower elements (kernels.matmul).
+        self.base, self.primes, self.L, self.shape, self.flat_size = self, (), 0, (d,), 1
+        self._ext_shape, self._ext_flat, self._redmats = (), 1, []
+        self._addtable = np.zeros((1, 1), dtype=np.int64)
 
     def _smallest_irreducible(self):
         # Candidates in lexicographic order, coefficients compared
@@ -360,7 +365,6 @@ class TowerField:
         self._ext_flat = int(np.prod(self._ext_shape))
         self._addtable = self._build_addtable()
         self._redmats = [self._build_axis_redmat(i) for i in range(self.L)]
-        self._rotate = (self.L - 1,) + tuple(range(self.L - 1)) + (self.L,)
         self._trace_mats, self._trace_scalars = zip(
             *(self._build_trace(i) for i in range(self.L))
         )
@@ -570,22 +574,16 @@ class TowerField:
         d, p = self.base.d, self.base.p
         xf = x.reshape(self.flat_size, d) % p
         yf = y.reshape(self.flat_size, d) % p
-        ext = convolve(xf, yf, self._addtable, self._ext_flat)
-        cur = (ext @ self.base._redmat) % p
-        cur = cur.reshape(self._ext_shape + (d,))
-        # Reduce the last tower axis with one matmul over its (index,
-        # coefficient) pairs, then rotate the reduced axis to the front so
-        # the next axis is last; after L steps the axes are back in order.
-        for i in range(self.L - 1, -1, -1):
-            red = (cur.reshape(-1, cur.shape[-2] * d) @ self._redmats[i]) % p
-            cur = red.reshape(cur.shape[:-2] + (self.primes[i], d)).transpose(self._rotate)
-        return np.ascontiguousarray(cur)
+        for a, b in ((xf, yf), (yf, xf)):
+            if not a[1:].any():  # a lies in F_q0: scale b by it
+                return self.scalar_mul(b.reshape(self.shape), a[0])
+        return reduce(self, convolve(xf, yf, self._addtable, self._ext_flat))
 
     def scalar_mul(self, x, s):
         """Multiply by a base-field scalar s (cheap, no convolution)."""
         mt = self.base.mul_matrix(s)
         d = self.base.d
-        return ((x.reshape(-1, d) @ mt) % self.base.p).reshape(self.shape)
+        return ((x.reshape(-1, d) @ mt) % self.base.p).reshape(x.shape)
 
     def pow(self, x, e):
         result = self.one()
@@ -597,18 +595,19 @@ class TowerField:
             e >>= 1
         return result
 
+    def _axis(self, i):
+        """Array axis of tower axis i (1-based), from the end: batch axes lead."""
+        return i - 2 - self.L
+
     def support_axes(self, x):
         """1-based axes on which x has coefficients above index 0."""
-        out = []
-        for i in range(self.L):
-            if np.take(x, range(1, self.primes[i]), axis=i).any():
-                out.append(i + 1)
-        return out
+        return [i for i in range(1, self.L + 1)
+                if np.take(x, range(1, self.primes[i - 1]), axis=self._axis(i)).any()]
 
     def in_subfield(self, x, i):
         """True iff x lies in F_i = F_{q0}(a_j : j != i)."""
         self._check_axis(i)
-        return not np.take(x, range(1, self.primes[i - 1]), axis=i - 1).any()
+        return not np.take(x, range(1, self.primes[i - 1]), axis=self._axis(i)).any()
 
     def inv(self, x):
         """Itoh-Tsujii.  x lies in K = F_q0(a_i : i supported), of degree n
@@ -644,26 +643,26 @@ class TowerField:
         map _frob_mats[i] of order p_i, so axis i takes e mod p_i steps."""
         d, p = self.base.d, self.base.p
         cur = x % p
-        for i, p_i in enumerate(self.primes):
-            arr = np.moveaxis(cur, i, -2)
+        for i, p_i in enumerate(self.primes, start=1):
+            arr = np.moveaxis(cur, self._axis(i), -2)
             lead = arr.shape[:-2]
             arr = arr.reshape(-1, p_i, d)
             for _ in range(e % p_i):
-                arr = np.einsum("nsa,sfab->nfb", arr, self._frob_mats[i]) % p
-            cur = np.moveaxis(arr.reshape(lead + (p_i, d)), -2, i)
+                arr = np.einsum("nsa,sfab->nfb", arr, self._frob_mats[i - 1]) % p
+            cur = np.moveaxis(arr.reshape(lead + (p_i, d)), -2, self._axis(i))
         return np.ascontiguousarray(cur)
 
     def trace_to_subfield(self, x, i):
         """tr_{F_q/F_i}(x): collapse axis i with the small-trace scalars."""
         self._check_axis(i)
         d = self.base.d
-        arr = np.moveaxis(x, i - 1, -2)
+        arr = np.moveaxis(x, self._axis(i), -2)
         lead = arr.shape[:-2]
         flat = arr.reshape(-1, self.primes[i - 1], d)
         collapsed = np.einsum("nsa,sab->nb", flat, self._trace_mats[i - 1]) % self.base.p
         out = np.zeros(lead + (self.primes[i - 1], d), dtype=np.int64)
         out[..., 0, :] = collapsed.reshape(lead + (d,))
-        return np.ascontiguousarray(np.moveaxis(out, -2, i - 1))
+        return np.ascontiguousarray(np.moveaxis(out, -2, self._axis(i)))
 
     def eq(self, x, y):
         return np.array_equal(x % self.base.p, y % self.base.p)

@@ -6,6 +6,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
+from . import kernels
 from .errors import (
     DimMismatch,
     InvalidParams,
@@ -43,9 +46,9 @@ class SchemeParams:
     server_scalars: list    # server_scalars[i-1][j-1] = v_{L+j} * k_i(alpha_{L+j})
     lambdas: list           # lambda bases per group
     mus: list               # trace-dual bases per group
-    encode_coeffs: list = dc_field(repr=False, default=None)
-    # encode_coeffs[k][j] = l_k(alpha_{L+1+j}) for Lagrange basis l_k on the
-    # L+T interpolation nodes, j over the N_L upload points.
+    encode_coeffs: object = dc_field(repr=False, default=None)
+    # (L+T, N_L, *tower.shape): encode_coeffs[k][j] = l_k(alpha_{L+1+j}) for
+    # Lagrange basis l_k on the L+T interpolation nodes, j over the upload points.
 
 
 @dataclass
@@ -133,7 +136,7 @@ def build_scheme(L, T, primes, base, a, b, c):
         k_polys=k_polys, server_scalars=server_scalars,
         lambdas=lambdas, mus=mus,
     )
-    scheme.encode_coeffs = _encode_coefficients(scheme)
+    scheme.encode_coeffs = np.array(_encode_coefficients(scheme))
     return scheme
 
 
@@ -173,70 +176,75 @@ def _draw_randoms(scheme, seed):
 
 def encode(scheme, A, B, seed=0, randoms=None):
     """Interpolate f through (gens -> A blocks, first T upload points ->
-    randoms) and likewise g; return the evaluations at the N_L upload points."""
+    randoms) and likewise g; return the evaluations at the N_L upload points:
+    one product of the encode coefficients with the stacked nodes."""
     if (A.rows, A.cols) != (scheme.a, scheme.b) or (B.rows, B.cols) != (scheme.b, scheme.c):
         raise DimMismatch("matrix dimensions do not match the scheme")
     tower = scheme.tower
+    a, w, c = scheme.a, scheme.b // scheme.L, scheme.c
     part = partition_inner(A, B, scheme.L)
     R, S = randoms if randoms is not None else _draw_randoms(scheme, seed)
-    f_nodes = part.A_blocks + list(R)
-    g_nodes = part.B_blocks + list(S)
-
-    shares = []
-    for j in range(scheme.N[-1]):
-        f_eval = Mat.zeros(tower, scheme.a, scheme.b // scheme.L)
-        g_eval = Mat.zeros(tower, scheme.b // scheme.L, scheme.c)
-        for kk in range(scheme.L + scheme.T):
-            ck = scheme.encode_coeffs[kk][j]
-            if tower.is_zero(ck):
-                continue
-            f_eval = f_eval.add(f_nodes[kk].scale(ck))
-            g_eval = g_eval.add(g_nodes[kk].scale(ck))
-        shares.append(Share(j + 1, f_eval, g_eval))
-    return shares
+    nodes = np.stack([
+        np.concatenate([f.data.reshape((a * w,) + tower.shape),
+                        g.data.reshape((w * c,) + tower.shape)])
+        for f, g in zip(part.A_blocks + list(R), part.B_blocks + list(S))
+    ])
+    evals = kernels.matmul(tower, np.swapaxes(scheme.encode_coeffs, 0, 1), nodes)
+    return [
+        Share(j + 1,
+              Mat(tower, a, w, e[: a * w].reshape((a, w) + tower.shape)),
+              Mat(tower, w, c, e[a * w :].reshape((w, c) + tower.shape)))
+        for j, e in enumerate(evals)
+    ]
 
 
-def server_compute(scheme, share):
-    """Product of the received evaluations, then per-group traced downloads.
-    Groups with j > N_i are omitted (their annihilator scalar is zero)."""
-    tower = scheme.tower
+def server_groups(scheme, j):
+    """Server j's trace scalars w_ij by group i, for the i with j <= N_i."""
+    return {i: scheme.server_scalars[i - 1][j - 1]
+            for i in range(1, scheme.L + 1) if j <= scheme.N[i - 1]}
+
+
+def server_step(tower, scalars, share):
+    """The server's work, in process and in the TCP daemon alike: h = the
+    product of the received evaluations, then tr_i(w_i * h) per group i."""
     h = mat_mul(share.f_eval, share.g_eval)
-    traced = {}
-    for i in range(1, scheme.L + 1):
-        if share.server > scheme.N[i - 1]:
-            continue
-        w = scheme.server_scalars[i - 1][share.server - 1]
-        traced[i] = h.map(lambda v: tower.trace_to_subfield(tower.mul(w, v), i))
+    traced = {i: Mat(tower, h.rows, h.cols, tower.trace_to_subfield(h.scale(w).data, i))
+              for i, w in scalars.items()}
     return ResponseBundle(share.server, traced)
 
 
+def server_compute(scheme, share):
+    """Product of the received evaluations, then per-group traced downloads."""
+    return server_step(scheme.tower, server_groups(scheme, share.server), share)
+
+
 def decode(scheme, bundles):
-    """Recover AB from all N_L response bundles."""
-    tower = scheme.tower
-    by_server = {}
-    for bundle in bundles:
-        by_server[bundle.server] = bundle
+    """Recover AB from all N_L response bundles.  For each group i, a
+    Vandermonde step over F_q0 gives c_is = -sum_j alpha_j^s r_ij, and one
+    product with the trace-dual basis gives h_i = sum_s c_is mu_is."""
+    tower, base = scheme.tower, scheme.base
+    a, c, p = scheme.a, scheme.c, base.p
+    by_server = {bundle.server: bundle for bundle in bundles}
     for j in range(1, scheme.N[-1] + 1):
         if j not in by_server:
             raise MissingBundle(f"no bundle from server {j}")
 
-    total = Mat.zeros(tower, scheme.a, scheme.c)
+    total = np.zeros((a, c) + tower.shape, dtype=np.int64)
     for i in range(1, scheme.L + 1):
-        p_i = scheme.primes[i - 1]
-        h_i = Mat.zeros(tower, scheme.a, scheme.c)
-        for s in range(p_i):
-            acc = Mat.zeros(tower, scheme.a, scheme.c)
-            for j in range(1, scheme.N[i - 1] + 1):
-                r = by_server[j].traced.get(i)
-                if r is None or (r.rows, r.cols) != (scheme.a, scheme.c):
-                    raise ShapeMismatch(f"bundle {j} lacks a well-formed group {i} response")
-                alpha_pow = scheme.base.pow(scheme.scalar_points[j - 1], s)
-                acc = acc.add(r.map(lambda v: tower.scalar_mul(v, alpha_pow)))
-            c_is = acc.neg()
-            mu = scheme.mus[i - 1][s]
-            h_i = h_i.add(c_is.map(lambda v: tower.mul(v, mu)))
-        total = total.add(h_i)
-    return total
+        p_i, n_i = scheme.primes[i - 1], scheme.N[i - 1]
+        replies = []
+        for j in range(1, n_i + 1):
+            r = by_server[j].traced.get(i)
+            if r is None or (r.rows, r.cols) != (a, c):
+                raise ShapeMismatch(f"bundle {j} lacks a well-formed group {i} response")
+            replies.append(r.data)
+        vandermonde = np.array([[base.mul_matrix(base.pow(alpha, s))
+                                 for alpha in scheme.scalar_points[:n_i]] for s in range(p_i)])
+        c_i = -np.einsum("j...a,sjab->s...b", np.stack(replies), vandermonde) % p
+        c_i = np.moveaxis(c_i, 0, 2).reshape((a * c, p_i) + tower.shape)
+        mu = np.stack(scheme.mus[i - 1])[:, None]
+        total += kernels.matmul(tower, c_i, mu).reshape(total.shape)
+    return Mat(tower, a, c, total % p)
 
 
 def cost_report(scheme):

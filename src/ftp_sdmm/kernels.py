@@ -1,122 +1,122 @@
-"""Hot numeric kernel: the raw multivariate coefficient convolution behind
-tower-field multiplication.
+"""The one exact product behind field arithmetic: batched matrix products of
+field elements by a real FFT.  Element digit (i, a) (tower multi-index i
+flattened, base digit a) sits at slot addtable[i, 0] * (2d-1) + a of a grid
+of ext_len * (2d-1) slots; index sums never leave the grid, so the cyclic
+convolution is the linear one.  Rounding back to integers is exact while a
+worst-case error bound stays below 1/2, and the product raises where not."""
 
-Two implementations are provided: a numba ``@njit`` version and a numpy
-version that does the whole convolution as one exact big-integer product
-(Kronecker substitution).  Selection is controlled by the
-``FTP_SDMM_BACKEND`` environment variable (``auto`` by default, or
-``numba`` / ``numpy`` to force one).
-Both paths produce identical integer arrays; modular reduction happens in
-``fields.TowerField``.
-"""
-
-import os
+import math
 
 import numpy as np
 
-_BACKEND_ENV = "FTP_SDMM_BACKEND"
+from .errors import RoundingBoundExceeded
 
-_numba_conv = None
-_numba_failed = False
-
-
-def _requested_backend():
-    val = os.environ.get(_BACKEND_ENV, "auto").strip().lower()
-    if val not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_BACKEND_ENV} must be auto, numba or numpy (got {val!r})")
-    return val
+_EPS = 2.0**-53
+# Bytes of spectra held at once, about; bounds a product's working set.
+_CHUNK_BYTES = 1 << 19
 
 
-def _load_numba():
-    global _numba_conv, _numba_failed
-    if _numba_conv is not None or _numba_failed:
-        return _numba_conv
-    try:
-        from numba import njit
-    except ImportError:
-        _numba_failed = True
-        return None
-
-    @njit(cache=True)
-    def conv(xf, yf, addtable, ext):
-        m, d = xf.shape
-        for i in range(m):
-            for a in range(d):
-                va = xf[i, a]
-                if va == 0:
-                    continue
-                for j in range(m):
-                    t = addtable[i, j]
-                    for b in range(d):
-                        vb = yf[j, b]
-                        if vb != 0:
-                            ext[t, a + b] += va * vb
-
-    _numba_conv = conv
-    return conv
+def fft_length(ext_len, d):
+    """The power of two that holds the ext_len * (2d-1) slot grid."""
+    return 1 << (ext_len * (2 * d - 1) - 1).bit_length()
 
 
-def active_backend():
-    """Name of the backend that will actually run ('numba' or 'numpy')."""
-    req = _requested_backend()
-    if req == "numpy":
-        return "numpy"
-    if _load_numba() is not None:
-        return "numba"
-    if req == "numba":
-        raise ImportError("FTP_SDMM_BACKEND=numba but numba is not importable")
-    return "numpy"
+def rounding_bound(inner, size, p, n_fft):
+    """Worst-case error of an output coefficient: inner dimension ``inner``,
+    ``size`` digits below p per element, FFT length n_fft = 2^k.  Percival
+    (Math. Comp. 72, 2003, Thm. 5.1) bounds one convolution's error by
+    |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1), e = 2^-53, twiddle
+    error b <= e / sqrt2, and |x| |y| <= size (p-1)^2; the inner sum adds
+    ``inner`` such terms and inner - 1 roundings per frequency."""
+    k = n_fft.bit_length() - 1
+    growth = math.expm1((3 * k + inner) * math.log1p(_EPS)
+                        + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
+                        + 3 * k * math.log1p(_EPS / math.sqrt(2)))
+    return inner * size * (p - 1) ** 2 * growth
 
 
-_SLOT_DTYPES = [np.dtype(f"<u{w}") for w in (1, 2, 4, 8)]
+def check_rounding(inner, size, p, n_fft):
+    """Raise unless rounding the product's coefficients is exact."""
+    bound = rounding_bound(inner, size, p, n_fft)
+    if not bound < 0.5:
+        raise RoundingBoundExceeded(
+            f"inner dimension {inner} over {size} digits below {p}: "
+            f"rounding error bound {bound:.3g} is not below 1/2")
 
 
-def _conv_numpy(xf, yf, addtable, ext):
-    """Kronecker substitution: each operand becomes one Python integer whose
-    fixed-width slots are its coefficients laid out in the extended
-    multi-index space, slot (i, a) at addtable[i, 0] * (2d-1) + a.  Index
-    sums never wrap an axis of that space, so the integer product holds the
-    full convolution slot for slot.  Each output slot sums at most m*d
-    products, so slots of the smallest unsigned width that holds
-    m*d*max(x)*max(y) never carry into their neighbour."""
-    m, d = xf.shape
-    if xf.min() < 0 or yf.min() < 0:
-        raise ValueError("the numpy backend needs non-negative coefficients")
-    bound = m * d * int(xf.max()) * int(yf.max())
-    if bound == 0:
-        return
-    if bound >> 63:
-        raise OverflowError(f"coefficient bound {bound} does not fit in int64")
-    dt = next(t for t in _SLOT_DTYPES if bound < 1 << 8 * t.itemsize)
-    pos = addtable[:, 0]
-    gx = np.zeros(ext.shape, dtype=dt)
-    gx[pos, :d] = xf
-    gy = np.zeros(ext.shape, dtype=dt)
-    gy[pos, :d] = yf
-    prod = int.from_bytes(gx.tobytes(), "little") * int.from_bytes(gy.tobytes(), "little")
-    raw = prod.to_bytes(ext.size * dt.itemsize, "little")
-    ext += np.frombuffer(raw, dtype=dt).reshape(ext.shape).astype(np.int64)
+def _spectra(t, addtable, ext_len, n_fft):
+    """rfft of each element of t (..., m, d), laid out in its slots."""
+    d = t.shape[-1]
+    grid = np.zeros(t.shape[:-2] + (n_fft,))
+    slots = grid[..., : ext_len * (2 * d - 1)].reshape(t.shape[:-2] + (ext_len, 2 * d - 1))
+    slots[..., addtable[:, 0], :d] = t
+    return np.fft.rfft(grid)
 
 
-def convolve(xf, yf, addtable, ext_len, backend=None):
-    """Full convolution of two flattened coefficient tensors.
+def _unslot(z, ext_len, d):
+    """Round the inverse transforms z (..., n_fft) to (ext_len, 2d-1) sums."""
+    w = 2 * d - 1
+    return np.rint(z[..., : ext_len * w]).astype(np.int64).reshape(z.shape[:-1] + (ext_len, w))
+
+
+def convolve(xf, yf, addtable, ext_len):
+    """Full convolution of two flattened coefficient tensors, the one-pair
+    case of the product.
 
     xf, yf: int64 arrays of shape (M, d) — tower multi-index flattened
     C-order, base-field coefficients on the last axis.  addtable[i, j] is the
     flat index in the extended multi-index space of the (carry-free) sum of
     multi-indices i and j.  Returns an (ext_len, 2d-1) int64 array of
-    un-reduced integer coefficient sums.  The numpy backend requires
-    non-negative coefficients (reduce mod p first).
+    un-reduced integer coefficient sums.
     """
-    d = xf.shape[1]
-    ext = np.zeros((ext_len, 2 * d - 1), dtype=np.int64)
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        conv = _load_numba()
-        if conv is None:
-            raise ImportError("numba backend requested but numba is not importable")
-        conv(xf, yf, addtable, ext)
-    else:
-        _conv_numpy(xf, yf, addtable, ext)
-    return ext
+    m, d = xf.shape
+    n_fft = fft_length(ext_len, d)
+    grid = np.zeros((2, n_fft))
+    grid[:, : ext_len * (2 * d - 1)].reshape(2, ext_len, 2 * d - 1)[:, addtable[:, 0], :d] = (xf, yf)
+    check_rounding(1, m * d, int(np.abs(grid).max()) + 1, n_fft)
+    fx, fy = np.fft.rfft(grid)
+    return _unslot(np.fft.irfft(fx * fy, n_fft), ext_len, d)
+
+
+def reduce(field, raw):
+    """Unreduced sums (..., ext_flat, 2d-1) to canonical elements (...,
+    *field.shape): the base modulus, then one matmul per tower axis, each
+    reduced axis rotated to the front, so after L steps they are in order."""
+    base = field.base
+    d, p = base.d, base.p
+    lead = raw.shape[:-2]
+    cur = ((raw % p) @ base._redmat % p).reshape(lead + field._ext_shape + (d,))
+    n, L = len(lead), field.L
+    rotate = (*range(n), n + L - 1, *range(n, n + L - 1), n + L)
+    for i in range(L - 1, -1, -1):
+        red = cur.reshape(-1, cur.shape[-2] * d) @ field._redmats[i] % p
+        cur = red.reshape(cur.shape[:-2] + (field.primes[i], d)).transpose(rotate)
+    return np.ascontiguousarray(cur)
+
+
+def matmul(field, x, y):
+    """x @ y over ``field`` for x (r, k, *field.shape), y (k, c, *field.shape),
+    reduced.  Large towers go through the transforms in row and inner-index
+    chunks of about _CHUNK_BYTES of spectra."""
+    r, k = x.shape[:2]
+    c = y.shape[1]
+    m, d, p = field.flat_size, field.base.d, field.base.p
+    ext_len = field._ext_flat
+    n_fft = fft_length(ext_len, d)
+    check_rounding(k, m * d, p, n_fft)
+    x = x.reshape(r, k, m, d)
+    y = y.reshape(k, c, m, d)
+    budget = max(1, _CHUNK_BYTES // (8 * n_fft))  # spectra at once
+    kstep = max(1, min(k, budget // (2 * c)))
+    rstep = max(1, budget // (2 * (kstep + c)))
+    fy = _spectra(y % p, field._addtable, ext_len, n_fft) if kstep >= k else None
+    out = np.empty((r, c) + field.shape, dtype=np.int64)
+    for s in range(0, r, rstep):
+        z = np.zeros((min(rstep, r - s), c, n_fft // 2 + 1), dtype=np.complex128)
+        for t in range(0, k, kstep):
+            fx = _spectra(x[s : s + rstep, t : t + kstep] % p, field._addtable, ext_len, n_fft)
+            fyt = fy if fy is not None else _spectra(
+                y[t : t + kstep] % p, field._addtable, ext_len, n_fft)
+            z += np.einsum("rkf,kcf->rcf", fx, fyt)
+        out[s : s + rstep] = reduce(field, _unslot(np.fft.irfft(z, n_fft), ext_len, d))
+    return out

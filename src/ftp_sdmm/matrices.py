@@ -1,8 +1,11 @@
-"""Matrices over any field object, inner-product block partitioning, and the
-pinned deterministic RNG (splitmix64 with per-digit rejection sampling)."""
+"""Matrices over a base or tower field, inner-product block partitioning, and
+the pinned deterministic RNG (splitmix64 with per-digit rejection sampling)."""
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernels
 from .errors import DimMismatch, NotDivisible
 
 _MASK64 = (1 << 64) - 1
@@ -31,78 +34,64 @@ class SplitMix64:
 
 
 class Mat:
-    """Row-major matrix of field elements."""
+    """rows x cols matrix of field elements, held as one int64 tensor of
+    shape (rows, cols, *field.shape); ``data[r][c]`` is an element."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows, cols, data):
-        if len(data) != rows or any(len(r) != cols for r in data):
+        shape = (rows, cols) + field.shape
+        try:
+            data = np.array(data, dtype=np.int64)
+        except ValueError as exc:
+            raise DimMismatch(f"data does not fill {rows}x{cols}") from exc
+        if data.shape != shape:
             raise DimMismatch(f"data does not fill {rows}x{cols}")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = [list(r) for r in data]
+        self.data = data
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        return cls(field, rows, cols, [[field.zero() for _ in range(cols)] for _ in range(rows)])
+        return cls(field, rows, cols, np.zeros((rows, cols) + field.shape, dtype=np.int64))
 
     @classmethod
     def identity(cls, field, n):
         m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one()
+        m.data[range(n), range(n)] = field.one()
         return m
 
-    def map(self, fn):
-        return Mat(self.field, self.rows, self.cols,
-                   [[fn(v) for v in row] for row in self.data])
+    def _like(self, data):
+        return Mat(self.field, self.rows, self.cols, data)
 
     def add(self, other):
-        self._conform(other)
-        f = self.field
-        return Mat(f, self.rows, self.cols,
-                   [[f.add(a, b) for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)])
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        return self._like((self.data + other.data) % self.field.base.p)
 
     def neg(self):
-        f = self.field
-        return self.map(f.neg)
+        return self._like(-self.data % self.field.base.p)
 
     def scale(self, c):
+        """Every entry times the field element c: one product of the
+        entries, as a column, with c."""
         f = self.field
-        return self.map(lambda v: f.mul(c, v))
+        column = self.data.reshape((self.rows * self.cols, 1) + f.shape)
+        prod = kernels.matmul(f, column, np.reshape(c, (1, 1) + f.shape))
+        return self._like(prod.reshape(self.data.shape))
 
     def eq(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        f = self.field
-        return all(
-            f.eq(a, b)
-            for r1, r2 in zip(self.data, other.data)
-            for a, b in zip(r1, r2)
-        )
-
-    def _conform(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
+        p = self.field.base.p
+        return np.array_equal(self.data % p, other.data % p)
 
 
 def mat_mul(x, y):
     if x.cols != y.rows:
         raise DimMismatch(f"{x.rows}x{x.cols} times {y.rows}x{y.cols}")
-    f = x.field
-    out = Mat.zeros(f, x.rows, y.cols)
-    for i in range(x.rows):
-        for k in range(x.cols):
-            xv = x.data[i][k]
-            if f.is_zero(xv):
-                continue
-            for j in range(y.cols):
-                out.data[i][j] = f.add(out.data[i][j], f.mul(xv, y.data[k][j]))
-    return out
+    return Mat(x.field, x.rows, y.cols, kernels.matmul(x.field, x.data, y.data))
 
 
 @dataclass
@@ -121,8 +110,7 @@ def partition_inner(A, B, L):
         raise NotDivisible(f"L={L} does not divide b={A.cols}")
     w = A.cols // L
     a_blocks = [
-        Mat(A.field, A.rows, w, [row[l * w : (l + 1) * w] for row in A.data])
-        for l in range(L)
+        Mat(A.field, A.rows, w, A.data[:, l * w : (l + 1) * w]) for l in range(L)
     ]
     b_blocks = [
         Mat(B.field, w, B.cols, B.data[l * w : (l + 1) * w]) for l in range(L)

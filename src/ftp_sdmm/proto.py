@@ -13,6 +13,7 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field as dc_field
+from math import prod
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from .errors import (
     VersionMismatch,
 )
 from .fields import BaseField, TowerField
-from .ftp import ResponseBundle, Share, decode, encode, server_compute
+from .ftp import (ResponseBundle, Share, decode, encode, server_compute,
+                  server_groups, server_step)
 from .matrices import Mat
 
 MAGIC = b"FTPC"
@@ -62,22 +64,28 @@ def elem_to_bytes(tower, x, group=None):
     return x.astype(np.uint8).tobytes()
 
 
-def elem_from_bytes(tower, raw, group=None):
+def _digits(tower, raw, offset, lead, group):
+    """The digits at raw[offset:] as a tensor lead + tower.shape (an F_i
+    member's at index 0 of axis i), and the offset past them.  MalformedFrame
+    if raw is too short or a digit is not below p."""
     _check_digit_format(tower)
-    if group is None:
-        flat = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-        if flat.size != tower.flat_size * tower.base.d:
-            raise MalformedFrame("element payload has wrong length")
-        return flat.reshape(tower.shape)
-    shape = tuple(p for k, p in enumerate(tower.primes) if k != group - 1) + (tower.base.d,)
-    flat = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if flat.size != int(np.prod(shape)):
-        raise MalformedFrame("subfield element payload has wrong length")
-    out = np.zeros(tower.shape, dtype=np.int64)
-    idx = [slice(None)] * (tower.L + 1)
-    idx[group - 1] = 0
-    out[tuple(idx)] = flat.reshape(shape)
-    return out
+    shape = tower.shape if group is None else tower.shape[: group - 1] + tower.shape[group:]
+    count = prod(lead + shape)
+    if len(raw) - offset < count:
+        raise MalformedFrame("payload shorter than its shape")
+    digits = np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset)
+    if (digits >= tower.base.p).any():
+        raise MalformedFrame(f"a digit is not below p = {tower.base.p}")
+    data = np.zeros(lead + tower.shape, dtype=np.int64)
+    target = data if group is None else np.moveaxis(data, len(lead) + group - 1, 0)[0]
+    target[...] = digits.reshape(lead + shape)
+    return data, offset + count
+
+
+def elem_from_bytes(tower, raw, group=None):
+    if len(raw) != elem_symbols(tower, group) * tower.base.d:
+        raise MalformedFrame("element payload has wrong length")
+    return _digits(tower, raw, 0, (), group)[0]
 
 
 def elem_symbols(tower, group=None):
@@ -88,25 +96,19 @@ def elem_symbols(tower, group=None):
 
 
 def mat_to_bytes(tower, m, group=None):
-    body = struct.pack(">II", m.rows, m.cols)
-    for row in m.data:
-        for v in row:
-            body += elem_to_bytes(tower, v, group)
-    return body
+    """An 8-byte shape header, then the tensor's digits in C order: entries
+    row-major, each element axis 1 slowest, digits low-degree first."""
+    _check_digit_format(tower)
+    data = m.data if group is None else np.take(m.data, 0, axis=group + 1)
+    return struct.pack(">II", m.rows, m.cols) + data.astype(np.uint8).tobytes()
 
 
 def mat_from_bytes(tower, raw, offset=0, group=None):
+    if len(raw) - offset < 8:
+        raise MalformedFrame("matrix header truncated")
     rows, cols = struct.unpack_from(">II", raw, offset)
-    offset += 8
-    per = elem_symbols(tower, group) * tower.base.d
-    data = []
-    for _ in range(rows):
-        r = []
-        for _ in range(cols):
-            r.append(elem_from_bytes(tower, raw[offset : offset + per], group))
-            offset += per
-        data.append(r)
-    return Mat(tower, rows, cols, data), offset
+    data, end = _digits(tower, raw, offset + 8, (rows, cols), group)
+    return Mat(tower, rows, cols, data), end
 
 
 def mat_payload_symbols(tower, m, group=None):
@@ -119,43 +121,41 @@ def pack_message(msg_type, body):
     return MAGIC + bytes([VERSION, msg_type]) + struct.pack(">I", len(body)) + body
 
 
-def unpack_message(buf):
-    """Parse one frame from the head of buf; returns (type, body, rest)."""
-    if len(buf) < 10:
-        raise MalformedFrame("frame shorter than header")
+def _header(buf):
+    """Type and body length from the 10-byte frame header at the head of buf."""
     if buf[:4] != MAGIC:
         raise MalformedFrame("bad magic")
     if buf[4] != VERSION:
         raise VersionMismatch(f"peer version {buf[4]}, expected {VERSION}")
-    msg_type = buf[5]
-    (length,) = struct.unpack_from(">I", buf, 6)
+    return buf[5], struct.unpack_from(">I", buf, 6)[0]
+
+
+def unpack_message(buf):
+    """Parse one frame from the head of buf; returns (type, body, rest)."""
+    if len(buf) < 10:
+        raise MalformedFrame("frame shorter than header")
+    msg_type, length = _header(buf)
     if len(buf) < 10 + length:
         raise MalformedFrame("truncated body")
     return msg_type, bytes(buf[10 : 10 + length]), buf[10 + length :]
 
 
 def _recv_exact(sock, n):
-    chunks = b""
-    while len(chunks) < n:
+    buf = bytearray()
+    while len(buf) < n:
         try:
-            part = sock.recv(n - len(chunks))
+            part = sock.recv(min(n - len(buf), 1 << 20))
         except socket.timeout as exc:
             raise ProtocolTimeout("peer timed out") from exc
         if not part:
             raise MalformedFrame("connection closed mid-frame")
-        chunks += part
-    return chunks
+        buf += part
+    return buf
 
 
 def read_message(sock):
-    header = _recv_exact(sock, 10)
-    if header[:4] != MAGIC:
-        raise MalformedFrame("bad magic")
-    if header[4] != VERSION:
-        raise VersionMismatch(f"peer version {header[4]}, expected {VERSION}")
-    (length,) = struct.unpack_from(">I", header, 6)
-    body = _recv_exact(sock, length) if length else b""
-    return header[5], body
+    msg_type, length = _header(_recv_exact(sock, 10))
+    return msg_type, _recv_exact(sock, length)
 
 
 # -- message bodies --------------------------------------------------------------
@@ -171,11 +171,11 @@ def params_body(job_id, scheme, server_index):
     body += bytes([scheme.L])
     body += b"".join(struct.pack(">H", p) for p in scheme.primes)
     body += struct.pack(">III", scheme.a, scheme.b, scheme.c)
-    groups = [i for i in range(1, scheme.L + 1) if server_index <= scheme.N[i - 1]]
+    groups = server_groups(scheme, server_index)
     body += bytes([len(groups)])
-    for i in groups:
+    for i, w in groups.items():
         body += bytes([i])
-        body += elem_to_bytes(scheme.tower, scheme.server_scalars[i - 1][server_index - 1])
+        body += elem_to_bytes(scheme.tower, w)
     return body
 
 
@@ -207,7 +207,7 @@ class ServerJob:
 
 
 def parse_params(body):
-    job_id, off = body[:8], 8
+    job_id, off = bytes(body[:8]), 8
     (server_index,) = struct.unpack_from(">H", body, off); off += 2
     p, d = struct.unpack_from(">HB", body, off); off += 3
     modulus = tuple(body[off : off + d + 1]); off += d + 1
@@ -233,10 +233,14 @@ def share_body(job_id, scheme, share):
 
 
 def parse_share(tower, body):
-    job_id, off = body[:8], 8
+    if len(body) < 10:
+        raise MalformedFrame("share header truncated")
+    job_id, off = bytes(body[:8]), 8
     (server,) = struct.unpack_from(">H", body, off); off += 2
     f_eval, off = mat_from_bytes(tower, body, off)
     g_eval, off = mat_from_bytes(tower, body, off)
+    if off != len(body):
+        raise MalformedFrame("bytes past the end of the share")
     return job_id, Share(server, f_eval, g_eval)
 
 
@@ -250,14 +254,20 @@ def responses_body(job_id, tower, bundle):
 
 
 def parse_responses(tower, body):
-    job_id, off = body[:8], 8
+    if len(body) < 11:
+        raise MalformedFrame("responses header truncated")
+    job_id, off = bytes(body[:8]), 8
     (server,) = struct.unpack_from(">H", body, off); off += 2
     n_groups = body[off]; off += 1
     traced = {}
     for _ in range(n_groups):
+        if off >= len(body):
+            raise MalformedFrame("responses truncated")
         i = body[off]; off += 1
-        m, off = mat_from_bytes(tower, body, off, group=i)
-        traced[i] = m
+        tower._check_axis(i)
+        traced[i], off = mat_from_bytes(tower, body, off, group=i)
+    if off != len(body):
+        raise MalformedFrame("bytes past the end of the responses")
     return job_id, ResponseBundle(server, traced)
 
 
@@ -306,24 +316,19 @@ class TrafficLedger:
         return sum(s["down_bytes"] for s in self.per_server.values())
 
 
-def _ledger_share(ledger, scheme, share):
+def _ledger_share(ledger, scheme, share, body):
+    """Count one share on its serialized body: the two matrix payloads,
+    without the job id, the server index and the two shape headers."""
     tower = scheme.tower
     sym = mat_payload_symbols(tower, share.f_eval) + mat_payload_symbols(tower, share.g_eval)
-    raw_f = mat_to_bytes(tower, share.f_eval)
-    raw_g = mat_to_bytes(tower, share.g_eval)
-    nbytes = len(raw_f) + len(raw_g) - 16  # strip the two 8-byte shape headers
-    ledger.add_upload(share.server, sym, nbytes)
-    return raw_f, raw_g
+    ledger.add_upload(share.server, sym, len(body) - 10 - 16)
 
 
-def _ledger_bundle(ledger, scheme, bundle):
-    tower = scheme.tower
-    sym = 0
-    nbytes = 0
-    for i, m in bundle.traced.items():
-        sym += mat_payload_symbols(tower, m, group=i)
-        nbytes += len(mat_to_bytes(tower, m, group=i)) - 8
-    ledger.add_download(bundle.server, sym, nbytes)
+def _ledger_bundle(ledger, scheme, bundle, body):
+    """Count one bundle on its serialized body: the traced payloads, without
+    the job id, server index, group count and each group's id and header."""
+    sym = sum(mat_payload_symbols(scheme.tower, m, group=i) for i, m in bundle.traced.items())
+    ledger.add_download(bundle.server, sym, len(body) - 11 - 9 * len(bundle.traced))
 
 
 # -- runners ------------------------------------------------------------------------
@@ -332,16 +337,16 @@ def run_inprocess(scheme, A, B, seed=0):
     """encode -> serialize -> servers -> serialize -> decode, all in memory;
     every payload passes through the wire format so the ledger is exact."""
     tower = scheme.tower
+    job_id = b"\0" * 8
     ledger = TrafficLedger()
     bundles = []
     for share in encode(scheme, A, B, seed=seed):
-        raw_f, raw_g = _ledger_share(ledger, scheme, share)
-        f_eval, _ = mat_from_bytes(tower, raw_f)
-        g_eval, _ = mat_from_bytes(tower, raw_g)
-        bundle = server_compute(scheme, Share(share.server, f_eval, g_eval))
-        _ledger_bundle(ledger, scheme, bundle)
-        raw = responses_body(b"\0" * 8, tower, bundle)
-        _, bundle = parse_responses(tower, raw)
+        body = share_body(job_id, scheme, share)
+        _ledger_share(ledger, scheme, share, body)
+        _, share = parse_share(tower, body)
+        body = responses_body(job_id, tower, server_compute(scheme, share))
+        _, bundle = parse_responses(tower, body)
+        _ledger_bundle(ledger, scheme, bundle, body)
         bundles.append(bundle)
     product = decode(scheme, bundles)
     return product, ledger
@@ -369,14 +374,15 @@ def run_remote(endpoints, scheme, A, B, seed=0):
                     raise ProtocolError(f"server {j}: {body[1:].decode(errors='replace')}")
                 if mtype != MSG_PARAMS:
                     raise ProtocolError(f"server {j}: unexpected reply type {mtype}")
-                sock.sendall(pack_message(MSG_SHARE, share_body(job_id, scheme, share)))
+                sent = share_body(job_id, scheme, share)
+                sock.sendall(pack_message(MSG_SHARE, sent))
                 mtype, body = read_message(sock)
                 if mtype == MSG_ERROR:
                     raise ProtocolError(f"server {j}: {body[1:].decode(errors='replace')}")
                 if mtype != MSG_RESPONSES:
                     raise ProtocolError(f"server {j}: unexpected reply type {mtype}")
                 _, bundle = parse_responses(scheme.tower, body)
-                results[j] = bundle
+                results[j] = (sent, bundle, body)
         except (OSError, socket.timeout) as exc:
             errors[j] = ConnectionFailed(j, str(exc))
         except Exception as exc:  # surfaced to the caller below
@@ -394,9 +400,9 @@ def run_remote(endpoints, scheme, A, B, seed=0):
 
     bundles = []
     for j, share in enumerate(shares, start=1):
-        _ledger_share(ledger, scheme, share)
-        bundle = results[j]
-        _ledger_bundle(ledger, scheme, bundle)
+        sent, bundle, received = results[j]
+        _ledger_share(ledger, scheme, share, sent)
+        _ledger_bundle(ledger, scheme, bundle, received)
         bundles.append(bundle)
     product = decode(scheme, bundles)
     return product, ledger
@@ -405,8 +411,8 @@ def run_remote(endpoints, scheme, A, B, seed=0):
 # -- server side ----------------------------------------------------------------------
 
 class Server:
-    """One computing node.  Stateless between jobs except the Params cache,
-    keyed by job id and guarded for exclusive access."""
+    """One computing node.  It keeps each job's params, keyed by job id and
+    server index under a lock, from its PARAMS frame until its SHARE."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -462,27 +468,17 @@ class Server:
                 self._jobs[(job.job_id, job.server_index)] = job
             return pack_message(MSG_PARAMS, job.job_id)
         if mtype == MSG_SHARE:
-            job_id = body[:8]
+            job_id = bytes(body[:8])
             (server_index,) = struct.unpack_from(">H", body, 8)
+            # A job is answered once, so it leaves the table on its SHARE.
             with self._jobs_lock:
-                job = self._jobs.get((job_id, server_index))
+                job = self._jobs.pop((job_id, server_index), None)
             if job is None:
                 return pack_message(MSG_ERROR, error_body(3, "unknown job id"))
             _, share = parse_share(job.tower, body)
-            bundle = self._compute(job, share)
+            bundle = server_step(job.tower, job.scalars, share)
             return pack_message(MSG_RESPONSES, responses_body(job_id, job.tower, bundle))
         return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}"))
-
-    @staticmethod
-    def _compute(job, share):
-        from .matrices import mat_mul
-
-        tower = job.tower
-        h = mat_mul(share.f_eval, share.g_eval)
-        traced = {}
-        for i, w in job.scalars.items():
-            traced[i] = h.map(lambda v: tower.trace_to_subfield(tower.mul(w, v), i))
-        return ResponseBundle(share.server, traced)
 
 
 def serve(port, host="127.0.0.1"):

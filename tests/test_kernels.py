@@ -1,17 +1,29 @@
-"""Both convolution backends must agree exactly; the env flag selects them;
-the numpy backend matches the plain loop convolution bit for bit."""
-
-import importlib.util
+"""The batched exact product against element-wise oracles: kernels.convolve
+against the loop and Kronecker convolutions, TowerField.mul against the
+Kronecker multiply, mat_mul against the per-element triple loop, all bit for
+bit; and the rounding bound that guards the transform."""
 
 import numpy as np
 import pytest
 
 from ftp_sdmm import kernels
+from ftp_sdmm.errors import RoundingBoundExceeded
 from ftp_sdmm.fields import make_base_field, make_tower
-from ftp_sdmm.matrices import SplitMix64
+from ftp_sdmm.matrices import Mat, SplitMix64, mat_mul, random_mat
 
-HAS_NUMBA = importlib.util.find_spec("numba") is not None
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba is not installed")
+# F_4(2), F_11(2,3), F_11(2,3,5), F_8(5), F_251(2,3), F_27(5,7,11), F_9(2,3)
+FIELDS = [
+    (2, 2, (2,)), (11, 1, (2, 3)), (11, 1, (2, 3, 5)), (2, 3, (5,)),
+    (251, 1, (2, 3)), (3, 3, (5, 7, 11)), (3, 2, (2, 3)),
+]
+_towers = {}
+
+
+def _tower(p, d, primes):
+    key = (p, d, primes)
+    if key not in _towers:
+        _towers[key] = make_tower(make_base_field(p, d), primes)
+    return _towers[key]
 
 
 def _conv_reference(xf, yf, addtable, ext_len):
@@ -36,70 +48,155 @@ def _conv_reference(xf, yf, addtable, ext_len):
     return ext
 
 
-@pytest.mark.parametrize("p,d,primes", [
-    (2, 2, (2,)), (11, 1, (2, 3)), (11, 1, (2, 3, 5)), (2, 3, (5,)),
-    (251, 1, (2, 3)), (3, 3, (5, 7, 11)),
-])
+_SLOT_DTYPES = [np.dtype(f"<u{w}") for w in (1, 2, 4, 8)]
+
+
+def _conv_kronecker(xf, yf, addtable, ext_len):
+    """Kronecker substitution: each operand becomes one Python integer whose
+    fixed-width slots are its coefficients laid out in the extended
+    multi-index space, slot (i, a) at addtable[i, 0] * (2d-1) + a.  Each
+    output slot sums at most m*d products, so slots of the smallest unsigned
+    width that holds m*d*max(x)*max(y) never carry into their neighbour.
+    Needs non-negative coefficients."""
+    m, d = xf.shape
+    ext = np.zeros((ext_len, 2 * d - 1), dtype=np.int64)
+    bound = m * d * int(xf.max()) * int(yf.max())
+    if bound == 0:
+        return ext
+    dt = next(t for t in _SLOT_DTYPES if bound < 1 << 8 * t.itemsize)
+    pos = addtable[:, 0]
+    gx = np.zeros(ext.shape, dtype=dt)
+    gx[pos, :d] = xf
+    gy = np.zeros(ext.shape, dtype=dt)
+    gy[pos, :d] = yf
+    prod = int.from_bytes(gx.tobytes(), "little") * int.from_bytes(gy.tobytes(), "little")
+    raw = prod.to_bytes(ext.size * dt.itemsize, "little")
+    return ext + np.frombuffer(raw, dtype=dt).reshape(ext.shape).astype(np.int64)
+
+
+def _mul_oracle(tower, x, y):
+    """One tower multiply: the Kronecker convolution, then the base modulus
+    and each axis reduced one at a time, each reduced axis rotated to the
+    front."""
+    d, p = tower.base.d, tower.base.p
+    xf = x.reshape(tower.flat_size, d) % p
+    yf = y.reshape(tower.flat_size, d) % p
+    ext = _conv_kronecker(xf, yf, tower._addtable, tower._ext_flat)
+    cur = ((ext @ tower.base._redmat) % p).reshape(tower._ext_shape + (d,))
+    rotate = (tower.L - 1,) + tuple(range(tower.L - 1)) + (tower.L,)
+    for i in range(tower.L - 1, -1, -1):
+        red = (cur.reshape(-1, cur.shape[-2] * d) @ tower._redmats[i]) % p
+        cur = red.reshape(cur.shape[:-2] + (tower.primes[i], d)).transpose(rotate)
+    return np.ascontiguousarray(cur)
+
+
+def _mat_mul_loop(x, y, mul):
+    """The per-element triple loop, with the element multiply ``mul``."""
+    f = x.field
+    out = [[f.zero() for _ in range(y.cols)] for _ in range(x.rows)]
+    for i in range(x.rows):
+        for k in range(x.cols):
+            xv = x.data[i][k]
+            if f.is_zero(xv):
+                continue
+            for j in range(y.cols):
+                out[i][j] = f.add(out[i][j], mul(xv, y.data[k][j]))
+    return np.array(out, dtype=np.int64).reshape((x.rows, y.cols) + f.shape)
+
+
+def _top(field, rows, cols):
+    """The matrix whose every coefficient is p - 1, the largest sums."""
+    return Mat(field, rows, cols,
+               np.full((rows, cols) + field.shape, field.base.p - 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p,d,primes", FIELDS[:6])
 def test_numpy_backend_matches_loop_reference(p, d, primes):
-    tower = make_tower(make_base_field(p, d), primes)
+    """kernels.convolve equals both oracle convolutions on a zero operand on
+    either side, all-(p-1) operands and random pairs."""
+    tower = _tower(p, d, primes)
     shape = (tower.flat_size, tower.base.d)
     rng = SplitMix64(29)
     zero = tower.zero().reshape(shape)
-    top = np.full(shape, p - 1, dtype=np.int64)  # largest coefficient sums
+    top = np.full(shape, p - 1, dtype=np.int64)
     pairs = [(zero, top), (top, zero), (top, top)]
     for _ in range(3):
         pairs.append((tower.random(rng).reshape(shape),
                       tower.random(rng).reshape(shape)))
     for x, y in pairs:
-        out = kernels.convolve(x, y, tower._addtable, tower._ext_flat,
-                               backend="numpy")
+        out = kernels.convolve(x, y, tower._addtable, tower._ext_flat)
         ref = _conv_reference(x, y, tower._addtable, tower._ext_flat)
         assert out.dtype == ref.dtype and np.array_equal(out, ref)
+        assert np.array_equal(out, _conv_kronecker(x, y, tower._addtable, tower._ext_flat))
 
 
-def test_numpy_backend_rejects_negative_coefficients(tower11_6):
-    x = tower11_6.one().reshape(tower11_6.flat_size, 1)
-    with pytest.raises(ValueError):
-        kernels.convolve(-x, x, tower11_6._addtable, tower11_6._ext_flat,
-                         backend="numpy")
+@pytest.mark.parametrize("p,d,primes", FIELDS)
+def test_tower_mul_matches_oracle(p, d, primes):
+    tower = _tower(p, d, primes)
+    rng = SplitMix64(31)
+    top = np.full(tower.shape, p - 1, dtype=np.int64)
+    scalar = tower.embed_base(tower.base.random(rng))
+    pairs = [(top, top), (scalar, top), (top, scalar), (tower.zero(), top)]
+    for _ in range(3):
+        x, y = tower.random(rng), tower.random(rng)
+        pairs += [(x, y), (x - p, 3 * y)]  # unreduced operands
+    for x, y in pairs:
+        got = tower.mul(x, y)
+        assert got.dtype == np.int64 and np.array_equal(got, _mul_oracle(tower, x, y))
 
 
-@needs_numba
-@pytest.mark.parametrize("primes,p,d", [((2, 3), 7, 1), ((5,), 2, 3)])
-def test_backends_agree(primes, p, d):
-    tower = make_tower(make_base_field(p, d), primes)
-    rng = SplitMix64(13)
-    for _ in range(5):
-        x = tower.random(rng).reshape(tower.flat_size, tower.base.d)
-        y = tower.random(rng).reshape(tower.flat_size, tower.base.d)
-        out_np = kernels.convolve(x, y, tower._addtable, tower._ext_flat,
-                                  backend="numpy")
-        out_nb = kernels.convolve(x, y, tower._addtable, tower._ext_flat,
-                                  backend="numba")
-        assert np.array_equal(out_np, out_nb)
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("FTP_SDMM_BACKEND", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("FTP_SDMM_BACKEND", "numba")
-    if HAS_NUMBA:
-        assert kernels.active_backend() == "numba"
+@pytest.mark.parametrize("p,d,primes,r,k,c,top", [
+    (2, 2, (2,), 4, 6, 4, False),
+    (2, 3, (5,), 4, 6, 4, False),
+    (3, 2, (2, 3), 4, 6, 4, False),
+    (11, 1, (2, 3, 5), 4, 6, 4, False),
+    (11, 1, (2, 3), 16, 8, 16, False),
+    (251, 1, (2, 3), 16, 16, 16, True),
+    (3, 3, (5, 7, 11), 1, 1, 1, False),
+    (3, 3, (5, 7, 11), 19, 5, 2, False),
+])
+def test_mat_mul_matches_loop_oracle(p, d, primes, r, k, c, top):
+    """The largest shapes the suite and the benchmark use: tcp-wide's server
+    product, 16x16 at p = 251 with all-(p-1) operands, and paper-full's
+    encode (19 x 5 times 5 x 2, in chunks on that tower)."""
+    tower = _tower(p, d, primes)
+    if top:
+        x, y = _top(tower, r, k), _top(tower, k, c)
     else:
-        with pytest.raises(ImportError):
-            kernels.active_backend()
-    monkeypatch.delenv("FTP_SDMM_BACKEND")
-    assert kernels.active_backend() in ("numba", "numpy")
+        x, y = random_mat(r, k, tower, seed=5), random_mat(k, c, tower, seed=6)
+    want = _mat_mul_loop(x, y, lambda u, v: _mul_oracle(tower, u, v))
+    assert np.array_equal(mat_mul(x, y).data, want)
 
 
-@needs_numba
-def test_numpy_backend_full_roundtrip(monkeypatch):
-    """A complete multiply under the fallback backend matches the default."""
-    monkeypatch.setenv("FTP_SDMM_BACKEND", "numpy")
-    tower = make_tower(make_base_field(11, 1), (2, 3))
-    rng = SplitMix64(3)
-    x, y = tower.random(rng), tower.random(rng)
-    slow = tower.mul(x, y)
-    monkeypatch.setenv("FTP_SDMM_BACKEND", "numba")
-    fast = tower.mul(x, y)
-    assert np.array_equal(slow, fast)
+def test_base_field_mat_ops_match_loop_oracle():
+    """Mat over a base field, as the demo and the baselines use it."""
+    f = make_base_field(2, 4)
+    x, y = random_mat(5, 3, f, seed=1), random_mat(3, 4, f, seed=2)
+    assert np.array_equal(mat_mul(x, y).data, _mat_mul_loop(x, y, f.mul))
+    s = f.from_coeffs([0, 1, 1, 0])
+    scaled = x.scale(s).data
+    assert np.array_equal(scaled, [[f.mul(s, v) for v in row] for row in x.data])
+
+
+def test_rounding_bound_at_largest_tested_shapes():
+    """Exact at the largest shapes above, at p = 251 and on F_27(5,7,11),
+    with room to spare; the limit at p = 251 on F_251(2,3) lies between
+    inner dimensions 10^4 and 10^6."""
+    small = kernels.fft_length(15, 1)        # F_251(2,3): ext grid 3 x 5
+    large = kernels.fft_length(9 * 13 * 21, 3)
+    assert kernels.rounding_bound(16, 6, 251, small) < 1e-6
+    assert kernels.rounding_bound(5, 1155, 3, large) < 1e-6
+    kernels.check_rounding(10**4, 6, 251, small)
+    with pytest.raises(RoundingBoundExceeded):
+        kernels.check_rounding(10**6, 6, 251, small)
+
+
+def test_product_past_the_bound_raises_before_allocating():
+    """Zero-stride operands of inner dimension 10^6: the product raises on
+    the bound before it copies or transforms anything."""
+    tower = _tower(251, 1, (2, 3))
+    zero = np.zeros(tower.shape, dtype=np.int64)
+    x = np.broadcast_to(zero, (1, 10**6) + tower.shape)
+    y = np.broadcast_to(zero, (10**6, 1) + tower.shape)
+    with pytest.raises(RoundingBoundExceeded):
+        kernels.matmul(tower, x, y)

@@ -207,3 +207,83 @@ def test_server_unknown_job(scheme, live_server):
         mtype, body = proto.read_message(sock)
     assert mtype == proto.MSG_ERROR
     assert b"unknown job id" in body
+
+
+def _digit_p(body, scheme):
+    """The share body with its first payload digit set to p."""
+    raw = bytearray(body)
+    raw[8 + 2 + 8] = scheme.base.p
+    return bytes(raw)
+
+
+def _one_byte_short(body, scheme):
+    return body[:-1]
+
+
+def _share(scheme, seed=1):
+    from ftp_sdmm.ftp import encode
+
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=seed)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=seed + 1)
+    return encode(scheme, A, B)[0]
+
+
+def _exchange(sock, mtype, body):
+    sock.sendall(proto.pack_message(mtype, body))
+    return proto.read_message(sock)
+
+
+def test_parsers_reject_digit_p_and_short_bodies(scheme):
+    t = scheme.tower
+    body = proto.share_body(b"jobid123", scheme, _share(scheme))
+    for corrupt in (_digit_p, _one_byte_short):
+        with pytest.raises(MalformedFrame):
+            proto.parse_share(t, corrupt(body, scheme))
+    with pytest.raises(MalformedFrame):
+        proto.parse_share(t, body + b"\0")
+    raw = proto.mat_to_bytes(t, _share(scheme).f_eval)
+    with pytest.raises(MalformedFrame):
+        proto.mat_from_bytes(t, raw[:-1])
+    elem = bytearray(proto.elem_to_bytes(t, t.one()))
+    elem[0] = 200  # not a digit of F_11
+    with pytest.raises(MalformedFrame):
+        proto.elem_from_bytes(t, bytes(elem))
+
+
+@pytest.mark.parametrize("corrupt", [_digit_p, _one_byte_short])
+def test_server_answers_bad_share_with_error_then_serves(scheme, live_server, corrupt):
+    import socket
+
+    job = b"badshare"
+    body = corrupt(proto.share_body(job, scheme, _share(scheme)), scheme)
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
+        assert mtype == proto.MSG_PARAMS
+        mtype, reply = _exchange(sock, proto.MSG_SHARE, body)
+    assert mtype == proto.MSG_ERROR
+    assert reply[0] == 1 and b"MalformedFrame" in reply
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=4)
+    assert product.eq(mat_mul(A, B))
+
+
+def test_server_drops_each_job_once_answered(scheme, live_server):
+    import socket
+
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    proto.run_remote(endpoints, scheme, A, B, seed=5)
+    assert live_server._jobs == {}
+    job = b"onceonly"
+    body = proto.share_body(job, scheme, _share(scheme))
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
+        mtype, _ = _exchange(sock, proto.MSG_SHARE, body)
+        assert mtype == proto.MSG_RESPONSES
+        mtype, reply = _exchange(sock, proto.MSG_SHARE, body)
+    assert mtype == proto.MSG_ERROR
+    assert reply[0] == 3 and b"unknown job id" in reply
+    assert live_server._jobs == {}
