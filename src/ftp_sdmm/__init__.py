@@ -21,7 +21,6 @@ from .demo import run_demo
 from .errors import FtpError
 from .fields import (
     BaseField,
-    PrimeField,
     TowerField,
     batch_inv,
     frobenius,
@@ -55,8 +54,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseField", "CostReport", "EvalDomain", "FtpError", "Mat", "Poly",
-    "PrimeField", "RateParams", "SchemeParams", "Server", "SplitMix64",
-    "TowerField", "TrafficLedger", "annihilator", "batch_inv", "build_scheme",
+    "RateParams", "SchemeParams", "Server", "SplitMix64", "TowerField",
+    "TrafficLedger", "annihilator", "batch_inv", "build_scheme",
     "cost_report", "crossover_K", "decode", "download_ratio", "dual_weights",
     "encode", "eval_poly", "frobenius", "ftp_rate", "lagrange_interpolate",
     "lemma4_check", "make_base_field", "make_tower", "make_traditional",

@@ -1,5 +1,6 @@
-"""Finite-field stack: prime fields, base extensions F_{q0} = F_p^d, and
-composite towers F_q = F_{q0}(a_1, ..., a_L) with one axis per extension.
+"""Finite-field stack: base extensions F_{q0} = F_p^d (F_p itself is the
+degree-1 case) and composite towers F_q = F_{q0}(a_1, ..., a_L) with one axis
+per extension.
 
 Representation: a tower element is an int64 tensor of shape
 (p_1, ..., p_L, d); entry [e_1, ..., e_L, k] is the F_p coefficient of
@@ -7,8 +8,18 @@ x^k in the F_{q0} coefficient of a_1^{e_1} * ... * a_L^{e_L}.  This is the
 tensor-product representation F_{q0}[x_1, ..., x_L]/(m_1, ..., m_L), valid
 because the axis degrees are pairwise coprime.
 
+Construction: every modulus, the base one over F_p and each axis one over
+F_{q0}, is found by one routine over a coefficient field F of order q.  A
+monic m of degree n is an (n + 1, d) array.  Its table X[k] = x^k mod m,
+k < 2n - 1, gives the reduction matrix of products and the trace scalars
+tr(a^s) = sum_k X[s + k][k], the trace of multiplication by a^s (Lidl &
+Niederreiter, Finite Fields, Ch. 2).  The q-power rows x^(kq) mod m give the
+Frobenius map and Rabin's irreducibility test (M. O. Rabin, SIAM J. Comput.
+9, 1980): x^(q^n) = x mod m, and gcd(x^(q^(n/r)) - x, m) = 1 for each prime
+r | n.  The modulus is the first candidate, in lexicographic order, to pass.
+
 Traces to the maximal subfields F_i = F_{q0}(a_j : j != i) collapse axis i
-with precomputed scalars; the naive Frobenius-iterate definition is kept in
+with the trace scalars; the naive Frobenius-iterate definition is kept in
 the test suite as an oracle.
 """
 
@@ -42,25 +53,12 @@ def is_prime(n):
     return True
 
 
-# -- generic dense polynomial helpers (internal, for modulus search) ----------
-# Coefficient lists are low-degree first over an arbitrary field object.
+# -- list polynomial gcd (coefficient lists low-degree first over a field) -----
 
 def _ptrim(f, c):
     while c and f.is_zero(c[-1]):
         c.pop()
     return c
-
-
-def _pmul(f, a, b):
-    if not a or not b:
-        return []
-    out = [f.zero() for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if f.is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-    return _ptrim(f, out)
 
 
 def _pmod(f, a, m):
@@ -77,17 +75,6 @@ def _pmod(f, a, m):
     return _ptrim(f, a)
 
 
-def _ppow_mod(f, a, e, m):
-    result = [f.one()]
-    base = _pmod(f, a, m)
-    while e:
-        if e & 1:
-            result = _pmod(f, _pmul(f, result, base), m)
-        base = _pmod(f, _pmul(f, base, base), m)
-        e >>= 1
-    return result
-
-
 def _pgcd_is_const(f, a, b):
     # True iff gcd(a, b) has degree 0
     a, b = list(a), list(b)
@@ -99,89 +86,80 @@ def _pgcd_is_const(f, a, b):
     return len(a) == 1
 
 
-class PrimeField:
-    """F_p with elements represented as plain ints in [0, p)."""
+# -- moduli: one routine over a coefficient field F -----------------------------
 
-    def __init__(self, p):
-        if not is_prime(p):
-            raise NonPrime(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def order(self):
-        return self.p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def inv(self, x):
-        if x % self.p == 0:
-            raise ZeroInverse("0 has no inverse")
-        return pow(x, self.p - 2, self.p)
-
-    def pow(self, x, e):
-        return pow(x, e, self.p)
-
-    def eq(self, x, y):
-        return (x - y) % self.p == 0
-
-    def is_zero(self, x):
-        return x % self.p == 0
-
-    def elements(self):
-        return iter(range(self.p))
-
-    def random(self, rng):
-        return rng.below(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+def _fp_matrix(F, rows):
+    """The F_p matrix of the F-linear map x^k -> rows[k] on flat coefficient
+    rows: its row for y^a x^k, with y the generator of F, is y^a * rows[k]."""
+    k, n, d = rows.shape
+    return F.mul_matrix(rows).transpose(0, 2, 1, 3).reshape(k * d, n * d)
 
 
-def _fp_poly_is_irreducible(p, coeffs):
-    """Brute-force factor search: trial division by every monic polynomial of
-    degree 1..d//2 over F_p.  coeffs low-first, monic, degree d >= 1."""
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-    f = PrimeField(p)
-    for deg in range(1, d // 2 + 1):
-        for idx in range(p**deg):
-            div = []
-            k = idx
-            for _ in range(deg):
-                div.append(k % p)
-                k //= p
-            div.append(1)
-            if not _pmod(f, list(coeffs), div):
-                return False
-    return True
+def _extension_tables(F, m):
+    """For a monic m of degree n over F, held as an (n + 1, d) array: the rows
+    X[k] = x^k mod m (k < 2n - 1), the ((2n - 1)d, nd) F_p matrix R that
+    reduces a product's coefficients mod m, and the q-power rows
+    Q[k] = x^(kq) mod m (k < n, q = |F|).  None if m is reducible (Rabin)."""
+    n, d, p = len(m) - 1, F.d, F.p
+    X = np.zeros((2 * n - 1, n, d), dtype=np.int64)
+    X[0, 0] = F.one()
+    by_m = F.mul_matrix(m[:n])
+    for k in range(1, 2 * n - 1):  # x^k = x * x^(k-1), with x^n = -sum m_j x^j
+        X[k, 1:] = X[k - 1, :-1]
+        X[k] = (X[k] - X[k - 1, -1] @ by_m) % p
+    R = _fp_matrix(F, X)
+    if n == 1:
+        return X, R, X[:1]
+
+    def times(b):  # multiplication by b mod m, on flat rows
+        U = np.zeros((n, d, 2 * n - 1, d), dtype=np.int64)
+        by_b = F.mul_matrix(b).swapaxes(0, 1)
+        for i in range(n):
+            U[i, :, i : i + n] = by_b
+        return U.reshape(n * d, -1) @ R % p
+
+    x, by_x = X[1].reshape(-1), _fp_matrix(F, X[1 : n + 1])
+    xq = X[0].reshape(-1)
+    for bit in bin(F.order)[2:]:  # square-and-multiply, high bit first
+        xq = xq @ times(xq.reshape(n, d)) % p
+        if bit == "1":
+            xq = xq @ by_x % p
+    Q = np.zeros((n, n * d), dtype=np.int64)
+    Q[0] = X[0].reshape(-1)
+    by_xq = times(xq.reshape(n, d))
+    for k in range(1, n):
+        Q[k] = Q[k - 1] @ by_xq % p
+    Q = Q.reshape(n, n, d)
+    frob = _fp_matrix(F, Q)  # the q-power map fixes F, so it is F-linear
+    v = x
+    for j in range(1, n + 1):
+        v = v @ frob % p  # x^(q^j)
+        if j < n and n % j == 0 and is_prime(n // j):
+            diff = _ptrim(F, list((v - x).reshape(n, d) % p))
+            if not _pgcd_is_const(F, list(m), diff):
+                return None
+    return (X, R, Q) if np.array_equal(v, x) else None
+
+
+def _smallest_irreducible(F, n):
+    """The lexicographically smallest monic irreducible of degree n over F
+    (coefficients compared low-degree first, by F's enumeration index), and
+    its tables.  Past degree 1, c_0 = 0 means x | m, so that block is
+    skipped."""
+    q = F.order
+    for idx in range(q ** (n - 1) if n > 1 else 0, q**n):
+        digits = [idx // q ** (n - 1 - j) % q for j in range(n)]  # c_0 first
+        m = np.stack([F.from_int(t) for t in digits] + [F.one()])
+        tables = _extension_tables(F, m)
+        if tables is not None:
+            return (m,) + tables
+    raise NoIrreducible(f"no irreducible of degree {n} over F_{q}")
 
 
 class BaseField:
     """F_{q0} = F_p[x]/(modulus), elements as int64 coefficient vectors of
-    length d (low degree first)."""
+    length d (low degree first).  The modulus is found, or checked, over
+    F_p, the degree-1 BaseField."""
 
     def __init__(self, p, d, modulus=None):
         if not is_prime(p):
@@ -190,54 +168,26 @@ class BaseField:
             raise NoIrreducible("degree must be >= 1")
         self.p = p
         self.d = d
+        # x^0 = 1 is the one row of every degree-1 table, so F_p can
+        # multiply before its own (degree-1) modulus is chosen.
+        self._redmat = np.ones((1, 1), dtype=np.int64)
+        fp = self if d == 1 else BaseField(p, 1)
         if modulus is None:
-            modulus = self._smallest_irreducible()
-        modulus = [int(c) % p for c in modulus]
-        if len(modulus) != d + 1 or modulus[-1] != 1:
-            raise NoIrreducible("modulus must be monic of degree d")
-        if not _fp_poly_is_irreducible(p, modulus):
-            raise NoIrreducible(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = tuple(modulus)
-        self._redmat = self._build_redmat()
+            m, _, self._redmat, _ = _smallest_irreducible(fp, d)
+        else:
+            m = np.array([int(c) % p for c in modulus], dtype=np.int64).reshape(-1, 1)
+            if len(m) != d + 1 or m[-1, 0] != 1:
+                raise NoIrreducible("modulus must be monic of degree d")
+            tables = _extension_tables(fp, m)
+            if tables is None:
+                raise NoIrreducible(f"modulus {m[:, 0].tolist()} is reducible over F_{p}")
+            self._redmat = tables[1]
+        self.modulus = tuple(int(c) for c in m[:, 0])
         # A tower with no axes, so that tensors of base-field elements go
         # through the same product as tower elements (kernels.matmul).
         self.base, self.primes, self.L, self.shape, self.flat_size = self, (), 0, (d,), 1
         self._ext_shape, self._ext_flat, self._redmats = (), 1, []
         self._addtable = np.zeros((1, 1), dtype=np.int64)
-
-    def _smallest_irreducible(self):
-        # Candidates in lexicographic order, coefficients compared
-        # low-degree-first: c_0 is the most significant enumeration digit.
-        p, d = self.p, self.d
-        for idx in range(p**d):
-            digits = []
-            k = idx
-            for _ in range(d):
-                digits.append(k % p)
-                k //= p
-            digits.reverse()  # digits[0] = c_0
-            cand = digits + [1]
-            if _fp_poly_is_irreducible(p, cand):
-                return cand
-        raise NoIrreducible(f"no irreducible of degree {d} over F_{p}")
-
-    def _build_redmat(self):
-        # x^k mod modulus for k in [0, 2d-2]
-        d, p = self.d, self.p
-        mat = np.zeros((2 * d - 1, d), dtype=np.int64)
-        row = np.zeros(d, dtype=np.int64)
-        row[0] = 1
-        mat[0] = row
-        for k in range(1, 2 * d - 1):
-            shifted = np.zeros(d + 1, dtype=np.int64)
-            shifted[1:] = row
-            if shifted[d]:
-                lead = shifted[d]
-                for j in range(d):
-                    shifted[j] = (shifted[j] - lead * self.modulus[j]) % p
-            row = shifted[:d] % p
-            mat[k] = row
-        return mat
 
     @property
     def order(self):
@@ -289,12 +239,12 @@ class BaseField:
         return (full @ self._redmat) % self.p
 
     def mul_matrix(self, s):
-        """d x d matrix of multiplication by s acting on coefficient rows:
-        (x @ M)[b] = coeff b of x*s."""
+        """d x d matrices of multiplication by the elements s[..., :] acting
+        on coefficient rows: (x @ M)[b] = coeff b of x*s."""
         d = self.d
-        shifted = np.zeros((d, 2 * d - 1), dtype=np.int64)
+        shifted = np.zeros(np.shape(s)[:-1] + (d, 2 * d - 1), dtype=np.int64)
         for a in range(d):
-            shifted[a, a : a + d] = s
+            shifted[..., a, a : a + d] = s
         return (shifted @ self._redmat) % self.p
 
     def pow(self, x, e):
@@ -347,7 +297,8 @@ def make_base_field(p, d):
 
 class TowerField:
     """F_q = F_{q0}(a_1, ..., a_L) with per-axis moduli m_i, the
-    lexicographically smallest monic irreducibles of degree p_i over F_{q0}."""
+    lexicographically smallest monic irreducibles of degree p_i over F_{q0},
+    each a (p_i + 1, d) array."""
 
     def __init__(self, base, primes):
         primes = tuple(int(p) for p in primes)
@@ -360,57 +311,18 @@ class TowerField:
         self.L = len(primes)
         self.shape = primes + (base.d,)
         self.flat_size = int(np.prod(primes))
-        self.moduli = [self._smallest_irreducible(p) for p in primes]
         self._ext_shape = tuple(2 * p - 1 for p in primes)
         self._ext_flat = int(np.prod(self._ext_shape))
         self._addtable = self._build_addtable()
-        self._redmats = [self._build_axis_redmat(i) for i in range(self.L)]
-        self._trace_mats, self._trace_scalars = zip(
-            *(self._build_trace(i) for i in range(self.L))
-        )
-        self._frob_mats = [self._build_frobenius(i) for i in range(self.L)]
-
-    # -- construction helpers --------------------------------------------------
-
-    def _smallest_irreducible(self, n):
-        """Lexicographically smallest monic irreducible of degree n over the
-        base field (coefficients compared low-degree-first as integers, i.e.
-        by base-field enumeration index).  Rabin test for prime degree."""
-        f = self.base
-        q0 = f.order
-        # c_0 = 0 means divisibility by x; skip the whole block.
-        for c0_idx in range(1, q0):
-            c0 = f.from_int(c0_idx)
-            for rest_idx in range(q0 ** (n - 1)):
-                digits = []
-                k = rest_idx
-                for _ in range(n - 1):
-                    digits.append(k % q0)
-                    k //= q0
-                digits.reverse()  # digits[0] = c_1
-                cand = [c0] + [f.from_int(t) for t in digits] + [f.one()]
-                if self._is_irreducible(cand, n):
-                    return cand
-        raise NoIrreducible(f"no irreducible of degree {n} over F_{q0}")
-
-    def _is_irreducible(self, m, n):
-        # n prime: irreducible iff gcd(x^q0 - x, m) = 1 and x^(q0^n) = x mod m
-        f = self.base
-        q0 = f.order
-        x = [f.zero(), f.one()]
-        u = _ppow_mod(f, x, q0, m)
-        diff = _ptrim(f, [f.sub(a, b) for a, b in
-                          zip(u + [f.zero()] * 2, x + [f.zero()] * len(u))])
-        if not diff:  # x^q0 == x: m splits over F_{q0} unless n == 1
-            return n == 1
-        if not _pgcd_is_const(f, m, diff):
-            return False
-        w = u
-        for _ in range(n - 1):
-            w = _ppow_mod(f, w, q0, m)
-        wm = _ptrim(f, [f.sub(a, b) for a, b in
-                        zip(w + [f.zero()] * 2, x + [f.zero()] * len(w))])
-        return not wm
+        self.moduli, self._redmats, self._trace_mats, self._frob_mats = [], [], [], []
+        for n in primes:
+            m, X, R, Q = _smallest_irreducible(base, n)
+            s = np.arange(n)
+            traces = X[s[:, None] + s, s].sum(axis=1)  # tr(a^s) = sum_k X[s+k][k]
+            self.moduli.append(m)
+            self._redmats.append(R)
+            self._trace_mats.append(base.mul_matrix(traces % base.p))
+            self._frob_mats.append(base.mul_matrix(Q))
 
     def _build_addtable(self):
         m = self.flat_size
@@ -420,84 +332,6 @@ class TowerField:
             tuple(sums[:, :, k] for k in range(self.L)), self._ext_shape
         )
         return np.ascontiguousarray(flat.astype(np.int64))
-
-    def _xpow_table(self, i, upto):
-        """Coefficient lists of x^k mod m_i for k in [0, upto)."""
-        f = self.base
-        m = self.moduli[i]
-        p_i = self.primes[i]
-        rows = []
-        cur = [f.one()]
-        for _ in range(upto):
-            padded = cur + [f.zero()] * (p_i - len(cur))
-            rows.append(padded)
-            cur = _pmod(f, [f.zero()] + cur, m)
-        return rows
-
-    def _build_axis_redmat(self, i):
-        """((2p_i-1)*d, p_i*d) matrix taking the coefficients of a_i^k, k <
-        2p_i-1, to their reduction mod m_i, rows and columns (power, coeff)."""
-        p_i = self.primes[i]
-        d = self.base.d
-        rows = self._xpow_table(i, 2 * p_i - 1)
-        mat = np.zeros((2 * p_i - 1, d, p_i, d), dtype=np.int64)
-        for k, row in enumerate(rows):
-            for e, c in enumerate(row):
-                mat[k, :, e] = self.base.mul_matrix(c)
-        return mat.reshape((2 * p_i - 1) * d, p_i * d)
-
-    def _frob_images(self, i):
-        """x^(q0^t) mod m_i for t in [0, p_i)."""
-        f = self.base
-        m = self.moduli[i]
-        imgs = [[f.zero(), f.one()]]
-        for _ in range(self.primes[i] - 1):
-            imgs.append(_ppow_mod(f, imgs[-1], f.order, m))
-        return imgs
-
-    def _build_trace(self, i):
-        """Scalars t_s = tr_{F_{q0}(a_i)/F_{q0}}(a_i^s), both as raw base-field
-        elements and as multiplication matrices."""
-        f = self.base
-        m = self.moduli[i]
-        p_i = self.primes[i]
-        d = f.d
-        imgs = self._frob_images(i)
-        powacc = [[f.one()] for _ in range(p_i)]
-        mats = np.zeros((p_i, d, d), dtype=np.int64)
-        scalars = []
-        for s in range(p_i):
-            tot = f.zero()
-            for t in range(p_i):
-                poly = powacc[t]
-                # accumulate constant term; higher coefficients must cancel
-                tot = f.add(tot, poly[0] if poly else f.zero())
-            # sanity: the full sum must be a constant polynomial
-            full = [f.zero() for _ in range(p_i)]
-            for t in range(p_i):
-                for j, c in enumerate(powacc[t]):
-                    full[j] = f.add(full[j], c)
-            assert all(f.is_zero(c) for c in full[1:]), "trace scalar not in base field"
-            scalars.append(tot)
-            mats[s] = f.mul_matrix(tot)
-            for t in range(p_i):
-                powacc[t] = _pmod(f, _pmul(f, powacc[t], imgs[t]), m)
-        return mats, scalars
-
-    def _build_frobenius(self, i):
-        """Expansion of (a_i^s)^{q0} in the power basis, as mult matrices."""
-        f = self.base
-        m = self.moduli[i]
-        p_i = self.primes[i]
-        d = f.d
-        pi1 = self._frob_images(i)[1] if p_i > 1 else [f.zero(), f.one()]
-        mat = np.zeros((p_i, p_i, d, d), dtype=np.int64)
-        cur = [f.one()]
-        for s in range(p_i):
-            for e, c in enumerate(cur):
-                mat[s, e] = f.mul_matrix(c)
-            cur = _pmod(f, _pmul(f, cur, pi1), m)
-        return mat
 
     # -- element constructors ---------------------------------------------------
 
@@ -677,14 +511,8 @@ class TowerField:
     def __eq__(self, other):
         if not isinstance(other, TowerField):
             return False
-        if other.base != self.base or other.primes != self.primes:
-            return False
-        for m1, m2 in zip(self.moduli, other.moduli):
-            if len(m1) != len(m2) or any(
-                not self.base.eq(a, b) for a, b in zip(m1, m2)
-            ):
-                return False
-        return True
+        return (other.base == self.base and other.primes == self.primes
+                and all(map(np.array_equal, self.moduli, other.moduli)))
 
     def __hash__(self):
         return hash(("TowerField", self.base, self.primes))

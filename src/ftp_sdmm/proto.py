@@ -207,21 +207,35 @@ class ServerJob:
 
 
 def parse_params(body):
-    job_id, off = bytes(body[:8]), 8
-    (server_index,) = struct.unpack_from(">H", body, off); off += 2
-    p, d = struct.unpack_from(">HB", body, off); off += 3
-    modulus = tuple(body[off : off + d + 1]); off += d + 1
-    L = body[off]; off += 1
-    primes = tuple(struct.unpack_from(">H", body, off + 2 * k)[0] for k in range(L))
-    off += 2 * L
+    """A PARAMS body as a ServerJob.  Before any field is built, it raises
+    DigitOverflow if p >= 256, and MalformedFrame if the body is truncated,
+    runs past its last group, or names a group outside 1..L or twice (so
+    never more than L groups)."""
+    if len(body) < 13:
+        raise MalformedFrame("params header truncated")
+    job_id = bytes(body[:8])
+    server_index, p, d = struct.unpack_from(">HHB", body, 8)
+    if p >= 256:
+        raise DigitOverflow(f"digit-per-byte wire format needs p < 256, got {p}")
+    off = 13 + d + 1
+    if len(body) < off + 1:
+        raise MalformedFrame("params truncated")
+    modulus, L = tuple(body[13:off]), body[off]
+    off += 1
+    if len(body) < off + 2 * L + 13:
+        raise MalformedFrame("params truncated")
+    primes = struct.unpack_from(f">{L}H", body, off); off += 2 * L
     a, b, c = struct.unpack_from(">III", body, off); off += 12
     n_groups = body[off]; off += 1
+    step = 1 + prod(primes) * d  # group id, then one full element
+    if len(body) - off != n_groups * step:
+        raise MalformedFrame("params length does not match its group count")
+    ids = [body[off + k * step] for k in range(n_groups)]
+    if len(set(ids)) < n_groups or not all(1 <= i <= L for i in ids):
+        raise MalformedFrame(f"group ids {ids} are not distinct members of 1..{L}")
     tower = _cached_tower(p, d, modulus, primes)
-    per = tower.flat_size * tower.base.d
-    scalars = {}
-    for _ in range(n_groups):
-        i = body[off]; off += 1
-        scalars[i] = elem_from_bytes(tower, body[off : off + per]); off += per
+    scalars = {i: elem_from_bytes(tower, body[off + k * step + 1 : off + (k + 1) * step])
+               for k, i in enumerate(ids)}
     return ServerJob(job_id, server_index, tower, a, b, c, L, scalars)
 
 

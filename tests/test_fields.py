@@ -1,5 +1,8 @@
 """Field arithmetic: axioms, canonical moduli, Frobenius, traces, dual bases."""
 
+import hashlib
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from ftp_sdmm.errors import (
     BadGroupIndex,
+    NoIrreducible,
     NonPrime,
     NormOutsideBase,
     PrimesNotAscendingDistinct,
@@ -15,7 +19,8 @@ from ftp_sdmm.errors import (
     ZeroInverse,
 )
 from ftp_sdmm.fields import (
-    PrimeField,
+    BaseField,
+    _extension_tables,
     batch_inv,
     frobenius,
     make_base_field,
@@ -43,12 +48,6 @@ def _axiom_check(field, x, y, z):
         assert field.is_zero(field.sub(prod, field.one()))
 
 
-@given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
-def test_prime_field_axioms(a, b, c):
-    f = PrimeField(11)
-    _axiom_check(f, a % 11, b % 11, c % 11)
-
-
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
 def test_base_field_axioms_f16(a, b, c):
     f = make_base_field(2, 4)
@@ -68,6 +67,182 @@ def test_canonical_moduli():
     assert make_base_field(2, 2).modulus == (1, 1, 1)           # x^2+x+1
     assert make_base_field(2, 4).modulus == (1, 0, 0, 1, 1)     # x^4+x^3+1
     assert make_base_field(3, 3).modulus == (1, 0, 2, 1)        # x^3+2x^2+1
+
+
+def _digest(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        a = np.ascontiguousarray(np.asarray(part, dtype=np.int64))
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 over (shape, int64 bytes) of each table, as built by the earlier
+# construction: list-polynomial Rabin tests for the axis moduli, trial
+# division for the base modulus, and traces summed over Frobenius images.
+_TABLE_DIGESTS = {
+    (3, 3, (5, 7, 11)): {
+        "modulus": "d7b77cb56a438b271a8f569c60912c8ec30bffb9b6ba5c2e27d545d75bb71d83",
+        "redmat": "0b3fc5964111217e1e3b759902a503c57eb2d92281556bdfb6e62656f868c69b",
+        "moduli": "3280c74f69960812e73d8543311ee4dd5cb5faca93cc6f1fd401476260b03e3a",
+        "redmats": "41208f8f2ef44613190dec87c9ac22ca6ac2bdffedc6f3f8b7eff060359e7312",
+        "trace_mats": "4f8dfab481901ad8110f6ffee8c340019eb6860cdff0d0bb74314ae75f8ff8a7",
+        "frob_mats": "f6a1ede7c09ecdf082dc1fecd7cd503cb6c7a7946a6cd0e7d62fc159874cf6e5",
+    },
+    (11, 1, (2, 3, 5)): {
+        "modulus": "b32461f22cd15adb66b3c22737f6d40af657bbe8ec555be1240b3494819fec9d",
+        "redmat": "a1812722663ebbce28a87d14ad264cd165ba218640075842013b5323def34547",
+        "moduli": "fd3dc557e0af02fe720efba0000681aaf7bef847109ca904b61606b66dabb3f5",
+        "redmats": "6d0ca6bdae26cfa8e28a2abcf4bb088a970b8b02253624bfbfd782774ea3981a",
+        "trace_mats": "01cecef70cf7cf041de7f88815c1acb461bf1a8962aec4c5ea58036305e506e0",
+        "frob_mats": "02e13709ec19d49ca3b9e21c353538d71bee94f5f525a5c24c911a178cc6415d",
+    },
+    (11, 1, (2, 3)): {
+        "modulus": "b32461f22cd15adb66b3c22737f6d40af657bbe8ec555be1240b3494819fec9d",
+        "redmat": "a1812722663ebbce28a87d14ad264cd165ba218640075842013b5323def34547",
+        "moduli": "0ae5cf840c36fba51c945a8ae38dda739750d27c7699804286c4445877eff5a4",
+        "redmats": "7c5fd5344a218bdf5f20566e7a738b10b2ebe25c1afabb241efea7c29a17f220",
+        "trace_mats": "95fe4e86ac165e9b7777bd22507f514150887bd61a697c096ea03262cd057a48",
+        "frob_mats": "75737e8eaaeceaebdba1e2f49e026b152c1cf15dd01f96672471143f658c16d9",
+    },
+    (2, 2, (3, 5, 7)): {
+        "modulus": "9994132d2fb987fbe6ba2946e441abd76e1f02a7421283a19fea7eab9ada5912",
+        "redmat": "e5c9e61d66aa8bb1f9553004e64136f5add3260de1b1b117ffa70b9a51ce163d",
+        "moduli": "c116fb7c4a392ab999c56fe7e48f16c23a77467cdc3b90d48d0c60a6512a3b81",
+        "redmats": "01836a02b3a60f051640fe858b1a3ee6a14643164a86143d1c5f611f76dacb3c",
+        "trace_mats": "a523f39c9d34d51d7f8fb58a402f11a65d7c24c15f39585170062ddef071ec24",
+        "frob_mats": "3b1b9520d3467928722c1f6f3aaf1d329a007a1ae912e63a4a8afd8f68e78206",
+    },
+    (7, 1, (2, 3)): {
+        "modulus": "b32461f22cd15adb66b3c22737f6d40af657bbe8ec555be1240b3494819fec9d",
+        "redmat": "a1812722663ebbce28a87d14ad264cd165ba218640075842013b5323def34547",
+        "moduli": "b0f9a294d1902cdc884200d5f6830d13de87280e22613541f36c1548a99cfdf5",
+        "redmats": "cefb66cd247aae0db81350e3b0e83b959ce6dd0c0ad4a89cee9b1ae1ae07e2cc",
+        "trace_mats": "9ce593e528ad1cb8bce9253e7bf87fafd869a3e7ae141a88a812b8b2dee90fb5",
+        "frob_mats": "2b421efb27c3a434537efab23e373be0694727d5fe8e2c159d98c265f296a90a",
+    },
+    (5, 2, (3, 7)): {
+        "modulus": "9994132d2fb987fbe6ba2946e441abd76e1f02a7421283a19fea7eab9ada5912",
+        "redmat": "7dd79972e9f35d36068ec81658e01a1419684b7631d677697e6aa8e8f3c4193d",
+        "moduli": "b767a7d7b322eb732f49579b22960a56c55b2b98d82f3594cc707ab45e384b01",
+        "redmats": "c0ff1280d8530f5ad065549a994e0e8ee06746889292ec812cadbc0fcae141f7",
+        "trace_mats": "c6dc3fb5b4653247065d2effb767f939cda8425a767d7a9076f3de00dfb2bee0",
+        "frob_mats": "69ad019daa21165660dcc5c55bc2c98ea31a81fa7690b2eeec215818a308accc",
+    },
+    (2, 4, (2,)): {
+        "modulus": "98fadbd31b0c538c8f98fa8200e9142b4b3a278b78c7855febe8f60abaa0a8fd",
+        "redmat": "bd27f8840bbbcb23b192edd2f13986bb83a74f84683147e2b2f8e30e58806f71",
+        "moduli": "6bf18b0f6d0099f20dd4423458550823e7d10f52c34d6dbb5162c8a584e9379a",
+        "redmats": "913dc6d09bef225e68932dde83cd72ca8c4e76bf39a4630d37fb09a281a5f622",
+        "trace_mats": "9a4b1b3cbb5740a54fe5e1cd10a1611b1eb9123d0d6ea71d1aac4ad34d5e1114",
+        "frob_mats": "f500dbb25e5ec932356fd95de3a16709092590cc4e950e3c6d478da52652c502",
+    },
+    (2, 3, (5,)): {
+        "modulus": "697b6d5ff57d1b922ff1caf7faa6a98a4df769bb3ca298cdaa582f16c0b3c4f4",
+        "redmat": "3fe28f945062c60bd4c7345ea8d79747d979dabf0b294f84a22f0bb8d11ad64f",
+        "moduli": "112a7c880ac2ec86dff3a75668d5e0e6e9ed334fa5dd4c04cf6f11c0874eba99",
+        "redmats": "6538726770875e9ed0fbbf384cdf319332cf295e6af051c27741879c54d7e5fa",
+        "trace_mats": "726243f4be8e0d5a4da445d62724b30c30bd777f46107f4001d78171f8234e86",
+        "frob_mats": "0dde8fdfc85a48d4a2dba614662148984cb010f210edc85c866a76aebd41551a",
+    },
+    (251, 1, (2, 3)): {
+        "modulus": "b32461f22cd15adb66b3c22737f6d40af657bbe8ec555be1240b3494819fec9d",
+        "redmat": "a1812722663ebbce28a87d14ad264cd165ba218640075842013b5323def34547",
+        "moduli": "5e378914de9180ac0ace35db7241f4d7874b1f51136962944740dffba872481f",
+        "redmats": "4f6c72403057da3bfd15458163271d2ebaafa21d7dd9556c515dee4901c72208",
+        "trace_mats": "0236e5cb3b252026a49cbfe53afe6382d9e4a643f46c475d9ad13cded2b54b3f",
+        "frob_mats": "e10b95c621af11d1ddb9a83b574423e129fc6382a5f7354880fb3d04f8c045b3",
+    },
+    (3, 2, (2, 3)): {
+        "modulus": "ae376040d8d819f2ae76533c9fa0fb3c31cc01bdda714fca83bb412e9702a9a1",
+        "redmat": "f547d359754ae1571ce1fc8a0be0c0418b6e8d4d9308568ac1e42fefac5fd1a0",
+        "moduli": "450ff3a0bc62a7d503ca1885fe3134a369b711b67a8c09d25647009f85a6155b",
+        "redmats": "48537c6a80b606cc6d4dd635e8cc6a57f7cb04e2015ae56a29a9410d800d886e",
+        "trace_mats": "2809f26bbdc5c063005f2c7f13c3ee21c28246ea0b7f41989d71e63b71003c58",
+        "frob_mats": "1c1a10aaaca640459c1ba2d55f1fd889da62e5a2a02932dcee3843cf42a7ce98",
+    },
+}
+
+_BASE_DIGESTS = {
+    (2, 1): ((0, 1), "a1812722663ebbce28a87d14ad264cd165ba218640075842013b5323def34547"),
+    (2, 2): ((1, 1, 1), "e5c9e61d66aa8bb1f9553004e64136f5add3260de1b1b117ffa70b9a51ce163d"),
+    (2, 4): ((1, 0, 0, 1, 1), "bd27f8840bbbcb23b192edd2f13986bb83a74f84683147e2b2f8e30e58806f71"),
+    (2, 6): ((1, 0, 0, 0, 0, 1, 1), "92996b22efcbd68bbea594a0716be446d70ff9522be3dbed30f52777793e4d00"),
+    (2, 8): ((1, 0, 0, 0, 1, 1, 0, 1, 1), "d7b5e47275becfdba3704d86993fbdce5a020c6b9fcf8182b232a3206789f92d"),
+    (2, 9): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 1), "902d50bf402e2114d795b4e1474a470c22b40314be0dfcf568c9b92cba30818e"),
+    (3, 4): ((1, 0, 1, 1, 1), "fc217799b3f79f83d5d5977fd20478b6a1dbe804c6497207afe3a3ee16dce4f1"),
+    (3, 6): ((1, 0, 0, 0, 1, 1, 1), "9c0c0c9e31a8437fb3ab34fe14606a583f45f0e1d17da1087eb03e4a4514e6ff"),
+    (5, 3): ((1, 0, 1, 1), "d7f98799f50bfdcaedb8803b9d36674d14a405afcb0ccc63926eeace84270984"),
+    (5, 4): ((1, 0, 1, 1, 1), "a921e2eb725e9f270aed96e709d20c37ec85f3502826e18f16d0ad1c08f759f8"),
+    (7, 2): ((1, 0, 1), "33940e36860995e457290cb566d6d92e0033bc955f8f61546eec568fbc83beeb"),
+    (13, 3): ((1, 0, 4, 1), "45a1a2861e1f8eb27a6294479aba495b0cdecf9145c4683eb5e9886e59492c49"),
+}
+
+
+@pytest.mark.parametrize("p, d, primes", list(_TABLE_DIGESTS))
+def test_tower_tables_match_pinned_digests(p, d, primes):
+    t = make_tower(make_base_field(p, d), primes)
+    got = {"modulus": _digest([t.base.modulus]), "redmat": _digest([t.base._redmat]),
+           "moduli": _digest(t.moduli), "redmats": _digest(t._redmats),
+           "trace_mats": _digest(t._trace_mats), "frob_mats": _digest(t._frob_mats)}
+    assert got == _TABLE_DIGESTS[(p, d, primes)]
+
+
+@pytest.mark.parametrize("p, d", list(_BASE_DIGESTS))
+def test_base_tables_match_pinned_digests(p, d):
+    f = make_base_field(p, d)
+    assert (f.modulus, _digest([f._redmat])) == _BASE_DIGESTS[(p, d)]
+
+
+def _mobius(n):
+    mu, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            mu = -mu
+        k += 1
+    return -mu if n > 1 else mu
+
+
+@pytest.mark.parametrize("p, d, max_n", [(2, 1, 8), (3, 1, 5), (2, 2, 3), (3, 2, 2)])
+def test_irreducible_count_matches_gauss(p, d, max_n):
+    """The test accepts exactly (1/n) sum_{k | n} mu(k) q^(n/k) of the q^n
+    monic polynomials of degree n over F_q."""
+    F = BaseField(p, d)
+    q = F.order
+    for n in range(1, max_n + 1):
+        accepted = 0
+        for idx in range(q**n):
+            m = np.stack([F.from_int(idx // q**j % q) for j in range(n)] + [F.one()])
+            accepted += _extension_tables(F, m) is not None
+        gauss = sum(_mobius(k) * q ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
+        assert accepted == gauss, (q, n)
+
+
+def _f2_poly(*exponents):
+    c = [0] * (max(exponents) + 1)
+    for e in exponents:
+        c[e] = 1
+    return c
+
+
+def test_hostile_base_modulus_is_fast():
+    """Degree 64 over F_2: trial division would take about 2^32 divisions."""
+    start = time.perf_counter()
+    f = BaseField(2, 64, _f2_poly(64, 4, 3, 1, 0))
+    assert f.modulus == tuple(_f2_poly(64, 4, 3, 1, 0))
+    # Two distinct degree-32 irreducibles: x^(2^64) = x mod their product, so
+    # only gcd(x^(2^32) - x, m) = 1, the r = 2 check, rejects it.
+    factors = [_f2_poly(32, 7, 3, 2, 0), _f2_poly(32, 22, 2, 1, 0)]
+    for g in factors:
+        BaseField(2, 32, g)
+    product = np.convolve(*factors) % 2
+    with pytest.raises(NoIrreducible):
+        BaseField(2, 64, product)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_int_roundtrip_lexicographic():

@@ -1,5 +1,6 @@
 """Wire format, framing, traffic ledger, in-process and TCP runners."""
 
+import struct
 import sys
 import threading
 
@@ -120,6 +121,55 @@ def test_params_share_responses_roundtrip(scheme):
     assert (parsed.a, parsed.b, parsed.c) == (scheme.a, scheme.b, scheme.c)
     for i, w in parsed.scalars.items():
         assert np.array_equal(w, scheme.server_scalars[i - 1][2])
+
+
+# In a PARAMS body for `scheme` (d = 1, L = 2, primes (2, 3)) as server 1,
+# the group count sits just before offset 33, and each group is its id and
+# six digits.
+_GROUPS_AT, _STEP = 33, 7
+
+
+def _set_byte(body, at, value):
+    out = bytearray(body)
+    out[at] = value
+    return bytes(out)
+
+
+_BAD_PARAMS = {
+    "trailing byte": lambda b: b + b"\0",
+    "group id past L": lambda b: _set_byte(b, _GROUPS_AT, 7),
+    "repeated group id": lambda b: _set_byte(b, _GROUPS_AT + _STEP, 1),
+    "more groups than L": lambda b: _set_byte(b, _GROUPS_AT - 1, 3) + b[_GROUPS_AT : _GROUPS_AT + _STEP],
+}
+
+
+def _no_field(*args):
+    raise AssertionError("a field was built for a malformed PARAMS body")
+
+
+@pytest.fixture
+def params_body(scheme, monkeypatch):
+    body = proto.params_body(b"jobid123", scheme, 1)
+    assert body[_GROUPS_AT - 1] == 2 and list(body[_GROUPS_AT::_STEP]) == [1, 2]
+    monkeypatch.setattr(proto, "_cached_tower", _no_field)
+    return body
+
+
+@pytest.mark.parametrize("case", list(_BAD_PARAMS))
+def test_parse_params_rejects_malformed_body(params_body, case):
+    with pytest.raises(MalformedFrame):
+        proto.parse_params(_BAD_PARAMS[case](params_body))
+
+
+def test_parse_params_rejects_every_truncation(params_body):
+    for n in range(len(params_body)):
+        with pytest.raises(MalformedFrame):
+            proto.parse_params(params_body[:n])
+
+
+def test_parse_params_rejects_wide_p_before_building_a_field(params_body):
+    with pytest.raises(DigitOverflow):
+        proto.parse_params(params_body[:10] + struct.pack(">H", 257) + params_body[12:])
 
 
 def test_inprocess_matches_oracle_and_formulas(scheme):
