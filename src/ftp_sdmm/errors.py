@@ -117,6 +117,10 @@ class DigitOverflow(FtpError):
     pass
 
 
+class FieldTooLarge(FtpError):
+    """A peer asked for a field past the daemon's size limits."""
+
+
 class ConnectionFailed(FtpError):
     def __init__(self, server_index, message=""):
         super().__init__(f"server {server_index}: {message}" if message else f"server {server_index}")

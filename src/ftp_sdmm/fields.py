@@ -35,7 +35,7 @@ from .errors import (
     SingularGram,
     ZeroInverse,
 )
-from .kernels import convolve, reduce
+from .kernels import convolve, reduce, support
 
 
 def is_prime(n):
@@ -306,6 +306,17 @@ class TowerField:
             raise PrimesNotAscendingDistinct(f"tower degrees must be primes: {primes}")
         if any(a >= b for a, b in zip(primes, primes[1:])):
             raise PrimesNotAscendingDistinct(f"primes must be strictly ascending: {primes}")
+        axes = []
+        for n in primes:
+            m, X, R, Q = _smallest_irreducible(base, n)
+            s = np.arange(n)
+            traces = X[s[:, None] + s, s].sum(axis=1)  # tr(a^s) = sum_k X[s+k][k]
+            axes.append((m, R, base.mul_matrix(traces % base.p), base.mul_matrix(Q)))
+        self._set_axes(base, primes, axes)
+
+    def _set_axes(self, base, primes, axes):
+        """Lay out the tower from one (modulus, reduction, trace, Frobenius)
+        table tuple per axis."""
         self.base = base
         self.primes = primes
         self.L = len(primes)
@@ -314,15 +325,25 @@ class TowerField:
         self._ext_shape = tuple(2 * p - 1 for p in primes)
         self._ext_flat = int(np.prod(self._ext_shape))
         self._addtable = self._build_addtable()
-        self.moduli, self._redmats, self._trace_mats, self._frob_mats = [], [], [], []
-        for n in primes:
-            m, X, R, Q = _smallest_irreducible(base, n)
-            s = np.arange(n)
-            traces = X[s[:, None] + s, s].sum(axis=1)  # tr(a^s) = sum_k X[s+k][k]
-            self.moduli.append(m)
-            self._redmats.append(R)
-            self._trace_mats.append(base.mul_matrix(traces % base.p))
-            self._frob_mats.append(base.mul_matrix(Q))
+        # _past_origin[k, i]: the flat multi-index i is past 0 on axis k.
+        self._past_origin = np.indices(primes).reshape(self.L, -1) > 0
+        self.moduli, self._redmats, self._trace_mats, self._frob_mats = map(list, zip(*axes))
+        self._subtowers = {}
+
+    def subtower(self, axes):
+        """F_q0(a_k : k in axes), for ascending 0-based axes, built from this
+        tower's tables and cached on it; the base field for no axes."""
+        axes = tuple(axes)
+        if not axes:
+            return self.base
+        sub = self._subtowers.get(axes)
+        if sub is None:
+            sub = TowerField.__new__(TowerField)
+            sub._set_axes(self.base, tuple(self.primes[k] for k in axes),
+                          [(self.moduli[k], self._redmats[k], self._trace_mats[k],
+                            self._frob_mats[k]) for k in axes])
+            sub = self._subtowers.setdefault(axes, sub)
+        return sub
 
     def _build_addtable(self):
         m = self.flat_size
@@ -435,8 +456,7 @@ class TowerField:
 
     def support_axes(self, x):
         """1-based axes on which x has coefficients above index 0."""
-        return [i for i in range(1, self.L + 1)
-                if np.take(x, range(1, self.primes[i - 1]), axis=self._axis(i)).any()]
+        return [k + 1 for k in support(self, np.reshape(x, (1, -1) + self.shape))]
 
     def in_subfield(self, x, i):
         """True iff x lies in F_i = F_{q0}(a_j : j != i)."""

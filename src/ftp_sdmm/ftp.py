@@ -49,6 +49,8 @@ class SchemeParams:
     encode_coeffs: object = dc_field(repr=False, default=None)
     # (L+T, N_L, *tower.shape): encode_coeffs[k][j] = l_k(alpha_{L+1+j}) for
     # Lagrange basis l_k on the L+T interpolation nodes, j over the upload points.
+    vandermonde: list = dc_field(repr=False, default=None)
+    # Per group i, the (N_i d, p_i d) F_p matrix of r -> c_is = -sum_j alpha_j^s r_ij.
 
 
 @dataclass
@@ -137,7 +139,23 @@ def build_scheme(L, T, primes, base, a, b, c):
         lambdas=lambdas, mus=mus,
     )
     scheme.encode_coeffs = np.array(_encode_coefficients(scheme))
+    scheme.vandermonde = _vandermonde_blocks(base, scalar_points, primes, N)
     return scheme
+
+
+def _vandermonde_blocks(base, alphas, primes, N):
+    """Decode's Vandermonde step per group i as one F_p matrix: row (j, a)
+    and column (s, b) hold entry [a, b] of the matrix of multiplication by
+    -alpha_j^s, for servers j <= N_i, powers s < p_i and base digits a, b."""
+    p = base.p
+    alphas = np.stack(alphas)
+    by_alpha = base.mul_matrix(alphas)
+    powers = [np.broadcast_to(base.one(), alphas.shape)]  # alpha^0 = 1, 0^0 too
+    for _ in range(max(primes) - 1):
+        powers.append(np.einsum("ja,jab->jb", powers[-1], by_alpha) % p)
+    blocks = -base.mul_matrix(np.stack(powers)) % p  # [s, j, a, b]
+    return [blocks[:p_i, :n_i].transpose(1, 2, 0, 3).reshape(n_i * base.d, p_i * base.d)
+            for p_i, n_i in zip(primes, N)]
 
 
 def _encode_coefficients(scheme):
@@ -206,7 +224,9 @@ def server_groups(scheme, j):
 
 def server_step(tower, scalars, share):
     """The server's work, in process and in the TCP daemon alike: h = the
-    product of the received evaluations, then tr_i(w_i * h) per group i."""
+    product of the received evaluations, then tr_i(w_i * h) per group i.
+    An honest w_i lies in F_q0(a_i), and kernels.matmul then forms w_i * h
+    over that sub-tower alone."""
     h = mat_mul(share.f_eval, share.g_eval)
     traced = {i: Mat(tower, h.rows, h.cols, tower.trace_to_subfield(h.scale(w).data, i))
               for i, w in scalars.items()}
@@ -219,11 +239,12 @@ def server_compute(scheme, share):
 
 
 def decode(scheme, bundles):
-    """Recover AB from all N_L response bundles.  For each group i, a
-    Vandermonde step over F_q0 gives c_is = -sum_j alpha_j^s r_ij, and one
-    product with the trace-dual basis gives h_i = sum_s c_is mu_is."""
-    tower, base = scheme.tower, scheme.base
-    a, c, p = scheme.a, scheme.c, base.p
+    """Recover AB from all N_L response bundles.  For each group i, the
+    Vandermonde step over F_q0 gives c_is = -sum_j alpha_j^s r_ij from the
+    replies r_ij in F_i (their index-0 slice on axis i), and one product
+    with the trace-dual basis gives h_i = sum_s c_is mu_is."""
+    tower = scheme.tower
+    a, c, d, p = scheme.a, scheme.c, scheme.base.d, scheme.base.p
     by_server = {bundle.server: bundle for bundle in bundles}
     for j in range(1, scheme.N[-1] + 1):
         if j not in by_server:
@@ -238,10 +259,12 @@ def decode(scheme, bundles):
             if r is None or (r.rows, r.cols) != (a, c):
                 raise ShapeMismatch(f"bundle {j} lacks a well-formed group {i} response")
             replies.append(r.data)
-        vandermonde = np.array([[base.mul_matrix(base.pow(alpha, s))
-                                 for alpha in scheme.scalar_points[:n_i]] for s in range(p_i)])
-        c_i = -np.einsum("j...a,sjab->s...b", np.stack(replies), vandermonde) % p
-        c_i = np.moveaxis(c_i, 0, 2).reshape((a * c, p_i) + tower.shape)
+        r_i = np.take(np.stack(replies), 0, axis=2 + i)  # (n_i, a, c, F_i digits)
+        flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
+        c_is = (flat @ scheme.vandermonde[i - 1] % p).reshape(a * c, -1, p_i, d)
+        c_i = np.zeros((a * c, p_i) + tower.shape, dtype=np.int64)
+        in_f_i = np.moveaxis(c_i, 1 + i, 2)[:, :, 0]  # index 0 of axis i
+        in_f_i[...] = np.moveaxis(c_is, 2, 1).reshape(in_f_i.shape)
         mu = np.stack(scheme.mus[i - 1])[:, None]
         total += kernels.matmul(tower, c_i, mu).reshape(total.shape)
     return Mat(tower, a, c, total % p)

@@ -3,7 +3,12 @@ field elements by a real FFT.  Element digit (i, a) (tower multi-index i
 flattened, base digit a) sits at slot addtable[i, 0] * (2d-1) + a of a grid
 of ext_len * (2d-1) slots; index sums never leave the grid, so the cyclic
 convolution is the linear one.  Rounding back to integers is exact while a
-worst-case error bound stays below 1/2, and the product raises where not."""
+worst-case error bound stays below 1/2, and the product raises where not.
+
+A product transforms only the tower axes that both operands span, read from
+the data: the other axes become rows or columns of a product over the
+sub-tower.  Reduction mod the moduli is float64 matmuls, exact while their
+sums stay below 2^53, and it raises where not."""
 
 import math
 
@@ -78,45 +83,125 @@ def convolve(xf, yf, addtable, ext_len):
     return _unslot(np.fft.irfft(fx * fy, n_fft), ext_len, d)
 
 
+def check_reduce_exact(field):
+    """Raise unless ``reduce``'s float64 matmuls are exact: each output sums
+    K products of two residues below p, K the largest inner dimension of
+    the field's reduction matrices, so every partial sum stays an integer
+    below K (p-1)^2, exact while that is below 2^53."""
+    p = field.base.p
+    inner = max(r.shape[0] for r in [field.base._redmat, *field._redmats])
+    if not inner * (p - 1) ** 2 < 1 << 53:
+        raise RoundingBoundExceeded(
+            f"reduction of inner dimension {inner} over residues below {p} "
+            f"passes 2^53 in float64")
+
+
+def _fp_matmul(a, b, p):
+    """a @ b mod p for entries below p, by BLAS in float64."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+
+
 def reduce(field, raw):
     """Unreduced sums (..., ext_flat, 2d-1) to canonical elements (...,
     *field.shape): the base modulus, then one matmul per tower axis, each
-    reduced axis rotated to the front, so after L steps they are in order."""
+    reduced axis rotated to the front, so after L steps they are in order.
+    The matmuls run in float64 within check_reduce_exact's bound."""
+    check_reduce_exact(field)
     base = field.base
     d, p = base.d, base.p
     lead = raw.shape[:-2]
-    cur = ((raw % p) @ base._redmat % p).reshape(lead + field._ext_shape + (d,))
+    cur = raw % p
+    if d > 1:  # over F_p, the base reduction matrix is the 1 x 1 identity
+        cur = _fp_matmul(cur, base._redmat, p)
+    cur = cur.reshape(lead + field._ext_shape + (d,))
     n, L = len(lead), field.L
     rotate = (*range(n), n + L - 1, *range(n, n + L - 1), n + L)
     for i in range(L - 1, -1, -1):
-        red = cur.reshape(-1, cur.shape[-2] * d) @ field._redmats[i] % p
+        red = _fp_matmul(cur.reshape(-1, cur.shape[-2] * d), field._redmats[i], p)
         cur = red.reshape(cur.shape[:-2] + (field.primes[i], d)).transpose(rotate)
     return np.ascontiguousarray(cur)
 
 
+def support(field, x):
+    """The 0-based tower axes on which some element of x (a, b,
+    *field.shape) has a nonzero coefficient past index 0.  A nonzero
+    multiple of p counts, which can only widen the support."""
+    def axes_of(t):
+        live = t.any(axis=(0, 1, t.ndim - 1)).ravel()
+        return tuple(np.flatnonzero(field._past_origin @ live).tolist())
+
+    first = axes_of(x[:1, :1])  # one element often spans every axis already
+    return first if len(first) == field.L else axes_of(x)
+
+
 def matmul(field, x, y):
     """x @ y over ``field`` for x (r, k, *field.shape), y (k, c, *field.shape),
-    reduced.  Large towers go through the transforms in row and inner-index
-    chunks of about _CHUNK_BYTES of spectra."""
+    reduced.  With S the axes that both operands span, the transform runs
+    over the sub-tower F_S = F_q0(a_k : k in S) (F_q0 itself for S empty):
+    x's other axes join its rows and y's its columns."""
+    k = x.shape[1]
+    d = field.base.d
+    # A sub-tower's bound lies below this one: fewer digits, a shorter transform.
+    check_rounding(k, field.flat_size * d, field.base.p, fft_length(field._ext_flat, d))
+    if field.L:
+        sx, sy = support(field, x), support(field, y)
+        if len(sx) < field.L or len(sy) < field.L:
+            return _fold(field, x, y, sx, sy)
+    return _product(field, x, y)
+
+
+def _fold(field, x, y, sx, sy):
+    """x @ y for x supported on the axes sx and y on sy: the product over
+    the sub-tower on the axes in both, of x with its axes only in sx
+    folded into its rows and y with its axes only in sy into its columns.
+    Monomials on disjoint axes multiply without reduction, so the result
+    unfolds into place, with the axes in neither at index 0."""
+    L, primes, r, k, c = field.L, field.primes, x.shape[0], x.shape[1], y.shape[1]
+    both = [a for a in sx if a in sy]
+    only_x = [a for a in sx if a not in sy]
+    only_y = [a for a in sy if a not in sx]
+    sub = field.subtower(both)
+
+    def spanned(t, axes):  # t at index 0 on the axes outside ``axes``
+        return t[(slice(None), slice(None)) + tuple(slice(None) if a in axes else 0 for a in range(L))]
+
+    xs = spanned(x, sx).transpose(0, *(2 + sx.index(a) for a in only_x), 1,
+                                  *(2 + sx.index(a) for a in both), 2 + len(sx))
+    ys = spanned(y, sy).transpose(0, 1, *(2 + sy.index(a) for a in only_y),
+                                  *(2 + sy.index(a) for a in both), 2 + len(sy))
+    prod = _product(sub, xs.reshape((-1, k) + sub.shape), ys.reshape((k, -1) + sub.shape))
+    prod = prod.reshape((r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
+                        + sub.shape)
+    at = {a: j for j, a in enumerate(["r", *only_x, "c", *only_y, *both])}  # prod's axes
+    span = sorted(sx + tuple(only_y))
+    out = np.zeros((r, c) + field.shape, dtype=np.int64)
+    spanned(out, span)[...] = prod.transpose(0, at["c"], *(at[a] for a in span), prod.ndim - 1)
+    return out
+
+
+def _product(field, x, y):
+    """x @ y by the transform over the whole of ``field``, in row and
+    inner-index chunks of about _CHUNK_BYTES of spectra.  y's spectra are
+    made once, into one array, and shared by every row chunk."""
     r, k = x.shape[:2]
     c = y.shape[1]
     m, d, p = field.flat_size, field.base.d, field.base.p
     ext_len = field._ext_flat
     n_fft = fft_length(ext_len, d)
-    check_rounding(k, m * d, p, n_fft)
     x = x.reshape(r, k, m, d)
     y = y.reshape(k, c, m, d)
     budget = max(1, _CHUNK_BYTES // (8 * n_fft))  # spectra at once
-    kstep = max(1, min(k, budget // (2 * c)))
+    fy = np.empty((k, c, n_fft // 2 + 1), dtype=np.complex128)
+    ystep = max(1, budget // c)
+    for t in range(0, k, ystep):
+        fy[t : t + ystep] = _spectra(y[t : t + ystep] % p, field._addtable, ext_len, n_fft)
+    kstep = max(1, min(k, budget // 2))
     rstep = max(1, budget // (2 * (kstep + c)))
-    fy = _spectra(y % p, field._addtable, ext_len, n_fft) if kstep >= k else None
     out = np.empty((r, c) + field.shape, dtype=np.int64)
     for s in range(0, r, rstep):
         z = np.zeros((min(rstep, r - s), c, n_fft // 2 + 1), dtype=np.complex128)
         for t in range(0, k, kstep):
             fx = _spectra(x[s : s + rstep, t : t + kstep] % p, field._addtable, ext_len, n_fft)
-            fyt = fy if fy is not None else _spectra(
-                y[t : t + kstep] % p, field._addtable, ext_len, n_fft)
-            z += np.einsum("rkf,kcf->rcf", fx, fyt)
+            z += np.einsum("rkf,kcf->rcf", fx, fy[t : t + kstep])
         out[s : s + rstep] = reduce(field, _unslot(np.fft.irfft(z, n_fft), ext_len, d))
     return out

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ConnectionFailed,
     DigitOverflow,
+    FieldTooLarge,
     MalformedFrame,
     ProtocolError,
     ProtocolTimeout,
@@ -179,18 +180,29 @@ def params_body(job_id, scheme, server_index):
     return body
 
 
+# The largest field a PARAMS frame may ask for, checked before it is built:
+# each axis's degree over F_p (p_i * d) and one element's digits
+# (prod(p_i) * d).  Towers within them build in about a second or less.
+MAX_AXIS_DIGITS = 48
+MAX_ELEMENT_DIGITS = 4096
+TOWER_CACHE_SIZE = 8
+
 _tower_cache = {}
 _tower_cache_lock = threading.Lock()
 
 
 def _cached_tower(p, d, modulus, primes):
     # One lock over lookup and build, so concurrent PARAMS frames for a new
-    # field build its tower once.
+    # field build its tower once.  The cache keeps the TOWER_CACHE_SIZE
+    # towers used last, in order of use.
     key = (p, d, modulus, primes)
     with _tower_cache_lock:
-        tower = _tower_cache.get(key)
+        tower = _tower_cache.pop(key, None)
         if tower is None:
-            tower = _tower_cache[key] = TowerField(BaseField(p, d, list(modulus)), primes)
+            tower = TowerField(BaseField(p, d, list(modulus)), primes)
+        _tower_cache[key] = tower
+        while len(_tower_cache) > TOWER_CACHE_SIZE:
+            del _tower_cache[next(iter(_tower_cache))]
     return tower
 
 
@@ -208,9 +220,10 @@ class ServerJob:
 
 def parse_params(body):
     """A PARAMS body as a ServerJob.  Before any field is built, it raises
-    DigitOverflow if p >= 256, and MalformedFrame if the body is truncated,
-    runs past its last group, or names a group outside 1..L or twice (so
-    never more than L groups)."""
+    DigitOverflow if p >= 256, MalformedFrame if the body is truncated, runs
+    past its last group, or names a group outside 1..L or twice (so never
+    more than L groups), and FieldTooLarge past MAX_AXIS_DIGITS or
+    MAX_ELEMENT_DIGITS."""
     if len(body) < 13:
         raise MalformedFrame("params header truncated")
     job_id = bytes(body[:8])
@@ -225,6 +238,9 @@ def parse_params(body):
     if len(body) < off + 2 * L + 13:
         raise MalformedFrame("params truncated")
     primes = struct.unpack_from(f">{L}H", body, off); off += 2 * L
+    if max(primes, default=0) * d > MAX_AXIS_DIGITS or prod(primes) * d > MAX_ELEMENT_DIGITS:
+        raise FieldTooLarge(f"degrees {primes} over F_{p}^{d}: past {MAX_AXIS_DIGITS} digits "
+                            f"per axis or {MAX_ELEMENT_DIGITS} per element")
     a, b, c = struct.unpack_from(">III", body, off); off += 12
     n_groups = body[off]; off += 1
     step = 1 + prod(primes) * d  # group id, then one full element
@@ -366,6 +382,16 @@ def run_inprocess(scheme, A, B, seed=0):
     return product, ledger
 
 
+def _reply(sock, j, expected):
+    """The body of server j's next frame, which must be of type ``expected``."""
+    mtype, body = read_message(sock)
+    if mtype == MSG_ERROR:
+        raise ProtocolError(f"server {j}: {body[1:].decode(errors='replace')}")
+    if mtype != expected:
+        raise ProtocolError(f"server {j}: unexpected reply type {mtype}")
+    return body
+
+
 def run_remote(endpoints, scheme, A, B, seed=0):
     """Contact one TCP server per share; identical result and ledger to
     run_inprocess for the same seed."""
@@ -379,28 +405,23 @@ def run_remote(endpoints, scheme, A, B, seed=0):
 
     def contact(j, endpoint, share):
         host, port = endpoint
+        stage = "connect"
         try:
             with socket.create_connection((host, port), timeout=_timeout_seconds()) as sock:
                 sock.settimeout(_timeout_seconds())
+                stage = "PARAMS"
                 sock.sendall(pack_message(MSG_PARAMS, params_body(job_id, scheme, j)))
-                mtype, body = read_message(sock)
-                if mtype == MSG_ERROR:
-                    raise ProtocolError(f"server {j}: {body[1:].decode(errors='replace')}")
-                if mtype != MSG_PARAMS:
-                    raise ProtocolError(f"server {j}: unexpected reply type {mtype}")
+                _reply(sock, j, MSG_PARAMS)
+                stage = "SHARE"
                 sent = share_body(job_id, scheme, share)
                 sock.sendall(pack_message(MSG_SHARE, sent))
-                mtype, body = read_message(sock)
-                if mtype == MSG_ERROR:
-                    raise ProtocolError(f"server {j}: {body[1:].decode(errors='replace')}")
-                if mtype != MSG_RESPONSES:
-                    raise ProtocolError(f"server {j}: unexpected reply type {mtype}")
+                body = _reply(sock, j, MSG_RESPONSES)
                 _, bundle = parse_responses(scheme.tower, body)
                 results[j] = (sent, bundle, body)
         except (OSError, socket.timeout) as exc:
-            errors[j] = ConnectionFailed(j, str(exc))
+            errors[j] = stage, ConnectionFailed(j, str(exc))
         except Exception as exc:  # surfaced to the caller below
-            errors[j] = exc
+            errors[j] = stage, exc
 
     threads = []
     for j, share in enumerate(shares, start=1):
@@ -410,7 +431,12 @@ def run_remote(endpoints, scheme, A, B, seed=0):
     for t in threads:
         t.join()
     if errors:
-        raise errors[min(errors)]
+        # The lowest-numbered server's error, of its own type, with a
+        # message that names every failed server and its stage.
+        first = errors[min(errors)][1]
+        first.args = ("; ".join(f"server {j} at {stage}: {str(exc).removeprefix(f'server {j}: ')}"
+                                for j, (stage, exc) in sorted(errors.items())),)
+        raise first
 
     bundles = []
     for j, share in enumerate(shares, start=1):

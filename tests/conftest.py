@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from ftp_sdmm.fields import make_base_field, make_tower
+
+# Every run draws the same examples, with no per-example deadline.
+settings.register_profile("repo", derandomize=True, deadline=None)
+settings.load_profile("repo")
 
 
 @pytest.fixture(scope="session")

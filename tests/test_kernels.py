@@ -1,14 +1,23 @@
 """The batched exact product against element-wise oracles: kernels.convolve
 against the loop and Kronecker convolutions, TowerField.mul against the
 Kronecker multiply, mat_mul against the per-element triple loop, all bit for
-bit; and the rounding bound that guards the transform."""
+bit, on operands of every support; and the bounds that guard the transform
+and the float reduction."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftp_sdmm import kernels
 from ftp_sdmm.errors import RoundingBoundExceeded
-from ftp_sdmm.fields import make_base_field, make_tower
+from ftp_sdmm.fields import BaseField, make_base_field, make_tower
+from ftp_sdmm.ftp import build_scheme, encode, server_step
 from ftp_sdmm.matrices import Mat, SplitMix64, mat_mul, random_mat
 
 # F_4(2), F_11(2,3), F_11(2,3,5), F_8(5), F_251(2,3), F_27(5,7,11), F_9(2,3)
@@ -200,3 +209,86 @@ def test_product_past_the_bound_raises_before_allocating():
     y = np.broadcast_to(zero, (10**6, 1) + tower.shape)
     with pytest.raises(RoundingBoundExceeded):
         kernels.matmul(tower, x, y)
+
+
+def _on_axes(tower, t, axes):
+    """t with every coefficient past index 0 on the axes outside ``axes``
+    set to zero: its entries then lie in F_q0(a_k : k in axes)."""
+    t = t.copy()
+    for a in range(tower.L):
+        if a not in axes:
+            np.moveaxis(t, 2 + a, 0)[1:] = 0
+    return t
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_matmul_on_every_support_matches_loop_oracle(data):
+    """On towers of one to three axes, kernels.matmul with operands spanning
+    no axis, one, several or all, unreduced or not, and chunks of one
+    spectrum, two or the default, equals the per-element triple loop bit for
+    bit."""
+    primes = data.draw(st.sets(st.sampled_from((2, 3, 5)), min_size=1))
+    tower = _tower(data.draw(st.sampled_from((2, 3, 11))), data.draw(st.integers(1, 2)),
+                   tuple(sorted(primes)))
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    axes = st.sets(st.integers(0, tower.L - 1))
+    sx, sy = data.draw(axes), data.draw(axes)
+    rng = SplitMix64(data.draw(st.integers(0, 2**32)))
+    x = _on_axes(tower, random_mat(r, k, tower, rng=rng).data, sx)
+    y = _on_axes(tower, random_mat(k, c, tower, rng=rng).data, sy)
+    want = _mat_mul_loop(Mat(tower, r, k, x), Mat(tower, k, c, y),
+                         lambda u, v: _mul_oracle(tower, u, v))
+    if data.draw(st.booleans()):
+        x = x + tower.base.p  # nonzero multiples of p widen the support
+    n_fft = kernels.fft_length(tower._ext_flat, tower.base.d)
+    chunk = data.draw(st.sampled_from([1, 16 * n_fft, kernels._CHUNK_BYTES]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CHUNK_BYTES", chunk)
+        got = kernels.matmul(tower, x, y)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_server_step_with_full_support_scalar_matches_elementwise_trace():
+    """An honest client's w_ij lies in F_q0(a_i); a w from the wire may span
+    every axis, and the server's reply is still tr_i(w h) entry by entry."""
+    scheme = build_scheme(L=2, T=1, primes=(2, 3), base=make_base_field(11, 1),
+                          a=2, b=4, c=3)
+    tower = scheme.tower
+    A = random_mat(2, 4, tower, seed=3)
+    B = random_mat(4, 3, tower, seed=4)
+    share = encode(scheme, A, B, seed=5)[0]
+    rng = SplitMix64(6)
+    scalars = {1: tower.random(rng), 2: tower.random(rng)}
+    assert all(tower.support_axes(w) == [1, 2] for w in scalars.values())
+    h = _mat_mul_loop(share.f_eval, share.g_eval, lambda u, v: _mul_oracle(tower, u, v))
+    bundle = server_step(tower, scalars, share)
+    for i, w in scalars.items():
+        want = [[tower.trace_to_subfield(_mul_oracle(tower, w, e), i) for e in row] for row in h]
+        assert np.array_equal(bundle.traced[i].data, want)
+
+
+_PAST_BOUND = """
+import numpy as np
+from ftp_sdmm import kernels
+from ftp_sdmm.errors import RoundingBoundExceeded
+from ftp_sdmm.fields import BaseField
+try:
+    kernels.reduce(BaseField(2**31 - 1, 1), np.zeros((1, 1, 1), dtype=np.int64))
+except RoundingBoundExceeded:
+    print("raised")
+"""
+
+
+def test_float_reduction_past_its_bound_raises():
+    """Residues below p = 2^31 - 1 square past 2^53, so reduce refuses them
+    with an explicit raise, which python -O keeps; the towers in use pass."""
+    with pytest.raises(RoundingBoundExceeded):
+        kernels.reduce(BaseField(2**31 - 1, 1), np.zeros((1, 1, 1), dtype=np.int64))
+    for key in FIELDS:
+        kernels.check_reduce_exact(_tower(*key))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", _PAST_BOUND], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.split() == ["raised"], out.stderr

@@ -1,5 +1,6 @@
 """Wire format, framing, traffic ledger, in-process and TCP runners."""
 
+import hashlib
 import struct
 import sys
 import threading
@@ -11,11 +12,12 @@ from ftp_sdmm import proto
 from ftp_sdmm.errors import (
     ConnectionFailed,
     DigitOverflow,
+    FieldTooLarge,
     MalformedFrame,
     VersionMismatch,
 )
 from ftp_sdmm.fields import make_base_field
-from ftp_sdmm.ftp import build_scheme, cost_report
+from ftp_sdmm.ftp import build_scheme, cost_report, encode
 from ftp_sdmm.matrices import SplitMix64, mat_mul, random_mat
 
 
@@ -194,6 +196,94 @@ def test_inprocess_byte_accounting_extension_field(scheme_ext):
     assert ledger.download_bytes == 3 * ledger.download_symbols
 
 
+# The benchmark's three schemes: (L, T, primes, p, d, a, b, c).
+_DIGEST_SCHEMES = {
+    "small-tower": (3, 1, (2, 3, 5), 11, 1, 4, 6, 4),
+    "tcp-wide": (2, 1, (2, 3), 11, 1, 16, 16, 16),
+    "paper-full": (3, 2, (5, 7, 11), 3, 3, 1, 3, 1),
+}
+# SHA-256 of the share bodies, the reply bodies, the decoded product and the
+# ledger's per-server counts, for A = random_mat(seed 10 + s), B = random_mat
+# (seed 20 + s) and encode seed s; pinned on the code before the products
+# over sub-towers, the float reduction and the precomputed Vandermonde blocks.
+_JOB_DIGESTS = {
+    ("small-tower", 0): (
+        "4dc1d2573a864ec090a4076b45f312e278818ecad5d4a85164916c219d23b9cf",
+        "b0476f512acd52dd9d8ef43375741c8b424b4575f599e9455a574c9b7712a1e0",
+        "295dd6fb6b2100ebd75e7e9d2fe05fa46da49d21104bad150e3cd03af8742738",
+        "1b2494854827078a6174b36c02c7eef8c7f60ce1fce80af227b71a5adb9aed83",
+    ),
+    ("small-tower", 1): (
+        "5e081cfabb028e44c049b07dc5beeccfe0343dc61213e30cc4ca5f1d9156db14",
+        "2fc320ec7a9d4ba00bdba9a228f0740b03c8036885461daa46d65e174f6d4b4a",
+        "630caef3eefb6f68f8e146b38008d8e265ca8aa57282af79f1a0f3c14a1d80c8",
+        "1b2494854827078a6174b36c02c7eef8c7f60ce1fce80af227b71a5adb9aed83",
+    ),
+    ("small-tower", 2): (
+        "ab8da709fd1f8435eb6565ca8e9c2200cf620744f0ac8b6ac742866adc460ad1",
+        "0e59caf00aec326d5cd6a9e69849e2c31649a5f5e331c76005a8e22eefd0220b",
+        "7bd2aab80e2a40b83d9a284b1239b34e4c29510299ec21aa50060873bbd6f064",
+        "1b2494854827078a6174b36c02c7eef8c7f60ce1fce80af227b71a5adb9aed83",
+    ),
+    ("tcp-wide", 0): (
+        "818db3191ba00a54623269d3480ffe4eb57062b2e863f9a8cca04e1c01fdb10e",
+        "406776e783f03ee87641c7069e57cdcad3bacf3153c490fc234d3ae930c62eb4",
+        "472771e5ac1885f892bb392bce4a5d7bf64835253cb16a944c27cf2490b7441a",
+        "a987812d641d45277d526ccf4c7fa6977890c851aa42a12ee29e02127f9b4879",
+    ),
+    ("tcp-wide", 1): (
+        "ccfb477174630e589511f1fe9ccc88f97e118ffd99d0aa7439d33b108047d2f1",
+        "6cc4ed28e57d5f96f251aca9add6c5b8031a0027953578541c962cf66b6bd8ba",
+        "f80bf47f2f8cb53f8e95412c2c968965dbb2b5e510658e09227f488056af1ce9",
+        "a987812d641d45277d526ccf4c7fa6977890c851aa42a12ee29e02127f9b4879",
+    ),
+    ("tcp-wide", 2): (
+        "1fc70e73825e5348d95064f2af30ad9f16728c9befd821ce3ff63e268be786d9",
+        "0eb73df9585cd405a7f52de7cc98b072beb72401675e7477a870416f47e3882d",
+        "4867dba31d550117b07be3b68f38709c9c453219ee1b8a5aff71300f0f5d0199",
+        "a987812d641d45277d526ccf4c7fa6977890c851aa42a12ee29e02127f9b4879",
+    ),
+    ("paper-full", 0): (
+        "db600bb6f7340a58f5ce104094000335e2ed589c1fd760758b4b3a38e66dcf60",
+        "dffab382431ac3f5b1a0f08322260fa4ec7f40d59c4f589d83b9761461bc8909",
+        "5f0718a23f0e0dbd17755c30afe13a34b729f700d6d6e26b213a32705255a108",
+        "edebe7aee11bb17ae14d44b291bc3fa317bbb073078c0ce01a52df8dd029584d",
+    ),
+}
+
+
+def _sha(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(hashlib.sha256(part).digest())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digest_schemes():
+    return {name: build_scheme(L, T, primes, make_base_field(p, d), a, b, c)
+            for name, (L, T, primes, p, d, a, b, c) in _DIGEST_SCHEMES.items()}
+
+
+@pytest.mark.parametrize("name,seed", list(_JOB_DIGESTS))
+def test_job_bytes_are_pinned(digest_schemes, name, seed):
+    """Every share, reply, product and ledger of the benchmark's schemes is
+    bit-identical to the pinned digests."""
+    scheme = digest_schemes[name]
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=10 + seed)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=20 + seed)
+    job_id = b"\0" * 8
+    shares = encode(scheme, A, B, seed=seed)
+    share_bodies = [proto.share_body(job_id, scheme, s) for s in shares]
+    reply_bodies = [proto.responses_body(job_id, scheme.tower, proto.server_compute(scheme, s))
+                    for s in shares]
+    product, ledger = proto.run_inprocess(scheme, A, B, seed=seed)
+    assert product.eq(mat_mul(A, B))
+    counts = repr(sorted(ledger.per_server.items())).encode()
+    got = (_sha(share_bodies), _sha(reply_bodies), _sha([product.data.tobytes()]), _sha([counts]))
+    assert got == _JOB_DIGESTS[name, seed]
+
+
 @pytest.fixture()
 def live_server():
     server = proto.Server()
@@ -222,6 +312,22 @@ def test_remote_server_down(scheme, monkeypatch):
     with pytest.raises(ConnectionFailed) as err:
         proto.run_remote(endpoints, scheme, A, B)
     assert err.value.server_index >= 1
+
+
+def test_remote_names_every_failed_server(scheme, live_server, monkeypatch):
+    """Servers 2 and 5 refuse connections and the rest answer: one
+    ConnectionFailed, of the lowest-numbered failure, names both servers
+    and the stage each failed at."""
+    monkeypatch.setenv(proto.TIMEOUT_ENV, "2000")
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    endpoints = [("127.0.0.1", 1 if j in (2, 5) else live_server.port)
+                 for j in range(1, scheme.N[-1] + 1)]
+    with pytest.raises(ConnectionFailed) as err:
+        proto.run_remote(endpoints, scheme, A, B)
+    assert err.value.server_index == 2
+    named = [part.split(":")[0] for part in str(err.value).split("; ")]
+    assert named == ["server 2 at connect", "server 5 at connect"]
 
 
 def test_remote_too_few_endpoints(scheme):
@@ -337,3 +443,54 @@ def test_server_drops_each_job_once_answered(scheme, live_server):
     assert mtype == proto.MSG_ERROR
     assert reply[0] == 3 and b"unknown job id" in reply
     assert live_server._jobs == {}
+
+
+def _params_for(p, d, modulus, primes, groups=1):
+    """A well-formed PARAMS body for server 1 of a 1 x 1 x 1 job over
+    F_{p^d}(primes), with zero trace scalars for groups 1..groups."""
+    body = b"bigfield" + struct.pack(">HHB", 1, p, d) + bytes(modulus)
+    body += bytes([len(primes)]) + b"".join(struct.pack(">H", n) for n in primes)
+    body += struct.pack(">III", 1, 1, 1) + bytes([groups])
+    for i in range(1, groups + 1):
+        body += bytes([i]) + bytes(int(np.prod(primes)) * d)
+    return body
+
+
+@pytest.mark.parametrize("primes", [(101,), (17,), (2, 3, 5, 7, 11)])
+def test_parse_params_rejects_a_field_past_the_limits(primes, monkeypatch):
+    """Over F_27: axes of degree 101 and 17 (303 and 51 digits per axis),
+    and elements of 6930 digits, are refused before a field is built."""
+    monkeypatch.setattr(proto, "_cached_tower", _no_field)
+    with pytest.raises(FieldTooLarge):
+        proto.parse_params(_params_for(3, 3, (1, 0, 2, 1), primes))
+
+
+def test_daemon_refuses_a_huge_field_fast_then_serves(scheme, live_server):
+    """PARAMS for F_27(a) with a of degree 101 would take tens of seconds to
+    build; the daemon answers it with an error at once, and then serves a
+    valid job."""
+    import socket
+    import time
+
+    start = time.perf_counter()
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        mtype, body = _exchange(sock, proto.MSG_PARAMS, _params_for(3, 3, (1, 0, 2, 1), (101,)))
+    assert time.perf_counter() - start < 1.0
+    assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in body
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+
+
+def test_tower_cache_keeps_the_towers_used_last(monkeypatch):
+    monkeypatch.setattr(proto, "_tower_cache", {})
+    fields = [(p, 1, (0, 1), (2,)) for p in (3, 5, 7, 13, 17, 19, 23, 29, 31, 37)]
+    first = proto._cached_tower(*fields[0])
+    for key in fields[1:]:
+        proto._cached_tower(*key)
+        assert proto._cached_tower(*fields[0]) is first  # a hit renews it
+    assert len(proto._tower_cache) == proto.TOWER_CACHE_SIZE
+    assert list(proto._tower_cache)[-2:] == [fields[-1], fields[0]]
+    assert fields[1] not in proto._tower_cache
