@@ -5,10 +5,13 @@ a secure MatDot construction for general L, T.  Both download full evaluations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import kernels
 from .errors import BadVariantParams, NotDivisible, TooFewPoints
 from .ftp import CostReport
 from .matrices import Mat, SplitMix64, mat_mul, partition_inner, random_mat
-from .poly import lagrange_interpolate
+from .poly import evaluate, lagrange_coefficients
 
 
 @dataclass
@@ -80,20 +83,10 @@ def matdot_run(L, T, A, B, field, seed=0):
     R = [random_mat(A.rows, w, field, rng=rng) for _ in range(T)]
     S = [random_mat(w, B.cols, field, rng=rng) for _ in range(T)]
 
-    f_coeffs = list(part.A_blocks) + list(R)                  # degree L+T-1
-    g_coeffs = list(reversed(part.B_blocks)) + list(S)        # x^(L-l) layout
-
-    def eval_mat(coeffs, x, rows, cols):
-        acc = Mat.zeros(field, rows, cols)
-        for c in reversed(coeffs):
-            acc = acc.scale(x).add(c)
-        return acc
-
-    evals = []
-    for x in points:
-        fe = eval_mat(f_coeffs, x, A.rows, w)
-        ge = eval_mat(g_coeffs, x, w, B.cols)
-        evals.append(mat_mul(fe, ge))
+    f_at = evaluate(field, np.stack([m.data for m in part.A_blocks + R]), points)  # degree L+T-1
+    g_at = evaluate(field, np.stack([m.data for m in part.B_blocks[::-1] + S]), points)  # x^(L-l)
+    evals = [mat_mul(Mat(field, A.rows, w, fe), Mat(field, w, B.cols, ge))
+             for fe, ge in zip(f_at, g_at)]
     product = _interpolate_coefficient(field, points, evals, L - 1, A.rows, B.cols)
     a, b, c = A.rows, A.cols, B.cols
     report = CostReport(
@@ -105,11 +98,10 @@ def matdot_run(L, T, A, B, field, seed=0):
 
 
 def _interpolate_coefficient(field, points, mat_evals, coeff_index, rows, cols):
-    out = Mat.zeros(field, rows, cols)
-    for r in range(rows):
-        for c in range(cols):
-            vals = [m.data[r][c] for m in mat_evals]
-            h = lagrange_interpolate(field, points, vals)
-            if coeff_index < len(h.coeffs):
-                out.data[r][c] = h.coeffs[coeff_index]
-    return out
+    """Coefficient ``coeff_index`` of the polynomial through the evaluations,
+    entry by entry: one product of that coefficient of every Lagrange basis
+    polynomial with the stacked evaluations."""
+    row = lagrange_coefficients(field, points)[coeff_index]
+    evals = np.stack([m.data for m in mat_evals]).reshape((len(points), rows * cols) + field.shape)
+    out = kernels.matmul(field, row[None], evals)
+    return Mat(field, rows, cols, out.reshape((rows, cols) + field.shape))

@@ -16,7 +16,9 @@ tr(a^s) = sum_k X[s + k][k], the trace of multiplication by a^s (Lidl &
 Niederreiter, Finite Fields, Ch. 2).  The q-power rows x^(kq) mod m give the
 Frobenius map and Rabin's irreducibility test (M. O. Rabin, SIAM J. Comput.
 9, 1980): x^(q^n) = x mod m, and gcd(x^(q^(n/r)) - x, m) = 1 for each prime
-r | n.  The modulus is the first candidate, in lexicographic order, to pass.
+r | n, a gcd tested as the full F_p rank of multiplication by that
+difference mod m.  The modulus is the first candidate, in lexicographic
+order, to pass.
 
 Traces to the maximal subfields F_i = F_{q0}(a_j : j != i) collapse axis i
 with the trace scalars; the naive Frobenius-iterate definition is kept in
@@ -53,37 +55,18 @@ def is_prime(n):
     return True
 
 
-# -- list polynomial gcd (coefficient lists low-degree first over a field) -----
-
-def _ptrim(f, c):
-    while c and f.is_zero(c[-1]):
-        c.pop()
-    return c
-
-
-def _pmod(f, a, m):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        if not f.is_zero(lead):
-            for j in range(dm):
-                a[shift + j] = f.sub(a[shift + j], f.mul(lead, m[j]))
-        a.pop()
-    return _ptrim(f, a)
-
-
-def _pgcd_is_const(f, a, b):
-    # True iff gcd(a, b) has degree 0
-    a, b = list(a), list(b)
-    while b:
-        # make b monic
-        lead_inv = f.inv(b[-1])
-        b = [f.mul(c, lead_inv) for c in b]
-        a, b = b, _pmod(f, a, b)
-    return len(a) == 1
+def _full_rank(M, p):
+    """True iff the square F_p matrix M is invertible: Gaussian elimination
+    mod p, one pivot column at a time."""
+    M = M % p
+    for col in range(len(M)):
+        live = np.flatnonzero(M[col:, col])
+        if not len(live):
+            return False
+        M[[col, col + live[0]]] = M[[col + live[0], col]]
+        M[col] = M[col] * pow(int(M[col, col]), -1, p) % p
+        M[col + 1 :] = (M[col + 1 :] - np.outer(M[col + 1 :, col], M[col])) % p
+    return True
 
 
 # -- moduli: one routine over a coefficient field F -----------------------------
@@ -135,8 +118,8 @@ def _extension_tables(F, m):
     for j in range(1, n + 1):
         v = v @ frob % p  # x^(q^j)
         if j < n and n % j == 0 and is_prime(n // j):
-            diff = _ptrim(F, list((v - x).reshape(n, d) % p))
-            if not _pgcd_is_const(F, list(m), diff):
+            # gcd(v - x, m) = 1 iff multiplication by v - x mod m is invertible.
+            if not _full_rank(times((v - x).reshape(n, d) % p), p):
                 return None
     return (X, R, Q) if np.array_equal(v, x) else None
 

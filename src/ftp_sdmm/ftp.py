@@ -19,12 +19,12 @@ from .errors import (
     TooFewEvalPoints,
     TooLargeForExhaustive,
 )
-from .fields import batch_inv, is_prime, make_tower, power_basis_dual
+from .fields import is_prime, make_tower, power_basis_dual
 # Exported from here too: perfbench/tracing.py times ftp.trace_dual_basis.
 from .fields import trace_dual_basis  # noqa: F401
 from .linalg import rank as mat_rank
 from .matrices import Mat, SplitMix64, mat_mul, partition_inner, random_mat
-from .poly import EvalDomain, Poly, annihilator, eval_poly, eval_poly_scalar
+from .poly import EvalDomain, annihilator, eval_poly, evaluate, lagrange_coefficients, powers
 
 
 @dataclass
@@ -46,10 +46,10 @@ class SchemeParams:
     server_scalars: list    # server_scalars[i-1][j-1] = v_{L+j} * k_i(alpha_{L+j})
     lambdas: list           # lambda bases per group
     mus: list               # trace-dual bases per group
-    encode_coeffs: object = dc_field(repr=False, default=None)
+    encode_coeffs: object = dc_field(repr=False)
     # (L+T, N_L, *tower.shape): encode_coeffs[k][j] = l_k(alpha_{L+1+j}) for
     # Lagrange basis l_k on the L+T interpolation nodes, j over the upload points.
-    vandermonde: list = dc_field(repr=False, default=None)
+    vandermonde: list = dc_field(repr=False)
     # Per group i, the (N_i d, p_i d) F_p matrix of r -> c_is = -sum_j alpha_j^s r_ij.
 
 
@@ -112,76 +112,36 @@ def build_scheme(L, T, primes, base, a, b, c):
     points = gens + [tower.embed_base(s) for s in scalar_points]
     domain = EvalDomain(tower, points)
 
-    k_polys = []
-    server_scalars = []
+    k_polys, server_scalars, lambdas, mus = [], [], [], []
     for i in range(1, L + 1):
         keep = set(range(L + 1, L + N[i - 1] + 1)) | {i}
-        excluded = [points[j - 1] for j in range(1, n + 1) if j not in keep]
-        k_i = annihilator(tower, excluded)
-        k_polys.append(k_i)
-        row = []
-        for j in range(1, N[i - 1] + 1):
-            kv = eval_poly_scalar(k_i, scalar_points[j - 1])
-            row.append(tower.mul(domain.weights[L + j - 1], kv))
-        server_scalars.append(row)
-
-    lambdas, mus = [], []
-    for i in range(1, L + 1):
-        scale = tower.mul(domain.weights[i - 1], eval_poly(k_polys[i - 1], points[i - 1]))
+        k_i = annihilator(tower, [points[j - 1] for j in range(1, n + 1) if j not in keep])
+        k_values = evaluate(tower, k_i.coeffs, points[L : L + N[i - 1]])
+        server_scalars.append([tower.mul(v, kv) for v, kv in zip(domain.weights[L:], k_values)])
+        scale = tower.mul(domain.weights[i - 1], eval_poly(k_i, points[i - 1]))
         lam, mu = power_basis_dual(tower, scale, i)
+        k_polys.append(k_i)
         lambdas.append(lam)
         mus.append(mu)
 
-    scheme = SchemeParams(
+    basis = lagrange_coefficients(tower, points[: L + T])
+    return SchemeParams(
         L=L, T=T, primes=primes, base=base, tower=tower, a=a, b=b, c=c,
         N=N, n=n, points=points, scalar_points=scalar_points, domain=domain,
         k_polys=k_polys, server_scalars=server_scalars,
         lambdas=lambdas, mus=mus,
+        encode_coeffs=np.swapaxes(evaluate(tower, basis, points[L:]), 0, 1),
+        vandermonde=_vandermonde_blocks(base, scalar_points, primes, N),
     )
-    scheme.encode_coeffs = np.array(_encode_coefficients(scheme))
-    scheme.vandermonde = _vandermonde_blocks(base, scalar_points, primes, N)
-    return scheme
 
 
 def _vandermonde_blocks(base, alphas, primes, N):
     """Decode's Vandermonde step per group i as one F_p matrix: row (j, a)
     and column (s, b) hold entry [a, b] of the matrix of multiplication by
     -alpha_j^s, for servers j <= N_i, powers s < p_i and base digits a, b."""
-    p = base.p
-    alphas = np.stack(alphas)
-    by_alpha = base.mul_matrix(alphas)
-    powers = [np.broadcast_to(base.one(), alphas.shape)]  # alpha^0 = 1, 0^0 too
-    for _ in range(max(primes) - 1):
-        powers.append(np.einsum("ja,jab->jb", powers[-1], by_alpha) % p)
-    blocks = -base.mul_matrix(np.stack(powers)) % p  # [s, j, a, b]
+    blocks = -base.mul_matrix(powers(base, alphas, max(primes))) % base.p  # [s, j, a, b]
     return [blocks[:p_i, :n_i].transpose(1, 2, 0, 3).reshape(n_i * base.d, p_i * base.d)
             for p_i, n_i in zip(primes, N)]
-
-
-def _encode_coefficients(scheme):
-    """l_k(alpha_{L+j}) for the Lagrange basis on the L+T interpolation nodes,
-    evaluated at every upload point."""
-    tower = scheme.tower
-    nodes = scheme.points[: scheme.L + scheme.T]
-    denoms = []
-    for kk, nk in enumerate(nodes):
-        d = tower.one()
-        for jj, nj in enumerate(nodes):
-            if jj != kk:
-                d = tower.mul(d, tower.sub(nk, nj))
-        denoms.append(d)
-    invs = batch_inv(tower, denoms)
-    coeffs = []
-    for kk, nk in enumerate(nodes):
-        num = Poly.one(tower)
-        for jj, nj in enumerate(nodes):
-            if jj != kk:
-                num = num.mul(Poly(tower, [tower.neg(nj), tower.one()]))
-        basis = num.scale(invs[kk])
-        coeffs.append([
-            eval_poly_scalar(basis, s) for s in scheme.scalar_points[: scheme.N[-1]]
-        ])
-    return coeffs
 
 
 def _draw_randoms(scheme, seed):
@@ -287,17 +247,12 @@ def cost_report(scheme):
 def security_rank_audit(tower, nodes, eval_points, T):
     """For every T-subset of eval_points, the T x T matrix of randomness
     Lagrange-basis values must be invertible."""
-    from .poly import lagrange_basis
-
-    total_nodes = len(nodes)
-    basis = [lagrange_basis(tower, total_nodes - T + t, nodes) for t in range(T)]
+    basis = lagrange_coefficients(tower, nodes)[:, len(nodes) - T :]
+    values = evaluate(tower, basis, eval_points)  # [j, t]
     failures = []
     checks = 0
     for subset in combinations(range(len(eval_points)), T):
-        mat = [
-            [eval_poly(basis[t], eval_points[j]) for j in subset]
-            for t in range(T)
-        ]
+        mat = [[values[j, t] for j in subset] for t in range(T)]
         checks += 1
         if mat_rank(tower, mat) < T:
             failures.append(subset)

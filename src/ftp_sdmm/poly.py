@@ -1,22 +1,32 @@
-"""Dense univariate polynomials over any field object from ``fields``:
-evaluation, Lagrange interpolation/basis, annihilators, and the dual-code
-weights of a Reed-Solomon evaluation domain."""
+"""Dense univariate polynomials over any field object from ``fields``, held
+as tensors: evaluation, Lagrange interpolation/basis, annihilators, and the
+dual-code weights of a Reed-Solomon evaluation domain.
+
+Every setup value is read off one annihilator A(x) = prod (x - w) of the
+points and its derivative, since A'(w_j) = prod_{i != j} (w_j - w_i): the
+dual weights are A'(w_j)^-1 and the Lagrange basis is A/(x - w_k) * A'(w_k)^-1.
+Values at points of F_q0 are one F_q0 Vandermonde product; Horner's rule is
+left for the other points, such as the tower generators."""
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DuplicatePoint, FieldMismatch, IndexOutOfRange
+import numpy as np
+
+from . import kernels
+from .errors import DimMismatch, DuplicatePoint, FieldMismatch, IndexOutOfRange
 from .fields import batch_inv
 
 
 class Poly:
-    """Coefficients low degree first; trailing zeros trimmed."""
+    """Coefficients low degree first, as one (deg + 1, *field.shape) int64
+    tensor reduced mod p, trailing zeros trimmed: ``coeffs[s]`` is the
+    coefficient of x^s, and the zero polynomial has no rows."""
 
     def __init__(self, field, coeffs):
         self.field = field
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = cs
+        c = np.asarray(coeffs, dtype=np.int64).reshape((-1,) + field.shape) % field.base.p
+        live = np.flatnonzero(c.any(axis=tuple(range(1, c.ndim))))
+        self.coeffs = c[: live[-1] + 1 if len(live) else 0]
 
     @classmethod
     def zero(cls, field):
@@ -26,139 +36,152 @@ class Poly:
     def one(cls, field):
         return cls(field, [field.one()])
 
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, [c])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def is_zero(self):
-        return not self.coeffs
+        return not len(self.coeffs)
 
     def add(self, other):
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [f.zero()] * (n - len(self.coeffs))
-        b = other.coeffs + [f.zero()] * (n - len(other.coeffs))
-        return Poly(f, [f.add(x, y) for x, y in zip(a, b)])
+        out = np.zeros((max(len(self.coeffs), len(other.coeffs)),) + self.field.shape,
+                       dtype=np.int64)
+        out[: len(self.coeffs)] += self.coeffs
+        out[: len(other.coeffs)] += other.coeffs
+        return Poly(self.field, out)
 
     def sub(self, other):
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [f.zero()] * (n - len(self.coeffs))
-        b = other.coeffs + [f.zero()] * (n - len(other.coeffs))
-        return Poly(f, [f.sub(x, y) for x, y in zip(a, b)])
+        return self.add(Poly(self.field, -other.coeffs))
 
     def mul(self, other):
-        f = self.field
+        """One Toeplitz product: column j of the matrix holds self's
+        coefficients from row j on, and it multiplies other's column."""
+        a, b = self.coeffs, other.coeffs
         if self.is_zero() or other.is_zero():
-            return Poly.zero(f)
-        out = [f.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Poly(f, out)
+            return Poly.zero(self.field)
+        toeplitz = np.zeros((len(a) + len(b) - 1, len(b)) + self.field.shape, dtype=np.int64)
+        for j in range(len(b)):
+            toeplitz[j : j + len(a), j] = a
+        return Poly(self.field, kernels.matmul(self.field, toeplitz, b[:, None])[:, 0])
 
     def scale(self, c):
-        f = self.field
-        return Poly(f, [f.mul(c, a) for a in self.coeffs])
+        """Every coefficient times c: for c in F_q0 one multiplication matrix
+        on every base digit row, otherwise one product of the coefficients,
+        as a column, with c."""
+        f, d = self.field, self.field.base.d
+        c = np.reshape(c, (-1, d))
+        if self.is_zero() or not c[1:].any():
+            by_c = f.base.mul_matrix(c[0])
+            return Poly(f, (self.coeffs.reshape(-1, d) @ by_c).reshape(self.coeffs.shape))
+        c = c.reshape((1, 1) + f.shape)
+        return Poly(f, kernels.matmul(f, self.coeffs[:, None], c)[:, 0])
 
     def eq(self, other):
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(self.field.eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        return np.array_equal(self.coeffs, other.coeffs)
+
+
+def powers(base, alphas, count):
+    """alpha_j^s for s < count (0^0 = 1) over F_q0: a (count, len(alphas),
+    d) tensor, one multiplication matrix per alpha."""
+    alphas = np.reshape(alphas, (-1, base.d))
+    by_alpha = base.mul_matrix(alphas)
+    out = [np.broadcast_to(base.one(), alphas.shape)]
+    for _ in range(count - 1):
+        out.append(np.einsum("ja,jab->jb", out[-1], by_alpha) % base.p)
+    return np.stack(out)[:count]
+
+
+def evaluate(field, coeffs, points):
+    """Values at the points of the polynomials whose coefficients, low degree
+    first, run along axis 0 of coeffs (deg + 1, ..., *field.shape), as a
+    (len(points), ..., *field.shape) tensor.  At the points in F_q0 this is
+    one F_q0 Vandermonde product, each coefficient read as a column of F_q0
+    elements; at any other point Horner's rule, with one field
+    multiplication per value and step, replaces that product's row."""
+    base, p = field.base, field.base.p
+    points = np.reshape(points, (-1,) + field.shape) % p
+    if not len(coeffs):
+        return np.zeros((len(points),) + coeffs.shape[1:], dtype=np.int64)
+    flat = points.reshape(len(points), -1, base.d)
+    by_power = base.mul_matrix(powers(base, flat[:, 0], len(coeffs)))  # [s, j, a, b]
+    out = np.einsum("sma,sjab->jmb", coeffs.reshape(len(coeffs), -1, base.d), by_power)
+    out %= p  # in place: one copy of the values at a time
+    out = out.reshape((len(points),) + coeffs.shape[1:])
+    for j in np.flatnonzero(flat[:, 1:].any(axis=(1, 2))):
+        acc = coeffs[-1].reshape((-1,) + field.shape)
+        for c in coeffs[-2::-1]:
+            acc = np.stack([field.mul(v, points[j]) for v in acc]) + c.reshape(acc.shape)
+        out[j] = acc.reshape(out.shape[1:]) % p
+    return out
 
 
 def eval_poly(f, x, field=None):
-    """Horner evaluation; ``field`` guards against cross-field arguments."""
-    fld = f.field
-    if field is not None and field != fld:
+    """f(x); ``field`` guards against cross-field arguments."""
+    if field is not None and field != f.field:
         raise FieldMismatch("polynomial and point belong to different fields")
-    acc = fld.zero()
-    for c in reversed(f.coeffs):
-        acc = fld.add(fld.mul(acc, x), c)
-    return acc
-
-
-def eval_poly_scalar(f, s):
-    """Horner evaluation at a base-field scalar of a tower-coefficient
-    polynomial (avoids full tower multiplications)."""
-    fld = f.field
-    acc = fld.zero()
-    for c in reversed(f.coeffs):
-        acc = fld.add(fld.scalar_mul(acc, s), c)
-    return acc
-
-
-def _check_distinct(field, points):
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if field.eq(points[i], points[j]):
-                raise DuplicatePoint(f"points {i} and {j} coincide")
+    return evaluate(f.field, f.coeffs, [x])[0]
 
 
 def annihilator(field, points):
-    """Monic product of (x - a) over the points; empty set gives 1."""
+    """Monic product of (x - a) over the points, one linear factor at a time
+    as P <- xP - aP; the empty set gives 1.  In a tower, the factors over
+    F_q0 multiply over F_q0 first, and their product is then embedded."""
     out = Poly.one(field)
+    if field is not field.base:
+        flat = [np.reshape(a, (-1, field.base.d)) for a in points]
+        scalars = [f[0] for f in flat if not f[1:].any()]
+        out = Poly(field, [field.embed_base(c) for c in annihilator(field.base, scalars).coeffs])
+        points = [a for a, f in zip(points, flat) if f[1:].any()]
     for a in points:
-        out = out.mul(Poly(field, [field.neg(a), field.one()]))
+        out = Poly(field, [field.zero(), *out.coeffs]).sub(out.scale(a))
     return out
+
+
+def _inverse_derivative(field, annihilated, points):
+    """A'(a_j)^-1 for the annihilator A of the points, with the formal
+    derivative's coefficient s = (s + 1) A_(s+1).  A'(a_j) vanishes exactly
+    when a_j occurs twice."""
+    c = annihilated.coeffs[1:]
+    s = np.arange(1, len(c) + 1).reshape((-1,) + (1,) * (c.ndim - 1))
+    values = evaluate(field, s * c % field.base.p, points)
+    repeated = np.flatnonzero(~values.reshape(len(values), -1).any(axis=1))
+    if len(repeated):
+        raise DuplicatePoint(f"point {repeated[0]} occurs twice")
+    return batch_inv(field, values)
+
+
+def dual_weights(field, points):
+    """v_j = A'(a_j)^-1 = prod_{i != j} (a_j - a_i)^(-1), A the points'
+    annihilator: the column multipliers putting the dual of the Reed-Solomon
+    code on this domain in GRS form."""
+    return _inverse_derivative(field, annihilator(field, points), points)
+
+
+def lagrange_coefficients(field, points):
+    """The Lagrange basis on the points as one (n, n, *field.shape) tensor:
+    [s, k] is coefficient s of l_k = A/(x - a_k) * A'(a_k)^-1.  The quotients
+    come by synthetic division, q_(s-1) = A_s + a_k q_s from q_(n-1) = 1."""
+    A = annihilator(field, points)
+    inverses = _inverse_derivative(field, A, points)
+    n, p = len(points), field.base.p
+    rows = [np.broadcast_to(field.one(), (n,) + field.shape)]
+    for s in range(n - 1, 0, -1):
+        shifted = np.stack([field.mul(a, q) for a, q in zip(points, rows[-1])])
+        rows.append((A.coeffs[s] + shifted) % p)
+    quotients = np.stack(rows[::-1]).swapaxes(0, 1)  # [k, s]
+    return np.stack([Poly(field, q).scale(v).coeffs for q, v in zip(quotients, inverses)], axis=1)
 
 
 def lagrange_basis(field, i, points):
     """Polynomial with value 1 at points[i] and 0 at the others (0-based i)."""
     if not 0 <= i < len(points):
         raise IndexOutOfRange(f"index {i} for {len(points)} points")
-    _check_distinct(field, points)
-    num = Poly.one(field)
-    denom = field.one()
-    for j, a in enumerate(points):
-        if j == i:
-            continue
-        num = num.mul(Poly(field, [field.neg(a), field.one()]))
-        denom = field.mul(denom, field.sub(points[i], a))
-    return num.scale(field.inv(denom))
+    return Poly(field, lagrange_coefficients(field, points)[:, i])
 
 
 def lagrange_interpolate(field, points, values):
-    """Unique polynomial of degree < len(points) through the given pairs."""
+    """Unique polynomial of degree < len(points) through the given pairs:
+    one product of the Lagrange basis with the values."""
     if len(points) != len(values):
-        raise DuplicatePoint("points and values differ in length")
-    _check_distinct(field, points)
-    out = Poly.zero(field)
-    denoms = []
-    for i, a in enumerate(points):
-        d = field.one()
-        for j, b in enumerate(points):
-            if j != i:
-                d = field.mul(d, field.sub(a, b))
-        denoms.append(d)
-    invs = batch_inv(field, denoms)
-    for i in range(len(points)):
-        num = Poly.one(field)
-        for j, b in enumerate(points):
-            if j != i:
-                num = num.mul(Poly(field, [field.neg(b), field.one()]))
-        out = out.add(num.scale(field.mul(invs[i], values[i])))
-    return out
-
-
-def dual_weights(field, points):
-    """v_j = prod_{i != j} (a_j - a_i)^(-1): the column multipliers putting the
-    dual of the Reed-Solomon code on this domain in GRS form."""
-    _check_distinct(field, points)
-    prods = []
-    for j, a in enumerate(points):
-        acc = field.one()
-        for i, b in enumerate(points):
-            if i != j:
-                acc = field.mul(acc, field.sub(a, b))
-        prods.append(acc)
-    return batch_inv(field, prods)
+        raise DimMismatch("points and values differ in length")
+    column = np.reshape(values, (len(values), 1) + field.shape)
+    return Poly(field, kernels.matmul(field, lagrange_coefficients(field, points), column)[:, 0])
 
 
 @dataclass
@@ -182,14 +205,10 @@ def dual_orthogonality_check(domain, k, h_values, s_count):
     fld = domain.field
     if len(h_values) != len(domain.points):
         raise FieldMismatch("one h value per domain point required")
-    terms = []
-    for j, a in enumerate(domain.points):
-        base = fld.mul(domain.weights[j], fld.mul(eval_poly(k, a), h_values[j]))
-        terms.append((a, base))
-    for s in range(s_count):
-        acc = fld.zero()
-        for a, base in terms:
-            acc = fld.add(acc, fld.mul(fld.pow(a, s), base))
-        if not fld.is_zero(acc):
+    k_values = evaluate(fld, k.coeffs, domain.points)
+    terms = [fld.mul(v, fld.mul(kv, h)) for v, kv, h in zip(domain.weights, k_values, h_values)]
+    for _ in range(s_count):  # terms[j] = v_j k(a_j) a_j^s h_j
+        if not fld.is_zero(np.sum(terms, axis=0)):
             return False
+        terms = [fld.mul(a, t) for a, t in zip(domain.points, terms)]
     return True

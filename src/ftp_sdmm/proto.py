@@ -221,9 +221,9 @@ class ServerJob:
 def parse_params(body):
     """A PARAMS body as a ServerJob.  Before any field is built, it raises
     DigitOverflow if p >= 256, MalformedFrame if the body is truncated, runs
-    past its last group, or names a group outside 1..L or twice (so never
-    more than L groups), and FieldTooLarge past MAX_AXIS_DIGITS or
-    MAX_ELEMENT_DIGITS."""
+    past its last group, names a group outside 1..L or twice (so never
+    more than L groups), or has a b that L does not divide, and
+    FieldTooLarge past MAX_AXIS_DIGITS or MAX_ELEMENT_DIGITS."""
     if len(body) < 13:
         raise MalformedFrame("params header truncated")
     job_id = bytes(body[:8])
@@ -242,6 +242,8 @@ def parse_params(body):
         raise FieldTooLarge(f"degrees {primes} over F_{p}^{d}: past {MAX_AXIS_DIGITS} digits "
                             f"per axis or {MAX_ELEMENT_DIGITS} per element")
     a, b, c = struct.unpack_from(">III", body, off); off += 12
+    if not L or b % L:
+        raise MalformedFrame(f"b = {b} is not a multiple of L = {L}")
     n_groups = body[off]; off += 1
     step = 1 + prod(primes) * d  # group id, then one full element
     if len(body) - off != n_groups * step:
@@ -452,7 +454,8 @@ def run_remote(endpoints, scheme, A, B, seed=0):
 
 class Server:
     """One computing node.  It keeps each job's params, keyed by job id and
-    server index under a lock, from its PARAMS frame until its SHARE."""
+    server index under a lock, from its PARAMS frame until its SHARE, and
+    computes a SHARE only if its matrices are a x b/L and b/L x c."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -516,6 +519,10 @@ class Server:
             if job is None:
                 return pack_message(MSG_ERROR, error_body(3, "unknown job id"))
             _, share = parse_share(job.tower, body)
+            f, g, w = share.f_eval, share.g_eval, job.b // job.L
+            if (f.rows, f.cols, g.rows, g.cols) != (job.a, w, w, job.c):
+                raise MalformedFrame(f"a share of {f.rows} x {f.cols} and {g.rows} x {g.cols} for "
+                                     f"a job of {job.a} x {w} and {w} x {job.c}")
             bundle = server_step(job.tower, job.scalars, share)
             return pack_message(MSG_RESPONSES, responses_body(job_id, job.tower, bundle))
         return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}"))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 from ftp_sdmm.fields import make_base_field, make_tower
+from ftp_sdmm.ftp import build_scheme
 
 # Every run draws the same examples, with no per-example deadline.
 settings.register_profile("repo", derandomize=True, deadline=None)
@@ -33,3 +34,17 @@ def tower16(f4):
 def tower11_6(f11):
     """F_{11^6} = F_11(a_1, a_2) with degrees 2 and 3."""
     return make_tower(f11, (2, 3))
+
+
+# The benchmark's three schemes: (L, T, primes, p, d, a, b, c).
+_DIGEST_SCHEMES = {
+    "small-tower": (3, 1, (2, 3, 5), 11, 1, 4, 6, 4),
+    "tcp-wide": (2, 1, (2, 3), 11, 1, 16, 16, 16),
+    "paper-full": (3, 2, (5, 7, 11), 3, 3, 1, 3, 1),
+}
+
+
+@pytest.fixture(scope="session")
+def digest_schemes():
+    return {name: build_scheme(L, T, primes, make_base_field(p, d), a, b, c)
+            for name, (L, T, primes, p, d, a, b, c) in _DIGEST_SCHEMES.items()}

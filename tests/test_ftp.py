@@ -1,5 +1,8 @@
 """Scheme construction, encode/servers/decode, costs, security audits."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from ftp_sdmm.errors import (
@@ -149,3 +152,80 @@ def test_exhaustive_audit_guard():
     scheme = _scheme(CONFIGS[1])
     with pytest.raises(TooLargeForExhaustive):
         security_audit(scheme, mode="exhaustive")
+
+
+# SHA-256 of each setup value, by the parameters (L, T, primes, p, d) that
+# alone determine them; pinned on the code before the polynomials became
+# tensors, when every value came from per-element loops.
+_SETUP_VALUES = ("weights", "server_scalars", "lambdas", "mus", "encode_coeffs",
+                 "vandermonde", "k_polys")
+_SETUP_DIGESTS = {
+    (1, 1, (2,), 2, 2): (  # CONFIGS[0]
+        "94800ea0dc585a768b62ecfe110017ba74aa054ce8ad4f75db6dc3e130edaee1",
+        "58267887e310a3d81817100978679f80f3117ae7e20e010b9d9adfd07b68a4d5",
+        "b0a4d0badbaf87d1b1d904d8605259a0e6f2be4f25083fea2f266935eba1e702",
+        "e4a9415d4785647496483b55fe0535a6359c0ab69a2beeea74ab89167071e9ac",
+        "cf6c04489a496fb0ecc4b2f071e95750a43b807568bedd68afc89de81b8a16ea",
+        "628439d7997492e0939d93962f2be7d516c2cfb6c4e62841f93d36242eafcce3",
+        "1366f1fb10d5eb0a9a9cca11be777c85a7f81a75afece3e4dab06cd9f3bcf286",
+    ),
+    (2, 1, (2, 3), 11, 1): (  # tcp-wide; CONFIGS[1]
+        "e2eac8a7e72821703e3ecf6d2d478fb1e1f4664bec3b810af9706b716aee0dd3",
+        "a315ae38232acfd27bbb6ce12e2d3fb8a281729147a5686fca0d8a3ac941bb6c",
+        "980bf3621ea0fda9d29552d56c77f90fc789dbde2580aa1cc67970b2de9bc0e1",
+        "cf275aab5883b0f623fc96e4d5bd1f5c3ce055d26c00f42a4aa95d6721175982",
+        "a5b842c9691399828103b9ed8c6de078be904a23c85dce8ed768bd9f2f4fa90d",
+        "aeaccff908e6812623608ba862a84b138781037ed9730736331926e2eed21d79",
+        "5570e4dfd42ebc8fc8a6c42cd9f078785c0557bbd340aaf54cb0334d0325a95d",
+    ),
+    (3, 1, (2, 3, 5), 11, 1): (  # small-tower; CONFIGS[2]
+        "16c58a5abf8ddef560887e7691d5c8a7bbff87ec3263befffbe5531dac7fed3c",
+        "4af2fc34d4bdaab7488cba579cea5551c58daa46998cbd9ee0acc1f4abeaa54c",
+        "445ef587d2bb9b770b7d5a91ee7e20dd3a39d8ae0ffb9e73d413d4729b6bc3ea",
+        "c566f2120df37e3a96116fd62cda066ab94e9b92e5ea39f45ce1dead55fd2a3d",
+        "251090e938f4cdde31079d44b361bb3a3db547d5b8d6f3ee95b31f8490552b50",
+        "440e05f34fe991ffeff534737114614ac2530dec954d6ff5c0d9509ee6ea3d89",
+        "d6d142d4ad882560834d62fa085661022bb99a474b53ba59f3b481f9592f2e30",
+    ),
+    (2, 2, (2, 3), 11, 1): (  # CONFIGS[3]
+        "ba8698f0a29e40eb6c8a66a41202615999fa42d332f24006d78ec4a3152c2a0a",
+        "5484c04b7931cf61c8e7a488bf8dddd443a07da3a9712f965710eae186c7d4ae",
+        "a00fc313d470340837c9179b026a2fa6c34ee160ca4fce8624562341f3f39fb0",
+        "8d41945faa7b9cf3ac74f5a7e83a54e9dfdbe70d1c6f309971f6de6293dddcd9",
+        "8359116711b7e1e8489a6e3d904cca1ca4af8f2924b67afd99474c20135ec678",
+        "82183a46cb9d62898cd9c5837b8957291fd39143f0606e349d62ef2fb2ed00dc",
+        "29b6c39c746f7a8c6d176ce51dd043b9d0bfde0379ba35698c609e9a9cf008f2",
+    ),
+    (3, 2, (5, 7, 11), 3, 3): (  # paper-full
+        "93af027c0d2144a1495135d4d9d74df3846ad9a16b9fef3ccb22af3da0640e68",
+        "14dcfc9b8d4a044332a9a915e99251ea5dceb5ba9e6b334b406ddde322fbfd94",
+        "3f77fb94dfbbd2e2b096ca2f3cb04d86089106e5b857c059cc5b49708c45681d",
+        "281fddb8d26872ae2fdeca39265670358a144512d59cb39311ea46d8e28c5a70",
+        "d4fd318e107e21f9759f90e5d74b192359bee0c9622b581201cc07b5045b312a",
+        "de859ff4f97be04b730f91fee7720428dc594873e297bc384cb3141c6502a421",
+        "e44d842995a0714fdf6ea24793cb853908d4a9d3d903f97d496e25f21aca7b02",
+    ),
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.int64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["small-tower", "tcp-wide", "paper-full", 0, 1, 2, 3])
+def test_setup_values_are_pinned(digest_schemes, name):
+    """The dual weights, server scalars, trace-dual bases, encode and decode
+    coefficients and annihilators of the benchmark's schemes and of the
+    criterion-2 configurations are bit-identical to the pinned digests."""
+    s = digest_schemes[name] if isinstance(name, str) else _scheme(CONFIGS[name], a=4, b=6, c=4)
+    values = (s.domain.weights, [np.stack(r) for r in s.server_scalars],
+              [np.stack(b) for b in s.lambdas], [np.stack(b) for b in s.mus],
+              [s.encode_coeffs], s.vandermonde, [k.coeffs for k in s.k_polys])
+    got = dict(zip(_SETUP_VALUES, map(_digest, values)))
+    key = (s.L, s.T, s.primes, s.base.p, s.base.d)
+    assert got == dict(zip(_SETUP_VALUES, _SETUP_DIGESTS[key]))

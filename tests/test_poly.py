@@ -1,11 +1,12 @@
 """Polynomials, Lagrange machinery, annihilators, dual weights."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftp_sdmm.errors import DuplicatePoint, FieldMismatch, IndexOutOfRange
-from ftp_sdmm.fields import make_base_field
+from ftp_sdmm.errors import DimMismatch, DuplicatePoint, FieldMismatch, IndexOutOfRange
+from ftp_sdmm.fields import make_base_field, make_tower
 from ftp_sdmm.matrices import SplitMix64
 from ftp_sdmm.poly import (
     EvalDomain,
@@ -14,6 +15,7 @@ from ftp_sdmm.poly import (
     dual_orthogonality_check,
     dual_weights,
     eval_poly,
+    evaluate,
     lagrange_basis,
     lagrange_interpolate,
 )
@@ -46,6 +48,8 @@ def test_interpolation_roundtrip(seed, npts):
     assert len(p.coeffs) <= npts
     for pt, v in zip(points, values):
         assert f.is_zero(f.sub(eval_poly(p, pt), v))
+    with pytest.raises(DimMismatch):
+        lagrange_interpolate(f, points, values[:-1])
 
 
 def test_lagrange_basis_partition_of_unity(f5):
@@ -103,3 +107,122 @@ def test_poly_algebra(f5):
     assert q.eq(x.mul(x))
     assert p.mul(one).eq(p)
     assert len(Poly.zero(f5).coeffs) == 0
+
+
+# -- element-wise oracles: the list-based polynomial code that the tensor Poly
+# replaced, one field operation at a time; coefficient lists low degree first.
+
+def _trim(field, cs):
+    cs = list(cs)
+    while cs and field.is_zero(cs[-1]):
+        cs.pop()
+    return cs
+
+
+def _add_oracle(field, a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [field.zero()] * (n - len(a))
+    b = list(b) + [field.zero()] * (n - len(b))
+    return _trim(field, [field.add(x, y) for x, y in zip(a, b)])
+
+
+def _mul_oracle(field, a, b):
+    if not a or not b:
+        return []
+    out = [field.zero() for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _trim(field, out)
+
+
+def _eval_oracle(field, cs, x):
+    acc = field.zero()
+    for c in reversed(cs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def _annihilator_oracle(field, points):
+    out = [field.one()]
+    for a in points:
+        out = _mul_oracle(field, out, [field.neg(a), field.one()])
+    return out
+
+
+def _dual_weights_oracle(field, points):
+    weights = []
+    for j, a in enumerate(points):
+        acc = field.one()
+        for i, b in enumerate(points):
+            if i != j:
+                acc = field.mul(acc, field.sub(a, b))
+        weights.append(field.inv(acc))
+    return weights
+
+
+def _interpolate_oracle(field, points, values):
+    out = []
+    for i, a in enumerate(points):
+        num, denom = [field.one()], field.one()
+        for j, b in enumerate(points):
+            if j != i:
+                num = _mul_oracle(field, num, [field.neg(b), field.one()])
+                denom = field.mul(denom, field.sub(a, b))
+        scale = field.mul(values[i], field.inv(denom))
+        out = _add_oracle(field, out, [field.mul(scale, c) for c in num])
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_fields(f5, tower16, tower11_6):
+    """F_5, F_4(2), F_11(2, 3) and F_9(2, 3)."""
+    return [f5, tower16, tower11_6, make_tower(make_base_field(3, 2), (2, 3))]
+
+
+def _same(field, got, want):
+    want = np.reshape(np.array(want, dtype=np.int64), (-1,) + field.shape)
+    return np.array_equal(np.reshape(got, want.shape), want)
+
+
+def _distinct_points(field, rng, count):
+    """Generators, base-field scalars and random elements, all distinct."""
+    pts = [field.gen(i) for i in range(1, getattr(field, "L", 0) + 1)]
+    embed = getattr(field, "embed_scalar_int", field.from_int)
+    pts += [embed(k) for k in range(0, field.base.order, 2)]
+    pts = pts[: (count + 1) // 2]
+    while len(pts) < count:
+        x = field.random(rng)
+        if all(field.to_int(x) != field.to_int(y) for y in pts):
+            pts.append(x)
+    return pts[count // 2 :] + pts[: count // 2]  # mix the kinds in the order
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4),
+       st.integers(1, 5))
+def test_tensor_poly_matches_elementwise_oracles(oracle_fields, which, seed, deg_a, deg_b, npts):
+    field = oracle_fields[which]
+    rng = SplitMix64(seed)
+    a = [field.random(rng) for _ in range(deg_a + 1)]
+    b = [field.random(rng) for _ in range(deg_b + 1)]
+    assert _same(field, Poly(field, a).mul(Poly(field, b)).coeffs, _mul_oracle(field, a, b))
+
+    pts = _distinct_points(field, rng, npts)
+    embed = getattr(field, "embed_scalar_int", field.from_int)
+    at = pts + [embed(field.base.order - 1), field.random(rng)]
+    for x in at:
+        assert _same(field, eval_poly(Poly(field, a), x), _eval_oracle(field, a, x))
+    both = evaluate(field, np.stack([a, a[::-1]], axis=1), at)  # two polynomials at once
+    assert _same(field, both, [[_eval_oracle(field, cs, x) for cs in (a, a[::-1])] for x in at])
+
+    assert _same(field, annihilator(field, pts).coeffs, _annihilator_oracle(field, pts))
+    assert _same(field, dual_weights(field, pts), _dual_weights_oracle(field, pts))
+    values = [field.random(rng) for _ in pts]
+    assert _same(field, lagrange_interpolate(field, pts, values).coeffs,
+                 _interpolate_oracle(field, pts, values))
+
+    with pytest.raises(DuplicatePoint):
+        dual_weights(field, pts + [pts[0]])
+    with pytest.raises(DuplicatePoint):
+        lagrange_interpolate(field, pts + [pts[-1]], values + [values[0]])

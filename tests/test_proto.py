@@ -142,6 +142,7 @@ _BAD_PARAMS = {
     "group id past L": lambda b: _set_byte(b, _GROUPS_AT, 7),
     "repeated group id": lambda b: _set_byte(b, _GROUPS_AT + _STEP, 1),
     "more groups than L": lambda b: _set_byte(b, _GROUPS_AT - 1, 3) + b[_GROUPS_AT : _GROUPS_AT + _STEP],
+    "b not a multiple of L": lambda b: _set_byte(b, _GROUPS_AT - 6, 3),  # b's low byte
 }
 
 
@@ -196,12 +197,6 @@ def test_inprocess_byte_accounting_extension_field(scheme_ext):
     assert ledger.download_bytes == 3 * ledger.download_symbols
 
 
-# The benchmark's three schemes: (L, T, primes, p, d, a, b, c).
-_DIGEST_SCHEMES = {
-    "small-tower": (3, 1, (2, 3, 5), 11, 1, 4, 6, 4),
-    "tcp-wide": (2, 1, (2, 3), 11, 1, 16, 16, 16),
-    "paper-full": (3, 2, (5, 7, 11), 3, 3, 1, 3, 1),
-}
 # SHA-256 of the share bodies, the reply bodies, the decoded product and the
 # ledger's per-server counts, for A = random_mat(seed 10 + s), B = random_mat
 # (seed 20 + s) and encode seed s; pinned on the code before the products
@@ -257,12 +252,6 @@ def _sha(parts):
     for part in parts:
         h.update(hashlib.sha256(part).digest())
     return h.hexdigest()
-
-
-@pytest.fixture(scope="module")
-def digest_schemes():
-    return {name: build_scheme(L, T, primes, make_base_field(p, d), a, b, c)
-            for name, (L, T, primes, p, d, a, b, c) in _DIGEST_SCHEMES.items()}
 
 
 @pytest.mark.parametrize("name,seed", list(_JOB_DIGESTS))
@@ -422,6 +411,29 @@ def test_server_answers_bad_share_with_error_then_serves(scheme, live_server, co
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=4)
+    assert product.eq(mat_mul(A, B))
+
+
+def test_server_refuses_a_share_that_does_not_fit_its_params(scheme, live_server):
+    """PARAMS for a 2 x 2 times 2 x 2 job with L = 2, then a SHARE of 40 x 30
+    and 30 x 40 matrices: the daemon answers MSG_ERROR, not a product, and
+    then serves a valid job."""
+    import socket
+
+    from ftp_sdmm.ftp import Share
+
+    job = b"oversize"
+    big = Share(1, random_mat(40, 30, scheme.tower, seed=1), random_mat(30, 40, scheme.tower, seed=2))
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
+        assert mtype == proto.MSG_PARAMS
+        mtype, reply = _exchange(sock, proto.MSG_SHARE, proto.share_body(job, scheme, big))
+    assert mtype == proto.MSG_ERROR
+    assert reply[0] == 1 and b"MalformedFrame" in reply
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=6)
     assert product.eq(mat_mul(A, B))
 
 
