@@ -83,8 +83,11 @@ def matdot_run(L, T, A, B, field, seed=0):
     R = [random_mat(A.rows, w, field, rng=rng) for _ in range(T)]
     S = [random_mat(w, B.cols, field, rng=rng) for _ in range(T)]
 
-    f_at = evaluate(field, np.stack([m.data for m in part.A_blocks + R]), points)  # degree L+T-1
-    g_at = evaluate(field, np.stack([m.data for m in part.B_blocks[::-1] + S]), points)  # x^(L-l)
+    # f has degree L+T-1; g's coefficient of x^(L-l) is B_l.
+    f_coeffs = np.stack([m.data for m in part.A_blocks + R])
+    g_coeffs = np.stack([m.data for m in part.B_blocks[::-1] + S])
+    f_at = evaluate(field, f_coeffs, points)
+    g_at = evaluate(field, g_coeffs, points)
     evals = [mat_mul(Mat(field, A.rows, w, fe), Mat(field, w, B.cols, ge))
              for fe, ge in zip(f_at, g_at)]
     product = _interpolate_coefficient(field, points, evals, L - 1, A.rows, B.cols)

@@ -112,10 +112,14 @@ def build_scheme(L, T, primes, base, a, b, c):
     points = gens + [tower.embed_base(s) for s in scalar_points]
     domain = EvalDomain(tower, points)
 
-    k_polys, server_scalars, lambdas, mus = [], [], [], []
+    k_polys = []
+    server_scalars = []
+    lambdas = []
+    mus = []
     for i in range(1, L + 1):
         keep = set(range(L + 1, L + N[i - 1] + 1)) | {i}
-        k_i = annihilator(tower, [points[j - 1] for j in range(1, n + 1) if j not in keep])
+        excluded = [points[j - 1] for j in range(1, n + 1) if j not in keep]
+        k_i = annihilator(tower, excluded)
         k_values = evaluate(tower, k_i.coeffs, points[L : L + N[i - 1]])
         server_scalars.append([tower.mul(v, kv) for v, kv in zip(domain.weights[L:], k_values)])
         scale = tower.mul(domain.weights[i - 1], eval_poly(k_i, points[i - 1]))

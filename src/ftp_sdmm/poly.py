@@ -120,14 +120,8 @@ def eval_poly(f, x, field=None):
 
 def annihilator(field, points):
     """Monic product of (x - a) over the points, one linear factor at a time
-    as P <- xP - aP; the empty set gives 1.  In a tower, the factors over
-    F_q0 multiply over F_q0 first, and their product is then embedded."""
+    as P <- xP - aP; the empty set gives 1."""
     out = Poly.one(field)
-    if field is not field.base:
-        flat = [np.reshape(a, (-1, field.base.d)) for a in points]
-        scalars = [f[0] for f in flat if not f[1:].any()]
-        out = Poly(field, [field.embed_base(c) for c in annihilator(field.base, scalars).coeffs])
-        points = [a for a, f in zip(points, flat) if f[1:].any()]
     for a in points:
         out = Poly(field, [field.zero(), *out.coeffs]).sub(out.scale(a))
     return out
@@ -156,7 +150,8 @@ def dual_weights(field, points):
 def lagrange_coefficients(field, points):
     """The Lagrange basis on the points as one (n, n, *field.shape) tensor:
     [s, k] is coefficient s of l_k = A/(x - a_k) * A'(a_k)^-1.  The quotients
-    come by synthetic division, q_(s-1) = A_s + a_k q_s from q_(n-1) = 1."""
+    come by synthetic division, q_(s-1) = A_s + a_k q_s from q_(n-1) = 1,
+    and are scaled by the field's own product, which caches no sub-tower."""
     A = annihilator(field, points)
     inverses = _inverse_derivative(field, A, points)
     n, p = len(points), field.base.p
@@ -165,7 +160,7 @@ def lagrange_coefficients(field, points):
         shifted = np.stack([field.mul(a, q) for a, q in zip(points, rows[-1])])
         rows.append((A.coeffs[s] + shifted) % p)
     quotients = np.stack(rows[::-1]).swapaxes(0, 1)  # [k, s]
-    return np.stack([Poly(field, q).scale(v).coeffs for q, v in zip(quotients, inverses)], axis=1)
+    return np.stack([[field.mul(c, v) for c in q] for q, v in zip(quotients, inverses)], axis=1)
 
 
 def lagrange_basis(field, i, points):
