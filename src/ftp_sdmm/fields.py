@@ -166,11 +166,10 @@ class BaseField:
                 raise NoIrreducible(f"modulus {m[:, 0].tolist()} is reducible over F_{p}")
             self._redmat = tables[1]
         self.modulus = tuple(int(c) for c in m[:, 0])
-        # A tower with no axes, so that tensors of base-field elements go
-        # through the same product as tower elements (kernels.matmul).
-        self.base, self.primes, self.L, self.shape, self.flat_size = self, (), 0, (d,), 1
-        self._ext_shape, self._ext_flat, self._redmats = (), 1, []
-        self._addtable = np.zeros((1, 1), dtype=np.int64)
+        # A tower with no axes, so that kernels takes tensors of base-field
+        # elements as it takes those of tower elements.
+        self.base, self.primes, self.L, self.shape = self, (), 0, (d,)
+        self._ext_shape, self._redmats = (), []
 
     @property
     def order(self):
@@ -256,7 +255,7 @@ class BaseField:
             yield self.from_int(k)
 
     def random(self, rng):
-        return np.array([rng.below(self.p) for _ in range(self.d)], dtype=np.int64)
+        return rng.digits(self.p, self.d)
 
     def __eq__(self, other):
         return (
@@ -293,13 +292,17 @@ class TowerField:
         for n in primes:
             m, X, R, Q = _smallest_irreducible(base, n)
             s = np.arange(n)
-            traces = X[s[:, None] + s, s].sum(axis=1)  # tr(a^s) = sum_k X[s+k][k]
-            axes.append((m, R, base.mul_matrix(traces % base.p), base.mul_matrix(Q)))
+            by_trace = base.mul_matrix(X[s[:, None] + s, s].sum(axis=1) % base.p)  # tr(x^s)
+            # tr(x^k) = sum_j X[k][j] tr(x^j) for k < 2n - 1, as tr is F_q0-linear.
+            traces = np.einsum("kja,jab->kb", X, by_trace) % base.p
+            # Row (t, u), column (s, v): entry [u, v] of multiplication by tr(x^(s+t)).
+            hankel = base.mul_matrix(traces[s[:, None] + s]).transpose(0, 2, 1, 3)
+            axes.append((m, R, by_trace, base.mul_matrix(Q), hankel.reshape(n * base.d, -1)))
         self._set_axes(base, primes, axes)
 
     def _set_axes(self, base, primes, axes):
-        """Lay out the tower from one (modulus, reduction, trace, Frobenius)
-        table tuple per axis."""
+        """Lay out the tower from one (modulus, reduction, trace, Frobenius,
+        Hankel trace) table tuple per axis."""
         self.base = base
         self.primes = primes
         self.L = len(primes)
@@ -310,7 +313,8 @@ class TowerField:
         self._addtable = self._build_addtable()
         # _past_origin[k, i]: the flat multi-index i is past 0 on axis k.
         self._past_origin = np.indices(primes).reshape(self.L, -1) > 0
-        self.moduli, self._redmats, self._trace_mats, self._frob_mats = map(list, zip(*axes))
+        (self.moduli, self._redmats, self._trace_mats, self._frob_mats,
+         self._hankel_mats) = map(list, zip(*axes))
         self._subtowers = {}
 
     def subtower(self, axes):
@@ -324,7 +328,7 @@ class TowerField:
             sub = TowerField.__new__(TowerField)
             sub._set_axes(self.base, tuple(self.primes[k] for k in axes),
                           [(self.moduli[k], self._redmats[k], self._trace_mats[k],
-                            self._frob_mats[k]) for k in axes])
+                            self._frob_mats[k], self._hankel_mats[k]) for k in axes])
             sub = self._subtowers.setdefault(axes, sub)
         return sub
 
@@ -390,12 +394,7 @@ class TowerField:
             yield self.from_int(k)
 
     def random(self, rng):
-        p = self.base.p
-        flat = np.array(
-            [rng.below(p) for _ in range(self.flat_size * self.base.d)],
-            dtype=np.int64,
-        )
-        return flat.reshape(self.shape)
+        return rng.digits(self.base.p, self.flat_size * self.base.d).reshape(self.shape)
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -500,6 +499,19 @@ class TowerField:
         out = np.zeros(lead + (self.primes[i - 1], d), dtype=np.int64)
         out[..., 0, :] = collapsed.reshape(lead + (d,))
         return np.ascontiguousarray(np.moveaxis(out, -2, self._axis(i)))
+
+    def trace_scalars(self, w, i):
+        """tau_s = tr_i(w a_i^s) for s < p_i, as a (p_i, *shape) tensor of
+        elements of F_i.  With w = sum_t w_t a_i^t, w_t in F_i its axis-i
+        slices, tau_s = sum_t w_t tr_i(a_i^(s+t)), and the Hankel table
+        holds those traces, which lie in F_q0."""
+        self._check_axis(i)
+        p, p_i, d = self.base.p, self.primes[i - 1], self.base.d
+        slices = np.moveaxis(np.asarray(w) % p, i - 1, -2)  # [other axes, t, a]
+        tau = slices.reshape(-1, p_i * d) @ self._hankel_mats[i - 1] % p  # [other, (s, b)]
+        out = np.zeros((p_i,) + self.shape, dtype=np.int64)
+        np.moveaxis(out, i, -2)[..., 0, :] = np.moveaxis(tau.reshape(slices.shape), -2, 0)
+        return out
 
     def eq(self, x, y):
         return np.array_equal(x % self.base.p, y % self.base.p)

@@ -46,9 +46,9 @@ class SchemeParams:
     server_scalars: list    # server_scalars[i-1][j-1] = v_{L+j} * k_i(alpha_{L+j})
     lambdas: list           # lambda bases per group
     mus: list               # trace-dual bases per group
-    encode_coeffs: object = dc_field(repr=False)
-    # (L+T, N_L, *tower.shape): encode_coeffs[k][j] = l_k(alpha_{L+1+j}) for
-    # Lagrange basis l_k on the L+T interpolation nodes, j over the upload points.
+    basis: object = dc_field(repr=False)
+    # (L+T, L+T, *tower.shape): basis[s][k] = coefficient s of the Lagrange
+    # basis polynomial l_k on the L+T interpolation nodes.
     vandermonde: list = dc_field(repr=False)
     # Per group i, the (N_i d, p_i d) F_p matrix of r -> c_is = -sum_j alpha_j^s r_ij.
 
@@ -128,13 +128,12 @@ def build_scheme(L, T, primes, base, a, b, c):
         lambdas.append(lam)
         mus.append(mu)
 
-    basis = lagrange_coefficients(tower, points[: L + T])
     return SchemeParams(
         L=L, T=T, primes=primes, base=base, tower=tower, a=a, b=b, c=c,
         N=N, n=n, points=points, scalar_points=scalar_points, domain=domain,
         k_polys=k_polys, server_scalars=server_scalars,
         lambdas=lambdas, mus=mus,
-        encode_coeffs=np.swapaxes(evaluate(tower, basis, points[L:]), 0, 1),
+        basis=lagrange_coefficients(tower, points[: L + T]),
         vandermonde=_vandermonde_blocks(base, scalar_points, primes, N),
     )
 
@@ -158,8 +157,10 @@ def _draw_randoms(scheme, seed):
 
 def encode(scheme, A, B, seed=0, randoms=None):
     """Interpolate f through (gens -> A blocks, first T upload points ->
-    randoms) and likewise g; return the evaluations at the N_L upload points:
-    one product of the encode coefficients with the stacked nodes."""
+    randoms) and likewise g, and return their values at the N_L upload
+    points: the coefficients of f and g are one product of the Lagrange
+    basis with the stacked nodes, and their values one F_q0 Vandermonde
+    product, since the upload points lie in F_q0."""
     if (A.rows, A.cols) != (scheme.a, scheme.b) or (B.rows, B.cols) != (scheme.b, scheme.c):
         raise DimMismatch("matrix dimensions do not match the scheme")
     tower = scheme.tower
@@ -171,7 +172,8 @@ def encode(scheme, A, B, seed=0, randoms=None):
                         g.data.reshape((w * c,) + tower.shape)])
         for f, g in zip(part.A_blocks + list(R), part.B_blocks + list(S))
     ])
-    evals = kernels.matmul(tower, np.swapaxes(scheme.encode_coeffs, 0, 1), nodes)
+    coeffs = kernels.matmul(tower, scheme.basis, nodes)
+    evals = evaluate(tower, coeffs, scheme.points[scheme.L :])
     return [
         Share(j + 1,
               Mat(tower, a, w, e[: a * w].reshape((a, w) + tower.shape)),
@@ -188,12 +190,21 @@ def server_groups(scheme, j):
 
 def server_step(tower, scalars, share):
     """The server's work, in process and in the TCP daemon alike: h = the
-    product of the received evaluations, then tr_i(w_i * h) per group i.
-    An honest w_i lies in F_q0(a_i), and kernels.matmul then forms w_i * h
-    over that sub-tower alone."""
+    product of the received evaluations, then tr_i(w_i h) per group i.  The
+    trace is F_i-linear, so with h = sum_s h_s a_i^s, h_s in F_i the axis-i
+    slices of h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s):
+    one product of the (a c, p_i) slice matrix with the column tau.  An
+    honest w_i lies in F_q0(a_i), so every tau_s lies in F_q0 and the
+    product takes no transform; any other w_i gives tau_s in F_i, and the
+    product runs over the axes the slices and tau share."""
     h = mat_mul(share.f_eval, share.g_eval)
-    traced = {i: Mat(tower, h.rows, h.cols, tower.trace_to_subfield(h.scale(w).data, i))
-              for i, w in scalars.items()}
+    flat = h.data.reshape((h.rows * h.cols,) + tower.shape)
+    traced = {}
+    for i, w in scalars.items():
+        slices = np.zeros((len(flat), tower.primes[i - 1]) + tower.shape, dtype=np.int64)
+        np.moveaxis(slices, 1 + i, 2)[:, :, 0] = np.moveaxis(flat, i, 1)  # [r, s]: h_s
+        reply = kernels.matmul(tower, slices, tower.trace_scalars(w, i)[:, None])
+        traced[i] = Mat(tower, h.rows, h.cols, reply.reshape(h.data.shape))
     return ResponseBundle(share.server, traced)
 
 

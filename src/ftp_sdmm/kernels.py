@@ -7,8 +7,11 @@ worst-case error bound stays below 1/2, and the product raises where not.
 
 A product transforms only the tower axes that both operands span, read from
 the data: the other axes become rows or columns of a product over the
-sub-tower.  Reduction mod the moduli is float64 matmuls, exact while their
-sums stay below 2^53, and it raises where not."""
+sub-tower.  Where the operands share no axis, that product is over F_q0 and
+takes no transform: one float64 F_p matmul with the second operand's
+multiplication matrices.  Reduction mod the moduli is float64 matmuls too,
+and each float64 matmul is exact while its sums stay below 2^53, and raises
+where not."""
 
 import math
 
@@ -126,28 +129,46 @@ def support(field, x):
     """The 0-based tower axes on which some element of x (a, b,
     *field.shape) has a nonzero coefficient past index 0.  A nonzero
     multiple of p counts, which can only widen the support."""
-    def axes_of(t):
-        live = t.any(axis=(0, 1, t.ndim - 1)).ravel()
+    def axes_of(t):  # a nonzero test, then reductions over contiguous axes
+        live = (t.reshape(-1, field.flat_size * t.shape[-1]) != 0).any(axis=0)
+        live = live.reshape(field.flat_size, -1).any(axis=1)
         return tuple(np.flatnonzero(field._past_origin @ live).tolist())
 
     first = axes_of(x[:1, :1])  # one element often spans every axis already
-    return first if len(first) == field.L else axes_of(x)
+    return first if len(first) == field.L or x.shape[:2] == (1, 1) else axes_of(x)
 
 
 def matmul(field, x, y):
     """x @ y over ``field`` for x (r, k, *field.shape), y (k, c, *field.shape),
-    reduced.  With S the axes that both operands span, the transform runs
-    over the sub-tower F_S = F_q0(a_k : k in S) (F_q0 itself for S empty):
-    x's other axes join its rows and y's its columns."""
-    k = x.shape[1]
-    d = field.base.d
-    # A sub-tower's bound lies below this one: fewer digits, a shorter transform.
+    reduced.  With S the axes that both operands span, the product runs
+    over the sub-tower F_S = F_q0(a_k : k in S): x's other axes join its
+    rows and y's its columns.  For S empty it is _direct over F_q0, else a
+    transform over F_S."""
+    if not field.L:
+        return _direct(field, x, y)
+    k, d = x.shape[1], field.base.d
+    # A sub-tower's bound lies below this one, fewer digits and a shorter
+    # transform, and so does _direct's (rounding_bound >= k d (p-1)^2 2^-52).
     check_rounding(k, field.flat_size * d, field.base.p, fft_length(field._ext_flat, d))
-    if field.L:
-        sx, sy = support(field, x), support(field, y)
-        if len(sx) < field.L or len(sy) < field.L:
-            return _fold(field, x, y, sx, sy)
+    sx, sy = support(field, x), support(field, y)
+    if len(sx) < field.L or len(sy) < field.L:
+        return _fold(field, x, y, sx, sy)
     return _product(field, x, y)
+
+
+def _direct(base, x, y):
+    """x @ y over F_q0 for x (r, k, d), y (k, c, d), with no transform: x's
+    digit rows times the (k d, c d) F_p matrix whose block (k, c) multiplies
+    by y[k, c], one float64 matmul.  Each output sums k d products of
+    residues below p, exact while k d (p-1)^2 < 2^53, and it raises where
+    not."""
+    (r, k, d), c, p = x.shape, y.shape[1], base.p
+    if not k * d * (p - 1) ** 2 < 1 << 53:
+        raise RoundingBoundExceeded(
+            f"F_q0 product of inner dimension {k} over {d} digits below {p} "
+            f"passes 2^53 in float64")
+    by_y = base.mul_matrix(y % p).transpose(0, 2, 1, 3).reshape(k * d, c * d)
+    return _fp_matmul(x.reshape(r, k * d) % p, by_y, p).reshape(r, c, d)
 
 
 def _fold(field, x, y, sx, sy):
@@ -169,7 +190,8 @@ def _fold(field, x, y, sx, sy):
                                   *(2 + sx.index(a) for a in both), 2 + len(sx))
     ys = spanned(y, sy).transpose(0, 1, *(2 + sy.index(a) for a in only_y),
                                   *(2 + sy.index(a) for a in both), 2 + len(sy))
-    prod = _product(sub, xs.reshape((-1, k) + sub.shape), ys.reshape((k, -1) + sub.shape))
+    prod = (_product if both else _direct)(sub, xs.reshape((-1, k) + sub.shape),
+                                           ys.reshape((k, -1) + sub.shape))
     prod = prod.reshape((r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
                         + sub.shape)
     at = {a: j for j, a in enumerate(["r", *only_x, "c", *only_y, *both])}  # prod's axes

@@ -9,6 +9,7 @@ from . import kernels
 from .errors import DimMismatch, NotDivisible
 
 _MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -19,10 +20,10 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, n):
@@ -31,6 +32,26 @@ class SplitMix64:
             v = self.next64()
             if v < bound:
                 return v % n
+
+    def digits(self, n, count):
+        """``count`` successive ``below(n)`` draws (n <= 2^63) as one int64
+        array, leaving the same state: the stream is computed in uint64
+        numpy arithmetic, which wraps mod 2^64, in batches of candidates
+        until ``count`` pass the rejection bound."""
+        bound = (1 << 64) - ((1 << 64) % n)
+        kept, left = [np.zeros(0, dtype=np.uint64)], count
+        while left:
+            steps = np.arange(1, left + left // 3 + 2, dtype=np.uint64)
+            z = np.uint64(self.state) + steps * np.uint64(_GAMMA)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+            ok = np.arange(left) if bound == 1 << 64 else np.flatnonzero(z < bound)[:left]
+            used = int(ok[-1]) + 1 if len(ok) == left else len(z)
+            self.state = (self.state + used * _GAMMA) & _MASK64
+            kept.append(z[ok] % np.uint64(n))
+            left -= len(ok)
+        return np.concatenate(kept).astype(np.int64)
 
 
 class Mat:
@@ -123,5 +144,5 @@ def random_mat(rows, cols, field, seed=None, rng=None):
     drawn row-major."""
     if rng is None:
         rng = SplitMix64(0 if seed is None else seed)
-    return Mat(field, rows, cols,
-               [[field.random(rng) for _ in range(cols)] for _ in range(rows)])
+    shape = (rows, cols) + field.shape
+    return Mat(field, rows, cols, rng.digits(field.base.p, int(np.prod(shape))).reshape(shape))

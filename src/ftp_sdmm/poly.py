@@ -61,16 +61,10 @@ class Poly:
         return Poly(self.field, kernels.matmul(self.field, toeplitz, b[:, None])[:, 0])
 
     def scale(self, c):
-        """Every coefficient times c: for c in F_q0 one multiplication matrix
-        on every base digit row, otherwise one product of the coefficients,
-        as a column, with c."""
-        f, d = self.field, self.field.base.d
-        c = np.reshape(c, (-1, d))
-        if self.is_zero() or not c[1:].any():
-            by_c = f.base.mul_matrix(c[0])
-            return Poly(f, (self.coeffs.reshape(-1, d) @ by_c).reshape(self.coeffs.shape))
-        c = c.reshape((1, 1) + f.shape)
-        return Poly(f, kernels.matmul(f, self.coeffs[:, None], c)[:, 0])
+        """Every coefficient times c: one product of the coefficients, as a
+        column, with c."""
+        c = np.reshape(c, (1, 1) + self.field.shape)
+        return Poly(self.field, kernels.matmul(self.field, self.coeffs[:, None], c)[:, 0])
 
     def eq(self, other):
         return np.array_equal(self.coeffs, other.coeffs)

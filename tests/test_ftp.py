@@ -25,7 +25,7 @@ from ftp_sdmm.ftp import (
     server_compute,
 )
 from ftp_sdmm.matrices import mat_mul, random_mat
-from ftp_sdmm.poly import eval_poly
+from ftp_sdmm.poly import eval_poly, evaluate
 
 CONFIGS = [
     dict(L=1, T=1, primes=(2,), p=2, d=2),
@@ -225,7 +225,8 @@ def test_setup_values_are_pinned(digest_schemes, name):
     s = digest_schemes[name] if isinstance(name, str) else _scheme(CONFIGS[name], a=4, b=6, c=4)
     values = (s.domain.weights, [np.stack(r) for r in s.server_scalars],
               [np.stack(b) for b in s.lambdas], [np.stack(b) for b in s.mus],
-              [s.encode_coeffs], s.vandermonde, [k.coeffs for k in s.k_polys])
+              [np.swapaxes(evaluate(s.tower, s.basis, s.points[s.L :]), 0, 1)],
+              s.vandermonde, [k.coeffs for k in s.k_polys])
     got = dict(zip(_SETUP_VALUES, map(_digest, values)))
     key = (s.L, s.T, s.primes, s.base.p, s.base.d)
     assert got == dict(zip(_SETUP_VALUES, _SETUP_DIGESTS[key]))

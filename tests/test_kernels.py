@@ -250,22 +250,34 @@ def test_matmul_on_every_support_matches_loop_oracle(data):
 
 
 def test_server_step_with_full_support_scalar_matches_elementwise_trace():
-    """An honest client's w_ij lies in F_q0(a_i); a w from the wire may span
-    every axis, and the server's reply is still tr_i(w h) entry by entry."""
-    scheme = build_scheme(L=2, T=1, primes=(2, 3), base=make_base_field(11, 1),
-                          a=2, b=4, c=3)
-    tower = scheme.tower
-    A = random_mat(2, 4, tower, seed=3)
-    B = random_mat(4, 3, tower, seed=4)
-    share = encode(scheme, A, B, seed=5)[0]
-    rng = SplitMix64(6)
-    scalars = {1: tower.random(rng), 2: tower.random(rng)}
-    assert all(tower.support_axes(w) == [1, 2] for w in scalars.values())
-    h = _mat_mul_loop(share.f_eval, share.g_eval, lambda u, v: _mul_oracle(tower, u, v))
-    bundle = server_step(tower, scalars, share)
-    for i, w in scalars.items():
-        want = [[tower.trace_to_subfield(_mul_oracle(tower, w, e), i) for e in row] for row in h]
-        assert np.array_equal(bundle.traced[i].data, want)
+    """An honest client's w_ij lies in F_q0(a_i); a w from the wire may lie
+    in F_q0, span axis i, one other axis or every axis, and the server's
+    reply is still tr_i(w h) entry by entry, on the tcp-wide and the
+    small-tower tower."""
+    for L, primes in [(2, (2, 3)), (3, (2, 3, 5))]:
+        scheme = build_scheme(L=L, T=1, primes=primes, base=make_base_field(11, 1),
+                              a=2, b=2 * L, c=3)
+        tower = scheme.tower
+        A = random_mat(2, 2 * L, tower, seed=3)
+        B = random_mat(2 * L, 3, tower, seed=4)
+        share = encode(scheme, A, B, seed=5)[0]
+        h = _mat_mul_loop(share.f_eval, share.g_eval, lambda u, v: _mul_oracle(tower, u, v))
+        rng = SplitMix64(6)
+        # w_i in F_q0, on axis i, on one other axis, on every axis
+        for axes in (lambda i: [], lambda i: [i - 1], lambda i: [i % L], lambda i: range(L)):
+            scalars = {}
+            for i in range(1, L + 1):
+                on = list(axes(i))
+                w = _on_axes(tower, tower.random(rng)[None, None], on)[0, 0]
+                for a in on:  # a nonzero coefficient of the axis-a generator
+                    w[tuple(int(k == a) for k in range(L)) + (0,)] = 1
+                assert tower.support_axes(w) == [a + 1 for a in on]
+                scalars[i] = w
+            bundle = server_step(tower, scalars, share)
+            for i, w in scalars.items():
+                want = [[tower.trace_to_subfield(_mul_oracle(tower, w, e), i) for e in row]
+                        for row in h]
+                assert np.array_equal(bundle.traced[i].data, want), (primes, i)
 
 
 _PAST_BOUND = """
@@ -273,22 +285,30 @@ import numpy as np
 from ftp_sdmm import kernels
 from ftp_sdmm.errors import RoundingBoundExceeded
 from ftp_sdmm.fields import BaseField
-try:
-    kernels.reduce(BaseField(2**31 - 1, 1), np.zeros((1, 1, 1), dtype=np.int64))
-except RoundingBoundExceeded:
-    print("raised")
+f = BaseField(2**31 - 1, 1)
+one = np.ones((1, 1, 1), dtype=np.int64)
+for past in (lambda: kernels.reduce(f, one[0]), lambda: kernels.matmul(f, one, one)):
+    try:
+        past()
+    except RoundingBoundExceeded:
+        print("raised")
 """
 
 
 def test_float_reduction_past_its_bound_raises():
-    """Residues below p = 2^31 - 1 square past 2^53, so reduce refuses them
-    with an explicit raise, which python -O keeps; the towers in use pass."""
+    """Residues below p = 2^31 - 1 square past 2^53, so reduce and the
+    direct F_q0 product refuse them with an explicit raise, which python -O
+    keeps; the towers in use pass."""
+    f = BaseField(2**31 - 1, 1)
+    one = np.ones((1, 1, 1), dtype=np.int64)
     with pytest.raises(RoundingBoundExceeded):
-        kernels.reduce(BaseField(2**31 - 1, 1), np.zeros((1, 1, 1), dtype=np.int64))
+        kernels.reduce(f, np.zeros((1, 1, 1), dtype=np.int64))
+    with pytest.raises(RoundingBoundExceeded):
+        kernels.matmul(f, one, one)
     for key in FIELDS:
         kernels.check_reduce_exact(_tower(*key))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-O", "-c", _PAST_BOUND], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0 and out.stdout.split() == ["raised"], out.stderr
+    assert out.returncode == 0 and out.stdout.split() == ["raised", "raised"], out.stderr

@@ -25,6 +25,17 @@ def test_splitmix64_below_determinism():
     assert all(0 <= d < 7 for d in draws_a)
 
 
+@pytest.mark.parametrize("n", [2, 11, 2**62 + 5])  # no rejection, rare, 25%
+def test_digits_equal_successive_below_draws(n):
+    """digits(n, count) is count successive below(n) draws and leaves the
+    same state, across batches of candidates."""
+    for count in (0, 1, 1000):
+        a, b = SplitMix64(99 + count), SplitMix64(99 + count)
+        want = [a.below(n) for _ in range(count)]
+        assert b.digits(n, count).tolist() == want and b.state == a.state
+        assert b.below(n) == a.below(n)
+
+
 def test_below_first_draw_seed_sweep_covers_range():
     seen = {SplitMix64(s).below(5) for s in range(64)}
     assert seen == {0, 1, 2, 3, 4}
