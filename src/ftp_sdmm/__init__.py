@@ -23,7 +23,6 @@ from .fields import (
     BaseField,
     TowerField,
     batch_inv,
-    frobenius,
     make_base_field,
     make_tower,
     trace_dual_basis,
@@ -57,7 +56,7 @@ __all__ = [
     "RateParams", "SchemeParams", "Server", "SplitMix64", "TowerField",
     "TrafficLedger", "annihilator", "batch_inv", "build_scheme",
     "cost_report", "crossover_K", "decode", "download_ratio", "dual_weights",
-    "encode", "eval_poly", "frobenius", "ftp_rate", "lagrange_interpolate",
+    "encode", "eval_poly", "ftp_rate", "lagrange_interpolate",
     "lemma4_check", "make_base_field", "make_tower", "make_traditional",
     "mat_mul", "matdot_run", "partition_inner", "prime_search",
     "random_mat", "rate_crossover", "rates_table", "run_demo",

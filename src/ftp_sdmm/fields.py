@@ -25,6 +25,8 @@ with the trace scalars; the naive Frobenius-iterate definition is kept in
 the test suite as an oracle.
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -37,7 +39,7 @@ from .errors import (
     SingularGram,
     ZeroInverse,
 )
-from .kernels import convolve, reduce, support
+from .kernels import matmul, support
 
 
 def is_prime(n):
@@ -81,7 +83,7 @@ def _fp_matrix(F, rows):
 def _extension_tables(F, m):
     """For a monic m of degree n over F, held as an (n + 1, d) array: the rows
     X[k] = x^k mod m (k < 2n - 1), the ((2n - 1)d, nd) F_p matrix R that
-    reduces a product's coefficients mod m, and the q-power rows
+    takes a product's coefficients mod m, and the q-power rows
     Q[k] = x^(kq) mod m (k < n, q = |F|).  None if m is reducible (Rabin)."""
     n, d, p = len(m) - 1, F.d, F.p
     X = np.zeros((2 * n - 1, n, d), dtype=np.int64)
@@ -139,7 +141,54 @@ def _smallest_irreducible(F, n):
     raise NoIrreducible(f"no irreducible of degree {n} over F_{q}")
 
 
-class BaseField:
+class _Field:
+    """Arithmetic shared by BaseField and TowerField, on int64 tensors of
+    elements (..., *self.shape) whose leading axes broadcast."""
+
+    def add(self, x, y):
+        return (x + y) % self.base.p
+
+    def sub(self, x, y):
+        return (x - y) % self.base.p
+
+    def neg(self, x):
+        return (-x) % self.base.p
+
+    def mul(self, x, y):
+        """x * y element by element, as a product of kernels.matmul: a
+        single element is the 1 x 1 right factor of one column product with
+        the other operand, and two stacks are a batch of 1 x 1 products."""
+        n = len(self.shape)
+        x, y = np.asarray(x), np.asarray(y)
+        one = math.prod(self.shape)
+        if x.size == one:  # the product commutes: the single element goes right
+            x, y = y, x
+        if y.size == one:
+            lead = (1,) * (y.ndim - x.ndim) + x.shape[:-n]  # y's leading axes are all 1
+            prod = matmul(self, x.reshape((-1, 1) + self.shape), y.reshape((1, 1) + self.shape))
+            return prod.reshape(lead + self.shape)
+        cell = (1, 1) + self.shape
+        prod = matmul(self, x.reshape(x.shape[:-n] + cell), y.reshape(y.shape[:-n] + cell))
+        return prod.reshape(prod.shape[: -n - 2] + self.shape)
+
+    def pow(self, x, e):
+        result = self.one()
+        b = x % self.base.p
+        while e:
+            if e & 1:
+                result = self.mul(result, b)
+            b = self.mul(b, b)
+            e >>= 1
+        return result
+
+    def eq(self, x, y):
+        return np.array_equal(x % self.base.p, y % self.base.p)
+
+    def is_zero(self, x):
+        return not (x % self.base.p).any()
+
+
+class BaseField(_Field):
     """F_{q0} = F_p[x]/(modulus), elements as int64 coefficient vectors of
     length d (low degree first).  The modulus is found, or checked, over
     F_p, the degree-1 BaseField."""
@@ -153,7 +202,7 @@ class BaseField:
         self.d = d
         # x^0 = 1 is the one row of every degree-1 table, so F_p can
         # multiply before its own (degree-1) modulus is chosen.
-        self._redmat = np.ones((1, 1), dtype=np.int64)
+        self._redmat = self._by_digit = np.ones((1, 1), dtype=np.int64)
         fp = self if d == 1 else BaseField(p, 1)
         if modulus is None:
             m, _, self._redmat, _ = _smallest_irreducible(fp, d)
@@ -166,6 +215,10 @@ class BaseField:
                 raise NoIrreducible(f"modulus {m[:, 0].tolist()} is reducible over F_{p}")
             self._redmat = tables[1]
         self.modulus = tuple(int(c) for c in m[:, 0])
+        # Row j, entry (a, b): entry b of x^(a + j) mod the modulus, so row j
+        # is the matrix of multiplication by x^j.
+        j, a = np.indices((d, d))
+        self._by_digit = self._redmat[j + a].reshape(d, d * d)
         # A tower with no axes, so that kernels takes tensors of base-field
         # elements as it takes those of tower elements.
         self.base, self.primes, self.L, self.shape = self, (), 0, (d,)
@@ -205,50 +258,16 @@ class BaseField:
             v = v * self.p + int(c)
         return v
 
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def mul(self, x, y):
-        full = np.convolve(x, y)
-        if full.shape[0] < 2 * self.d - 1:
-            full = np.pad(full, (0, 2 * self.d - 1 - full.shape[0]))
-        return (full @ self._redmat) % self.p
-
     def mul_matrix(self, s):
         """d x d matrices of multiplication by the elements s[..., :] acting
-        on coefficient rows: (x @ M)[b] = coeff b of x*s."""
-        d = self.d
-        shifted = np.zeros(np.shape(s)[:-1] + (d, 2 * d - 1), dtype=np.int64)
-        for a in range(d):
-            shifted[..., a, a : a + d] = s
-        return (shifted @ self._redmat) % self.p
-
-    def pow(self, x, e):
-        result = self.one()
-        base = x % self.p
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        on coefficient rows: (x @ M)[b] = coeff b of x*s, one sum over the
+        digits j of s of s[j] times the matrix of multiplication by x^j."""
+        return (s @ self._by_digit % self.p).reshape(np.shape(s)[:-1] + (self.d, self.d))
 
     def inv(self, x):
         if self.is_zero(x):
             raise ZeroInverse("0 has no inverse")
         return self.pow(x, self.order - 2)
-
-    def eq(self, x, y):
-        return np.array_equal(x % self.p, y % self.p)
-
-    def is_zero(self, x):
-        return not (x % self.p).any()
 
     def elements(self):
         for k in range(self.order):
@@ -277,7 +296,7 @@ def make_base_field(p, d):
     return BaseField(p, d)
 
 
-class TowerField:
+class TowerField(_Field):
     """F_q = F_{q0}(a_1, ..., a_L) with per-axis moduli m_i, the
     lexicographically smallest monic irreducibles of degree p_i over F_{q0},
     each a (p_i + 1, d) array."""
@@ -398,47 +417,13 @@ class TowerField:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def add(self, x, y):
-        return (x + y) % self.base.p
-
-    def sub(self, x, y):
-        return (x - y) % self.base.p
-
-    def neg(self, x):
-        return (-x) % self.base.p
-
-    def mul(self, x, y):
-        d, p = self.base.d, self.base.p
-        xf = x.reshape(self.flat_size, d) % p
-        yf = y.reshape(self.flat_size, d) % p
-        for a, b in ((xf, yf), (yf, xf)):
-            if not a[1:].any():  # a lies in F_q0: scale b by it
-                return self.scalar_mul(b.reshape(self.shape), a[0])
-        return reduce(self, convolve(xf, yf, self._addtable, self._ext_flat))
-
-    def scalar_mul(self, x, s):
-        """Multiply by a base-field scalar s (cheap, no convolution)."""
-        mt = self.base.mul_matrix(s)
-        d = self.base.d
-        return ((x.reshape(-1, d) @ mt) % self.base.p).reshape(x.shape)
-
-    def pow(self, x, e):
-        result = self.one()
-        b = x % self.base.p
-        while e:
-            if e & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return result
-
     def _axis(self, i):
         """Array axis of tower axis i (1-based), from the end: batch axes lead."""
         return i - 2 - self.L
 
     def support_axes(self, x):
         """1-based axes on which x has coefficients above index 0."""
-        return [k + 1 for k in support(self, np.reshape(x, (1, -1) + self.shape))]
+        return [k + 1 for k in support(self, np.asarray(x))]
 
     def in_subfield(self, x, i):
         """True iff x lies in F_i = F_{q0}(a_j : j != i)."""
@@ -472,7 +457,7 @@ class TowerField:
         norm = self.mul(x, x_r1)
         if self.support_axes(norm):
             raise NormOutsideBase("the norm of x is not in F_q0")
-        return self.scalar_mul(x_r1, self.base.inv(norm[origin]))
+        return self.mul(x_r1, self.embed_base(self.base.inv(norm[origin])))
 
     def frobenius(self, x, e=1):
         """x^(q0^e).  The q0-power map acts on each axis alone, as the linear
@@ -513,12 +498,6 @@ class TowerField:
         np.moveaxis(out, i, -2)[..., 0, :] = np.moveaxis(tau.reshape(slices.shape), -2, 0)
         return out
 
-    def eq(self, x, y):
-        return np.array_equal(x % self.base.p, y % self.base.p)
-
-    def is_zero(self, x):
-        return not (x % self.base.p).any()
-
     def _check_axis(self, i):
         if not 1 <= i <= self.L:
             raise BadGroupIndex(f"group index {i} not in [1, {self.L}]")
@@ -541,33 +520,32 @@ def make_tower(base, primes):
     return TowerField(base, primes)
 
 
-def frobenius(field, x, e=1):
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    return field.frobenius(x, e)
-
-
 def trace_to_subfield(field, x, i):
     return field.trace_to_subfield(x, i)
 
 
 def batch_inv(field, xs):
-    """Invert many elements with one field inversion (Montgomery trick)."""
-    xs = list(xs)
-    if not xs:
-        return []
-    prefix = [xs[0]]
-    for x in xs[1:]:
-        prefix.append(field.mul(prefix[-1], x))
-    if field.is_zero(prefix[-1]):
+    """The inverses of the elements xs (n, *field.shape) with one field
+    inversion, by a product tree: each level up is one batched mul of node
+    pairs, the last node of an odd level paired with 1, and each level down
+    one batched mul, since a node's inverse is its parent's times its
+    sibling."""
+    xs = np.reshape(xs, (-1,) + field.shape) % field.base.p
+    if not len(xs):
+        return xs
+    one, levels = field.one()[None], [xs]
+    while len(levels[-1]) > 1:
+        t = levels[-1]
+        if len(t) % 2:
+            t = np.concatenate([t, one])
+        levels.append(field.mul(t[0::2], t[1::2]))
+    if field.is_zero(levels[-1]):
         raise ZeroInverse("batch contains zero")
-    acc = field.inv(prefix[-1])
-    out = [None] * len(xs)
-    for k in range(len(xs) - 1, 0, -1):
-        out[k] = field.mul(acc, prefix[k - 1])
-        acc = field.mul(acc, xs[k])
-    out[0] = acc
-    return out
+    inv = field.inv(levels[-1][0])[None]
+    for t in levels[-2::-1]:
+        j = np.arange(len(t))
+        inv = field.mul(inv[j // 2], np.concatenate([t, one])[j ^ 1])
+    return inv
 
 
 def power_basis_dual(field, scale, i):
@@ -575,24 +553,24 @@ def power_basis_dual(field, scale, i):
     trace dual in closed form (Lidl & Niederreiter, Finite Fields, 2.3).
     m_i stays the minimal polynomial of a_i over F_i, since the axis degrees
     are coprime.  With m_i(x)/(x - a_i) = sum_s b_s x^s, the dual is
-    mu_s = b_s / (scale * m_i'(a_i)), and m_i'(a_i) = sum_s b_s a_i^s, so the
-    whole dual costs one inversion."""
+    mu_s = b_s / (scale * m_i'(a_i)), and m_i'(a_i) = sum_s b_s a_i^s.  Each
+    b_s = sum_j m_(s+1+j) a_i^j has degree below p_i in a_i, so it is read
+    off the modulus; lambda, scale * m_i'(a_i) and mu are three products,
+    and the dual costs one inversion."""
     field._check_axis(i)
-    gen = field.gen(i)
-    lambdas = [scale]
-    for _ in range(field.primes[i - 1] - 1):
-        lambdas.append(field.mul(lambdas[-1], gen))
-    # Synthetic division: b_(p_i-1) = 1 and b_(s-1) = m_i[s] + a_i * b_s.
-    m = field.moduli[i - 1]
-    b = [field.one()]
-    for s in range(len(m) - 2, 0, -1):
-        b.append(field.add(field.embed_base(m[s]), field.mul(gen, b[-1])))
-    b.reverse()
-    deriv = field.zero()  # scale * m_i'(a_i)
-    for b_s, lam in zip(b, lambdas):
-        deriv = field.add(deriv, field.mul(b_s, lam))
-    d_inv = field.inv(deriv)
-    return lambdas, [field.mul(b_s, d_inv) for b_s in b]
+    n, m = field.primes[i - 1], field.moduli[i - 1]
+
+    def on_axis(k, e):  # index of element k's coefficient of a_i^e
+        return (k,) + (0,) * (i - 1) + (e,) + (0,) * (field.L - i)
+
+    s, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    b = np.zeros((n,) + field.shape, dtype=np.int64)
+    b[on_axis(s, j)] = m[s + 1 + j]
+    monomials = np.zeros((n,) + field.shape, dtype=np.int64)
+    monomials[on_axis(np.arange(n), np.arange(n))] = field.base.one()
+    lambdas = field.mul(monomials, scale)
+    deriv = matmul(field, b[None], lambdas[:, None])[0, 0]
+    return lambdas, field.mul(b, field.inv(deriv))
 
 
 def trace_dual_basis(field, lambdas, i):

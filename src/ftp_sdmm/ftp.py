@@ -44,8 +44,8 @@ class SchemeParams:
     domain: EvalDomain      # Omega with dual weights
     k_polys: list           # annihilator k_i per group
     server_scalars: list    # server_scalars[i-1][j-1] = v_{L+j} * k_i(alpha_{L+j})
-    lambdas: list           # lambda bases per group
-    mus: list               # trace-dual bases per group
+    lambdas: list           # lambda bases per group, each (p_i, *tower.shape)
+    mus: list               # trace-dual bases per group, each (p_i, *tower.shape)
     basis: object = dc_field(repr=False)
     # (L+T, L+T, *tower.shape): basis[s][k] = coefficient s of the Lagrange
     # basis polynomial l_k on the L+T interpolation nodes.
@@ -121,7 +121,7 @@ def build_scheme(L, T, primes, base, a, b, c):
         excluded = [points[j - 1] for j in range(1, n + 1) if j not in keep]
         k_i = annihilator(tower, excluded)
         k_values = evaluate(tower, k_i.coeffs, points[L : L + N[i - 1]])
-        server_scalars.append([tower.mul(v, kv) for v, kv in zip(domain.weights[L:], k_values)])
+        server_scalars.append(tower.mul(domain.weights[L : L + N[i - 1]], k_values))
         scale = tower.mul(domain.weights[i - 1], eval_poly(k_i, points[i - 1]))
         lam, mu = power_basis_dual(tower, scale, i)
         k_polys.append(k_i)
@@ -240,8 +240,7 @@ def decode(scheme, bundles):
         c_i = np.zeros((a * c, p_i) + tower.shape, dtype=np.int64)
         in_f_i = np.moveaxis(c_i, 1 + i, 2)[:, :, 0]  # index 0 of axis i
         in_f_i[...] = np.moveaxis(c_is, 2, 1).reshape(in_f_i.shape)
-        mu = np.stack(scheme.mus[i - 1])[:, None]
-        total += kernels.matmul(tower, c_i, mu).reshape(total.shape)
+        total += kernels.matmul(tower, c_i, scheme.mus[i - 1][:, None]).reshape(total.shape)
     return Mat(tower, a, c, total % p)
 
 

@@ -69,7 +69,8 @@ def _unslot(z, ext_len, d):
 
 def convolve(xf, yf, addtable, ext_len):
     """Full convolution of two flattened coefficient tensors, the one-pair
-    case of the product.
+    case of the transform.  No product calls it; perfbench/run.py times it
+    as kernels.convolve_us.
 
     xf, yf: int64 arrays of shape (M, d) — tower multi-index flattened
     C-order, base-field coefficients on the last axis.  addtable[i, j] is the
@@ -79,10 +80,9 @@ def convolve(xf, yf, addtable, ext_len):
     """
     m, d = xf.shape
     n_fft = fft_length(ext_len, d)
-    grid = np.zeros((2, n_fft))
-    grid[:, : ext_len * (2 * d - 1)].reshape(2, ext_len, 2 * d - 1)[:, addtable[:, 0], :d] = (xf, yf)
-    check_rounding(1, m * d, int(np.abs(grid).max()) + 1, n_fft)
-    fx, fy = np.fft.rfft(grid)
+    pair = np.stack([xf, yf])
+    check_rounding(1, m * d, int(np.abs(pair).max()) + 1, n_fft)
+    fx, fy = _spectra(pair, addtable, ext_len, n_fft)
     return _unslot(np.fft.irfft(fx * fy, n_fft), ext_len, d)
 
 
@@ -126,7 +126,7 @@ def reduce(field, raw):
 
 
 def support(field, x):
-    """The 0-based tower axes on which some element of x (a, b,
+    """The 0-based tower axes on which some element of x (...,
     *field.shape) has a nonzero coefficient past index 0.  A nonzero
     multiple of p counts, which can only widen the support."""
     def axes_of(t):  # a nonzero test, then reductions over contiguous axes
@@ -134,96 +134,115 @@ def support(field, x):
         live = live.reshape(field.flat_size, -1).any(axis=1)
         return tuple(np.flatnonzero(field._past_origin @ live).tolist())
 
-    first = axes_of(x[:1, :1])  # one element often spans every axis already
-    return first if len(first) == field.L or x.shape[:2] == (1, 1) else axes_of(x)
+    one = x[(slice(1),) * (x.ndim - field.L - 1)]
+    first = axes_of(one)  # one element often spans every axis already
+    return first if len(first) == field.L or one.size == x.size else axes_of(x)
 
 
 def matmul(field, x, y):
-    """x @ y over ``field`` for x (r, k, *field.shape), y (k, c, *field.shape),
-    reduced.  With S the axes that both operands span, the product runs
-    over the sub-tower F_S = F_q0(a_k : k in S): x's other axes join its
-    rows and y's its columns.  For S empty it is _direct over F_q0, else a
-    transform over F_S."""
+    """x @ y over ``field`` for x (..., r, k, *field.shape) and y (..., k, c,
+    *field.shape), reduced, with the leading axes broadcast as np.matmul
+    broadcasts them.  With S the axes that both operands span, the product
+    runs over the sub-tower F_S = F_q0(a_k : k in S): x's other axes join
+    its rows and y's its columns.  For S empty it is _direct over F_q0, else
+    a transform over F_S."""
+    n = len(field.shape)
+    (r, k), c, d = x.shape[-n - 2 : -n], y.shape[-n - 1], field.base.d
+    if field.L:
+        # A sub-tower's bound lies below this one, fewer digits and a shorter
+        # transform, and so does _direct's (rounding_bound >= k d (p-1)^2 2^-52).
+        check_rounding(k, field.flat_size * d, field.base.p, fft_length(field._ext_flat, d))
+    xl, yl = x.shape[: -n - 2], y.shape[: -n - 2]
+    lead = xl if xl == yl else np.broadcast_shapes(xl, yl)
+
+    def stacked(t):  # t with its leading axes broadcast to lead, as one batch axis
+        if t.shape[: -n - 2] != lead:
+            t = np.broadcast_to(t, lead + t.shape[-n - 2 :])
+        return t.reshape((-1,) + t.shape[-n - 2 :])
+
+    x, y = stacked(x), stacked(y)
     if not field.L:
-        return _direct(field, x, y)
-    k, d = x.shape[1], field.base.d
-    # A sub-tower's bound lies below this one, fewer digits and a shorter
-    # transform, and so does _direct's (rounding_bound >= k d (p-1)^2 2^-52).
-    check_rounding(k, field.flat_size * d, field.base.p, fft_length(field._ext_flat, d))
-    sx, sy = support(field, x), support(field, y)
-    if len(sx) < field.L or len(sy) < field.L:
-        return _fold(field, x, y, sx, sy)
-    return _product(field, x, y)
+        out = _direct(field, x, y)
+    else:
+        sx, sy = support(field, x), support(field, y)
+        full = len(sx) == len(sy) == field.L
+        out = _product(field, x, y) if full else _fold(field, x, y, sx, sy)
+    return out.reshape(lead + (r, c) + field.shape)
 
 
 def _direct(base, x, y):
-    """x @ y over F_q0 for x (r, k, d), y (k, c, d), with no transform: x's
-    digit rows times the (k d, c d) F_p matrix whose block (k, c) multiplies
-    by y[k, c], one float64 matmul.  Each output sums k d products of
-    residues below p, exact while k d (p-1)^2 < 2^53, and it raises where
-    not."""
-    (r, k, d), c, p = x.shape, y.shape[1], base.p
+    """x @ y over F_q0 for a batch of x (B, r, k, d) and y (B, k, c, d),
+    with no transform: x's digit rows times the (k d, c d) F_p matrix whose
+    block (k, c) multiplies by y[k, c], one float64 matmul per batch
+    member.  Each output sums k d products of residues below p, exact while
+    k d (p-1)^2 < 2^53, and it raises where not."""
+    (B, r, k, d), c, p = x.shape, y.shape[2], base.p
     if not k * d * (p - 1) ** 2 < 1 << 53:
         raise RoundingBoundExceeded(
             f"F_q0 product of inner dimension {k} over {d} digits below {p} "
             f"passes 2^53 in float64")
-    by_y = base.mul_matrix(y % p).transpose(0, 2, 1, 3).reshape(k * d, c * d)
-    return _fp_matmul(x.reshape(r, k * d) % p, by_y, p).reshape(r, c, d)
+    by_y = base.mul_matrix(y % p).transpose(0, 1, 3, 2, 4).reshape(B, k * d, c * d)
+    return _fp_matmul((x % p).reshape(B, r, k * d), by_y, p).reshape(B, r, c, d)
 
 
 def _fold(field, x, y, sx, sy):
-    """x @ y for x supported on the axes sx and y on sy: the product over
-    the sub-tower on the axes in both, of x with its axes only in sx
-    folded into its rows and y with its axes only in sy into its columns.
-    Monomials on disjoint axes multiply without reduction, so the result
-    unfolds into place, with the axes in neither at index 0."""
-    L, primes, r, k, c = field.L, field.primes, x.shape[0], x.shape[1], y.shape[1]
+    """x @ y for a batch of x supported on the axes sx and y on sy: the
+    product over the sub-tower on the axes in both, of x with its axes only
+    in sx folded into its rows and y with its axes only in sy into its
+    columns.  Monomials on disjoint axes multiply without reduction, so the
+    result unfolds into place, with the axes in neither at index 0."""
+    L, primes, (B, r, k), c = field.L, field.primes, x.shape[:3], y.shape[2]
     both = [a for a in sx if a in sy]
     only_x = [a for a in sx if a not in sy]
     only_y = [a for a in sy if a not in sx]
     sub = field.subtower(both)
 
     def spanned(t, axes):  # t at index 0 on the axes outside ``axes``
-        return t[(slice(None), slice(None)) + tuple(slice(None) if a in axes else 0 for a in range(L))]
+        return t[(slice(None),) * 3 + tuple(slice(None) if a in axes else 0 for a in range(L))]
 
-    xs = spanned(x, sx).transpose(0, *(2 + sx.index(a) for a in only_x), 1,
-                                  *(2 + sx.index(a) for a in both), 2 + len(sx))
-    ys = spanned(y, sy).transpose(0, 1, *(2 + sy.index(a) for a in only_y),
-                                  *(2 + sy.index(a) for a in both), 2 + len(sy))
-    prod = (_product if both else _direct)(sub, xs.reshape((-1, k) + sub.shape),
-                                           ys.reshape((k, -1) + sub.shape))
-    prod = prod.reshape((r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
+    xs = spanned(x, sx).transpose(0, 1, *(3 + sx.index(a) for a in only_x), 2,
+                                  *(3 + sx.index(a) for a in both), 3 + len(sx))
+    ys = spanned(y, sy).transpose(0, 1, 2, *(3 + sy.index(a) for a in only_y),
+                                  *(3 + sy.index(a) for a in both), 3 + len(sy))
+    prod = (_product if both else _direct)(sub, xs.reshape((B, -1, k) + sub.shape),
+                                           ys.reshape((B, k, -1) + sub.shape))
+    prod = prod.reshape((B, r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
                         + sub.shape)
-    at = {a: j for j, a in enumerate(["r", *only_x, "c", *only_y, *both])}  # prod's axes
+    at = {a: j for j, a in enumerate(["b", "r", *only_x, "c", *only_y, *both])}  # prod's axes
     span = sorted(sx + tuple(only_y))
-    out = np.zeros((r, c) + field.shape, dtype=np.int64)
-    spanned(out, span)[...] = prod.transpose(0, at["c"], *(at[a] for a in span), prod.ndim - 1)
+    out = np.zeros((B, r, c) + field.shape, dtype=np.int64)
+    spanned(out, span)[...] = prod.transpose(0, 1, at["c"], *(at[a] for a in span), prod.ndim - 1)
     return out
 
 
 def _product(field, x, y):
-    """x @ y by the transform over the whole of ``field``, in row and
-    inner-index chunks of about _CHUNK_BYTES of spectra.  y's spectra are
-    made once, into one array, and shared by every row chunk."""
-    r, k = x.shape[:2]
-    c = y.shape[1]
+    """x @ y for a batch of x (B, r, k, *shape) and y (B, k, c, *shape) by
+    the transform over the whole of ``field``, in chunks of about
+    _CHUNK_BYTES of spectra: batch members whole, as many as fit, or one
+    member at a time in row and inner-index chunks.  y's spectra are made
+    once per batch chunk, into one array, and shared by every row chunk."""
+    (B, r, k), c = x.shape[:3], y.shape[2]
     m, d, p = field.flat_size, field.base.d, field.base.p
     ext_len = field._ext_flat
     n_fft = fft_length(ext_len, d)
-    x = x.reshape(r, k, m, d)
-    y = y.reshape(k, c, m, d)
+    x = x.reshape(B, r, k, m, d)
+    y = y.reshape(B, k, c, m, d)
     budget = max(1, _CHUNK_BYTES // (8 * n_fft))  # spectra at once
-    fy = np.empty((k, c, n_fft // 2 + 1), dtype=np.complex128)
+    bstep = min(B, max(1, budget // (k * c + 2 * r * (k + c))))
+    budget //= bstep
     ystep = max(1, budget // c)
-    for t in range(0, k, ystep):
-        fy[t : t + ystep] = _spectra(y[t : t + ystep] % p, field._addtable, ext_len, n_fft)
     kstep = max(1, min(k, budget // 2))
     rstep = max(1, budget // (2 * (kstep + c)))
-    out = np.empty((r, c) + field.shape, dtype=np.int64)
-    for s in range(0, r, rstep):
-        z = np.zeros((min(rstep, r - s), c, n_fft // 2 + 1), dtype=np.complex128)
-        for t in range(0, k, kstep):
-            fx = _spectra(x[s : s + rstep, t : t + kstep] % p, field._addtable, ext_len, n_fft)
-            z += np.einsum("rkf,kcf->rcf", fx, fy[t : t + kstep])
-        out[s : s + rstep] = reduce(field, _unslot(np.fft.irfft(z, n_fft), ext_len, d))
+    out = np.empty((B, r, c) + field.shape, dtype=np.int64)
+    for b in range(0, B, bstep):
+        xb, yb = x[b : b + bstep], y[b : b + bstep]
+        fy = np.empty((len(yb), k, c, n_fft // 2 + 1), dtype=np.complex128)
+        for t in range(0, k, ystep):
+            fy[:, t : t + ystep] = _spectra(yb[:, t : t + ystep] % p, field._addtable, ext_len, n_fft)
+        for s in range(0, r, rstep):
+            z = np.zeros((len(xb), min(rstep, r - s), c, n_fft // 2 + 1), dtype=np.complex128)
+            for t in range(0, k, kstep):
+                fx = _spectra(xb[:, s : s + rstep, t : t + kstep] % p, field._addtable, ext_len, n_fft)
+                z += np.einsum("brkf,bkcf->brcf", fx, fy[:, t : t + kstep])
+            out[b : b + bstep, s : s + rstep] = reduce(field, _unslot(np.fft.irfft(z, n_fft), ext_len, d))
     return out

@@ -31,18 +31,6 @@ def _elim(field, mat, ncols_keep):
     return rank, rows
 
 
-def linear_solve(field, mat, vec):
-    """Solve M x = b exactly; raises Singular for non-invertible square M."""
-    n = len(mat)
-    if any(len(r) != n for r in mat) or len(vec) != n:
-        raise DimMismatch("linear_solve expects a square system")
-    aug = [list(r) + [vec[k]] for k, r in enumerate(mat)]
-    rank, rows = _elim(field, aug, n)
-    if rank < n:
-        raise Singular("matrix is singular")
-    return [rows[k][n] for k in range(n)]
-
-
 def rank(field, mat):
     if not mat:
         return 0

@@ -77,12 +77,6 @@ class Mat:
     def zeros(cls, field, rows, cols):
         return cls(field, rows, cols, np.zeros((rows, cols) + field.shape, dtype=np.int64))
 
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        m.data[range(n), range(n)] = field.one()
-        return m
-
     def _like(self, data):
         return Mat(self.field, self.rows, self.cols, data)
 

@@ -5,8 +5,9 @@ dual-code weights of a Reed-Solomon evaluation domain.
 Every setup value is read off one annihilator A(x) = prod (x - w) of the
 points and its derivative, since A'(w_j) = prod_{i != j} (w_j - w_i): the
 dual weights are A'(w_j)^-1 and the Lagrange basis is A/(x - w_k) * A'(w_k)^-1.
-Values at points of F_q0 are one F_q0 Vandermonde product; Horner's rule is
-left for the other points, such as the tower generators."""
+Values at points of F_q0 are one F_q0 Vandermonde product, and at any other
+point, such as a tower generator, one product of the row of its powers with
+the coefficients."""
 
 from dataclasses import dataclass, field as dc_field
 
@@ -70,15 +71,15 @@ class Poly:
         return np.array_equal(self.coeffs, other.coeffs)
 
 
-def powers(base, alphas, count):
-    """alpha_j^s for s < count (0^0 = 1) over F_q0: a (count, len(alphas),
-    d) tensor, one multiplication matrix per alpha."""
-    alphas = np.reshape(alphas, (-1, base.d))
-    by_alpha = base.mul_matrix(alphas)
-    out = [np.broadcast_to(base.one(), alphas.shape)]
-    for _ in range(count - 1):
-        out.append(np.einsum("ja,jab->jb", out[-1], by_alpha) % base.p)
-    return np.stack(out)[:count]
+def powers(field, alphas, count):
+    """alpha_j^s for s < count (0^0 = 1): a (count, len(alphas),
+    *field.shape) tensor, by doubling.  With the powers up to m known, those
+    from m + 1 to 2m are the ones from 1 to m times alpha^m, one mul."""
+    alphas = np.reshape(alphas, (-1,) + field.shape) % field.base.p
+    out = np.stack([np.broadcast_to(field.one(), alphas.shape), alphas])
+    while len(out) < count:
+        out = np.concatenate([out, field.mul(out[1:], out[-1])])
+    return out[:count]
 
 
 def evaluate(field, coeffs, points):
@@ -86,8 +87,9 @@ def evaluate(field, coeffs, points):
     first, run along axis 0 of coeffs (deg + 1, ..., *field.shape), as a
     (len(points), ..., *field.shape) tensor.  At the points in F_q0 this is
     one F_q0 Vandermonde product, each coefficient read as a column of F_q0
-    elements; at any other point Horner's rule, with one field
-    multiplication per value and step, replaces that product's row."""
+    elements.  At any other point, one product of the row of its powers
+    with the coefficients replaces that product's row; the powers are made
+    one point at a time, so that a generator's stay on its own axis."""
     base, p = field.base, field.base.p
     points = np.reshape(points, (-1,) + field.shape) % p
     if not len(coeffs):
@@ -97,11 +99,10 @@ def evaluate(field, coeffs, points):
     out = np.einsum("sma,sjab->jmb", coeffs.reshape(len(coeffs), -1, base.d), by_power)
     out %= p  # in place: one copy of the values at a time
     out = out.reshape((len(points),) + coeffs.shape[1:])
+    columns = coeffs.reshape((len(coeffs), -1) + field.shape)
     for j in np.flatnonzero(flat[:, 1:].any(axis=(1, 2))):
-        acc = coeffs[-1].reshape((-1,) + field.shape)
-        for c in coeffs[-2::-1]:
-            acc = np.stack([field.mul(v, points[j]) for v in acc]) + c.reshape(acc.shape)
-        out[j] = acc.reshape(out.shape[1:]) % p
+        row = powers(field, points[j], len(coeffs)).swapaxes(0, 1)
+        out[j] = kernels.matmul(field, row, columns).reshape(out.shape[1:])
     return out
 
 
@@ -145,16 +146,14 @@ def lagrange_coefficients(field, points):
     """The Lagrange basis on the points as one (n, n, *field.shape) tensor:
     [s, k] is coefficient s of l_k = A/(x - a_k) * A'(a_k)^-1.  The quotients
     come by synthetic division, q_(s-1) = A_s + a_k q_s from q_(n-1) = 1,
-    and are scaled by the field's own product, which caches no sub-tower."""
+    one batched product over k per step, and one more scales them."""
     A = annihilator(field, points)
     inverses = _inverse_derivative(field, A, points)
     n, p = len(points), field.base.p
     rows = [np.broadcast_to(field.one(), (n,) + field.shape)]
     for s in range(n - 1, 0, -1):
-        shifted = np.stack([field.mul(a, q) for a, q in zip(points, rows[-1])])
-        rows.append((A.coeffs[s] + shifted) % p)
-    quotients = np.stack(rows[::-1]).swapaxes(0, 1)  # [k, s]
-    return np.stack([[field.mul(c, v) for c in q] for q, v in zip(quotients, inverses)], axis=1)
+        rows.append((A.coeffs[s] + field.mul(points, rows[-1])) % p)
+    return field.mul(np.stack(rows[::-1]), inverses)  # [s, k]
 
 
 def lagrange_basis(field, i, points):
@@ -194,10 +193,6 @@ def dual_orthogonality_check(domain, k, h_values, s_count):
     fld = domain.field
     if len(h_values) != len(domain.points):
         raise FieldMismatch("one h value per domain point required")
-    k_values = evaluate(fld, k.coeffs, domain.points)
-    terms = [fld.mul(v, fld.mul(kv, h)) for v, kv, h in zip(domain.weights, k_values, h_values)]
-    for _ in range(s_count):  # terms[j] = v_j k(a_j) a_j^s h_j
-        if not fld.is_zero(np.sum(terms, axis=0)):
-            return False
-        terms = [fld.mul(a, t) for a, t in zip(domain.points, terms)]
-    return True
+    terms = fld.mul(domain.weights, fld.mul(evaluate(fld, k.coeffs, domain.points), h_values))
+    sums = kernels.matmul(fld, powers(fld, domain.points, s_count), terms[:, None])  # [s, 1]
+    return fld.is_zero(sums)

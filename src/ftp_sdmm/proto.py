@@ -297,6 +297,8 @@ def parse_responses(tower, body):
             raise MalformedFrame("responses truncated")
         i = body[off]; off += 1
         tower._check_axis(i)
+        if i in traced:
+            raise MalformedFrame(f"group {i} occurs twice")
         traced[i], off = mat_from_bytes(tower, body, off, group=i)
     if off != len(body):
         raise MalformedFrame("bytes past the end of the responses")
@@ -511,6 +513,8 @@ class Server:
                 self._jobs[(job.job_id, job.server_index)] = job
             return pack_message(MSG_PARAMS, job.job_id)
         if mtype == MSG_SHARE:
+            if len(body) < 10:
+                raise MalformedFrame("share header truncated")
             job_id = bytes(body[:8])
             (server_index,) = struct.unpack_from(">H", body, 8)
             # A job is answered once, so it leaves the table on its SHARE.

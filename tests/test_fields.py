@@ -22,7 +22,6 @@ from ftp_sdmm.fields import (
     BaseField,
     _extension_tables,
     batch_inv,
-    frobenius,
     make_base_field,
     make_tower,
     power_basis_dual,
@@ -30,7 +29,7 @@ from ftp_sdmm.fields import (
     trace_to_subfield,
 )
 from ftp_sdmm.ftp import build_scheme
-from ftp_sdmm.linalg import linear_solve, mat_inverse, rank
+from ftp_sdmm.linalg import mat_inverse, rank
 from ftp_sdmm.matrices import SplitMix64
 
 
@@ -285,17 +284,17 @@ def test_frobenius_is_automorphism(tower11_6):
     rng = SplitMix64(9)
     for _ in range(20):
         x, y = t.random(rng), t.random(rng)
-        lhs = frobenius(t, t.mul(x, y))
-        rhs = t.mul(frobenius(t, x), frobenius(t, y))
+        lhs = t.frobenius(t.mul(x, y))
+        rhs = t.mul(t.frobenius(x), t.frobenius(y))
         assert t.is_zero(t.sub(lhs, rhs))
-        lhs = frobenius(t, t.add(x, y))
-        rhs = t.add(frobenius(t, x), frobenius(t, y))
+        lhs = t.frobenius(t.add(x, y))
+        rhs = t.add(t.frobenius(x), t.frobenius(y))
         assert t.is_zero(t.sub(lhs, rhs))
     # fixes base-field scalars and has order [F_q : F_q0]
     b = t.embed_scalar_int(7)
-    assert t.is_zero(t.sub(frobenius(t, b), b))
+    assert t.is_zero(t.sub(t.frobenius(b), b))
     x = t.random(SplitMix64(3))
-    assert t.is_zero(t.sub(frobenius(t, x, 6), x))
+    assert t.is_zero(t.sub(t.frobenius(x, 6), x))
 
 
 def _fermat_inv(t, x):
@@ -350,7 +349,7 @@ def test_frobenius_matches_repeated_powering(tower11_6):
         x = t.random(rng)
         want = x
         for e in range(2 * 6 + 2):  # 0 .. 2 * lcm(2, 3) + 1
-            assert np.array_equal(frobenius(t, x, e), want)
+            assert np.array_equal(t.frobenius(x, e), want)
             want = t.pow(want, q0)
 
 
@@ -358,7 +357,7 @@ def test_frobenius_matches_repeated_powering(tower11_6):
 def test_frobenius_flat_size_is_identity(f11, primes):
     t = make_tower(f11, primes)
     x = t.random(SplitMix64(sum(primes)))
-    assert np.array_equal(frobenius(t, x, t.flat_size), x)
+    assert np.array_equal(t.frobenius(x, t.flat_size), x)
 
 
 @pytest.mark.parametrize("q0, primes", [((2, 2), (2,)), ((11, 1), (2, 3)), ((11, 1), (2, 3, 5))])
@@ -427,15 +426,22 @@ def test_trace_is_subfield_linear(tower11_6):
 
 
 def test_batch_inv(tower11_6):
+    """The product tree's inverses equal per-element inversion, on trees
+    with odd levels and without; a zero first, in the middle or last
+    raises."""
     t = tower11_6
-    rng = SplitMix64(5)
-    xs = [t.random(rng) for _ in range(8)]
-    xs = [x for x in xs if not t.is_zero(x)]
-    invs = batch_inv(t, xs)
-    for x, xi in zip(xs, invs):
-        assert t.is_zero(t.sub(t.mul(x, xi), t.one()))
-    with pytest.raises(ZeroInverse):
-        batch_inv(t, xs + [t.zero()])
+    for n in (1, 2, 3, 7, 8):
+        rng = SplitMix64(5 + n)
+        xs = [t.random(rng) for _ in range(n)]
+        assert not any(t.is_zero(x) for x in xs)
+        invs = batch_inv(t, xs)
+        assert invs.shape == (n,) + t.shape
+        for x, xi in zip(xs, invs):
+            assert np.array_equal(xi, t.inv(x))
+            assert t.is_zero(t.sub(t.mul(x, xi), t.one()))
+        for at in (0, n // 2, n):
+            with pytest.raises(ZeroInverse):
+                batch_inv(t, xs[:at] + [t.zero()] + xs[at:])
 
 
 def test_trace_dual_basis_reconstruction(tower16):
@@ -464,14 +470,15 @@ def test_trace_dual_basis_rejects_degenerate(tower16):
         trace_dual_basis(t, [t.one(), t.one()], 1)
 
 
-def test_linear_solve_and_rank(f5):
+def test_rank_and_mat_inverse(f5):
     e = f5.from_int
 
     def m(rows):
         return [[e(v) for v in row] for row in rows]
 
     # x + 2y = 1, 3x + 4y = 2 over F_5  ->  x = 0, y = 3 (oracle: by hand)
-    sol = linear_solve(f5, m([[1, 2], [3, 4]]), [e(1), e(2)])
+    inv = mat_inverse(f5, m([[1, 2], [3, 4]]))
+    sol = [f5.add(f5.mul(row[0], e(1)), f5.mul(row[1], e(2))) for row in inv]
     assert [f5.to_int(v) for v in sol] == [0, 3]
     vand = m([[1, j, (j * j) % 5] for j in (1, 2, 3)])
     assert rank(f5, vand) == 3
@@ -486,4 +493,4 @@ def test_linear_solve_and_rank(f5):
             want = f5.one() if i == j else f5.zero()
             assert f5.is_zero(f5.sub(acc, want))
     with pytest.raises(Singular):
-        linear_solve(f5, m([[1, 2], [2, 4]]), [e(1), e(0)])
+        mat_inverse(f5, m([[1, 2], [2, 4]]))

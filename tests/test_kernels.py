@@ -1,9 +1,11 @@
 """The batched exact product against element-wise oracles: kernels.convolve
-against the loop and Kronecker convolutions, TowerField.mul against the
-Kronecker multiply, mat_mul against the per-element triple loop, all bit for
-bit, on operands of every support; and the bounds that guard the transform
-and the float reduction."""
+against the loop and Kronecker convolutions, the fields' mul against the
+Kronecker multiply and the base-field convolution, mat_mul and batched
+kernels.matmul against the per-element triple loop, all bit for bit, on
+operands of every support; and the bounds that guard the transform and the
+float reduction."""
 
+import math
 import os
 import subprocess
 import sys
@@ -84,10 +86,13 @@ def _conv_kronecker(xf, yf, addtable, ext_len):
 
 
 def _mul_oracle(tower, x, y):
-    """One tower multiply: the Kronecker convolution, then the base modulus
-    and each axis reduced one at a time, each reduced axis rotated to the
-    front."""
+    """One multiply: over a base field, the convolution of the digit
+    vectors times the reduction matrix; over a tower, the Kronecker
+    convolution, then the base modulus and each axis reduced one at a time,
+    each reduced axis rotated to the front."""
     d, p = tower.base.d, tower.base.p
+    if not tower.L:
+        return np.convolve(x % p, y % p) @ tower._redmat % p
     xf = x.reshape(tower.flat_size, d) % p
     yf = y.reshape(tower.flat_size, d) % p
     ext = _conv_kronecker(xf, yf, tower._addtable, tower._ext_flat)
@@ -139,12 +144,22 @@ def test_numpy_backend_matches_loop_reference(p, d, primes):
         assert np.array_equal(out, _conv_kronecker(x, y, tower._addtable, tower._ext_flat))
 
 
-@pytest.mark.parametrize("p,d,primes", FIELDS)
+# F_16, F_27 and F_251 with no tower axes.
+BASE_FIELDS = [(2, 4, ()), (3, 3, ()), (251, 1, ())]
+
+
+@pytest.mark.parametrize("p,d,primes", FIELDS + BASE_FIELDS)
 def test_tower_mul_matches_oracle(p, d, primes):
-    tower = _tower(p, d, primes)
+    """Single pairs, a stack times one element on either side and a stack
+    times a stack, on towers and base fields, with chunks so small that a
+    batch splits, against the oracle pair by pair."""
+    tower = _tower(p, d, primes) if primes else make_base_field(p, d)
     rng = SplitMix64(31)
     top = np.full(tower.shape, p - 1, dtype=np.int64)
-    scalar = tower.embed_base(tower.base.random(rng))
+    if primes:
+        scalar = tower.embed_base(tower.base.random(rng))
+    else:
+        scalar = tower.one() * tower.random(rng)[0]  # an element of F_p
     pairs = [(top, top), (scalar, top), (top, scalar), (tower.zero(), top)]
     for _ in range(3):
         x, y = tower.random(rng), tower.random(rng)
@@ -152,6 +167,18 @@ def test_tower_mul_matches_oracle(p, d, primes):
     for x, y in pairs:
         got = tower.mul(x, y)
         assert got.dtype == np.int64 and np.array_equal(got, _mul_oracle(tower, x, y))
+    xs, ys = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
+    n_fft = kernels.fft_length(tower._ext_flat, d) if primes else 0
+    for spectra in (3, 12):  # batch chunks of one product and of two
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_CHUNK_BYTES", spectra * 8 * n_fft)
+            products = [(tower.mul(xs, ys), [_mul_oracle(tower, x, y) for x, y in pairs]),
+                        (tower.mul(xs, ys[4]), [_mul_oracle(tower, x, ys[4]) for x in xs]),
+                        (tower.mul(xs[5], ys), [_mul_oracle(tower, xs[5], y) for y in ys]),
+                        (tower.mul(xs.reshape((2, -1) + tower.shape), ys[None, 6]),
+                         [_mul_oracle(tower, x, ys[6]) for x in xs])]
+        for got, want in products:
+            assert got.dtype == np.int64 and np.array_equal(got.reshape(xs.shape), want)
 
 
 @pytest.mark.parametrize("p,d,primes,r,k,c,top", [
@@ -225,20 +252,32 @@ def _on_axes(tower, t, axes):
 @given(st.data())
 def test_matmul_on_every_support_matches_loop_oracle(data):
     """On towers of one to three axes, kernels.matmul with operands spanning
-    no axis, one, several or all, unreduced or not, and chunks of one
-    spectrum, two or the default, equals the per-element triple loop bit for
-    bit."""
+    no axis, one, several or all, unreduced or not, a leading batch axis on
+    both, on one or on neither, and chunks of one spectrum, two or the
+    default, equals the per-element triple loop bit for bit, batch member by
+    batch member."""
     primes = data.draw(st.sets(st.sampled_from((2, 3, 5)), min_size=1))
     tower = _tower(data.draw(st.sampled_from((2, 3, 11))), data.draw(st.integers(1, 2)),
                    tuple(sorted(primes)))
     r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    batch = data.draw(st.integers(1, 3))
+    x_lead, y_lead = data.draw(st.sampled_from([((), ()), ((batch,), (batch,)),
+                                                ((batch,), ()), ((), (batch,))]))
     axes = st.sets(st.integers(0, tower.L - 1))
     sx, sy = data.draw(axes), data.draw(axes)
     rng = SplitMix64(data.draw(st.integers(0, 2**32)))
-    x = _on_axes(tower, random_mat(r, k, tower, rng=rng).data, sx)
-    y = _on_axes(tower, random_mat(k, c, tower, rng=rng).data, sy)
-    want = _mat_mul_loop(Mat(tower, r, k, x), Mat(tower, k, c, y),
-                         lambda u, v: _mul_oracle(tower, u, v))
+
+    def draw(lead, rows, cols, on):
+        t = random_mat(math.prod(lead) * rows, cols, tower, rng=rng).data
+        return _on_axes(tower, t, on).reshape(lead + (rows, cols) + tower.shape)
+
+    x, y = draw(x_lead, r, k, sx), draw(y_lead, k, c, sy)
+    lead = x_lead or y_lead
+    want = np.stack([
+        _mat_mul_loop(Mat(tower, r, k, np.broadcast_to(x, lead + x.shape[-tower.L - 3 :])[b]),
+                      Mat(tower, k, c, np.broadcast_to(y, lead + y.shape[-tower.L - 3 :])[b]),
+                      lambda u, v: _mul_oracle(tower, u, v))
+        for b in np.ndindex(lead)]).reshape(lead + (r, c) + tower.shape)
     if data.draw(st.booleans()):
         x = x + tower.base.p  # nonzero multiples of p widen the support
     n_fft = kernels.fft_length(tower._ext_flat, tower.base.d)

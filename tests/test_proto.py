@@ -365,6 +365,11 @@ def _one_byte_short(body, scheme):
     return body[:-1]
 
 
+def _five_bytes(body, scheme):
+    """Shorter than the job id and server index that head a SHARE."""
+    return body[:5]
+
+
 def _share(scheme, seed=1):
     from ftp_sdmm.ftp import encode
 
@@ -393,9 +398,17 @@ def test_parsers_reject_digit_p_and_short_bodies(scheme):
     elem[0] = 200  # not a digit of F_11
     with pytest.raises(MalformedFrame):
         proto.elem_from_bytes(t, bytes(elem))
+    # A RESPONSES body with group 1 once parses, and with group 1 twice does not.
+    from ftp_sdmm.ftp import server_compute
+
+    group = bytes([1]) + proto.mat_to_bytes(t, server_compute(scheme, _share(scheme)).traced[1], group=1)
+    head = b"jobid123" + struct.pack(">H", 1)
+    assert list(proto.parse_responses(t, head + bytes([1]) + group)[1].traced) == [1]
+    with pytest.raises(MalformedFrame):
+        proto.parse_responses(t, head + bytes([2]) + group + group)
 
 
-@pytest.mark.parametrize("corrupt", [_digit_p, _one_byte_short])
+@pytest.mark.parametrize("corrupt", [_digit_p, _one_byte_short, _five_bytes])
 def test_server_answers_bad_share_with_error_then_serves(scheme, live_server, corrupt):
     import socket
 
