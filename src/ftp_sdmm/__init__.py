@@ -22,7 +22,6 @@ from .errors import FtpError
 from .fields import (
     BaseField,
     TowerField,
-    batch_inv,
     make_base_field,
     make_tower,
     trace_dual_basis,
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseField", "CostReport", "EvalDomain", "FtpError", "Mat", "Poly",
     "RateParams", "SchemeParams", "Server", "SplitMix64", "TowerField",
-    "TrafficLedger", "annihilator", "batch_inv", "build_scheme",
+    "TrafficLedger", "annihilator", "build_scheme",
     "cost_report", "crossover_K", "decode", "download_ratio", "dual_weights",
     "encode", "eval_poly", "ftp_rate", "lagrange_interpolate",
     "lemma4_check", "make_base_field", "make_tower", "make_traditional",

@@ -9,11 +9,13 @@ scheme uses node interpolation.  Both are exercised by tests."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .fields import BaseField
 from .matrices import Mat, SplitMix64, mat_mul, random_mat
+from .poly import powers
 
 DEMO_MODULUS = (1, 1, 0, 0, 1)  # x^4 + x + 1
 SERVER_TRACE_EXPONENTS = (1, 2, 8, 4)     # server i multiplies by a^-j_i
@@ -24,9 +26,14 @@ def demo_field():
     return BaseField(2, 4, list(DEMO_MODULUS))
 
 
+@cache
+def _alpha_powers(field):
+    """alpha^e for e < 15, alpha = x; alpha^15 = 1, so alpha^-e = alpha^(15 - e)."""
+    return powers(field, field.from_coeffs([0, 1, 0, 0]), 15)[:, 0]
+
+
 def alpha_pow(field, e):
-    a = field.from_coeffs([0, 1, 0, 0])
-    return field.pow(a, e % 15)
+    return _alpha_powers(field)[e % 15].copy()
 
 
 def trace_to_f4(field, x):
@@ -56,7 +63,7 @@ class DemoResult:
 
 def run_demo(a=2, b=2, c=2, seed=0):
     F = demo_field()
-    alpha = field_alpha = alpha_pow(F, 1)
+    table = _alpha_powers(F)
     rng = SplitMix64(seed)
     A = random_mat(a, b, F, rng=rng)
     B = random_mat(b, c, F, rng=rng)
@@ -66,24 +73,24 @@ def run_demo(a=2, b=2, c=2, seed=0):
     points = demo_points(F)
 
     def f_at(y):
-        return A.add(R.scale(F.sub(y, alpha)))
+        return A.add(R.scale(F.sub(y, table[1])))
 
     def g_at(y):
-        return B.add(S.scale(F.sub(y, alpha)))
+        return B.add(S.scale(F.sub(y, table[1])))
 
-    # tr is F_2-linear: its matrix acting on coefficient rows.
-    trace = np.array([trace_to_f4(F, e) for e in np.eye(F.d, dtype=np.int64)])
+    # tr is F_2-linear; row k of its matrix is tr(x^k) = alpha^k + alpha^(4k).
+    trace = (table[: F.d] + table[4 * np.arange(F.d) % 15]) % F.p
     responses = []
     for i, y in enumerate(points):
         h = mat_mul(f_at(y), g_at(y))
-        w = F.inv(alpha_pow(F, SERVER_TRACE_EXPONENTS[i]))
+        w = table[-SERVER_TRACE_EXPONENTS[i] % 15]
         responses.append(Mat(F, a, c, h.scale(w).data @ trace % F.p))
 
     s1, s2, s3, s4 = responses
-    combined = s1.add(s2).add(s3).add(s4).scale(F.pow(field_alpha, 4))
-    combined = combined.add(s2.scale(alpha_pow(F, 5)))
-    combined = combined.add(s3.scale(alpha_pow(F, 10)))
-    combined = combined.add(s4.scale(alpha_pow(F, 15)))
+    combined = s1.add(s2).add(s3).add(s4).scale(table[4])
+    combined = combined.add(s2.scale(table[5]))
+    combined = combined.add(s3.scale(table[10]))
+    combined = combined.add(s4.scale(table[0]))
 
     product = mat_mul(A, B)
     return DemoResult(

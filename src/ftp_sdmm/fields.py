@@ -40,6 +40,7 @@ from .errors import (
     ZeroInverse,
 )
 from .kernels import matmul, support
+from .poly import divide_at
 
 
 def is_prime(n):
@@ -265,7 +266,8 @@ class BaseField(_Field):
         return (s @ self._by_digit % self.p).reshape(np.shape(s)[:-1] + (self.d, self.d))
 
     def inv(self, x):
-        if self.is_zero(x):
+        """Element by element over a stack x (..., d): one Fermat power."""
+        if not (np.asarray(x) % self.p).any(axis=-1).all():
             raise ZeroInverse("0 has no inverse")
         return self.pow(x, self.order - 2)
 
@@ -374,9 +376,11 @@ class TowerField(_Field):
         e[(0,) * self.L + (0,)] = 1
         return e
 
-    def embed_base(self, b):
-        e = self.zero()
-        e[(0,) * self.L] = b
+    def embed_base(self, b, axes=()):
+        """Elements of F_q0 (..., d), or of the subtower on the given 0-based
+        axes (..., *self.subtower(axes).shape), as elements of this tower."""
+        e = np.zeros(np.shape(b)[: np.ndim(b) - len(axes) - 1] + self.shape, dtype=np.int64)
+        e[(..., *(slice(None) if k in axes else 0 for k in range(self.L)), slice(None))] = b
         return e
 
     def embed_scalar_int(self, k):
@@ -431,23 +435,24 @@ class TowerField(_Field):
         return not np.take(x, range(1, self.primes[i - 1]), axis=self._axis(i)).any()
 
     def inv(self, x):
-        """Itoh-Tsujii.  x lies in K = F_q0(a_i : i supported), of degree n
-        over F_q0; x^-1 = N(x)^-1 * x^(r-1), where r = (q0^n - 1)/(q0 - 1),
-        x^(r-1) = prod_{t=1}^{n-1} x^(q0^t), and the norm N(x) = x * x^(r-1)
-        lies in F_q0."""
-        if self.is_zero(x):
-            raise ZeroInverse("0 has no inverse")
-        x = x % self.base.p
-        origin = (0,) * self.L
-        n = 1
-        for i in self.support_axes(x):
-            n *= self.primes[i - 1]
-        if n == 1:
-            return self.embed_base(self.base.inv(x[origin]))
+        """Element by element over a stack x (..., *shape), in the subtower
+        K = F_q0(a_i : i in the stack's support): each element's inverse is
+        its inverse in K, embedded.  A zero element has norm 0, which
+        BaseField.inv refuses."""
+        x = np.asarray(x) % self.base.p
+        axes = support(self, x)
+        spanned = (..., *(slice(None) if k in axes else 0 for k in range(self.L)), slice(None))
+        sub = self if len(axes) == self.L else self.subtower(axes)
+        return self.embed_base((sub._itoh_tsujii if axes else sub.inv)(x[spanned]), axes)
+
+    def _itoh_tsujii(self, x):
+        """x^-1 = N(x)^-1 * x^(r-1) for x in this tower, of degree n over
+        F_q0, where r = (q0^n - 1)/(q0 - 1), x^(r-1) = prod_{t=1}^{n-1}
+        x^(q0^t), and the norm N(x) = x * x^(r-1) lies in F_q0."""
         # t_k = x^(1 + q0 + ... + q0^(k-1)), built along the bits of n - 1:
         # t_2k = t_k * t_k^(q0^k) and t_(k+1) = x * t_k^q0.
         t, k = x, 1
-        for bit in bin(n - 1)[3:]:
+        for bit in bin(self.flat_size - 1)[3:]:
             t = self.mul(t, self.frobenius(t, k))
             k *= 2
             if bit == "1":
@@ -457,6 +462,7 @@ class TowerField(_Field):
         norm = self.mul(x, x_r1)
         if self.support_axes(norm):
             raise NormOutsideBase("the norm of x is not in F_q0")
+        origin = (..., *(0,) * self.L, slice(None))
         return self.mul(x_r1, self.embed_base(self.base.inv(norm[origin])))
 
     def frobenius(self, x, e=1):
@@ -524,51 +530,22 @@ def trace_to_subfield(field, x, i):
     return field.trace_to_subfield(x, i)
 
 
-def batch_inv(field, xs):
-    """The inverses of the elements xs (n, *field.shape) with one field
-    inversion, by a product tree: each level up is one batched mul of node
-    pairs, the last node of an odd level paired with 1, and each level down
-    one batched mul, since a node's inverse is its parent's times its
-    sibling."""
-    xs = np.reshape(xs, (-1,) + field.shape) % field.base.p
-    if not len(xs):
-        return xs
-    one, levels = field.one()[None], [xs]
-    while len(levels[-1]) > 1:
-        t = levels[-1]
-        if len(t) % 2:
-            t = np.concatenate([t, one])
-        levels.append(field.mul(t[0::2], t[1::2]))
-    if field.is_zero(levels[-1]):
-        raise ZeroInverse("batch contains zero")
-    inv = field.inv(levels[-1][0])[None]
-    for t in levels[-2::-1]:
-        j = np.arange(len(t))
-        inv = field.mul(inv[j // 2], np.concatenate([t, one])[j ^ 1])
-    return inv
-
-
 def power_basis_dual(field, scale, i):
     """The basis lambda_s = scale * a_i^s (s < p_i) of F_q over F_i, and its
     trace dual in closed form (Lidl & Niederreiter, Finite Fields, 2.3).
     m_i stays the minimal polynomial of a_i over F_i, since the axis degrees
     are coprime.  With m_i(x)/(x - a_i) = sum_s b_s x^s, the dual is
-    mu_s = b_s / (scale * m_i'(a_i)), and m_i'(a_i) = sum_s b_s a_i^s.  Each
-    b_s = sum_j m_(s+1+j) a_i^j has degree below p_i in a_i, so it is read
-    off the modulus; lambda, scale * m_i'(a_i) and mu are three products,
-    and the dual costs one inversion."""
+    mu_s = b_s / (scale * m_i'(a_i)), and m_i'(a_i) = sum_s b_s a_i^s.  The
+    b_s come from one synthetic division at a_i, whose powers are read off
+    the modulus; lambda, scale * m_i'(a_i) and mu are three products, and the
+    dual costs one inversion."""
     field._check_axis(i)
-    n, m = field.primes[i - 1], field.moduli[i - 1]
-
-    def on_axis(k, e):  # index of element k's coefficient of a_i^e
-        return (k,) + (0,) * (i - 1) + (e,) + (0,) * (field.L - i)
-
-    s, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
-    b = np.zeros((n,) + field.shape, dtype=np.int64)
-    b[on_axis(s, j)] = m[s + 1 + j]
-    monomials = np.zeros((n,) + field.shape, dtype=np.int64)
-    monomials[on_axis(np.arange(n), np.arange(n))] = field.base.one()
-    lambdas = field.mul(monomials, scale)
+    n, m, p = field.primes[i - 1], field.moduli[i - 1], field.base.p
+    # a_i^e for e < p_i, and a_i^(p_i) = -sum_s m_s a_i^s, by their coefficients
+    on = np.concatenate([np.eye(n, dtype=np.int64)[..., None] * field.base.one(), -m[None, :n]])
+    a_powers = field.embed_base(on % p, [i - 1])
+    b = divide_at(field, m, a_powers)[1:]
+    lambdas = field.mul(a_powers[:-1], scale)
     deriv = matmul(field, b[None], lambdas[:, None])[0, 0]
     return lambdas, field.mul(b, field.inv(deriv))
 

@@ -4,6 +4,7 @@ accounting, and security audits."""
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -24,7 +25,8 @@ from .fields import is_prime, make_tower, power_basis_dual
 from .fields import trace_dual_basis  # noqa: F401
 from .linalg import rank as mat_rank
 from .matrices import Mat, SplitMix64, mat_mul, partition_inner, random_mat
-from .poly import EvalDomain, annihilator, eval_poly, evaluate, lagrange_coefficients, powers
+from .poly import (EvalDomain, Poly, annihilator, divide_at, evaluate, lagrange_coefficients,
+                   powers, prefix_products)
 
 
 @dataclass
@@ -40,10 +42,9 @@ class SchemeParams:
     N: list                 # N_i per group, ascending
     n: int                  # |Omega| = N_L + L
     points: list            # full Omega as tower elements (gens first)
-    scalar_points: list     # alpha_{L+1..n} as base-field elements
     domain: EvalDomain      # Omega with dual weights
     k_polys: list           # annihilator k_i per group
-    server_scalars: list    # server_scalars[i-1][j-1] = v_{L+j} * k_i(alpha_{L+j})
+    server_scalars: list    # [i-1][j-1] = v_{L+j} k_i(alpha_j) = 1/((alpha_j - a_i) P_i'(alpha_j))
     lambdas: list           # lambda bases per group, each (p_i, *tower.shape)
     mus: list               # trace-dual bases per group, each (p_i, *tower.shape)
     basis: object = dc_field(repr=False)
@@ -107,42 +108,90 @@ def build_scheme(L, T, primes, base, a, b, c):
         raise TooFewEvalPoints(f"q0={base.order} < N_L={N[-1]}")
 
     tower = make_tower(base, primes)
-    gens = [tower.gen(i) for i in range(1, L + 1)]
-    scalar_points = [base.from_int(k) for k in range(N[-1])]
-    points = gens + [tower.embed_base(s) for s in scalar_points]
-    domain = EvalDomain(tower, points)
+    gens = range(1, L + 1)
+    alphas = np.stack([base.from_int(k) for k in range(N[-1])])
+    points = [tower.gen(i) for i in gens] + list(tower.embed_base(alphas))
+    alpha_powers = powers(base, alphas, max(primes) + 1)
 
-    k_polys = []
-    server_scalars = []
-    lambdas = []
-    mus = []
-    for i in range(1, L + 1):
-        keep = set(range(L + 1, L + N[i - 1] + 1)) | {i}
-        excluded = [points[j - 1] for j in range(1, n + 1) if j not in keep]
-        k_i = annihilator(tower, excluded)
-        k_values = evaluate(tower, k_i.coeffs, points[L : L + N[i - 1]])
-        server_scalars.append(tower.mul(domain.weights[L : L + N[i - 1]], k_values))
-        scale = tower.mul(domain.weights[i - 1], eval_poly(k_i, points[i - 1]))
-        lam, mu = power_basis_dual(tower, scale, i)
-        k_polys.append(k_i)
-        lambdas.append(lam)
-        mus.append(mu)
+    # Every inverse below is a product of (u - a_i)^-1 = Q(a_i)/m_i(u), from
+    # m_i(x) = (x - u) Q(x) + m_i(u).  Over F_q0: P_M'(alpha_j)^-1 for the
+    # annihilator P_M of the first M upload points, M = T, N_1, ..., N_L, by
+    # prefix products of the differences alpha_j - alpha_j' (1 for j' = j).
+    diff = base.sub(alphas, alphas[:, None])  # [j', j]
+    diff[np.diag_indices(N[-1])] = base.one()
+    deriv_inv = base.inv(prefix_products(base, diff)[[T - 1] + [n_i - 1 for n_i in N]])
+    # (a_i - a_k)^-1 for i < k from m_k divided by x - a_i in F_q0(a_i), where
+    # m_k(a_i) is the one element inverted; Q(a_k) spans axes i and k.
+    between = {}
+    for i in range(1, L):
+        ks = range(i + 1, L + 1)
+        sub = tower.subtower([i - 1])
+        u_powers = powers(sub, sub.gen(1), primes[-1] + 1)[:, 0]
+        divs = [divide_at(sub, tower.moduli[k - 1], u_powers[: primes[k - 1] + 1]) for k in ks]
+        inverses = tower.embed_base(sub.inv(np.stack([q[0] for q in divs])), [i - 1])
+        # Q(a_k) = sum_s Q_s a_k^s: entry [e_i, s] is Q_s's coefficient of a_i^(e_i)
+        quotients = np.stack([tower.embed_base(np.moveaxis(q[1:], 0, 1), [i - 1, k - 1])
+                              for k, q in zip(ks, divs)])
+        for k, g in zip(ks, tower.mul(quotients, inverses)):
+            between[i, k], between[k, i] = g, tower.neg(g)
 
+    to_axis, server_scalars, gen_inverses, duals, k_polys = [], [], [], [], []
+    for i, (p_i, n_i) in enumerate(zip(primes, N), start=1):
+        q = divide_at(base, tower.moduli[i - 1], alpha_powers[: p_i + 1])  # over F_q0
+        q = base.mul(q[1:], base.inv(q[0]))
+        to_axis.append(tower.embed_base(np.moveaxis(q, 0, 1), [i - 1]))  # (alpha_j - a_i)^-1
+        server_scalars.append(tower.mul(to_axis[-1][:n_i], tower.embed_base(deriv_inv[i][:n_i])))
+        # v_i and A'(a_i)^-1: prod_(j < N_L or T) (a_i - alpha_j)^-1 prod_(k != i) (a_i - a_k)^-1
+        from_axis = prefix_products(tower, tower.neg(to_axis[-1]))
+        others = reduce(tower.mul, [between[i, k] for k in gens if k != i], tower.one())
+        gen_inverses.append(tower.mul(from_axis[[N[-1] - 1, T - 1]], others))
+        duals.append(power_basis_dual(tower, from_axis[n_i - 1], i))  # scale 1/P_i(a_i)
+        k_polys.append(_times_generators(tower, [k for k in gens if k != i],
+                                         annihilator(base, alphas[n_i:])))
+
+    # At the upload points, prod_i (alpha_j - a_i)^-1 times an F_q0 scalar.
+    upload = reduce(tower.mul, to_axis)
+    weights = np.concatenate([[g[0] for g in gen_inverses],
+                              tower.mul(upload, tower.embed_base(deriv_inv[-1]))])
+    node_inv = np.concatenate([[g[1] for g in gen_inverses],
+                               tower.mul(upload[:T], tower.embed_base(deriv_inv[0][:T]))])
+    # Lagrange basis on the nodes a_1..a_L, alpha_1..alpha_T: each quotient of
+    # A = prod_i (x - a_i) * P_T(x) by one of its factors has the same form.
+    quotients = [
+        *(_times_generators(tower, [k for k in gens if k != i], annihilator(base, alphas[:T]))
+          for i in gens),
+        *(_times_generators(tower, gens, annihilator(base, np.delete(alphas[:T], t, axis=0)))
+          for t in range(T))]
     return SchemeParams(
         L=L, T=T, primes=primes, base=base, tower=tower, a=a, b=b, c=c,
-        N=N, n=n, points=points, scalar_points=scalar_points, domain=domain,
+        N=N, n=n, points=points,
+        domain=EvalDomain(tower, points, weights=weights),
         k_polys=k_polys, server_scalars=server_scalars,
-        lambdas=lambdas, mus=mus,
-        basis=lagrange_coefficients(tower, points[: L + T]),
-        vandermonde=_vandermonde_blocks(base, scalar_points, primes, N),
+        lambdas=[lam for lam, _ in duals], mus=[mu for _, mu in duals],
+        basis=tower.mul(np.stack([q.coeffs for q in quotients], axis=1), node_inv),
+        vandermonde=_vandermonde_blocks(base, alpha_powers, primes, N),
     )
 
 
-def _vandermonde_blocks(base, alphas, primes, N):
+def _times_generators(tower, axes, r):
+    """prod_(k in axes) (x - a_k) times the polynomial r over F_q0.
+    The first factor is the sum over subsets S of the axes of (-1)^|S| a_S
+    x^(|axes| - |S|), each a_S = prod_(k in S) a_k one monomial, so each
+    subset places +-r, shifted, on its monomial."""
+    r = r.coeffs
+    out = np.zeros((len(r) + len(axes),) + tower.shape, dtype=np.int64)
+    for size in range(len(axes) + 1):
+        for S in combinations(axes, size):
+            at = tuple(int(k in S) for k in range(1, tower.L + 1))
+            out[(slice(len(axes) - size, len(axes) - size + len(r)),) + at] = r * (-1) ** size
+    return Poly(tower, out)
+
+
+def _vandermonde_blocks(base, alpha_powers, primes, N):
     """Decode's Vandermonde step per group i as one F_p matrix: row (j, a)
     and column (s, b) hold entry [a, b] of the matrix of multiplication by
     -alpha_j^s, for servers j <= N_i, powers s < p_i and base digits a, b."""
-    blocks = -base.mul_matrix(powers(base, alphas, max(primes))) % base.p  # [s, j, a, b]
+    blocks = -base.mul_matrix(alpha_powers) % base.p  # [s, j, a, b]
     return [blocks[:p_i, :n_i].transpose(1, 2, 0, 3).reshape(n_i * base.d, p_i * base.d)
             for p_i, n_i in zip(primes, N)]
 

@@ -2,12 +2,12 @@
 as tensors: evaluation, Lagrange interpolation/basis, annihilators, and the
 dual-code weights of a Reed-Solomon evaluation domain.
 
-Every setup value is read off one annihilator A(x) = prod (x - w) of the
-points and its derivative, since A'(w_j) = prod_{i != j} (w_j - w_i): the
-dual weights are A'(w_j)^-1 and the Lagrange basis is A/(x - w_k) * A'(w_k)^-1.
+On any points these come from the annihilator A(x) = prod (x - w): the dual
+weights are A'(w_j)^-1 and the Lagrange basis is A/(x - w_k) * A'(w_k)^-1.
+The scheme's setup needs only products of inverses (u - a_i)^-1, each read
+off one division m_i(x) = (x - u) Q(x) + m_i(u) as Q(a_i)/m_i(u) (divide_at).
 Values at points of F_q0 are one F_q0 Vandermonde product, and at any other
-point, such as a tower generator, one product of the row of its powers with
-the coefficients."""
+point one product of the row of its powers with the coefficients."""
 
 from dataclasses import dataclass, field as dc_field
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DimMismatch, DuplicatePoint, FieldMismatch, IndexOutOfRange
-from .fields import batch_inv
 
 
 class Poly:
@@ -82,6 +81,31 @@ def powers(field, alphas, count):
     return out[:count]
 
 
+def prefix_products(field, xs):
+    """x_0 x_1 ... x_j for every j, along axis 0 of xs (n, ..., *field.shape),
+    by doubling: after step t, entry j holds the product of the 2^t entries
+    ending at j, one batched mul per step."""
+    step = 1
+    while step < len(xs):
+        xs = np.concatenate([xs[:step], field.mul(xs[step:], xs[:-step])])
+        step *= 2
+    return xs
+
+
+def divide_at(field, m, u_powers):
+    """Synthetic division of a polynomial m over F_q0 (deg + 1, d) by x - u:
+    m(x) = (x - u) Q(x) + m(u), with Q_s = sum_j m_(s+1+j) u^j.  From the
+    powers u^j, j <= deg, of a stack of points (deg + 1, ..., *field.shape),
+    one F_q0 contraction gives the rows m(u), Q_0(u), ..., Q_(deg-1)(u),
+    each in the field the points generate."""
+    base, n = field.base, len(m)
+    r, j = np.indices((n, n))
+    hankel = np.where((r + j < n)[..., None], m[np.minimum(r + j, n - 1)], 0)  # m_(r+j)
+    by = base.mul_matrix(hankel).transpose(1, 2, 0, 3)  # [j, a, r, b]
+    out = np.tensordot(u_powers, by, axes=([0, -1], [0, 1])) % base.p  # [..., r, b]
+    return np.moveaxis(out, -2, 0)
+
+
 def evaluate(field, coeffs, points):
     """Values at the points of the polynomials whose coefficients, low degree
     first, run along axis 0 of coeffs (deg + 1, ..., *field.shape), as a
@@ -132,7 +156,11 @@ def _inverse_derivative(field, annihilated, points):
     repeated = np.flatnonzero(~values.reshape(len(values), -1).any(axis=1))
     if len(repeated):
         raise DuplicatePoint(f"point {repeated[0]} occurs twice")
-    return batch_inv(field, values)
+    # One inversion for all: y_j^-1 = (y_0..y_(j-1)) (y_(j+1)..y_(n-1)) / (y_0..y_(n-1))
+    ends = prefix_products(field, np.stack([values, values[::-1]], axis=1))
+    one = field.one()[None]
+    others = field.mul(np.concatenate([one, ends[:-1, 0]]), np.concatenate([ends[-2::-1, 1], one]))
+    return field.mul(others, field.inv(ends[-1, 0]))
 
 
 def dual_weights(field, points):

@@ -21,7 +21,6 @@ from ftp_sdmm.errors import (
 from ftp_sdmm.fields import (
     BaseField,
     _extension_tables,
-    batch_inv,
     make_base_field,
     make_tower,
     power_basis_dual,
@@ -336,9 +335,37 @@ def test_inv_full_support_f27():
 def test_inv_rejects_norm_outside_base(monkeypatch, f11):
     t = make_tower(f11, (2, 3))
     # A Frobenius that fixes everything makes the "norm" x^n, not in F_q0.
+    # x spans both axes, so that its inversion runs in t itself, whose
+    # frobenius is the patched one.
     monkeypatch.setattr(t, "frobenius", lambda x, e=1: x % t.base.p)
     with pytest.raises(NormOutsideBase):
-        t.inv(t.add(t.one(), t.gen(1)))
+        t.inv(t.add(t.one(), t.add(t.gen(1), t.gen(2))))
+
+
+@pytest.fixture(scope="module")
+def tower11_30():
+    """F_{11^30} = F_11(a_1, a_2, a_3) with degrees 2, 3 and 5."""
+    return make_tower(make_base_field(11, 1), (2, 3, 5))
+
+
+@pytest.mark.parametrize("support", [[1], [2], [3], [1, 2], [1, 3], [2, 3]])
+def test_inv_in_the_support_subtower_matches_fermat(tower11_30, support):
+    """An element that spans fewer than all axes is inverted in the
+    subtower of its support, and the embedded result equals Fermat's."""
+    t = tower11_30
+    rng = SplitMix64(70 + sum(support))
+    checked = 0
+    while checked < 2:
+        x = t.random(rng)
+        for i in range(1, t.L + 1):
+            if i not in support:
+                x[(slice(None),) * (i - 1) + (slice(1, None),)] = 0
+        if t.support_axes(x) != support:
+            continue
+        checked += 1
+        y = t.inv(x)
+        assert np.array_equal(y, _fermat_inv(t, x))
+        assert set(t.support_axes(y)) <= set(support)
 
 
 def test_frobenius_matches_repeated_powering(tower11_6):
@@ -425,23 +452,32 @@ def test_trace_is_subfield_linear(tower11_6):
     assert t.is_zero(t.sub(lhs, rhs))
 
 
-def test_batch_inv(tower11_6):
-    """The product tree's inverses equal per-element inversion, on trees
-    with odd levels and without; a zero first, in the middle or last
-    raises."""
-    t = tower11_6
+@pytest.mark.parametrize("name", ["f27", "tower11_6"])
+def test_inv_on_a_stack(tower11_6, name):
+    """inv over a stack equals inversion one element at a time, for stacks
+    of length 1, 2, 3, 7 and 8, and a zero first, in the middle or last
+    raises.  On the tower, a stack may mix supports."""
+    field = make_base_field(3, 3) if name == "f27" else tower11_6
     for n in (1, 2, 3, 7, 8):
         rng = SplitMix64(5 + n)
-        xs = [t.random(rng) for _ in range(n)]
-        assert not any(t.is_zero(x) for x in xs)
-        invs = batch_inv(t, xs)
-        assert invs.shape == (n,) + t.shape
+        xs = [field.random(rng) for _ in range(n)]
+        xs = [field.one() if field.is_zero(x) else x for x in xs]
+        invs = field.inv(np.stack(xs))
+        assert invs.shape == (n,) + field.shape
         for x, xi in zip(xs, invs):
-            assert np.array_equal(xi, t.inv(x))
-            assert t.is_zero(t.sub(t.mul(x, xi), t.one()))
+            assert np.array_equal(xi, field.inv(x))
+            assert field.eq(field.mul(x, xi), field.one())
         for at in (0, n // 2, n):
             with pytest.raises(ZeroInverse):
-                batch_inv(t, xs[:at] + [t.zero()] + xs[at:])
+                field.inv(np.stack(xs[:at] + [field.zero()] + xs[at:]))
+    if name == "f27":  # once accepted, with 0 as the "inverse" of 0
+        with pytest.raises(ZeroInverse):
+            field.inv(np.stack([field.from_int(5), field.zero(), field.from_int(7)]))
+    else:
+        t = field
+        mixed = [t.embed_scalar_int(3), t.add(t.one(), t.gen(1)), t.add(t.gen(2), t.gen(2))]
+        for x, xi in zip(mixed, t.inv(np.stack(mixed))):
+            assert np.array_equal(xi, _fermat_inv(t, x))
 
 
 def test_trace_dual_basis_reconstruction(tower16):

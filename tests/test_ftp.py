@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ftp_sdmm.errors import (
     DimMismatch,
@@ -14,7 +16,7 @@ from ftp_sdmm.errors import (
     TooFewEvalPoints,
     TooLargeForExhaustive,
 )
-from ftp_sdmm.fields import make_base_field
+from ftp_sdmm.fields import TowerField, make_base_field
 from ftp_sdmm.ftp import (
     build_scheme,
     cost_report,
@@ -25,7 +27,9 @@ from ftp_sdmm.ftp import (
     server_compute,
 )
 from ftp_sdmm.matrices import mat_mul, random_mat
-from ftp_sdmm.poly import eval_poly, evaluate
+
+from conftest import _DIGEST_SCHEMES
+from ftp_sdmm.poly import annihilator, dual_weights, eval_poly, evaluate, lagrange_coefficients
 
 CONFIGS = [
     dict(L=1, T=1, primes=(2,), p=2, d=2),
@@ -230,3 +234,74 @@ def test_setup_values_are_pinned(digest_schemes, name):
     got = dict(zip(_SETUP_VALUES, map(_digest, values)))
     key = (s.L, s.T, s.primes, s.base.p, s.base.d)
     assert got == dict(zip(_SETUP_VALUES, _SETUP_DIGESTS[key]))
+
+
+def _annihilator_route(s):
+    """The setup values as build_scheme made them before its closed forms,
+    from tower annihilators: the dual weights A'(w)^-1 of all n points;
+    per group i the annihilator k_i of the points outside group i, the
+    server scalars v_(L+j) k_i(alpha_j) and the scale v_i k_i(a_i); and the
+    Lagrange basis on the L + T nodes."""
+    t, L, N = s.tower, s.L, s.N
+    weights = dual_weights(t, s.points)
+    k_polys, scalars, scales = [], [], []
+    for i in range(1, L + 1):
+        keep = set(range(L + 1, L + N[i - 1] + 1)) | {i}
+        k_i = annihilator(t, [s.points[j - 1] for j in range(1, s.n + 1) if j not in keep])
+        k_values = evaluate(t, k_i.coeffs, s.points[L : L + N[i - 1]])
+        scalars.append(t.mul(weights[L : L + N[i - 1]], k_values))
+        scales.append(t.mul(weights[i - 1], eval_poly(k_i, s.points[i - 1])))
+        k_polys.append(k_i.coeffs)
+    return weights, scalars, scales, lagrange_coefficients(t, s.points[: L + s.T]), k_polys
+
+
+def _assert_closed_forms_match(s):
+    weights, scalars, scales, basis, k_polys = _annihilator_route(s)
+    assert np.array_equal(s.domain.weights, weights)
+    for i in range(s.L):
+        assert np.array_equal(s.server_scalars[i], scalars[i])
+        assert np.array_equal(s.lambdas[i][0], scales[i])  # lambda_0 = scale * a_i^0
+        assert np.array_equal(s.k_polys[i].coeffs, k_polys[i])
+    assert np.array_equal(s.basis, basis)
+    # The leading coefficient of l_k is A'(w_k)^-1, the node's inverse.
+    nodes = s.points[: s.L + s.T]
+    assert np.array_equal(s.basis[-1], dual_weights(s.tower, nodes))
+
+
+@pytest.mark.parametrize("name", ["small-tower", "tcp-wide", "paper-full", 0, 1, 2, 3])
+def test_closed_form_setup_matches_annihilator_route(digest_schemes, name):
+    """Every setup value read off the axis moduli equals the annihilator
+    route's, on the benchmark's schemes and the criterion-2 configurations."""
+    s = digest_schemes[name] if isinstance(name, str) else _scheme(CONFIGS[name])
+    _assert_closed_forms_match(s)
+
+
+_PRIME_SETS = [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
+_SMALL_PRIMES = [p for p in range(2, 32) if all(p % f for f in range(2, p))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_PRIME_SETS), st.integers(1, 2), st.sampled_from(_SMALL_PRIMES),
+       st.integers(1, 2))
+def test_closed_form_setup_matches_annihilator_route_on_drawn_schemes(primes, T, p, d):
+    L = len(primes)
+    assume(p**d >= primes[-1] + 2 * L + 2 * T - 2)  # q0 >= N_L
+    s = build_scheme(L=L, T=T, primes=primes, base=make_base_field(p, d), a=1, b=L, c=1)
+    _assert_closed_forms_match(s)
+
+
+def test_setup_inverts_no_element_spanning_two_axes(monkeypatch):
+    """Every tower inversion that build_scheme makes, on each benchmark
+    scheme, is of an element (or a stack) on one axis at most."""
+    supports = []
+    inv = TowerField.inv
+
+    def recording(self, x):
+        supports.append(self.support_axes(x))
+        return inv(self, x)
+
+    monkeypatch.setattr(TowerField, "inv", recording)
+    for L, T, primes, p, d, a, b, c in _DIGEST_SCHEMES.values():
+        build_scheme(L, T, primes, make_base_field(p, d), a, b, c)
+    assert supports
+    assert all(len(axes) <= 1 for axes in supports), supports
