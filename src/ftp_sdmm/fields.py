@@ -492,17 +492,16 @@ class TowerField(_Field):
         return np.ascontiguousarray(np.moveaxis(out, -2, self._axis(i)))
 
     def trace_scalars(self, w, i):
-        """tau_s = tr_i(w a_i^s) for s < p_i, as a (p_i, *shape) tensor of
-        elements of F_i.  With w = sum_t w_t a_i^t, w_t in F_i its axis-i
-        slices, tau_s = sum_t w_t tr_i(a_i^(s+t)), and the Hankel table
-        holds those traces, which lie in F_q0."""
+        """tau_s = tr_i(w a_i^s) for s < p_i, as a (p_i, *F_i.shape) tensor on
+        the axes of F_i = self.subtower(axes other than i).  With w = sum_t
+        w_t a_i^t, w_t in F_i its axis-i slices, tau_s = sum_t w_t
+        tr_i(a_i^(s+t)), and the Hankel table holds those traces, which lie
+        in F_q0: for w in F_q0(a_i), every tau_s lies in F_q0."""
         self._check_axis(i)
-        p, p_i, d = self.base.p, self.primes[i - 1], self.base.d
-        slices = np.moveaxis(np.asarray(w) % p, i - 1, -2)  # [other axes, t, a]
+        p, p_i, d, L = self.base.p, self.primes[i - 1], self.base.d, self.L
+        slices = (np.asarray(w) % p).transpose(*range(i - 1), *range(i, L), i - 1, L)
         tau = slices.reshape(-1, p_i * d) @ self._hankel_mats[i - 1] % p  # [other, (s, b)]
-        out = np.zeros((p_i,) + self.shape, dtype=np.int64)
-        np.moveaxis(out, i, -2)[..., 0, :] = np.moveaxis(tau.reshape(slices.shape), -2, 0)
-        return out
+        return tau.reshape(slices.shape).transpose(L - 1, *range(L - 1), L)
 
     def _check_axis(self, i):
         if not 1 <= i <= self.L:

@@ -242,18 +242,20 @@ def server_step(tower, scalars, share):
     product of the received evaluations, then tr_i(w_i h) per group i.  The
     trace is F_i-linear, so with h = sum_s h_s a_i^s, h_s in F_i the axis-i
     slices of h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s):
-    one product of the (a c, p_i) slice matrix with the column tau.  An
-    honest w_i lies in F_q0(a_i), so every tau_s lies in F_q0 and the
-    product takes no transform; any other w_i gives tau_s in F_i, and the
+    one product over F_i of the (a c, p_i) slice matrix, a view of h, with
+    the column tau, embedded at index 0 of axis i.  An honest w_i lies in
+    F_q0(a_i), so every tau_s lies in F_q0 and the product takes no
+    transform; any other w_i gives tau_s spanning axes of F_i, and the
     product runs over the axes the slices and tau share."""
     h = mat_mul(share.f_eval, share.g_eval)
     flat = h.data.reshape((h.rows * h.cols,) + tower.shape)
     traced = {}
     for i, w in scalars.items():
-        slices = np.zeros((len(flat), tower.primes[i - 1]) + tower.shape, dtype=np.int64)
-        np.moveaxis(slices, 1 + i, 2)[:, :, 0] = np.moveaxis(flat, i, 1)  # [r, s]: h_s
-        reply = kernels.matmul(tower, slices, tower.trace_scalars(w, i)[:, None])
-        traced[i] = Mat(tower, h.rows, h.cols, reply.reshape(h.data.shape))
+        others = [k for k in range(tower.L) if k != i - 1]
+        slices = flat.transpose(0, i, *(k + 1 for k in others), -1)  # [r, s]: h_s in F_i
+        reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, None])
+        traced[i] = Mat(tower, h.rows, h.cols,
+                        tower.embed_base(reply, others).reshape(h.data.shape))
     return ResponseBundle(share.server, traced)
 
 

@@ -5,13 +5,14 @@ of ext_len * (2d-1) slots; index sums never leave the grid, so the cyclic
 convolution is the linear one.  Rounding back to integers is exact while a
 worst-case error bound stays below 1/2, and the product raises where not.
 
-A product transforms only the tower axes that both operands span, read from
-the data: the other axes become rows or columns of a product over the
-sub-tower.  Where the operands share no axis, that product is over F_q0 and
-takes no transform: one float64 F_p matmul with the second operand's
-multiplication matrices.  Reduction mod the moduli is float64 matmuls too,
-and each float64 matmul is exact while its sums stay below 2^53, and raises
-where not."""
+A product reads the right factor's support first.  A right factor in F_q0
+takes no transform, whatever the left factor spans: the left factor's F_p
+digits times the right factor's multiplication matrices, one float64 F_p
+matmul.  Otherwise the product transforms only the tower axes that both
+operands span, read from the data: the other axes become rows or columns of
+a product over the sub-tower, which is over F_q0 where they share no axis.
+Reduction mod the moduli is float64 matmuls too, and each float64 matmul is
+exact while its sums stay below 2^53, and raises where not."""
 
 import math
 
@@ -86,17 +87,20 @@ def convolve(xf, yf, addtable, ext_len):
     return _unslot(np.fft.irfft(fx * fy, n_fft), ext_len, d)
 
 
-def check_reduce_exact(field):
-    """Raise unless ``reduce``'s float64 matmuls are exact: each output sums
-    K products of two residues below p, K the largest inner dimension of
-    the field's reduction matrices, so every partial sum stays an integer
-    below K (p-1)^2, exact while that is below 2^53."""
-    p = field.base.p
-    inner = max(r.shape[0] for r in [field.base._redmat, *field._redmats])
+def check_fp_exact(inner, p):
+    """Raise unless a float64 F_p matmul of inner dimension ``inner`` is
+    exact: each output sums that many products of two residues below p, so
+    every partial sum stays an integer below inner (p-1)^2, exact while that
+    is below 2^53.  The raise is explicit, so python -O keeps it."""
     if not inner * (p - 1) ** 2 < 1 << 53:
         raise RoundingBoundExceeded(
-            f"reduction of inner dimension {inner} over residues below {p} "
-            f"passes 2^53 in float64")
+            f"float64 F_p matmul of inner dimension {inner} over residues "
+            f"below {p} passes 2^53")
+
+
+def check_reduce_exact(field):
+    """check_fp_exact for ``reduce``: its largest inner dimension is K."""
+    check_fp_exact(max(r.shape[0] for r in [field.base._redmat, *field._redmats]), field.base.p)
 
 
 def _fp_matmul(a, b, p):
@@ -142,10 +146,11 @@ def support(field, x):
 def matmul(field, x, y):
     """x @ y over ``field`` for x (..., r, k, *field.shape) and y (..., k, c,
     *field.shape), reduced, with the leading axes broadcast as np.matmul
-    broadcasts them.  With S the axes that both operands span, the product
-    runs over the sub-tower F_S = F_q0(a_k : k in S): x's other axes join
-    its rows and y's its columns.  For S empty it is _direct over F_q0, else
-    a transform over F_S."""
+    broadcasts them.  For y in F_q0 (no coefficient past index 0) it is
+    _direct, whatever x spans.  Otherwise, with S the axes that both span,
+    it runs over the sub-tower F_S = F_q0(a_k : k in S), x's other axes
+    joining its rows and y's its columns: _direct for S empty, else a
+    transform over F_S."""
     n = len(field.shape)
     (r, k), c, d = x.shape[-n - 2 : -n], y.shape[-n - 1], field.base.d
     if field.L:
@@ -160,8 +165,10 @@ def matmul(field, x, y):
             t = np.broadcast_to(t, lead + t.shape[-n - 2 :])
         return t.reshape((-1,) + t.shape[-n - 2 :])
 
+    past = y.reshape(-1, field.flat_size * d)[:, d:] if field.L else y[..., :0]
+    y_in_base = not (np.count_nonzero(past[:1]) or np.count_nonzero(past))  # often settled by [:1]
     x, y = stacked(x), stacked(y)
-    if not field.L:
+    if y_in_base:
         out = _direct(field, x, y)
     else:
         sx, sy = support(field, x), support(field, y)
@@ -170,19 +177,20 @@ def matmul(field, x, y):
     return out.reshape(lead + (r, c) + field.shape)
 
 
-def _direct(base, x, y):
-    """x @ y over F_q0 for a batch of x (B, r, k, d) and y (B, k, c, d),
-    with no transform: x's digit rows times the (k d, c d) F_p matrix whose
-    block (k, c) multiplies by y[k, c], one float64 matmul per batch
-    member.  Each output sums k d products of residues below p, exact while
-    k d (p-1)^2 < 2^53, and it raises where not."""
-    (B, r, k, d), c, p = x.shape, y.shape[2], base.p
-    if not k * d * (p - 1) ** 2 < 1 << 53:
-        raise RoundingBoundExceeded(
-            f"F_q0 product of inner dimension {k} over {d} digits below {p} "
-            f"passes 2^53 in float64")
-    by_y = base.mul_matrix(y % p).transpose(0, 1, 3, 2, 4).reshape(B, k * d, c * d)
-    return _fp_matmul((x % p).reshape(B, r, k * d), by_y, p).reshape(B, r, c, d)
+def _direct(field, x, y):
+    """x @ y for a batch of x (B, r, k, *shape) of any support and y (B, k,
+    c, *shape) in F_q0, with no transform: each tower coefficient of x's
+    rows, as k d F_p digits, times the (k d, c d) F_p matrix whose block
+    (k, c) multiplies by y[k, c], one float64 matmul.  Each output sums k d
+    products of residues below p, and check_fp_exact guards it."""
+    (B, r, k), c, base = x.shape[:3], y.shape[2], field.base
+    d, p = base.d, base.p
+    check_fp_exact(k * d, p)
+    y0 = y[(..., *(0,) * field.L, slice(None))]  # (B, k, c, d): y's F_q0 values
+    by_y = base.mul_matrix(y0 % p).transpose(0, 1, 3, 2, 4).reshape(B, k * d, c * d)
+    rows = (x % p).swapaxes(2, -2)  # k and the last tower axis trade places, and back
+    prod = _fp_matmul(rows.reshape(B, -1, k * d), by_y, p)
+    return prod.reshape(rows.shape[:-2] + (c, d)).swapaxes(2, -2)
 
 
 def _fold(field, x, y, sx, sy):

@@ -452,6 +452,30 @@ def test_trace_is_subfield_linear(tower11_6):
     assert t.is_zero(t.sub(lhs, rhs))
 
 
+@pytest.mark.parametrize("name", ["tower11_6", "tower11_30"])
+def test_trace_scalars_match_trace_of_products(tower11_6, tower11_30, name):
+    """tau_s = tr_i(w a_i^s) for every s, read on F_i's own axes, on
+    F_11(2,3) and F_11(2,3,5), for w in F_q0, on axis i, on one other axis
+    and on every axis."""
+    t = tower11_6 if name == "tower11_6" else tower11_30
+    rng = SplitMix64(90 + t.L)
+    for i in range(1, t.L + 1):
+        sub = t.subtower([a for a in range(t.L) if a != i - 1])
+        for on in ([], [i], [i % t.L + 1], list(range(1, t.L + 1))):
+            w = t.random(rng)
+            for a in range(1, t.L + 1):
+                if a in on:  # a nonzero coefficient of a_a
+                    w[tuple(int(k == a - 1) for k in range(t.L)) + (0,)] = 1
+                else:
+                    w[(slice(None),) * (a - 1) + (slice(1, None),)] = 0
+            assert t.support_axes(w) == sorted(on)
+            tau = t.trace_scalars(w, i)
+            assert tau.shape == (t.primes[i - 1],) + sub.shape
+            for s in range(t.primes[i - 1]):
+                want = trace_to_subfield(t, t.mul(w, t.pow(t.gen(i), s)), i)
+                assert np.array_equal(tau[s], np.take(want, 0, axis=i - 1)), (i, on, s)
+
+
 @pytest.mark.parametrize("name", ["f27", "tower11_6"])
 def test_inv_on_a_stack(tower11_6, name):
     """inv over a stack equals inversion one element at a time, for stacks

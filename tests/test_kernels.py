@@ -292,9 +292,10 @@ def test_server_step_with_full_support_scalar_matches_elementwise_trace():
     """An honest client's w_ij lies in F_q0(a_i); a w from the wire may lie
     in F_q0, span axis i, one other axis or every axis, and the server's
     reply is still tr_i(w h) entry by entry, on the tcp-wide and the
-    small-tower tower."""
-    for L, primes in [(2, (2, 3)), (3, (2, 3, 5))]:
-        scheme = build_scheme(L=L, T=1, primes=primes, base=make_base_field(11, 1),
+    small-tower tower, and on F_9(2,3), whose tau_s multiply as 2 x 2
+    matrices over F_3."""
+    for (p, d), L, primes in [((11, 1), 2, (2, 3)), ((11, 1), 3, (2, 3, 5)), ((3, 2), 2, (2, 3))]:
+        scheme = build_scheme(L=L, T=1, primes=primes, base=make_base_field(p, d),
                               a=2, b=2 * L, c=3)
         tower = scheme.tower
         A = random_mat(2, 2 * L, tower, seed=3)
@@ -323,10 +324,13 @@ _PAST_BOUND = """
 import numpy as np
 from ftp_sdmm import kernels
 from ftp_sdmm.errors import RoundingBoundExceeded
-from ftp_sdmm.fields import BaseField
+from ftp_sdmm.fields import BaseField, make_tower
 f = BaseField(2**31 - 1, 1)
 one = np.ones((1, 1, 1), dtype=np.int64)
-for past in (lambda: kernels.reduce(f, one[0]), lambda: kernels.matmul(f, one, one)):
+tower = make_tower(f, (2,))
+column = np.ones((1, 1) + tower.shape, dtype=np.int64)
+for past in (lambda: kernels.reduce(f, one[0]), lambda: kernels.matmul(f, one, one),
+             lambda: kernels.matmul(tower, column, tower.one()[None, None])):
     try:
         past()
     except RoundingBoundExceeded:
@@ -335,9 +339,10 @@ for past in (lambda: kernels.reduce(f, one[0]), lambda: kernels.matmul(f, one, o
 
 
 def test_float_reduction_past_its_bound_raises():
-    """Residues below p = 2^31 - 1 square past 2^53, so reduce and the
-    direct F_q0 product refuse them with an explicit raise, which python -O
-    keeps; the towers in use pass."""
+    """Residues below p = 2^31 - 1 square past 2^53, so reduce, the direct
+    F_q0 product and, on F_p(a_1), a product with a right factor in F_q0
+    refuse them with an explicit raise, which python -O keeps; the towers
+    in use pass."""
     f = BaseField(2**31 - 1, 1)
     one = np.ones((1, 1, 1), dtype=np.int64)
     with pytest.raises(RoundingBoundExceeded):
@@ -350,4 +355,4 @@ def test_float_reduction_past_its_bound_raises():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-O", "-c", _PAST_BOUND], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0 and out.stdout.split() == ["raised", "raised"], out.stderr
+    assert out.returncode == 0 and out.stdout.split() == ["raised"] * 3, out.stderr
