@@ -267,10 +267,13 @@ def server_compute(scheme, share):
 def decode(scheme, bundles):
     """Recover AB from all N_L response bundles.  For each group i, the
     Vandermonde step over F_q0 gives c_is = -sum_j alpha_j^s r_ij from the
-    replies r_ij in F_i (their index-0 slice on axis i), and one product
-    with the trace-dual basis gives h_i = sum_s c_is mu_is."""
-    tower = scheme.tower
-    a, c, d, p = scheme.a, scheme.c, scheme.base.d, scheme.base.p
+    replies r_ij in F_i (their index-0 slice on axis i), and the trace-dual
+    basis gives h_i = sum_s c_is mu_is, the mirror of server_step: mu_is lies
+    in F_q0(a_i), so coefficient e of h_i on axis i is sum_s c_is mu_ise with
+    every mu_ise in F_q0, one float64 F_p product of c_i's F_i digits with
+    the (p_i d, p_i d) matrix whose block (s, e) multiplies by mu_ise."""
+    tower, base = scheme.tower, scheme.base
+    a, c, d, p = scheme.a, scheme.c, base.d, base.p
     by_server = {bundle.server: bundle for bundle in bundles}
     for j in range(1, scheme.N[-1] + 1):
         if j not in by_server:
@@ -287,11 +290,13 @@ def decode(scheme, bundles):
             replies.append(r.data)
         r_i = np.take(np.stack(replies), 0, axis=2 + i)  # (n_i, a, c, F_i digits)
         flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
-        c_is = (flat @ scheme.vandermonde[i - 1] % p).reshape(a * c, -1, p_i, d)
-        c_i = np.zeros((a * c, p_i) + tower.shape, dtype=np.int64)
-        in_f_i = np.moveaxis(c_i, 1 + i, 2)[:, :, 0]  # index 0 of axis i
-        in_f_i[...] = np.moveaxis(c_is, 2, 1).reshape(in_f_i.shape)
-        total += kernels.matmul(tower, c_i, scheme.mus[i - 1][:, None]).reshape(total.shape)
+        c_is = flat @ scheme.vandermonde[i - 1] % p  # [(a, c, F_i), (s, digit)]
+        mu = np.moveaxis(scheme.mus[i - 1], i, 1).reshape(p_i, p_i, -1, d)[:, :, 0]  # [s, e, digit]
+        by_mu = base.mul_matrix(mu).transpose(0, 2, 1, 3).reshape(p_i * d, p_i * d)
+        kernels.check_fp_exact(p_i * d, p)
+        h_i = kernels._fp_matmul(c_is, by_mu, p)  # [(a, c, F_i), (e, digit)]
+        total += np.moveaxis(h_i.reshape(total.shape[: 1 + i] + total.shape[2 + i :-1] + (p_i, d)),
+                             -2, 1 + i)
     return Mat(tower, a, c, total % p)
 
 

@@ -6,7 +6,15 @@ a full element is d * prod(p_i) bytes in multi-index lexicographic order
 (axis 1 slowest, base-field digits low-degree first); an element of the
 subfield F_i omits the unsupported axis-i coefficients.  Payload byte counts
 therefore equal d times the base-field symbol counts, which is what makes the
-cost accounting auditable on the wire."""
+cost accounting auditable on the wire.
+
+The TCP runner keeps one open connection per endpoint across jobs, with
+TCP_NODELAY set on both ends, and starts no thread.  Each server's PARAMS
+and SHARE go out back to back in one sendall; the servers at one endpoint
+take its connection in rounds, so distinct endpoints compute at once.  A
+kept connection that fails before the first byte of its reply (the daemon
+closed it while idle) is replaced once by a fresh one.  The daemon serves
+each connection from one thread for as many jobs as it carries."""
 
 import os
 import socket
@@ -396,44 +404,135 @@ def _reply(sock, j, expected):
     return body
 
 
+# One idle socket per endpoint, kept across jobs: a job takes it out while
+# it uses it, and puts it back only after a clean exchange.
+_kept = {}
+_kept_lock = threading.Lock()
+
+
+class _Link:
+    """A job's connection to one endpoint: the kept socket if there is one,
+    else a fresh one opened at the first send.  The daemon may have closed
+    a kept socket while it was idle, so a send error, a reset or EOF before
+    the first byte of its first reply replaces it once by a fresh one; the
+    daemon allows that, as it drops a job on its SHARE and registers it
+    again on a repeated PARAMS.  After a timeout the endpoint takes no more
+    of the job's servers: a hung daemon costs one timeout, not one each."""
+
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
+        with _kept_lock:
+            self.sock = _kept.pop(endpoint, None)
+        self.on_trial = self.sock is not None
+        self.busy = False  # frames sent whose replies are not all read
+        self.stage = None
+        self.timed_out = None  # the server whose exchange timed out
+
+    def send(self, frames):
+        """One server's PARAMS and SHARE frames, in one sendall."""
+        if self.timed_out:
+            self.stage = "PARAMS"
+            raise ProtocolTimeout(f"not sent: the endpoint timed out on server {self.timed_out}")
+        if self.sock is None:
+            self.stage = "connect"
+            self.sock = socket.create_connection(self.endpoint, timeout=_timeout_seconds())
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.settimeout(_timeout_seconds())
+        self.stage, self.busy = "PARAMS", True
+        try:
+            self.sock.sendall(frames)
+        except ConnectionError:
+            if not self.on_trial:
+                raise
+            self._renew(frames)
+
+    def receive(self, j, frames, tower):
+        """Server j's PARAMS reply, then its RESPONSES as (bundle, body)."""
+        if self.on_trial and not self._answering():
+            self._renew(frames)
+        self.on_trial = False
+        _reply(self.sock, j, MSG_PARAMS)
+        self.stage = "SHARE"
+        body = _reply(self.sock, j, MSG_RESPONSES)
+        self.busy = False
+        return parse_responses(tower, body)[1], body
+
+    def _answering(self):
+        """Whether the first byte of a reply arrives, not EOF or a reset."""
+        try:
+            return self.sock.recv(1, socket.MSG_PEEK) != b""
+        except socket.timeout as exc:
+            raise ProtocolTimeout("peer timed out") from exc
+        except ConnectionError:
+            return False
+
+    def _renew(self, frames):
+        """Replace the socket on trial by a fresh connection, and resend."""
+        self.sock.close()
+        self.sock, self.on_trial = None, False
+        self.send(frames)
+
+    def close(self):
+        if self.sock is not None:
+            self.sock.close()
+        self.sock, self.busy = None, False
+
+    def release(self):
+        """Keep the socket if its exchanges all ended, else close it."""
+        if self.busy or self.sock is None:
+            self.close()
+            return
+        with _kept_lock:
+            kept = _kept.setdefault(self.endpoint, self.sock)
+        if kept is not self.sock:  # another job kept one for this endpoint meanwhile
+            self.sock.close()
+
+
+def _attempt(errors, j, link, act, *args):
+    """act(*args), or None: an error is recorded for server j at the link's
+    stage, an OSError as ConnectionFailed, and the link's socket closed."""
+    try:
+        return act(*args)
+    except Exception as exc:  # surfaced to the caller of run_remote
+        errors[j] = link.stage, ConnectionFailed(j, str(exc)) if isinstance(exc, OSError) else exc
+        link.close()
+        if isinstance(exc, (TimeoutError, ProtocolTimeout)) and not link.timed_out:
+            link.timed_out = j
+
+
 def run_remote(endpoints, scheme, A, B, seed=0):
     """Contact one TCP server per share; identical result and ledger to
-    run_inprocess for the same seed."""
+    run_inprocess for the same seed.  With no thread, in rounds: each round
+    sends the next pending server's frames on every endpoint's connection,
+    then reads each connection's replies in endpoint order, so distinct
+    endpoints compute at once, and no connection ever has more than one
+    request outstanding."""
     shares = encode(scheme, A, B, seed=seed)
     if len(endpoints) < len(shares):
         raise ConnectionFailed(len(endpoints) + 1, "not enough endpoints")
     job_id = os.urandom(8)
-    ledger = TrafficLedger()
+    queues = {}  # endpoint -> [(j, PARAMS and SHARE frames, share body)]
+    for j, share in enumerate(shares, start=1):
+        sent = share_body(job_id, scheme, share)
+        frames = (pack_message(MSG_PARAMS, params_body(job_id, scheme, j))
+                  + pack_message(MSG_SHARE, sent))
+        queues.setdefault(tuple(endpoints[j - 1]), []).append((j, frames, sent))
+    links = {endpoint: _Link(endpoint) for endpoint in queues}
     results = {}
     errors = {}
-
-    def contact(j, endpoint, share):
-        host, port = endpoint
-        stage = "connect"
-        try:
-            with socket.create_connection((host, port), timeout=_timeout_seconds()) as sock:
-                sock.settimeout(_timeout_seconds())
-                stage = "PARAMS"
-                sock.sendall(pack_message(MSG_PARAMS, params_body(job_id, scheme, j)))
-                _reply(sock, j, MSG_PARAMS)
-                stage = "SHARE"
-                sent = share_body(job_id, scheme, share)
-                sock.sendall(pack_message(MSG_SHARE, sent))
-                body = _reply(sock, j, MSG_RESPONSES)
-                _, bundle = parse_responses(scheme.tower, body)
-                results[j] = (sent, bundle, body)
-        except (OSError, socket.timeout) as exc:
-            errors[j] = stage, ConnectionFailed(j, str(exc))
-        except Exception as exc:  # surfaced to the caller below
-            errors[j] = stage, exc
-
-    threads = []
-    for j, share in enumerate(shares, start=1):
-        t = threading.Thread(target=contact, args=(j, endpoints[j - 1], share))
-        t.start()
-        threads.append(t)
-    for t in threads:
-        t.join()
+    try:
+        for turn in range(max(map(len, queues.values()))):
+            pending = [(links[e], queue[turn]) for e, queue in queues.items() if turn < len(queue)]
+            for link, (j, frames, _) in pending:
+                _attempt(errors, j, link, link.send, frames)
+            for link, (j, frames, sent) in pending:
+                if j not in errors:
+                    got = _attempt(errors, j, link, link.receive, j, frames, scheme.tower)
+                    if got is not None:
+                        results[j] = (sent, *got)
+    finally:
+        for link in links.values():
+            link.release()
     if errors:
         # The lowest-numbered server's error, of its own type, with a
         # message that names every failed server and its stage.
@@ -442,6 +541,7 @@ def run_remote(endpoints, scheme, A, B, seed=0):
                                 for j, (stage, exc) in sorted(errors.items())),)
         raise first
 
+    ledger = TrafficLedger()
     bundles = []
     for j, share in enumerate(shares, start=1):
         sent, bundle, received = results[j]
@@ -456,8 +556,10 @@ def run_remote(endpoints, scheme, A, B, seed=0):
 
 class Server:
     """One computing node.  It keeps each job's params, keyed by job id and
-    server index under a lock, from its PARAMS frame until its SHARE, and
-    computes a SHARE only if its matrices are a x b/L and b/L x c."""
+    server index under a lock, from its PARAMS frame until its SHARE, or
+    until the connection that sent the PARAMS closes, and computes a SHARE
+    only if its matrices are a x b/L and b/L x c.  One thread serves each
+    connection, for as many jobs as its client sends."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -467,14 +569,24 @@ class Server:
         self.host, self.port = self._sock.getsockname()
         self._jobs = {}
         self._jobs_lock = threading.Lock()
+        self._conns = set()
+        self._conns_lock = threading.Lock()
         self._stop = threading.Event()
 
     def stop(self):
+        """Stop accepting, and shut down every open connection, so that a
+        client's kept socket reads EOF."""
         self._stop.set()
         try:
             self._sock.close()
         except OSError:
             pass
+        with self._conns_lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
     def serve_forever(self):
         self._sock.settimeout(0.2)
@@ -488,38 +600,59 @@ class Server:
             threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
 
     def _handle(self, conn):
-        with conn:
-            conn.settimeout(_timeout_seconds())
-            while True:
-                try:
-                    mtype, body = read_message(conn)
-                except (MalformedFrame, ProtocolTimeout):
-                    return
-                except VersionMismatch as exc:
-                    conn.sendall(pack_message(MSG_ERROR, error_body(2, str(exc))))
-                    return
-                try:
-                    reply = self._dispatch(mtype, body)
-                except Exception as exc:
-                    reply = pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}"))
-                conn.sendall(reply)
+        with self._conns_lock:
+            if self._stop.is_set():
+                conn.close()
+                return
+            self._conns.add(conn)
+        registered = {}  # key -> the job this connection's PARAMS left in _jobs
+        try:
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._serve(conn, registered)
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
+            # Jobs whose SHARE never came leave with their connection.
+            with self._jobs_lock:
+                for key, job in registered.items():
+                    if self._jobs.get(key) is job:
+                        del self._jobs[key]
 
-    def _dispatch(self, mtype, body):
+    def _serve(self, conn, registered):
+        conn.settimeout(_timeout_seconds())
+        while True:
+            try:
+                mtype, body = read_message(conn)
+            except (MalformedFrame, ProtocolTimeout):
+                return
+            except VersionMismatch as exc:
+                conn.sendall(pack_message(MSG_ERROR, error_body(2, str(exc))))
+                return
+            try:
+                reply = self._dispatch(mtype, body, registered)
+            except Exception as exc:
+                reply = pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}"))
+            conn.sendall(reply)
+
+    def _dispatch(self, mtype, body, registered):
         if mtype == MSG_HELLO:
             return pack_message(MSG_HELLO, b"")
         if mtype == MSG_PARAMS:
             job = parse_params(body)
+            key = (job.job_id, job.server_index)
             with self._jobs_lock:
-                self._jobs[(job.job_id, job.server_index)] = job
+                self._jobs[key] = registered[key] = job
             return pack_message(MSG_PARAMS, job.job_id)
         if mtype == MSG_SHARE:
             if len(body) < 10:
                 raise MalformedFrame("share header truncated")
             job_id = bytes(body[:8])
-            (server_index,) = struct.unpack_from(">H", body, 8)
+            key = (job_id, struct.unpack_from(">H", body, 8)[0])
             # A job is answered once, so it leaves the table on its SHARE.
             with self._jobs_lock:
-                job = self._jobs.pop((job_id, server_index), None)
+                job = self._jobs.pop(key, None)
+                registered.pop(key, None)
             if job is None:
                 return pack_message(MSG_ERROR, error_body(3, "unknown job id"))
             _, share = parse_share(job.tower, body)

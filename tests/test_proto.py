@@ -519,3 +519,163 @@ def test_tower_cache_keeps_the_towers_used_last(monkeypatch):
     assert len(proto._tower_cache) == proto.TOWER_CACHE_SIZE
     assert list(proto._tower_cache)[-2:] == [fields[-1], fields[0]]
     assert fields[1] not in proto._tower_cache
+
+
+def _job(scheme, seed=8):
+    return (random_mat(scheme.a, scheme.b, scheme.tower, seed=seed),
+            random_mat(scheme.b, scheme.c, scheme.tower, seed=seed + 1))
+
+
+@pytest.fixture()
+def connections(monkeypatch):
+    """The endpoints of every connection run_remote opens."""
+    import socket
+
+    opened = []
+    real = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        opened.append(address)
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return opened
+
+
+def test_remote_jobs_share_one_kept_connection(scheme, live_server, connections):
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    for seed in (1, 2):
+        product, _ = proto.run_remote(endpoints, scheme, A, B, seed=seed)
+        assert product.eq(mat_mul(A, B))
+    assert connections == [("127.0.0.1", live_server.port)]
+
+
+def _wait_until(done, seconds=5.0):
+    import time
+
+    end = time.monotonic() + seconds
+    while not done() and time.monotonic() < end:
+        time.sleep(0.01)
+    assert done()
+
+
+def test_remote_reconnects_once_the_daemon_closed_an_idle_connection(
+        scheme, live_server, connections, monkeypatch):
+    monkeypatch.setenv(proto.TIMEOUT_ENV, "300")
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    proto.run_remote(endpoints, scheme, A, B, seed=1)
+    _wait_until(lambda: not live_server._conns)  # the handler timed out and closed it
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+    assert len(connections) == 2
+
+
+def test_stopped_server_shuts_down_the_kept_socket(scheme, live_server):
+    A, B = _job(scheme)
+    endpoint = ("127.0.0.1", live_server.port)
+    proto.run_remote([endpoint] * scheme.N[-1], scheme, A, B)
+    sock = proto._kept[endpoint]
+    live_server.stop()
+    sock.settimeout(5)
+    assert sock.recv(1) == b""
+
+
+def test_an_error_reply_fails_its_job_and_the_next_job_runs(scheme, live_server, monkeypatch):
+    """The daemon answers server 3's SHARE with MSG_ERROR once: that job
+    raises, naming server 3 at SHARE, and the next job decodes."""
+    from ftp_sdmm.errors import ProtocolError
+
+    real = proto.server_step
+    calls = []
+
+    def failing_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(proto, "server_step", failing_third)
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    with pytest.raises(ProtocolError) as err:
+        proto.run_remote(endpoints, scheme, A, B, seed=1)
+    assert str(err.value).startswith("server 3 at SHARE: ValueError: injected")
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+
+
+def test_run_remote_starts_no_thread(scheme, live_server, monkeypatch):
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    proto.run_remote(endpoints, scheme, A, B, seed=1)  # the daemon's handler starts here
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or real(t))
+    before = threading.active_count()
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+    assert threading.active_count() == before and started == []
+
+
+def test_two_servers_as_two_endpoints_match_inprocess(scheme, live_server):
+    other = proto.Server()
+    thread = threading.Thread(target=other.serve_forever, daemon=True)
+    thread.start()
+    try:
+        A, B = _job(scheme)
+        ports = (live_server.port, other.port)
+        endpoints = [("127.0.0.1", ports[j % 2]) for j in range(scheme.N[-1])]
+        product, ledger = proto.run_remote(endpoints, scheme, A, B, seed=3)
+    finally:
+        other.stop()
+        thread.join(timeout=5)
+    local_product, local_ledger = proto.run_inprocess(scheme, A, B, seed=3)
+    assert np.array_equal(product.data, local_product.data)
+    assert ledger.per_server == local_ledger.per_server
+
+
+def test_an_unanswered_job_leaves_with_its_connection(scheme, live_server):
+    import socket
+
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"noshare!", scheme, 1))
+        assert mtype == proto.MSG_PARAMS
+        assert list(live_server._jobs) == [(b"noshare!", 1)]
+    _wait_until(lambda: live_server._jobs == {})
+
+
+def test_both_ends_of_a_kept_connection_set_tcp_nodelay(scheme, live_server):
+    """Without TCP_NODELAY, Nagle's algorithm holds a reply behind the
+    unacknowledged one before it until the peer's delayed ACK."""
+    import socket
+
+    A, B = _job(scheme)
+    endpoint = ("127.0.0.1", live_server.port)
+    proto.run_remote([endpoint] * scheme.N[-1], scheme, A, B)
+    ends = [proto._kept[endpoint], *live_server._conns]
+    assert len(ends) == 2
+    assert all(s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for s in ends)
+
+
+def test_a_hung_endpoint_costs_one_timeout(scheme, monkeypatch):
+    """A listener that never answers: the first server times out, and the
+    endpoint's other servers fail at once, each named, not after a timeout
+    each."""
+    import socket
+    import time
+
+    from ftp_sdmm.errors import ProtocolTimeout
+
+    monkeypatch.setenv(proto.TIMEOUT_ENV, "300")
+    A, B = _job(scheme)
+    with socket.socket() as hung:
+        hung.bind(("127.0.0.1", 0))
+        hung.listen(16)
+        start = time.perf_counter()
+        with pytest.raises(ProtocolTimeout) as err:
+            proto.run_remote([hung.getsockname()] * scheme.N[-1], scheme, A, B)
+        assert time.perf_counter() - start < 1.0
+    named = [part.split(":")[0] for part in str(err.value).split("; ")]
+    assert named == [f"server {j} at PARAMS" for j in range(1, scheme.N[-1] + 1)]
