@@ -100,10 +100,9 @@ def _merge(args, schema, defaults):
 
 def _add_schema_flags(sub, schema):
     sub.add_argument("--config", help="key=value file; flags override it")
-    casts = {int: int, str: str}
     for key, caster in schema.items():
         flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, type=casts.get(caster, caster), default=None)
+        sub.add_argument(flag, type=caster, default=None)
 
 
 # -- subcommands -----------------------------------------------------------------

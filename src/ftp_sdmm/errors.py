@@ -53,10 +53,6 @@ class DuplicatePoint(FtpError):
     pass
 
 
-class IndexOutOfRange(FtpError):
-    pass
-
-
 # -- matrices and scheme ------------------------------------------------------
 
 class DimMismatch(FtpError):
@@ -118,7 +114,8 @@ class DigitOverflow(FtpError):
 
 
 class FieldTooLarge(FtpError):
-    """A peer asked for a field past the daemon's size limits."""
+    """A peer asked for a field, or a job's product, past the daemon's size
+    limits."""
 
 
 class ConnectionFailed(FtpError):

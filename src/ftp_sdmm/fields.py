@@ -36,10 +36,12 @@ from .errors import (
     NonPrime,
     NormOutsideBase,
     PrimesNotAscendingDistinct,
+    Singular,
     SingularGram,
     ZeroInverse,
 )
 from .kernels import matmul, support
+from .linalg import mat_inverse
 from .poly import divide_at
 
 
@@ -550,25 +552,13 @@ def power_basis_dual(field, scale, i):
 
 
 def trace_dual_basis(field, lambdas, i):
-    """Basis {mu_t} with tr_i(lambda_s * mu_t) = delta_st, via inversion of the
-    Gram matrix G_st = tr_i(lambda_s * lambda_t) over F_i."""
-    from .linalg import mat_inverse
-    from .errors import Singular
-
+    """Basis {mu_t} with tr_i(lambda_s * mu_t) = delta_st: mu = G^-1 lambda
+    for the Gram matrix G_st = tr_i(lambda_s * lambda_t) over F_i."""
     field._check_axis(i)
-    n = len(lambdas)
-    gram = [
-        [field.trace_to_subfield(field.mul(lambdas[s], lambdas[t]), i) for t in range(n)]
-        for s in range(n)
-    ]
+    lambdas = np.asarray(lambdas)
+    gram = field.trace_to_subfield(field.mul(lambdas[:, None], lambdas[None]), i)
     try:
         ginv = mat_inverse(field, gram)
     except Singular as exc:
         raise SingularGram("lambda set is not a basis") from exc
-    mus = []
-    for t in range(n):
-        acc = field.zero()
-        for s in range(n):
-            acc = field.add(acc, field.mul(ginv[t][s], lambdas[s]))
-        mus.append(acc)
-    return mus
+    return matmul(field, ginv, lambdas[:, None])[:, 0]

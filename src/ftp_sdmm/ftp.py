@@ -10,6 +10,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import kernels
+from .analysis import RateParams, costs
 from .errors import (
     DimMismatch,
     InvalidParams,
@@ -23,10 +24,9 @@ from .errors import (
 from .fields import is_prime, make_tower, power_basis_dual
 # Exported from here too: perfbench/tracing.py times ftp.trace_dual_basis.
 from .fields import trace_dual_basis  # noqa: F401
-from .linalg import rank as mat_rank
+from .linalg import rank
 from .matrices import Mat, SplitMix64, mat_mul, partition_inner, random_mat
-from .poly import (EvalDomain, Poly, annihilator, divide_at, evaluate, lagrange_coefficients,
-                   powers, prefix_products)
+from .poly import EvalDomain, Poly, annihilator, divide_at, evaluate, powers, prefix_products
 
 
 @dataclass
@@ -301,32 +301,25 @@ def decode(scheme, bundles):
 
 
 def cost_report(scheme):
-    """Exact symbol counts in base-field symbols."""
-    prod = 1
-    for p in scheme.primes:
-        prod *= p
-    a, b, c, L = scheme.a, scheme.b, scheme.c, scheme.L
-    upload = scheme.N[-1] * (a * b // L + b * c // L) * prod
-    download = a * c * sum(
-        scheme.N[i] * prod // scheme.primes[i] for i in range(L)
-    )
-    output = a * c * prod
-    return CostReport(upload, download, output)
+    """Exact symbol counts in base-field symbols: analysis.costs of the
+    scheme's parameters."""
+    return CostReport(*costs(RateParams(scheme.a, scheme.b, scheme.c, scheme.L, scheme.T,
+                                        scheme.primes)))
 
 
 def security_rank_audit(tower, nodes, eval_points, T):
     """For every T-subset of eval_points, the T x T matrix of randomness
-    Lagrange-basis values must be invertible."""
-    basis = lagrange_coefficients(tower, nodes)[:, len(nodes) - T :]
-    values = evaluate(tower, basis, eval_points)  # [j, t]
-    failures = []
-    checks = 0
-    for subset in combinations(range(len(eval_points)), T):
-        mat = [[values[j, t] for j in subset] for t in range(T)]
-        checks += 1
-        if mat_rank(tower, mat) < T:
-            failures.append(subset)
-    return checks, failures
+    Lagrange-basis values must be invertible.  l_t(x) = prod_(k != t) (x -
+    w_k) / A'(w_t) on the nodes w, and the nonzero column scale 1/A'(w_t)
+    changes no rank, so the values are the products of differences alone.
+    One rank call eliminates every subset's matrix at once."""
+    n = len(nodes)
+    diff = tower.sub(np.asarray(eval_points)[:, None], np.asarray(nodes)[None])  # [j, k]
+    factors = np.stack([np.delete(diff, t, axis=1) for t in range(n - T, n)], axis=2)
+    values = reduce(tower.mul, np.moveaxis(factors, 1, 0))  # [j, t]
+    subsets = list(combinations(range(len(eval_points)), T))
+    ranks = rank(tower, values[np.array(subsets)].swapaxes(1, 2))
+    return len(subsets), [s for s, r in zip(subsets, ranks) if r < T]
 
 
 def security_audit(scheme, mode="rank", fixed_A=None):
@@ -342,22 +335,19 @@ def security_audit(scheme, mode="rank", fixed_A=None):
             raise TooLargeForExhaustive("exhaustive mode needs |F_q| <= 2^16 and 1x1 blocks")
         A = fixed_A if fixed_A is not None else Mat(tower, 1, 1, [[tower.gen(1)]])
         B = Mat(tower, 1, 1, [[tower.one()]])
-        q = tower.order_int
-        all_elems = list(tower.elements())
-        failures = []
-        checks = 0
-        for subset in combinations(range(1, scheme.N[-1] + 1), scheme.T):
-            seen = {}
-            for draw in product(range(q), repeat=scheme.T):
-                w = scheme.b // scheme.L
-                R = [Mat(tower, scheme.a, w, [[all_elems[k]]]) for k in draw]
-                S = [Mat(tower, w, scheme.c, [[tower.zero()]]) for _ in draw]
-                shares = encode(scheme, A, B, randoms=(R, S))
-                key = tuple(tower.to_int(shares[j - 1].f_eval.data[0][0]) for j in subset)
-                seen[key] = seen.get(key, 0) + 1
-            checks += 1
-            if len(seen) != q**scheme.T or any(v != 1 for v in seen.values()):
-                failures.append(subset)
-        return AuditReport("exhaustive", checks, failures)
+        q, T = tower.order_int, scheme.T
+        S = [Mat(tower, 1, 1, [[tower.zero()]])] * T
+        # The shares do not depend on the subset: encode each of the q^T
+        # draws once, and keep every server's f value.
+        views = []
+        for draw in product(range(q), repeat=T):
+            R = [Mat(tower, 1, 1, [[tower.from_int(k)]]) for k in draw]
+            shares = encode(scheme, A, B, randoms=(R, S))
+            views.append([tower.to_int(share.f_eval.data[0][0]) for share in shares])
+        # A subset sees each of its q^T views once iff the draws give q^T
+        # distinct views.
+        subsets = list(combinations(range(1, scheme.N[-1] + 1), T))
+        failures = [s for s in subsets if len({tuple(v[j - 1] for j in s) for v in views}) != q**T]
+        return AuditReport("exhaustive", len(subsets), failures)
 
     raise InvalidParams(f"unknown audit mode {mode!r}")

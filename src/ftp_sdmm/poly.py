@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .errors import DimMismatch, DuplicatePoint, FieldMismatch, IndexOutOfRange
+from .errors import DimMismatch, DuplicatePoint, FieldMismatch
 
 
 class Poly:
@@ -48,17 +48,6 @@ class Poly:
 
     def sub(self, other):
         return self.add(Poly(self.field, -other.coeffs))
-
-    def mul(self, other):
-        """One Toeplitz product: column j of the matrix holds self's
-        coefficients from row j on, and it multiplies other's column."""
-        a, b = self.coeffs, other.coeffs
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        toeplitz = np.zeros((len(a) + len(b) - 1, len(b)) + self.field.shape, dtype=np.int64)
-        for j in range(len(b)):
-            toeplitz[j : j + len(a), j] = a
-        return Poly(self.field, kernels.matmul(self.field, toeplitz, b[:, None])[:, 0])
 
     def scale(self, c):
         """Every coefficient times c: one product of the coefficients, as a
@@ -182,13 +171,6 @@ def lagrange_coefficients(field, points):
     for s in range(n - 1, 0, -1):
         rows.append((A.coeffs[s] + field.mul(points, rows[-1])) % p)
     return field.mul(np.stack(rows[::-1]), inverses)  # [s, k]
-
-
-def lagrange_basis(field, i, points):
-    """Polynomial with value 1 at points[i] and 0 at the others (0-based i)."""
-    if not 0 <= i < len(points):
-        raise IndexOutOfRange(f"index {i} for {len(points)} points")
-    return Poly(field, lagrange_coefficients(field, points)[:, i])
 
 
 def lagrange_interpolate(field, points, values):

@@ -188,11 +188,13 @@ def params_body(job_id, scheme, server_index):
     return body
 
 
-# The largest field a PARAMS frame may ask for, checked before it is built:
-# each axis's degree over F_p (p_i * d) and one element's digits
-# (prod(p_i) * d).  Towers within them build in about a second or less.
+# The largest job a PARAMS frame may ask for, checked before any field is
+# built: each axis's degree over F_p (p_i * d) and one element's digits
+# (prod(p_i) * d), so the tower builds in about a second or less, and the
+# digits of the a x c product h that server_step forms (a c prod(p_i) d).
 MAX_AXIS_DIGITS = 48
 MAX_ELEMENT_DIGITS = 4096
+MAX_PRODUCT_DIGITS = 1 << 24
 TOWER_CACHE_SIZE = 8
 
 _tower_cache = {}
@@ -231,7 +233,8 @@ def parse_params(body):
     DigitOverflow if p >= 256, MalformedFrame if the body is truncated, runs
     past its last group, names a group outside 1..L or twice (so never
     more than L groups), or has a b that L does not divide, and
-    FieldTooLarge past MAX_AXIS_DIGITS or MAX_ELEMENT_DIGITS."""
+    FieldTooLarge past MAX_AXIS_DIGITS, MAX_ELEMENT_DIGITS or
+    MAX_PRODUCT_DIGITS."""
     if len(body) < 13:
         raise MalformedFrame("params header truncated")
     job_id = bytes(body[:8])
@@ -250,6 +253,9 @@ def parse_params(body):
         raise FieldTooLarge(f"degrees {primes} over F_{p}^{d}: past {MAX_AXIS_DIGITS} digits "
                             f"per axis or {MAX_ELEMENT_DIGITS} per element")
     a, b, c = struct.unpack_from(">III", body, off); off += 12
+    if a * c * prod(primes) * d > MAX_PRODUCT_DIGITS:
+        raise FieldTooLarge(f"a {a} x {c} product over {prod(primes) * d} digits per element: "
+                            f"past {MAX_PRODUCT_DIGITS} digits")
     if not L or b % L:
         raise MalformedFrame(f"b = {b} is not a multiple of L = {L}")
     n_groups = body[off]; off += 1

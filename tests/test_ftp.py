@@ -1,12 +1,14 @@
 """Scheme construction, encode/servers/decode, costs, security audits."""
 
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ftp_sdmm.ftp as ftp_module
 from ftp_sdmm.errors import (
     DimMismatch,
     InvalidParams,
@@ -29,6 +31,7 @@ from ftp_sdmm.ftp import (
 from ftp_sdmm.matrices import mat_mul, random_mat
 
 from conftest import _DIGEST_SCHEMES
+from test_linalg import _elim
 from ftp_sdmm.poly import annihilator, dual_weights, eval_poly, evaluate, lagrange_coefficients
 
 CONFIGS = [
@@ -144,12 +147,60 @@ def test_rank_audit_detects_corrupt_points():
     assert failures
 
 
+def test_rank_audit_matches_lagrange_values_oracle():
+    """The audit's failures on corrupted points are those of the Lagrange
+    basis values themselves, each subset's matrix eliminated one element at
+    a time."""
+    scheme = _scheme(CONFIGS[3])  # T = 2
+    t = scheme.tower
+    nodes = scheme.points[: scheme.L + scheme.T]
+    eval_points = list(scheme.points[scheme.L : scheme.L + scheme.N[-1]])
+    eval_points[1], eval_points[4] = eval_points[0], eval_points[2]
+    values = evaluate(t, lagrange_coefficients(t, nodes)[:, -scheme.T :], eval_points)
+    want = [s for s in combinations(range(len(eval_points)), scheme.T)
+            if _elim(t, [[values[j, k] for j in s] for k in range(scheme.T)], scheme.T)[0] < scheme.T]
+    checks, failures = security_rank_audit(t, nodes, eval_points, scheme.T)
+    assert failures == want == [(0, 1), (2, 4)]
+    assert checks == len(list(combinations(range(len(eval_points)), scheme.T)))
+
+
+def test_rank_audit_inverts_no_element(monkeypatch):
+    """The audit needs no inversion: its values are known up to a nonzero
+    column scale, and the elimination divides by nothing."""
+    scheme = _scheme(CONFIGS[3])
+
+    def refuse(self, x):
+        raise AssertionError("the rank audit inverted an element")
+
+    monkeypatch.setattr(TowerField, "inv", refuse)
+    report = security_audit(scheme, mode="rank")
+    assert report.passed and report.checks == scheme.N[-1] * (scheme.N[-1] - 1) // 2
+
+
 def test_exhaustive_audit_uniform():
     scheme = _scheme(CONFIGS[0], a=1, b=1, c=1)  # q = 16, 1x1 blocks
     report = security_audit(scheme, mode="exhaustive")
     assert report.mode == "exhaustive"
     assert report.passed
     assert report.checks == scheme.N[-1]  # one check per single-server subset
+
+
+def test_exhaustive_audit_encodes_each_draw_once_and_finds_a_leak(monkeypatch):
+    """Server 2's share made constant: the one subset that sees it fails,
+    and the q^T draws are encoded once for all subsets."""
+    scheme = _scheme(CONFIGS[0], a=1, b=1, c=1)
+    calls = []
+
+    def leaky(*args, **kwargs):
+        calls.append(1)
+        shares = encode(*args, **kwargs)
+        shares[1].f_eval.data[...] = 0
+        return shares
+
+    monkeypatch.setattr(ftp_module, "encode", leaky)
+    report = security_audit(scheme, mode="exhaustive")
+    assert report.checks == scheme.N[-1] and report.failures == [(2,)]
+    assert len(calls) == scheme.tower.order_int
 
 
 def test_exhaustive_audit_guard():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftp_sdmm.errors import DimMismatch, DuplicatePoint, FieldMismatch, IndexOutOfRange
+from ftp_sdmm.errors import DimMismatch, DuplicatePoint, FieldMismatch
 from ftp_sdmm.fields import make_base_field, make_tower
 from ftp_sdmm.matrices import SplitMix64
 from ftp_sdmm.poly import (
@@ -16,7 +16,7 @@ from ftp_sdmm.poly import (
     dual_weights,
     eval_poly,
     evaluate,
-    lagrange_basis,
+    lagrange_coefficients,
     lagrange_interpolate,
 )
 
@@ -52,16 +52,12 @@ def test_interpolation_roundtrip(seed, npts):
         lagrange_interpolate(f, points, values[:-1])
 
 
-def test_lagrange_basis_partition_of_unity(f5):
+def test_lagrange_coefficients_partition_of_unity(f5):
     points = [f5.from_int(k) for k in range(4)]
-    acc = Poly.zero(f5)
-    for i in range(4):
-        acc = acc.add(lagrange_basis(f5, i, points))
-    assert acc.eq(Poly.one(f5))
-    with pytest.raises(IndexOutOfRange):
-        lagrange_basis(f5, 4, points)
+    basis = lagrange_coefficients(f5, points)  # [s, k]: coefficient s of l_k
+    assert Poly(f5, basis.sum(axis=1)).eq(Poly.one(f5))
     with pytest.raises(DuplicatePoint):
-        lagrange_basis(f5, 0, points + [points[0]])
+        lagrange_coefficients(f5, points + [points[0]])
 
 
 def test_annihilator_vanishes(tower11_6):
@@ -101,11 +97,10 @@ def test_dual_orthogonality_and_corruption(tower16):
 
 def test_poly_algebra(f5):
     x = Poly(f5, [f5.from_int(0), f5.from_int(1)])
-    one = Poly.one(f5)
-    p = x.mul(x).add(x)          # x^2 + x
-    q = p.sub(x)                 # x^2
-    assert q.eq(x.mul(x))
-    assert p.mul(one).eq(p)
+    x2 = Poly(f5, [f5.from_int(0), f5.from_int(0), f5.from_int(1)])
+    p = x2.add(x)                # x^2 + x
+    assert p.sub(x).eq(x2)
+    assert not p.eq(x2)
     assert len(Poly.zero(f5).coeffs) == 0
 
 
@@ -199,15 +194,11 @@ def _distinct_points(field, rng, count):
 
 
 @settings(max_examples=30)
-@given(st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4),
-       st.integers(1, 5))
-def test_tensor_poly_matches_elementwise_oracles(oracle_fields, which, seed, deg_a, deg_b, npts):
+@given(st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 4), st.integers(1, 5))
+def test_tensor_poly_matches_elementwise_oracles(oracle_fields, which, seed, deg_a, npts):
     field = oracle_fields[which]
     rng = SplitMix64(seed)
     a = [field.random(rng) for _ in range(deg_a + 1)]
-    b = [field.random(rng) for _ in range(deg_b + 1)]
-    assert _same(field, Poly(field, a).mul(Poly(field, b)).coeffs, _mul_oracle(field, a, b))
-
     pts = _distinct_points(field, rng, npts)
     embed = getattr(field, "embed_scalar_int", field.from_int)
     at = pts + [embed(field.base.order - 1), field.random(rng)]

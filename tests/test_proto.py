@@ -470,12 +470,13 @@ def test_server_drops_each_job_once_answered(scheme, live_server):
     assert live_server._jobs == {}
 
 
-def _params_for(p, d, modulus, primes, groups=1):
-    """A well-formed PARAMS body for server 1 of a 1 x 1 x 1 job over
-    F_{p^d}(primes), with zero trace scalars for groups 1..groups."""
+def _params_for(p, d, modulus, primes, groups=1, abc=(1, 1, 1)):
+    """A well-formed PARAMS body for server 1 of an a x b x c job (1 x 1 x 1
+    by default) over F_{p^d}(primes), with zero trace scalars for groups
+    1..groups."""
     body = b"bigfield" + struct.pack(">HHB", 1, p, d) + bytes(modulus)
     body += bytes([len(primes)]) + b"".join(struct.pack(">H", n) for n in primes)
-    body += struct.pack(">III", 1, 1, 1) + bytes([groups])
+    body += struct.pack(">III", *abc) + bytes([groups])
     for i in range(1, groups + 1):
         body += bytes([i]) + bytes(int(np.prod(primes)) * d)
     return body
@@ -504,6 +505,36 @@ def test_daemon_refuses_a_huge_field_fast_then_serves(scheme, live_server):
     assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in body
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+
+
+def test_parse_params_rejects_a_product_past_the_limit(monkeypatch):
+    """Over F_4(a) with a of degree 2, h holds 4 a c digits: a job at
+    MAX_PRODUCT_DIGITS parses, and one more column is refused before a
+    field is built."""
+    limit = proto.MAX_PRODUCT_DIGITS
+    job = proto.parse_params(_params_for(2, 2, (1, 1, 1), (2,), abc=(1 << 11, 1, limit >> 13)))
+    assert 4 * job.a * job.c == limit
+    monkeypatch.setattr(proto, "_cached_tower", _no_field)
+    for abc in [(1 << 11, 1, (limit >> 13) + 1), (1 << 16, 1, 1 << 16), (2**32 - 1, 1, 2**32 - 1)]:
+        with pytest.raises(FieldTooLarge):
+            proto.parse_params(_params_for(2, 2, (1, 1, 1), (2,), abc=abc))
+
+
+def test_daemon_refuses_a_huge_product_then_serves(scheme, live_server):
+    """PARAMS for a 2^16 x 2^16 product with w = 1, which a SHARE of about
+    0.8 MB would complete, is answered with an error, and the daemon then
+    serves a valid job."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        body = _params_for(11, 1, (0, 1), (2,), abc=(1 << 16, 1, 1 << 16))
+        mtype, reply = _exchange(sock, proto.MSG_PARAMS, body)
+    assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in reply
+    assert live_server._jobs == {}
+    A, B = _job(scheme)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
     assert product.eq(mat_mul(A, B))
