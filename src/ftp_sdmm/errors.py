@@ -114,7 +114,7 @@ class DigitOverflow(FtpError):
 
 
 class FieldTooLarge(FtpError):
-    """A peer asked for a field, or a job's product, past the daemon's size
+    """A peer asked for a field, or a job's matrices, past the daemon's size
     limits."""
 
 

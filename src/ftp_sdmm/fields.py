@@ -494,16 +494,17 @@ class TowerField(_Field):
         return np.ascontiguousarray(np.moveaxis(out, -2, self._axis(i)))
 
     def trace_scalars(self, w, i):
-        """tau_s = tr_i(w a_i^s) for s < p_i, as a (p_i, *F_i.shape) tensor on
-        the axes of F_i = self.subtower(axes other than i).  With w = sum_t
-        w_t a_i^t, w_t in F_i its axis-i slices, tau_s = sum_t w_t
-        tr_i(a_i^(s+t)), and the Hankel table holds those traces, which lie
-        in F_q0: for w in F_q0(a_i), every tau_s lies in F_q0."""
+        """tau_s = tr_i(w a_i^s) for s < p_i, w (..., *shape), as a (..., p_i,
+        *F_i.shape) tensor on the axes of F_i = self.subtower(axes other than
+        i).  With w = sum_t w_t a_i^t, w_t in F_i its axis-i slices, tau_s =
+        sum_t w_t tr_i(a_i^(s+t)), and the Hankel table holds those traces,
+        which lie in F_q0: for w in F_q0(a_i), every tau_s lies in F_q0."""
         self._check_axis(i)
         p, p_i, d, L = self.base.p, self.primes[i - 1], self.base.d, self.L
-        slices = (np.asarray(w) % p).transpose(*range(i - 1), *range(i, L), i - 1, L)
-        tau = slices.reshape(-1, p_i * d) @ self._hankel_mats[i - 1] % p  # [other, (s, b)]
-        return tau.reshape(slices.shape).transpose(L - 1, *range(L - 1), L)
+        n = np.ndim(w) - L - 1  # leading axes; transposes, as moveaxis costs more per call
+        slices = (np.asarray(w) % p).transpose(*range(n + i - 1), *range(n + i, n + L), n + i - 1, n + L)
+        tau = slices.reshape(-1, p_i * d) @ self._hankel_mats[i - 1] % p  # [(..., F_i), (s, b)]
+        return tau.reshape(slices.shape).transpose(*range(n), n + L - 1, *range(n, n + L - 1), n + L)
 
     def _check_axis(self, i):
         if not 1 <= i <= self.L:

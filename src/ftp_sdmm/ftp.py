@@ -25,7 +25,7 @@ from .fields import is_prime, make_tower, power_basis_dual
 # Exported from here too: perfbench/tracing.py times ftp.trace_dual_basis.
 from .fields import trace_dual_basis  # noqa: F401
 from .linalg import rank
-from .matrices import Mat, SplitMix64, mat_mul, partition_inner, random_mat
+from .matrices import Mat, SplitMix64, partition_inner, random_mat
 from .poly import EvalDomain, Poly, annihilator, divide_at, evaluate, powers, prefix_products
 
 
@@ -237,31 +237,40 @@ def server_groups(scheme, j):
             for i in range(1, scheme.L + 1) if j <= scheme.N[i - 1]}
 
 
-def server_step(tower, scalars, share):
-    """The server's work, in process and in the TCP daemon alike: h = the
-    product of the received evaluations, then tr_i(w_i h) per group i.  The
+def server_step(tower, scalars, shares):
+    """The servers' work, in process and in the TCP daemon alike, for a stack
+    of shares and scalars[i] the stacked w_i of the first len(scalars[i]) of
+    them (one Share and {i: w} are a stack of one): every h = f(alpha_j)
+    g(alpha_j) in one batched product, then tr_i(w_i h) per group i.  The
     trace is F_i-linear, so with h = sum_s h_s a_i^s, h_s in F_i the axis-i
     slices of h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s):
-    one product over F_i of the (a c, p_i) slice matrix, a view of h, with
-    the column tau, embedded at index 0 of axis i.  An honest w_i lies in
-    F_q0(a_i), so every tau_s lies in F_q0 and the product takes no
-    transform; any other w_i gives tau_s spanning axes of F_i, and the
-    product runs over the axes the slices and tau share."""
-    h = mat_mul(share.f_eval, share.g_eval)
-    flat = h.data.reshape((h.rows * h.cols,) + tower.shape)
-    traced = {}
+    one product over F_i of each (a c, p_i) slice matrix, a view of h, with
+    its column tau, embedded at index 0 of axis i.  For honest w_i, in
+    F_q0(a_i), every tau_s lies in F_q0 and the product takes no transform;
+    any other w_i in the stack makes it run on the axes both factors span."""
+    if isinstance(shares, Share):
+        return server_step(tower, {i: w[None] for i, w in scalars.items()}, [shares])[0]
+    h = kernels.matmul(tower, np.array([s.f_eval.data for s in shares]),
+                       np.array([s.g_eval.data for s in shares]))
+    flat = h.reshape((len(h), -1) + tower.shape)
+    traced = [{} for _ in shares]
     for i, w in scalars.items():
         others = [k for k in range(tower.L) if k != i - 1]
-        slices = flat.transpose(0, i, *(k + 1 for k in others), -1)  # [r, s]: h_s in F_i
-        reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, None])
-        traced[i] = Mat(tower, h.rows, h.cols,
-                        tower.embed_base(reply, others).reshape(h.data.shape))
-    return ResponseBundle(share.server, traced)
+        slices = flat[: len(w)].transpose(0, 1, i + 1, *(k + 2 for k in others), -1)  # [r, s]: h_s
+        reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, :, None])
+        for k, r in enumerate(tower.embed_base(reply, others).reshape(h[: len(w)].shape)):
+            traced[k][i] = Mat(tower, *h.shape[1:3], r)
+    return [ResponseBundle(share.server, t) for share, t in zip(shares, traced)]
 
 
-def server_compute(scheme, share):
-    """Product of the received evaluations, then per-group traced downloads."""
-    return server_step(scheme.tower, server_groups(scheme, share.server), share)
+def server_compute(scheme, shares):
+    """Each share's bundle, in order, from one server_step.  In ascending
+    server order, as encode makes them, group i's servers come first."""
+    if isinstance(shares, Share):
+        return server_compute(scheme, [shares])[0]
+    groups = [server_groups(scheme, share.server) for share in shares]
+    scalars = {i: np.stack([g[i] for g in groups if i in g]) for i in groups[0]}
+    return server_step(scheme.tower, scalars, shares)
 
 
 def decode(scheme, bundles):

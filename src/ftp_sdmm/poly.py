@@ -99,22 +99,24 @@ def evaluate(field, coeffs, points):
     """Values at the points of the polynomials whose coefficients, low degree
     first, run along axis 0 of coeffs (deg + 1, ..., *field.shape), as a
     (len(points), ..., *field.shape) tensor.  At the points in F_q0 this is
-    one F_q0 Vandermonde product, each coefficient read as a column of F_q0
-    elements.  At any other point, one product of the row of its powers
-    with the coefficients replaces that product's row; the powers are made
-    one point at a time, so that a generator's stay on its own axis."""
-    base, p = field.base, field.base.p
+    one F_q0 Vandermonde product, one float64 F_p matmul of the coefficients'
+    F_q0 digits with the powers' multiplication matrices.  At any other
+    point, one product of the row of its powers with the coefficients
+    replaces that product's row; the powers are made one point at a time,
+    so that a generator's stay on its own axis."""
+    n, d, p = len(coeffs), field.base.d, field.base.p
     points = np.reshape(points, (-1,) + field.shape) % p
-    if not len(coeffs):
+    if not n:
         return np.zeros((len(points),) + coeffs.shape[1:], dtype=np.int64)
-    flat = points.reshape(len(points), -1, base.d)
-    by_power = base.mul_matrix(powers(base, flat[:, 0], len(coeffs)))  # [s, j, a, b]
-    out = np.einsum("sma,sjab->jmb", coeffs.reshape(len(coeffs), -1, base.d), by_power)
-    out %= p  # in place: one copy of the values at a time
-    out = out.reshape((len(points),) + coeffs.shape[1:])
-    columns = coeffs.reshape((len(coeffs), -1) + field.shape)
+    flat = points.reshape(len(points), -1, d)
+    by_power = field.base.mul_matrix(powers(field.base, flat[:, 0], n))  # [s, j, a, b]
+    kernels.check_fp_exact(n * d, p)
+    rows = coeffs.reshape(n, -1, d).transpose(1, 0, 2).reshape(-1, n * d) % p  # [m, (s, a)]
+    out = kernels._fp_matmul(rows, by_power.transpose(0, 2, 1, 3).reshape(n * d, -1), p)
+    out = out.reshape(-1, len(points), d).transpose(1, 0, 2).reshape((len(points),) + coeffs.shape[1:])
+    columns = coeffs.reshape((n, -1) + field.shape)
     for j in np.flatnonzero(flat[:, 1:].any(axis=(1, 2))):
-        row = powers(field, points[j], len(coeffs)).swapaxes(0, 1)
+        row = powers(field, points[j], n).swapaxes(0, 1)
         out[j] = kernels.matmul(field, row, columns).reshape(out.shape[1:])
     return out
 

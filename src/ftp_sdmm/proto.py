@@ -164,6 +164,8 @@ def _recv_exact(sock, n):
 
 def read_message(sock):
     msg_type, length = _header(_recv_exact(sock, 10))
+    if length > MAX_FRAME_BYTES:
+        raise MalformedFrame(f"a body of {length} bytes is past {MAX_FRAME_BYTES}")
     return msg_type, _recv_exact(sock, length)
 
 
@@ -191,10 +193,13 @@ def params_body(job_id, scheme, server_index):
 # The largest job a PARAMS frame may ask for, checked before any field is
 # built: each axis's degree over F_p (p_i * d) and one element's digits
 # (prod(p_i) * d), so the tower builds in about a second or less, and the
-# digits of the a x c product h that server_step forms (a c prod(p_i) d).
+# digits of each of its matrices (a x b/L, b/L x c and the product h).  A
+# frame body holds at most two of them, one byte per digit, and headers.
 MAX_AXIS_DIGITS = 48
 MAX_ELEMENT_DIGITS = 4096
 MAX_PRODUCT_DIGITS = 1 << 24
+MAX_FRAME_BYTES = 2 * MAX_PRODUCT_DIGITS + 4096
+MAX_OPEN_JOBS = 16  # PARAMS frames on one connection that await their SHARE
 TOWER_CACHE_SIZE = 8
 
 _tower_cache = {}
@@ -234,7 +239,7 @@ def parse_params(body):
     past its last group, names a group outside 1..L or twice (so never
     more than L groups), or has a b that L does not divide, and
     FieldTooLarge past MAX_AXIS_DIGITS, MAX_ELEMENT_DIGITS or
-    MAX_PRODUCT_DIGITS."""
+    MAX_PRODUCT_DIGITS in any of its matrices."""
     if len(body) < 13:
         raise MalformedFrame("params header truncated")
     job_id = bytes(body[:8])
@@ -253,11 +258,11 @@ def parse_params(body):
         raise FieldTooLarge(f"degrees {primes} over F_{p}^{d}: past {MAX_AXIS_DIGITS} digits "
                             f"per axis or {MAX_ELEMENT_DIGITS} per element")
     a, b, c = struct.unpack_from(">III", body, off); off += 12
-    if a * c * prod(primes) * d > MAX_PRODUCT_DIGITS:
-        raise FieldTooLarge(f"a {a} x {c} product over {prod(primes) * d} digits per element: "
-                            f"past {MAX_PRODUCT_DIGITS} digits")
     if not L or b % L:
         raise MalformedFrame(f"b = {b} is not a multiple of L = {L}")
+    if max(a * c, a * b // L, b // L * c) * prod(primes) * d > MAX_PRODUCT_DIGITS:
+        raise FieldTooLarge(f"a {a} x {b // L} by {b // L} x {c} job over {prod(primes) * d} "
+                            f"digits per element: past {MAX_PRODUCT_DIGITS} digits per matrix")
     n_groups = body[off]; off += 1
     step = 1 + prod(primes) * d  # group id, then one full element
     if len(body) - off != n_groups * step:
@@ -382,17 +387,18 @@ def _ledger_bundle(ledger, scheme, bundle, body):
 # -- runners ------------------------------------------------------------------------
 
 def run_inprocess(scheme, A, B, seed=0):
-    """encode -> serialize -> servers -> serialize -> decode, all in memory;
-    every payload passes through the wire format so the ledger is exact."""
+    """encode -> serialize -> every server at once -> serialize -> decode, in
+    memory; every payload passes through the wire format so the ledger is exact."""
     tower = scheme.tower
     job_id = b"\0" * 8
     ledger = TrafficLedger()
-    bundles = []
+    shares, bundles = [], []
     for share in encode(scheme, A, B, seed=seed):
         body = share_body(job_id, scheme, share)
         _ledger_share(ledger, scheme, share, body)
-        _, share = parse_share(tower, body)
-        body = responses_body(job_id, tower, server_compute(scheme, share))
+        shares.append(parse_share(tower, body)[1])
+    for bundle in server_compute(scheme, shares):
+        body = responses_body(job_id, tower, bundle)
         _, bundle = parse_responses(tower, body)
         _ledger_bundle(ledger, scheme, bundle, body)
         bundles.append(bundle)
@@ -645,6 +651,8 @@ class Server:
         if mtype == MSG_HELLO:
             return pack_message(MSG_HELLO, b"")
         if mtype == MSG_PARAMS:
+            if len(registered) >= MAX_OPEN_JOBS:
+                raise ProtocolError(f"{MAX_OPEN_JOBS} jobs on this connection await their SHARE")
             job = parse_params(body)
             key = (job.job_id, job.server_index)
             with self._jobs_lock:

@@ -28,7 +28,7 @@ from ftp_sdmm.ftp import (
     security_rank_audit,
     server_compute,
 )
-from ftp_sdmm.matrices import mat_mul, random_mat
+from ftp_sdmm.matrices import SplitMix64, mat_mul, random_mat
 
 from conftest import _DIGEST_SCHEMES
 from test_linalg import _elim
@@ -56,7 +56,7 @@ def test_roundtrip(cfg):
     for seed in range(3):
         A = random_mat(scheme.a, scheme.b, scheme.tower, seed=seed + 100)
         B = random_mat(scheme.b, scheme.c, scheme.tower, seed=seed + 200)
-        bundles = [server_compute(scheme, s) for s in encode(scheme, A, B, seed=seed)]
+        bundles = server_compute(scheme, encode(scheme, A, B, seed=seed))
         assert decode(scheme, bundles).eq(mat_mul(A, B))
 
 
@@ -94,8 +94,7 @@ def test_server_group_omission():
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=0)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=1)
     shares = encode(scheme, A, B)
-    for share in shares:
-        bundle = server_compute(scheme, share)
+    for share, bundle in zip(shares, server_compute(scheme, shares)):
         for i in range(1, scheme.L + 1):
             assert (i in bundle.traced) == (share.server <= scheme.N[i - 1])
     # annihilator really vanishes at the omitted servers' points
@@ -111,7 +110,7 @@ def test_decode_requires_all_bundles():
     scheme = _scheme(CONFIGS[1])
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=0)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=1)
-    bundles = [server_compute(scheme, s) for s in encode(scheme, A, B)]
+    bundles = server_compute(scheme, encode(scheme, A, B))
     with pytest.raises(MissingBundle):
         decode(scheme, bundles[:-1])
 
@@ -121,8 +120,7 @@ def test_responses_live_in_subfield():
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=3)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=4)
     t = scheme.tower
-    for share in encode(scheme, A, B):
-        bundle = server_compute(scheme, share)
+    for bundle in server_compute(scheme, encode(scheme, A, B)):
         for i, m in bundle.traced.items():
             for row in m.data:
                 for v in row:
@@ -393,7 +391,66 @@ def test_decode_matches_staged_oracle(digest_schemes, name):
     for seed in range(2):
         A = random_mat(s.a, s.b, s.tower, seed=30 + seed)
         B = random_mat(s.b, s.c, s.tower, seed=40 + seed)
-        bundles = [server_compute(s, share) for share in encode(s, A, B, seed=seed)]
+        bundles = server_compute(s, encode(s, A, B, seed=seed))
         got = decode(s, bundles)
         assert np.array_equal(got.data, _staged_decode(s, bundles).data)
         assert got.eq(mat_mul(A, B))
+
+
+def _per_share_step(scheme, scalars, share):
+    """The server's work one share at a time, as it was before the servers
+    became one stack: h from mat_mul, then per group the slices of h times
+    the taus of one w, with no batch axis anywhere."""
+    from ftp_sdmm import kernels
+    from ftp_sdmm.ftp import ResponseBundle
+    from ftp_sdmm.matrices import Mat
+
+    tower = scheme.tower
+    h = mat_mul(share.f_eval, share.g_eval)
+    flat = h.data.reshape((h.rows * h.cols,) + tower.shape)
+    traced = {}
+    for i, w in scalars.items():
+        others = [k for k in range(tower.L) if k != i - 1]
+        slices = flat.transpose(0, i, *(k + 1 for k in others), -1)
+        reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, None])
+        traced[i] = Mat(tower, h.rows, h.cols, tower.embed_base(reply, others).reshape(h.data.shape))
+    return ResponseBundle(share.server, traced)
+
+
+def _assert_same_bundles(got, want):
+    assert [b.server for b in got] == [b.server for b in want]
+    for g, w in zip(got, want):
+        assert sorted(g.traced) == sorted(w.traced)
+        for i in w.traced:
+            assert np.array_equal(g.traced[i].data, w.traced[i].data), (g.server, i)
+
+
+@pytest.mark.parametrize("name", [f"config {k}" for k in range(len(CONFIGS))] + list(_DIGEST_SCHEMES))
+def test_stacked_servers_match_the_per_share_loop(digest_schemes, name):
+    """server_compute on all N_L shares gives each server's bundle bit for bit
+    as the per-share loop does, servers j > N_1 (no group 1) included.  With
+    one honest w of a group's stack replaced by a full-support (hostile) w,
+    whose taus leave F_q0, the stack still matches the loop."""
+    s = digest_schemes[name] if name in digest_schemes else _scheme(CONFIGS[int(name[-1])])
+    tower = s.tower
+    A = random_mat(s.a, s.b, tower, seed=50)
+    B = random_mat(s.b, s.c, tower, seed=51)
+    shares = encode(s, A, B, seed=3)
+    assert [share.server for share in shares] == list(range(1, s.N[-1] + 1))
+    want = [_per_share_step(s, ftp_module.server_groups(s, share.server), share) for share in shares]
+    _assert_same_bundles(server_compute(s, shares), want)
+    assert all(1 not in b.traced for b in want[s.N[0]:])
+
+    hostile = tower.random(SplitMix64(7))
+    while len(tower.support_axes(hostile)) != tower.L:
+        hostile = tower.random(SplitMix64(int(hostile.sum())))
+    i = tower.L  # the group that every server answers
+    scalars = {k: w.copy() for k, w in enumerate(s.server_scalars, start=1)}
+    scalars[i][1] = hostile
+    if tower.L > 1:
+        taus = tower.trace_scalars(scalars[i], i)  # [server, s, F_i axes, digit]
+        past_origin = taus.reshape(len(taus), s.primes[i - 1], -1, s.base.d)[:, :, 1:]
+        assert not past_origin[0].any() and past_origin[1].any()
+    per_share = [{k: w[j] for k, w in scalars.items() if j < len(w)} for j in range(len(shares))]
+    want = [_per_share_step(s, g, share) for g, share in zip(per_share, shares)]
+    _assert_same_bundles(ftp_module.server_step(tower, scalars, shares), want)

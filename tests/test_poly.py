@@ -217,3 +217,56 @@ def test_tensor_poly_matches_elementwise_oracles(oracle_fields, which, seed, deg
         dual_weights(field, pts + [pts[0]])
     with pytest.raises(DuplicatePoint):
         lagrange_interpolate(field, pts + [pts[-1]], values + [values[0]])
+
+
+def _evaluate_einsum(field, coeffs, points):
+    """evaluate as it was before its F_q0 Vandermonde product became one
+    float64 matmul: the same product as an int64 einsum."""
+    from ftp_sdmm import kernels
+    from ftp_sdmm.poly import powers
+
+    base, p = field.base, field.base.p
+    points = np.reshape(points, (-1,) + field.shape) % p
+    flat = points.reshape(len(points), -1, base.d)
+    by_power = base.mul_matrix(powers(base, flat[:, 0], len(coeffs)))  # [s, j, a, b]
+    out = np.einsum("sma,sjab->jmb", coeffs.reshape(len(coeffs), -1, base.d), by_power) % p
+    out = out.reshape((len(points),) + coeffs.shape[1:])
+    columns = coeffs.reshape((len(coeffs), -1) + field.shape)
+    for j in np.flatnonzero(flat[:, 1:].any(axis=(1, 2))):
+        row = powers(field, points[j], len(coeffs)).swapaxes(0, 1)
+        out[j] = kernels.matmul(field, row, columns).reshape(out.shape[1:])
+    return out
+
+
+def test_evaluate_matches_the_int64_einsum_oracle(oracle_fields, digest_schemes):
+    """At F_q0 points, and at a mix of generators, F_q0 points and full
+    elements, evaluate equals the einsum it replaced, for stacks of
+    polynomials of several degrees, over F_5, F_4(2), F_11(2, 3), F_9(2, 3)
+    and the paper's F_27(5, 7, 11)."""
+    rng = np.random.default_rng(11)
+    for field in oracle_fields + [digest_schemes["paper-full"].tower]:
+        embed = getattr(field, "embed_scalar_int", field.from_int)
+        in_base = [embed(k) for k in range(min(field.base.order, 20))]
+        mixed = [field.gen(i) for i in range(1, getattr(field, "L", 0) + 1)]
+        mixed += in_base[:3] + [field.random(SplitMix64(5))]
+        for n in (1, 2, 5):
+            coeffs = rng.integers(0, field.base.p, size=(n, 2, 3) + field.shape)
+            for points in (in_base, mixed):
+                got = evaluate(field, coeffs, points)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _evaluate_einsum(field, coeffs, points)), (field, n)
+
+
+def test_evaluate_raises_past_the_float64_bound():
+    """Over F_p with p - 1 just past 2^26, one coefficient times a power sums
+    below 2^53 and two do not: a constant polynomial evaluates, and a linear
+    one raises before any product is formed."""
+    from ftp_sdmm.errors import RoundingBoundExceeded
+
+    p = 67108879  # the least prime past 2^26
+    assert (p - 1) ** 2 < 1 << 53 <= 2 * (p - 1) ** 2
+    f = make_base_field(p, 1)
+    x = f.from_int(p - 2)
+    assert np.array_equal(evaluate(f, np.array([[p - 1]]), [x]), [[p - 1]])
+    with pytest.raises(RoundingBoundExceeded):
+        evaluate(f, np.array([[1], [p - 1]]), [x])

@@ -401,7 +401,8 @@ def test_parsers_reject_digit_p_and_short_bodies(scheme):
     # A RESPONSES body with group 1 once parses, and with group 1 twice does not.
     from ftp_sdmm.ftp import server_compute
 
-    group = bytes([1]) + proto.mat_to_bytes(t, server_compute(scheme, _share(scheme)).traced[1], group=1)
+    group = bytes([1]) + proto.mat_to_bytes(t, server_compute(scheme, [_share(scheme)])[0].traced[1],
+                                            group=1)
     head = b"jobid123" + struct.pack(">H", 1)
     assert list(proto.parse_responses(t, head + bytes([1]) + group)[1].traced) == [1]
     with pytest.raises(MalformedFrame):
@@ -538,6 +539,103 @@ def test_daemon_refuses_a_huge_product_then_serves(scheme, live_server):
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
     assert product.eq(mat_mul(A, B))
+
+
+def test_parse_params_rejects_a_share_past_the_limit(monkeypatch):
+    """Over F_4(a) with a of degree 2, each SHARE matrix holds 4 digits per
+    entry: an a x b/L matrix, and then a b/L x c one, at MAX_PRODUCT_DIGITS
+    parses while the product stays small, and one more column of either is
+    refused before a field is built."""
+    limit = proto.MAX_PRODUCT_DIGITS
+    for abc in [(1 << 11, limit >> 13, 1), (1, 1 << 11, limit >> 13)]:
+        job = proto.parse_params(_params_for(2, 2, (1, 1, 1), (2,), abc=abc))
+        assert 4 * max(job.a * job.b, job.b * job.c) == limit and 4 * job.a * job.c < limit
+    monkeypatch.setattr(proto, "_cached_tower", _no_field)
+    for abc in [(1 << 11, (limit >> 13) + 1, 1), (1, (limit >> 13) + 1, 1 << 11),
+                (1, 2**32 - 2, 1)]:
+        with pytest.raises(FieldTooLarge):
+            proto.parse_params(_params_for(2, 2, (1, 1, 1), (2,), abc=abc))
+
+
+def test_daemon_refuses_a_huge_share_then_serves(scheme, live_server):
+    """PARAMS for a 1 x 2^24 by 2^24 x 1 job, whose product is one element
+    but whose SHARE would be 64 MB, is answered with an error, and the
+    daemon then serves a valid job."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        body = _params_for(11, 1, (0, 1), (2,), abc=(1, 1 << 24, 1))
+        mtype, reply = _exchange(sock, proto.MSG_PARAMS, body)
+    assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in reply
+    assert live_server._jobs == {}
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+
+
+def _frame_header(msg_type, length):
+    return proto.MAGIC + bytes([proto.VERSION, msg_type]) + struct.pack(">I", length)
+
+
+def test_read_message_refuses_a_long_body_before_reading_it():
+    """A header announcing MAX_FRAME_BYTES + 1 bytes raises MalformedFrame at
+    once, with no body sent; one announcing MAX_FRAME_BYTES waits for its
+    body, and times out.  The limit holds a SHARE at MAX_PRODUCT_DIGITS."""
+    import socket
+
+    from ftp_sdmm.errors import ProtocolTimeout
+
+    assert proto.MAX_FRAME_BYTES >= 2 * proto.MAX_PRODUCT_DIGITS + 10 + 16
+    near, far = socket.socketpair()
+    with near, far:
+        far.settimeout(0.2)
+        near.sendall(_frame_header(proto.MSG_SHARE, proto.MAX_FRAME_BYTES + 1))
+        with pytest.raises(MalformedFrame):
+            proto.read_message(far)
+        near.sendall(_frame_header(proto.MSG_SHARE, proto.MAX_FRAME_BYTES))
+        with pytest.raises(ProtocolTimeout):
+            proto.read_message(far)
+
+
+def test_daemon_drops_a_frame_past_the_limit_then_serves(scheme, live_server):
+    """A header announcing a body past MAX_FRAME_BYTES: the daemon closes
+    that connection without waiting for the body, and serves a valid job."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        sock.sendall(_frame_header(proto.MSG_SHARE, proto.MAX_FRAME_BYTES + 1))
+        assert sock.recv(1) == b""
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+
+
+def test_a_connection_holds_at_most_max_open_jobs(scheme, live_server, monkeypatch):
+    """With the cap at 2, a third PARAMS with no SHARE is refused and
+    registers nothing; a SHARE frees its slot for the next PARAMS, and the
+    daemon serves a valid job on another connection."""
+    import socket
+
+    monkeypatch.setattr(proto, "MAX_OPEN_JOBS", 2)
+    share = _share(scheme)
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        for job in (b"openjob1", b"openjob2"):
+            mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
+            assert mtype == proto.MSG_PARAMS
+        mtype, reply = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"openjob3", scheme, 1))
+        assert mtype == proto.MSG_ERROR and b"await their SHARE" in reply
+        assert sorted(live_server._jobs) == [(b"openjob1", 1), (b"openjob2", 1)]
+        mtype, _ = _exchange(sock, proto.MSG_SHARE, proto.share_body(b"openjob1", scheme, share))
+        assert mtype == proto.MSG_RESPONSES
+        mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"openjob3", scheme, 1))
+        assert mtype == proto.MSG_PARAMS
+        assert sorted(live_server._jobs) == [(b"openjob2", 1), (b"openjob3", 1)]
+        A, B = _job(scheme)
+        endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+        product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+        assert product.eq(mat_mul(A, B))
 
 
 def test_tower_cache_keeps_the_towers_used_last(monkeypatch):
