@@ -174,6 +174,15 @@ class _Field:
         prod = matmul(self, x.reshape(x.shape[:-n] + cell), y.reshape(y.shape[:-n] + cell))
         return prod.reshape(prod.shape[: -n - 2] + self.shape)
 
+    def structure_constants(self):
+        """The (n, n n) float64 table C, n = prod(self.shape), whose row v,
+        column (u, o) holds digit o of e_u e_v, for e_u the basis element
+        with digit u equal to 1: y's multiplication matrix is y's digits
+        times C.  Built on first use and cached, as subtowers are."""
+        if self._structure is None:
+            self._structure = self._structure_table().astype(np.float64)
+        return self._structure
+
     def pow(self, x, e):
         result = self.one()
         b = x % self.base.p
@@ -222,6 +231,7 @@ class BaseField(_Field):
         # is the matrix of multiplication by x^j.
         j, a = np.indices((d, d))
         self._by_digit = self._redmat[j + a].reshape(d, d * d)
+        self._structure = None
         # A tower with no axes, so that kernels takes tensors of base-field
         # elements as it takes those of tower elements.
         self.base, self.primes, self.L, self.shape = self, (), 0, (d,)
@@ -260,6 +270,9 @@ class BaseField(_Field):
         for c in x:
             v = v * self.p + int(c)
         return v
+
+    def _structure_table(self):
+        return self._by_digit
 
     def mul_matrix(self, s):
         """d x d matrices of multiplication by the elements s[..., :] acting
@@ -339,6 +352,7 @@ class TowerField(_Field):
         (self.moduli, self._redmats, self._trace_mats, self._frob_mats,
          self._hankel_mats) = map(list, zip(*axes))
         self._subtowers = {}
+        self._structure = None
 
     def subtower(self, axes):
         """F_q0(a_k : k in axes), for ascending 0-based axes, built from this
@@ -354,6 +368,26 @@ class TowerField(_Field):
                             self._frob_mats[k], self._hankel_mats[k]) for k in axes])
             sub = self._subtowers.setdefault(axes, sub)
         return sub
+
+    def _structure_table(self):
+        """The digits of e_u e_v as an (n, n n) array, with no transform and
+        no reduce.  On axis k, a_k^s = sum_t X_k[s, t] a_k^t, X_k[s] in F_q0
+        the rows of axis k's reduction table, so the F_q0 coefficient of
+        a^o in a^u a^v is the product over the axes of X_k[u_k + v_k, o_k]:
+        a Kronecker product of the per-axis tables, chained through
+        mul_matrix, and then times the base digits' x^(a + a')."""
+        base, p, d = self.base, self.base.p, self.base.d
+        coeff = base.one()[None, None, None]  # [v, u, o] on the axes so far
+        for n_k, R in zip(self.primes, self._redmats):
+            s = np.arange(n_k)
+            axis = R.reshape(2 * n_k - 1, d, n_k, d)[s[:, None] + s, 0]  # [v_k, u_k, o_k]
+            coeff = np.einsum("vuoa,wxyab->vwuxoyb", coeff, base.mul_matrix(axis))
+            coeff = np.remainder(coeff, p, out=coeff).reshape((len(coeff) * n_k,) * 3 + (d,))
+        m, n = len(coeff), self.flat_size * d
+        by_x = base.mul_matrix(base._by_digit.reshape(d, d, d))  # [a', a]: times x^(a + a')
+        table = coeff.reshape(-1, d) @ by_x.transpose(2, 0, 1, 3).reshape(d, -1)
+        table = np.remainder(table, p, out=table).reshape((m,) * 3 + (d,) * 3)
+        return table.transpose(0, 3, 1, 4, 2, 5).reshape(n, n * n)
 
     def _build_addtable(self):
         m = self.flat_size

@@ -1,17 +1,27 @@
-"""The one exact product behind field arithmetic: batched matrix products of
-field elements by a real FFT.  Element digit (i, a) (tower multi-index i
-flattened, base digit a) sits at slot addtable[i, 0] * (2d-1) + a of a grid
-of ext_len * (2d-1) slots; index sums never leave the grid, so the cyclic
-convolution is the linear one.  Rounding back to integers is exact while a
-worst-case error bound stays below 1/2, and the product raises where not.
+"""The one exact product behind field arithmetic, ``matmul``: batched matrix
+products of field elements, in one of three regimes, chosen from the
+field's size and, on larger towers, from the operands' support.
 
-A product reads the right factor's support first.  A right factor in F_q0
-takes no transform, whatever the left factor spans: the left factor's F_p
-digits times the right factor's multiplication matrices, one float64 F_p
-matmul.  Otherwise the product transforms only the tower axes that both
-operands span, read from the data: the other axes become rows or columns of
-a product over the sub-tower, which is over F_q0 where they share no axis.
-Reduction mod the moduli is float64 matmuls too, and each float64 matmul is
+- Structure constants, for a field of n = prod(field.shape) <= _TABLE_DIGITS
+  digits: a table of the products of its basis elements, built once per
+  field and cached on it.  The smaller factor's multiplication matrices are
+  its digits times the table, and the product is the other factor's digits
+  times those matrices: two float64 F_p matmuls, with no transform and no
+  support scan.
+- _direct, on a larger tower, for a right factor in F_q0, whatever the left
+  factor spans: the left factor's F_p digits times the right factor's
+  multiplication matrices, one float64 F_p matmul.
+- Otherwise a real FFT over the tower axes that both operands span, read
+  from the data.  The other axes become rows or columns of a product over
+  the sub-tower on the shared axes (F_q0 where they share none), which
+  takes that field's table where it is small.  Element digit (i, a)
+  (tower multi-index i flattened, base digit a) sits at slot addtable[i, 0]
+  * (2d-1) + a of a grid of ext_len * (2d-1) slots; index sums never leave
+  the grid, so the cyclic convolution is the linear one.  Rounding back to
+  integers is exact while a worst-case error bound stays below 1/2, and the
+  product raises where not.
+
+Reduction mod the moduli is float64 matmuls too.  Each float64 matmul is
 exact while its sums stay below 2^53, and raises where not."""
 
 import math
@@ -21,8 +31,15 @@ import numpy as np
 from .errors import RoundingBoundExceeded
 
 _EPS = 2.0**-53
-# Bytes of spectra held at once, about; bounds a product's working set.
+# Bytes of spectra, or of multiplication matrices, held at once, about;
+# bounds a product's working set.
 _CHUNK_BYTES = 1 << 19
+# The most digits n = prod(field.shape) of a field whose products go by its
+# structure constants, a table of n^3 floats (0.9 MB at 48).  Measured on
+# one CPU, products of 1x1, 4x2 by 2x4 and 256x3 by 3x1 elements ran
+# faster by the table than by the transform up to n = 62, and 16x8 by 8x16
+# up to n = 51 (9% faster there, 11% slower at 55).
+_TABLE_DIGITS = 48
 
 
 def fft_length(ext_len, d):
@@ -87,12 +104,13 @@ def convolve(xf, yf, addtable, ext_len):
     return _unslot(np.fft.irfft(fx * fy, n_fft), ext_len, d)
 
 
-def check_fp_exact(inner, p):
+def check_fp_exact(inner, p, top=None):
     """Raise unless a float64 F_p matmul of inner dimension ``inner`` is
-    exact: each output sums that many products of two residues below p, so
-    every partial sum stays an integer below inner (p-1)^2, exact while that
-    is below 2^53.  The raise is explicit, so python -O keeps it."""
-    if not inner * (p - 1) ** 2 < 1 << 53:
+    exact: each output sums that many products of a residue below p and a
+    right-factor entry at most ``top`` (p - 1, a residue, by default), so
+    every partial sum stays an integer at most inner (p-1) top, exact while
+    that is below 2^53.  The raise is explicit, so python -O keeps it."""
+    if not inner * (p - 1) * (p - 1 if top is None else top) < 1 << 53:
         raise RoundingBoundExceeded(
             f"float64 F_p matmul of inner dimension {inner} over residues "
             f"below {p} passes 2^53")
@@ -146,17 +164,21 @@ def support(field, x):
 def matmul(field, x, y):
     """x @ y over ``field`` for x (..., r, k, *field.shape) and y (..., k, c,
     *field.shape), reduced, with the leading axes broadcast as np.matmul
-    broadcasts them.  For y in F_q0 (no coefficient past index 0) it is
-    _direct, whatever x spans.  Otherwise, with S the axes that both span,
-    it runs over the sub-tower F_S = F_q0(a_k : k in S), x's other axes
-    joining its rows and y's its columns: _direct for S empty, else a
-    transform over F_S."""
+    broadcasts them.  A field of at most _TABLE_DIGITS digits multiplies by
+    its structure constants.  On a larger tower, for y in F_q0 (no
+    coefficient past index 0) it is _direct, whatever x spans.  Otherwise,
+    with S the axes that both span, it runs over the sub-tower F_S =
+    F_q0(a_k : k in S), x's other axes joining its rows and y's its columns:
+    by F_S's table if it is small enough (F_S = F_q0 for S empty), else
+    _direct for S empty or a transform over F_S."""
     n = len(field.shape)
     (r, k), c, d = x.shape[-n - 2 : -n], y.shape[-n - 1], field.base.d
     if field.L:
         # A sub-tower's bound lies below this one, fewer digits and a shorter
         # transform, and so does _direct's (rounding_bound >= k d (p-1)^2 2^-52).
         check_rounding(k, field.flat_size * d, field.base.p, fft_length(field._ext_flat, d))
+    if _by_table_fits(field):
+        return _by_table(field, x, y)
     xl, yl = x.shape[: -n - 2], y.shape[: -n - 2]
     lead = xl if xl == yl else np.broadcast_shapes(xl, yl)
 
@@ -175,6 +197,41 @@ def matmul(field, x, y):
         full = len(sx) == len(sy) == field.L
         out = _product(field, x, y) if full else _fold(field, x, y, sx, sy)
     return out.reshape(lead + (r, c) + field.shape)
+
+
+def _by_table_fits(field):
+    return math.prod(field.shape) <= _TABLE_DIGITS
+
+
+def _by_table(field, x, y):
+    """x @ y for x (..., r, k, *shape) and y (..., k, c, *shape), leading
+    axes broadcast, by the structure constants C of ``field``, n =
+    prod(shape) digits: the smaller factor's multiplication matrices, its
+    digits times C, then the other factor's digits times those, two float64
+    F_p matmuls of inner dimensions n and k n with no mod between.  Each
+    matrix entry is at most n (p-1)^2, so an output is at most k n^2
+    (p-1)^3, checked below 2^53 before anything is allocated.  The
+    matrices are made in chunks of about _CHUNK_BYTES, a column of y at
+    the least."""
+    m, n, p = len(field.shape), math.prod(field.shape), field.base.p
+    k = x.shape[-m - 1]
+    check_fp_exact(k * n, p, n * (p - 1) ** 2)
+    if x.size < y.size:  # x y = (y^T x^T)^T, as the product commutes
+        swapped = _by_table(field, y.swapaxes(-m - 2, -m - 1), x.swapaxes(-m - 2, -m - 1))
+        return swapped.swapaxes(-m - 2, -m - 1)
+    table = field.structure_constants().reshape(n, n, n)  # [u, v, o], as e_u e_v = e_v e_u
+    xl, yl, r, c = x.shape[: -m - 2], y.shape[: -m - 2], x.shape[-m - 2], y.shape[-m - 1]
+    rows = (x.reshape(xl + (r, k * n)) % p).astype(np.float64)
+    digits = (y.reshape(yl + (k, c, n)) % p).astype(np.float64)
+    out = np.empty(np.broadcast_shapes(xl, yl) + (r, c, n), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // max(1, 8 * n * n * k * math.prod(yl)))
+    for s in range(0, c, step):
+        part = out[..., s : s + step, :]
+        cs = part.shape[-2]
+        by_y = np.matmul(digits[..., None, s : s + cs, :], table)  # [k, u, c, o], no transpose
+        prod = rows @ by_y.reshape(yl + (k * n, cs * n))
+        part[...] = prod.astype(np.int64).reshape(part.shape) % p
+    return out.reshape(out.shape[:-1] + field.shape)
 
 
 def _direct(field, x, y):
@@ -212,8 +269,8 @@ def _fold(field, x, y, sx, sy):
                                   *(3 + sx.index(a) for a in both), 3 + len(sx))
     ys = spanned(y, sy).transpose(0, 1, 2, *(3 + sy.index(a) for a in only_y),
                                   *(3 + sy.index(a) for a in both), 3 + len(sy))
-    prod = (_product if both else _direct)(sub, xs.reshape((B, -1, k) + sub.shape),
-                                           ys.reshape((B, k, -1) + sub.shape))
+    by = _by_table if _by_table_fits(sub) else _product if both else _direct
+    prod = by(sub, xs.reshape((B, -1, k) + sub.shape), ys.reshape((B, k, -1) + sub.shape))
     prod = prod.reshape((B, r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
                         + sub.shape)
     at = {a: j for j, a in enumerate(["b", "r", *only_x, "c", *only_y, *both])}  # prod's axes

@@ -200,6 +200,7 @@ MAX_ELEMENT_DIGITS = 4096
 MAX_PRODUCT_DIGITS = 1 << 24
 MAX_FRAME_BYTES = 2 * MAX_PRODUCT_DIGITS + 4096
 MAX_OPEN_JOBS = 16  # PARAMS frames on one connection that await their SHARE
+MAX_CONNECTIONS = 16  # connections served at once, each by its own thread
 TOWER_CACHE_SIZE = 8
 
 _tower_cache = {}
@@ -571,7 +572,8 @@ class Server:
     server index under a lock, from its PARAMS frame until its SHARE, or
     until the connection that sent the PARAMS closes, and computes a SHARE
     only if its matrices are a x b/L and b/L x c.  One thread serves each
-    connection, for as many jobs as its client sends."""
+    connection, for as many jobs as its client sends; a connection past
+    MAX_CONNECTIONS open ones gets an error frame and is closed."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -609,14 +611,21 @@ class Server:
                 continue
             except OSError:
                 break
-            threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
+            with self._conns_lock:
+                full = len(self._conns) >= MAX_CONNECTIONS
+                if not (full or self._stop.is_set()):
+                    self._conns.add(conn)
+                    threading.Thread(target=self._handle, args=(conn,), daemon=True).start()
+                    continue
+            with conn:  # refused: past the bound, or the server is stopping
+                if full:
+                    try:
+                        conn.sendall(pack_message(MSG_ERROR, error_body(
+                            5, f"{MAX_CONNECTIONS} connections are open; try again later")))
+                    except OSError:
+                        pass
 
     def _handle(self, conn):
-        with self._conns_lock:
-            if self._stop.is_set():
-                conn.close()
-                return
-            self._conns.add(conn)
         registered = {}  # key -> the job this connection's PARAMS left in _jobs
         try:
             with conn:

@@ -2,13 +2,16 @@
 against the loop and Kronecker convolutions, the fields' mul against the
 Kronecker multiply and the base-field convolution, mat_mul and batched
 kernels.matmul against the per-element triple loop, all bit for bit, on
-operands of every support; and the bounds that guard the transform and the
-float reduction."""
+operands of every support, by the structure constants and by the transform;
+each structure-constant table against the products of basis elements; and
+the bounds that guard the transform, the table product and the float
+reduction."""
 
 import math
 import os
 import subprocess
 import sys
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -356,3 +359,106 @@ def test_float_reduction_past_its_bound_raises():
     out = subprocess.run([sys.executable, "-O", "-c", _PAST_BOUND], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0 and out.stdout.split() == ["raised"] * 3, out.stderr
+
+
+# The fields of FIELDS whose products go by their structure constants.
+SMALL_FIELDS = [f for f in FIELDS if math.prod(f[2]) * f[1] <= kernels._TABLE_DIGITS]
+
+
+@pytest.mark.parametrize("p,d,primes", SMALL_FIELDS + BASE_FIELDS)
+def test_structure_constants_are_the_products_of_basis_elements(p, d, primes):
+    """The Kronecker-built table, row v and column (u, o), holds digit o of
+    e_u e_v: on towers the transform product of every pair of basis
+    elements, on base fields the convolution oracle."""
+    field = _tower(p, d, primes) if primes else make_base_field(p, d)
+    n = math.prod(field.shape)
+    basis = np.eye(n, dtype=np.int64).reshape((n,) + field.shape)
+    if primes:
+        pairs = kernels._product(field, basis[None, :, None], basis[None, None, :])
+    else:
+        pairs = np.array([[_mul_oracle(field, u, v) for v in basis] for u in basis])
+    table = field.structure_constants()
+    assert table.dtype == np.float64 and table.shape == (n, n * n)
+    assert np.array_equal(table.reshape(n, n, n), pairs.reshape(n, n, n).swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("p,d,primes", SMALL_FIELDS)
+def test_table_product_matches_transform_and_loop_oracle(p, d, primes):
+    """On every field of FIELDS under the table's limit, kernels.matmul
+    (by the table there) equals _product on the same operands and the
+    per-element triple loop bit for bit: x and y of every pair of supports,
+    a leading batch axis on both, on one or on neither, zero operands,
+    unreduced or negative digits, and chunks of one column or the
+    default."""
+    tower = _tower(p, d, primes)
+    rng = SplitMix64(43)
+    subsets = [s for size in range(tower.L + 1) for s in combinations(range(tower.L), size)]
+    leads = [((2,), (2,)), ((2,), ()), ((), (2,)), ((), ())]
+
+    def draw(lead, rows, cols, on):
+        t = random_mat(math.prod(lead) * rows, cols, tower, rng=rng).data
+        return _on_axes(tower, t, on).reshape(lead + (rows, cols) + tower.shape)
+
+    for case, (sx, sy) in enumerate(product(subsets, repeat=2)):
+        (x_lead, y_lead), (r, k, c) = leads[case % 4], [(3, 2, 2), (1, 3, 4), (2, 1, 1)][case % 3]
+        x, y = draw(x_lead, r, k, sx), draw(y_lead, k, c, sy)
+        if case % 5 == 0:
+            (x if case % 2 else y)[...] = 0
+        lead = x_lead or y_lead
+        xb = np.broadcast_to(x, lead + x.shape[-tower.L - 3 :])
+        yb = np.broadcast_to(y, lead + y.shape[-tower.L - 3 :])
+        want = np.stack([_mat_mul_loop(Mat(tower, r, k, xb[b]), Mat(tower, k, c, yb[b]),
+                                       lambda u, v: _mul_oracle(tower, u, v))
+                         for b in np.ndindex(lead)]).reshape(lead + (r, c) + tower.shape)
+        if case % 3 == 1:  # the same elements, unreduced and negative
+            x, y = x - 2 * p, y + 3 * p
+            xb, yb = xb - 2 * p, yb + 3 * p
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_CHUNK_BYTES", [1, kernels._CHUNK_BYTES][case % 2])
+            got = kernels.matmul(tower, x, y)
+        transform = kernels._product(tower, xb.reshape((-1,) + xb.shape[len(lead):]),
+                                     yb.reshape((-1,) + yb.shape[len(lead):]))
+        assert got.dtype == np.int64 and np.array_equal(got, want), (sx, sy)
+        assert np.array_equal(transform.reshape(got.shape), got), (sx, sy)
+
+
+def test_every_support_draw_on_the_transform_paths(monkeypatch):
+    """The every-support draws again with the table's limit at 0, so that
+    _product, _fold and _direct still meet the loop oracle on small
+    towers."""
+    monkeypatch.setattr(kernels, "_TABLE_DIGITS", 0)
+    test_matmul_on_every_support_matches_loop_oracle()
+
+
+_TABLE_PAST_BOUND = """
+import resource
+import numpy as np
+from ftp_sdmm import kernels
+from ftp_sdmm.errors import RoundingBoundExceeded
+from ftp_sdmm.fields import make_base_field, make_tower
+tower = make_tower(make_base_field(251, 1), (2, 3))
+k = 1 << 25  # k n^2 (p-1)^3 = 2^25 * 36 * 250^3 passes 2^53
+zero = np.zeros(tower.shape, dtype=np.int64)
+x = np.broadcast_to(zero, (1, k) + tower.shape)
+y = np.broadcast_to(zero, (k, 1) + tower.shape)
+# A copy of x would take 1.6 GB: with the address space capped, an
+# allocation fails at once rather than using the memory.
+pages = int(open("/proc/self/statm").read().split()[0])
+resource.setrlimit(resource.RLIMIT_AS, (pages * resource.getpagesize() + (256 << 20),) * 2)
+try:
+    kernels._by_table(tower, x, y)
+except RoundingBoundExceeded:
+    print("raised")
+"""
+
+
+def test_table_product_past_its_bound_raises_before_allocating():
+    """On F_251(2,3), the table product's own float64 bound k n^2 (p-1)^3 <
+    2^53 refuses an inner dimension of 2^25 before it copies anything, with
+    an explicit raise that python -O keeps (matmul's rounding bound, which
+    runs first, refuses it too)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", _TABLE_PAST_BOUND], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.split() == ["raised"], out.stderr

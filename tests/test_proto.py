@@ -638,6 +638,34 @@ def test_a_connection_holds_at_most_max_open_jobs(scheme, live_server, monkeypat
         assert product.eq(mat_mul(A, B))
 
 
+def test_the_daemon_serves_at_most_max_connections_at_once(scheme, live_server, monkeypatch):
+    """With the bound at 2 and two connections open, a third gets an error
+    frame and is closed; once one of the two closes, a job runs on a new
+    connection."""
+    import socket
+
+    monkeypatch.setattr(proto, "MAX_CONNECTIONS", 2)
+    address = ("127.0.0.1", live_server.port)
+    first = socket.create_connection(address, timeout=5)
+    second = socket.create_connection(address, timeout=5)
+    try:
+        for sock in (first, second):
+            assert _exchange(sock, proto.MSG_HELLO, b"")[0] == proto.MSG_HELLO
+        with socket.create_connection(address, timeout=5) as third:
+            mtype, body = proto.read_message(third)
+            assert mtype == proto.MSG_ERROR and body[0] == 5 and b"connections" in body
+            assert third.recv(1) == b""
+        assert _exchange(second, proto.MSG_HELLO, b"")[0] == proto.MSG_HELLO
+        first.close()
+        _wait_until(lambda: len(live_server._conns) == 1)
+        A, B = _job(scheme)
+        product, _ = proto.run_remote([address] * scheme.N[-1], scheme, A, B, seed=2)
+        assert product.eq(mat_mul(A, B))
+    finally:
+        first.close()
+        second.close()
+
+
 def test_tower_cache_keeps_the_towers_used_last(monkeypatch):
     monkeypatch.setattr(proto, "_tower_cache", {})
     fields = [(p, 1, (0, 1), (2,)) for p in (3, 5, 7, 13, 17, 19, 23, 29, 31, 37)]
