@@ -1,16 +1,15 @@
 """The one exact product behind field arithmetic, ``matmul``: batched matrix
-products of field elements, in one of three regimes, chosen from the
-field's size and, on larger towers, from the operands' support.
+products of field elements, in one of two regimes, chosen from the field's
+size and, on larger towers, from the operands' support.
 
-- Structure constants, for a field of n = prod(field.shape) <= _TABLE_DIGITS
-  digits: a table of the products of its basis elements, built once per
-  field and cached on it.  The smaller factor's multiplication matrices are
-  its digits times the table, and the product is the other factor's digits
-  times those matrices: two float64 F_p matmuls, with no transform and no
-  support scan.
-- _direct, on a larger tower, for a right factor in F_q0, whatever the left
-  factor spans: the left factor's F_p digits times the right factor's
-  multiplication matrices, one float64 F_p matmul.
+- Structure constants, for a base field, or a tower of n = prod(field.shape)
+  <= _TABLE_DIGITS digits: a table of the products of its basis elements,
+  built once per field and cached on it.  The smaller factor's
+  multiplication matrices are its digits times the table, and the product is
+  the other factor's digits times those matrices: two float64 F_p matmuls,
+  with no transform and no support scan.  On a larger tower, a right factor
+  in F_q0 multiplies by F_q0's table, whatever the left factor spans: each
+  tower coefficient of the left factor joins its rows.
 - Otherwise a real FFT over the tower axes that both operands span, read
   from the data.  The other axes become rows or columns of a product over
   the sub-tower on the shared axes (F_q0 where they share none), which
@@ -31,14 +30,14 @@ import numpy as np
 from .errors import RoundingBoundExceeded
 
 _EPS = 2.0**-53
-# Bytes of spectra, or of multiplication matrices, held at once, about;
-# bounds a product's working set.
+# Bytes of spectra, or of multiplication matrices and their products, held
+# at once, about; bounds a product's working set.
 _CHUNK_BYTES = 1 << 19
 # The most digits n = prod(field.shape) of a field whose products go by its
 # structure constants, a table of n^3 floats (0.9 MB at 48).  Measured on
-# one CPU, products of 1x1, 4x2 by 2x4 and 256x3 by 3x1 elements ran
-# faster by the table than by the transform up to n = 62, and 16x8 by 8x16
-# up to n = 51 (9% faster there, 11% slower at 55).
+# one CPU, products of 1x1 and 256x3 by 3x1 elements ran faster by the
+# table than by the transform up to n = 62, 4x2 by 2x4 up to 58, and 16x8
+# by 8x16 up to 51 (15% faster there, 6% slower at 55).
 _TABLE_DIGITS = 48
 
 
@@ -104,13 +103,12 @@ def convolve(xf, yf, addtable, ext_len):
     return _unslot(np.fft.irfft(fx * fy, n_fft), ext_len, d)
 
 
-def check_fp_exact(inner, p, top=None):
+def check_fp_exact(inner, p):
     """Raise unless a float64 F_p matmul of inner dimension ``inner`` is
-    exact: each output sums that many products of a residue below p and a
-    right-factor entry at most ``top`` (p - 1, a residue, by default), so
-    every partial sum stays an integer at most inner (p-1) top, exact while
+    exact: each output sums that many products of residues below p, so
+    every partial sum stays an integer at most inner (p-1)^2, exact while
     that is below 2^53.  The raise is explicit, so python -O keeps it."""
-    if not inner * (p - 1) * (p - 1 if top is None else top) < 1 << 53:
+    if not inner * (p - 1) ** 2 < 1 << 53:
         raise RoundingBoundExceeded(
             f"float64 F_p matmul of inner dimension {inner} over residues "
             f"below {p} passes 2^53")
@@ -164,18 +162,19 @@ def support(field, x):
 def matmul(field, x, y):
     """x @ y over ``field`` for x (..., r, k, *field.shape) and y (..., k, c,
     *field.shape), reduced, with the leading axes broadcast as np.matmul
-    broadcasts them.  A field of at most _TABLE_DIGITS digits multiplies by
-    its structure constants.  On a larger tower, for y in F_q0 (no
-    coefficient past index 0) it is _direct, whatever x spans.  Otherwise,
-    with S the axes that both span, it runs over the sub-tower F_S =
-    F_q0(a_k : k in S), x's other axes joining its rows and y's its columns:
-    by F_S's table if it is small enough (F_S = F_q0 for S empty), else
-    _direct for S empty or a transform over F_S."""
+    broadcasts them.  A base field, or a tower of at most _TABLE_DIGITS
+    digits, multiplies by its structure constants.  On a larger tower, for y
+    in F_q0 (no coefficient past index 0) it is a product over F_q0 by its
+    table, x's tower coefficients joining its rows, whatever x spans.
+    Otherwise, with S the axes that both span, it runs over the sub-tower
+    F_S = F_q0(a_k : k in S), x's other axes joining its rows and y's its
+    columns: by F_S's table if it is small enough (F_S = F_q0 for S empty),
+    else a transform over F_S."""
     n = len(field.shape)
     (r, k), c, d = x.shape[-n - 2 : -n], y.shape[-n - 1], field.base.d
     if field.L:
         # A sub-tower's bound lies below this one, fewer digits and a shorter
-        # transform, and so does _direct's (rounding_bound >= k d (p-1)^2 2^-52).
+        # transform, and so does a table's (rounding_bound >= k n (p-1)^2 2^-52).
         check_rounding(k, field.flat_size * d, field.base.p, fft_length(field._ext_flat, d))
     if _by_table_fits(field):
         return _by_table(field, x, y)
@@ -185,13 +184,16 @@ def matmul(field, x, y):
     def stacked(t):  # t with its leading axes broadcast to lead, as one batch axis
         if t.shape[: -n - 2] != lead:
             t = np.broadcast_to(t, lead + t.shape[-n - 2 :])
-        return t.reshape((-1,) + t.shape[-n - 2 :])
+        return t.reshape((math.prod(lead),) + t.shape[-n - 2 :])
 
-    past = y.reshape(-1, field.flat_size * d)[:, d:] if field.L else y[..., :0]
+    past = y.reshape(-1, field.flat_size * d)[:, d:]
     y_in_base = not (np.count_nonzero(past[:1]) or np.count_nonzero(past))  # often settled by [:1]
     x, y = stacked(x), stacked(y)
     if y_in_base:
-        out = _direct(field, x, y)
+        rows = x.swapaxes(2, -2)  # k and the last tower axis trade places, and back
+        y0 = y[(..., *(0,) * field.L, slice(None))]  # (B, k, c, d): y's F_q0 values
+        prod = _by_table(field.base, rows.reshape(len(x), math.prod(rows.shape[1:-2]), k, d), y0)
+        out = prod.reshape(rows.shape[:-2] + (c, d)).swapaxes(2, -2)
     else:
         sx, sy = support(field, x), support(field, y)
         full = len(sx) == len(sy) == field.L
@@ -200,54 +202,45 @@ def matmul(field, x, y):
 
 
 def _by_table_fits(field):
-    return math.prod(field.shape) <= _TABLE_DIGITS
+    """Whether ``field`` multiplies by its table: a base field always, as it
+    keeps its (d, d^2) table for mul_matrix, and a tower up to the limit."""
+    return not field.L or math.prod(field.shape) <= _TABLE_DIGITS
 
 
 def _by_table(field, x, y):
     """x @ y for x (..., r, k, *shape) and y (..., k, c, *shape), leading
     axes broadcast, by the structure constants C of ``field``, n =
     prod(shape) digits: the smaller factor's multiplication matrices, its
-    digits times C, then the other factor's digits times those, two float64
-    F_p matmuls of inner dimensions n and k n with no mod between.  Each
-    matrix entry is at most n (p-1)^2, so an output is at most k n^2
-    (p-1)^3, checked below 2^53 before anything is allocated.  The
-    matrices are made in chunks of about _CHUNK_BYTES, a column of y at
-    the least."""
+    digits times C as one 2-D float64 F_p matmul, then the other factor's
+    digits times those, a matmul of inner dimension k n per column.  A
+    matrix entry is at most n (p-1)^2, so with no mod between the matmuls
+    an output is at most k n^2 (p-1)^3; where that reaches 2^53 the entries
+    are taken mod p first, and check_fp_exact's k n (p-1)^2 < 2^53 holds,
+    checked before anything is allocated.  The matrices are made in chunks
+    of about _CHUNK_BYTES / 2, a column of y at the least, so that with the
+    chunk's products the working set stays near _CHUNK_BYTES."""
     m, n, p = len(field.shape), math.prod(field.shape), field.base.p
     k = x.shape[-m - 1]
-    check_fp_exact(k * n, p, n * (p - 1) ** 2)
+    check_fp_exact(k * n, p)
+    unreduced = k * n * n * (p - 1) ** 3 < 1 << 53  # no mod between the matmuls
     if x.size < y.size:  # x y = (y^T x^T)^T, as the product commutes
         swapped = _by_table(field, y.swapaxes(-m - 2, -m - 1), x.swapaxes(-m - 2, -m - 1))
         return swapped.swapaxes(-m - 2, -m - 1)
-    table = field.structure_constants().reshape(n, n, n)  # [u, v, o], as e_u e_v = e_v e_u
+    table = field.structure_constants()  # [v, (u, o)]
     xl, yl, r, c = x.shape[: -m - 2], y.shape[: -m - 2], x.shape[-m - 2], y.shape[-m - 1]
-    rows = (x.reshape(xl + (r, k * n)) % p).astype(np.float64)
-    digits = (y.reshape(yl + (k, c, n)) % p).astype(np.float64)
+    rows = (x.reshape(xl + (1, r, k * n)) % p).astype(np.float64)
+    digits = (y.reshape(yl + (k, c, n)) % p).swapaxes(-3, -2).astype(np.float64, order="C")
     out = np.empty(np.broadcast_shapes(xl, yl) + (r, c, n), dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // max(1, 8 * n * n * k * math.prod(yl)))
+    step = max(1, _CHUNK_BYTES // max(1, 16 * n * n * k * math.prod(yl)))
     for s in range(0, c, step):
         part = out[..., s : s + step, :]
         cs = part.shape[-2]
-        by_y = np.matmul(digits[..., None, s : s + cs, :], table)  # [k, u, c, o], no transpose
-        prod = rows @ by_y.reshape(yl + (k * n, cs * n))
-        part[...] = prod.astype(np.int64).reshape(part.shape) % p
+        by_y = digits[..., s : s + cs, :, :].reshape(-1, n) @ table  # [(c, k), (u, o)]
+        if not unreduced:
+            np.fmod(by_y, p, out=by_y)  # entries are >= 0, and fmod is the faster mod
+        prod = np.matmul(rows, by_y.reshape(yl + (cs, k * n, n)))  # [c, r, o]
+        part[...] = prod.astype(np.int64).swapaxes(-3, -2) % p
     return out.reshape(out.shape[:-1] + field.shape)
-
-
-def _direct(field, x, y):
-    """x @ y for a batch of x (B, r, k, *shape) of any support and y (B, k,
-    c, *shape) in F_q0, with no transform: each tower coefficient of x's
-    rows, as k d F_p digits, times the (k d, c d) F_p matrix whose block
-    (k, c) multiplies by y[k, c], one float64 matmul.  Each output sums k d
-    products of residues below p, and check_fp_exact guards it."""
-    (B, r, k), c, base = x.shape[:3], y.shape[2], field.base
-    d, p = base.d, base.p
-    check_fp_exact(k * d, p)
-    y0 = y[(..., *(0,) * field.L, slice(None))]  # (B, k, c, d): y's F_q0 values
-    by_y = base.mul_matrix(y0 % p).transpose(0, 1, 3, 2, 4).reshape(B, k * d, c * d)
-    rows = (x % p).swapaxes(2, -2)  # k and the last tower axis trade places, and back
-    prod = _fp_matmul(rows.reshape(B, -1, k * d), by_y, p)
-    return prod.reshape(rows.shape[:-2] + (c, d)).swapaxes(2, -2)
 
 
 def _fold(field, x, y, sx, sy):
@@ -269,7 +262,7 @@ def _fold(field, x, y, sx, sy):
                                   *(3 + sx.index(a) for a in both), 3 + len(sx))
     ys = spanned(y, sy).transpose(0, 1, 2, *(3 + sy.index(a) for a in only_y),
                                   *(3 + sy.index(a) for a in both), 3 + len(sy))
-    by = _by_table if _by_table_fits(sub) else _product if both else _direct
+    by = _by_table if _by_table_fits(sub) else _product
     prod = by(sub, xs.reshape((B, -1, k) + sub.shape), ys.reshape((B, k, -1) + sub.shape))
     prod = prod.reshape((B, r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
                         + sub.shape)

@@ -20,6 +20,7 @@ import os
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field as dc_field
 from math import prod
 
@@ -201,6 +202,7 @@ MAX_PRODUCT_DIGITS = 1 << 24
 MAX_FRAME_BYTES = 2 * MAX_PRODUCT_DIGITS + 4096
 MAX_OPEN_JOBS = 16  # PARAMS frames on one connection that await their SHARE
 MAX_CONNECTIONS = 16  # connections served at once, each by its own thread
+_REFUSE_DRAIN_SECONDS = 0.2  # the most a refused connection holds up accept
 TOWER_CACHE_SIZE = 8
 
 _tower_cache = {}
@@ -567,13 +569,31 @@ def run_remote(endpoints, scheme, A, B, seed=0):
 
 # -- server side ----------------------------------------------------------------------
 
+def _refuse(conn, message):
+    """An error frame (code 5) and EOF to a connection that will not be
+    served.  Closing a socket with unread data resets the connection, which
+    can drop the frame before the client reads it, so what the client sends
+    meanwhile is read and dropped until it closes, for at most
+    _REFUSE_DRAIN_SECONDS."""
+    try:
+        conn.sendall(pack_message(MSG_ERROR, error_body(5, message)))
+        conn.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + _REFUSE_DRAIN_SECONDS
+        while (left := deadline - time.monotonic()) > 0:
+            conn.settimeout(left)
+            if not conn.recv(1 << 16):
+                break
+    except OSError:
+        pass
+
+
 class Server:
     """One computing node.  It keeps each job's params, keyed by job id and
     server index under a lock, from its PARAMS frame until its SHARE, or
     until the connection that sent the PARAMS closes, and computes a SHARE
     only if its matrices are a x b/L and b/L x c.  One thread serves each
     connection, for as many jobs as its client sends; a connection past
-    MAX_CONNECTIONS open ones gets an error frame and is closed."""
+    MAX_CONNECTIONS open ones gets an error frame and EOF (``_refuse``)."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -619,11 +639,7 @@ class Server:
                     continue
             with conn:  # refused: past the bound, or the server is stopping
                 if full:
-                    try:
-                        conn.sendall(pack_message(MSG_ERROR, error_body(
-                            5, f"{MAX_CONNECTIONS} connections are open; try again later")))
-                    except OSError:
-                        pass
+                    _refuse(conn, f"{MAX_CONNECTIONS} connections are open; try again later")
 
     def _handle(self, conn):
         registered = {}  # key -> the job this connection's PARAMS left in _jobs

@@ -424,10 +424,26 @@ def test_table_product_matches_transform_and_loop_oracle(p, d, primes):
 
 def test_every_support_draw_on_the_transform_paths(monkeypatch):
     """The every-support draws again with the table's limit at 0, so that
-    _product, _fold and _direct still meet the loop oracle on small
-    towers."""
+    _product, _fold and the product by F_q0's table with x's tower
+    coefficients in its rows still meet the loop oracle on small towers."""
     monkeypatch.setattr(kernels, "_TABLE_DIGITS", 0)
     test_matmul_on_every_support_matches_loop_oracle()
+
+
+@pytest.mark.parametrize("limit", [0, kernels._TABLE_DIGITS])
+@pytest.mark.parametrize("r,k,c", [(2, 0, 3), (0, 2, 3), (2, 3, 0), (0, 0, 0)])
+def test_empty_products_are_zero_on_every_path(limit, r, k, c, monkeypatch):
+    """A product with no rows, no columns or an empty inner index is the
+    (zero) product of its shape, with y in F_q0 or spanning an axis, by the
+    table and with the table's limit at 0."""
+    monkeypatch.setattr(kernels, "_TABLE_DIGITS", limit)
+    tower = _tower(11, 1, (2, 3))
+    x = np.ones((2, r, k) + tower.shape, dtype=np.int64)
+    for y_past in (False, True):
+        y = np.zeros((k, c) + tower.shape, dtype=np.int64)
+        y[..., 1, 1, 0] = y_past
+        got = kernels.matmul(tower, x, y)
+        assert got.dtype == np.int64 and np.array_equal(got, np.zeros((2, r, c) + tower.shape))
 
 
 _TABLE_PAST_BOUND = """
@@ -437,28 +453,48 @@ from ftp_sdmm import kernels
 from ftp_sdmm.errors import RoundingBoundExceeded
 from ftp_sdmm.fields import make_base_field, make_tower
 tower = make_tower(make_base_field(251, 1), (2, 3))
-k = 1 << 25  # k n^2 (p-1)^3 = 2^25 * 36 * 250^3 passes 2^53
 zero = np.zeros(tower.shape, dtype=np.int64)
-x = np.broadcast_to(zero, (1, k) + tower.shape)
-y = np.broadcast_to(zero, (k, 1) + tower.shape)
-# A copy of x would take 1.6 GB: with the address space capped, an
+# A copy of x would take terabytes: with the address space capped, an
 # allocation fails at once rather than using the memory.
 pages = int(open("/proc/self/statm").read().split()[0])
 resource.setrlimit(resource.RLIMIT_AS, (pages * resource.getpagesize() + (256 << 20),) * 2)
-try:
-    kernels._by_table(tower, x, y)
-except RoundingBoundExceeded:
-    print("raised")
+# k n (p-1)^2 = k * 6 * 250^2 is below 2^53 at k = 2^34 and past it at 2^35.
+for k in (1 << 34, 1 << 35):
+    x = np.broadcast_to(zero, (1, k) + tower.shape)
+    y = np.broadcast_to(zero, (k, 1) + tower.shape)
+    try:
+        kernels._by_table(tower, x, y)
+    except RoundingBoundExceeded:
+        print("raised")
+    except MemoryError:
+        print("allocates")
 """
 
 
 def test_table_product_past_its_bound_raises_before_allocating():
-    """On F_251(2,3), the table product's own float64 bound k n^2 (p-1)^3 <
-    2^53 refuses an inner dimension of 2^25 before it copies anything, with
-    an explicit raise that python -O keeps (matmul's rounding bound, which
-    runs first, refuses it too)."""
+    """On F_251(2,3), the table product's own float64 bound k n (p-1)^2 <
+    2^53 refuses an inner dimension of 2^35 before it copies anything, with
+    an explicit raise that python -O keeps, and lets 2^34 through to its
+    first copy (matmul's rounding bound, which runs first, refuses both)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-O", "-c", _TABLE_PAST_BOUND], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0 and out.stdout.split() == ["raised"], out.stderr
+    assert out.returncode == 0 and out.stdout.split() == ["allocates", "raised"], out.stderr
+
+
+@pytest.mark.parametrize("p,primes", [(67108879, ()), (65521, (2, 3)), (1048583, (2, 3))])
+def test_products_near_the_float64_bound_match_the_oracle(p, primes):
+    """F_p for the least prime past 2^26, where (p-1)^2 is just below 2^53,
+    and towers whose multiplication matrices are taken mod p: F_65521(2,3),
+    and F_1048583(2,3), where a^2 = -1 puts p - 1 in the table, so that
+    unreduced matrices of all-(p-1) elements would pass 2^53.  All-(p-1)
+    and random stacks multiply as the oracle does pair by pair, and every
+    nonzero element times its inverse is one."""
+    field = _tower(p, 1, primes) if primes else make_base_field(p, 1)
+    digits = np.random.default_rng(5).integers(0, p, size=(2, 6) + field.shape)
+    digits[:, 0] = p - 1
+    xs, ys = digits
+    got = field.mul(xs, ys)
+    assert np.array_equal(got, [_mul_oracle(field, x, y) for x, y in zip(xs, ys)])
+    assert np.array_equal(field.mul(xs, field.inv(xs)), np.broadcast_to(field.one(), xs.shape))

@@ -4,6 +4,7 @@ import hashlib
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ftp_sdmm.errors import (
     DigitOverflow,
     FieldTooLarge,
     MalformedFrame,
+    ProtocolError,
     VersionMismatch,
 )
 from ftp_sdmm.fields import make_base_field
@@ -640,7 +642,9 @@ def test_a_connection_holds_at_most_max_open_jobs(scheme, live_server, monkeypat
 
 def test_the_daemon_serves_at_most_max_connections_at_once(scheme, live_server, monkeypatch):
     """With the bound at 2 and two connections open, a third gets an error
-    frame and is closed; once one of the two closes, a job runs on a new
+    frame and EOF, whether it reads at once, sends a HELLO first or sends a
+    whole job (run_remote's PARAMS and SHARE frames, the client's error
+    names the bound); once one of the two closes, a job runs on a new
     connection."""
     import socket
 
@@ -648,17 +652,23 @@ def test_the_daemon_serves_at_most_max_connections_at_once(scheme, live_server, 
     address = ("127.0.0.1", live_server.port)
     first = socket.create_connection(address, timeout=5)
     second = socket.create_connection(address, timeout=5)
+    A, B = _job(scheme)
     try:
         for sock in (first, second):
             assert _exchange(sock, proto.MSG_HELLO, b"")[0] == proto.MSG_HELLO
-        with socket.create_connection(address, timeout=5) as third:
-            mtype, body = proto.read_message(third)
-            assert mtype == proto.MSG_ERROR and body[0] == 5 and b"connections" in body
-            assert third.recv(1) == b""
+        for hello in (False, True):
+            with socket.create_connection(address, timeout=5) as third:
+                if hello:
+                    third.sendall(proto.pack_message(proto.MSG_HELLO, b""))
+                    time.sleep(0.05)  # the daemon has read the HELLO's bytes or not
+                mtype, body = proto.read_message(third)
+                assert mtype == proto.MSG_ERROR and body[0] == 5 and b"connections" in body
+                assert third.recv(1) == b""
+        with pytest.raises(ProtocolError, match="server 1 at PARAMS: 2 connections are open"):
+            proto.run_remote([address] * scheme.N[-1], scheme, A, B, seed=2)
         assert _exchange(second, proto.MSG_HELLO, b"")[0] == proto.MSG_HELLO
         first.close()
         _wait_until(lambda: len(live_server._conns) == 1)
-        A, B = _job(scheme)
         product, _ = proto.run_remote([address] * scheme.N[-1], scheme, A, B, seed=2)
         assert product.eq(mat_mul(A, B))
     finally:
