@@ -40,7 +40,7 @@ from .errors import (
     SingularGram,
     ZeroInverse,
 )
-from .kernels import matmul, support
+from .kernels import matmul, on_axes, support
 from .linalg import mat_inverse
 from .poly import divide_at
 
@@ -389,6 +389,27 @@ class TowerField(_Field):
         table = np.remainder(table, p, out=table).reshape((m,) * 3 + (d,) * 3)
         return table.transpose(0, 3, 1, 4, 2, 5).reshape(n, n * n)
 
+    def mul_matrix(self, z, axes):
+        """The (..., n, n) float64 F_p matrices of multiplication by the
+        elements z (..., *shape) of the sub-tower on the given ascending
+        0-based axes, on its n digits: row u holds the digits of e_u z.  No
+        product of elements makes them: the rows are z times each x^a on the
+        base digit, then, axis by axis from the last, the rows so far times
+        each power of a_k, by the matrix of a_k that axis k's reduction
+        table holds in its rows for x^1 .. x^(p_k)."""
+        sub, d, p = self.subtower(axes), self.base.d, self.base.p
+        z = np.asarray(z)[(..., *(slice(None) if k in axes else 0 for k in range(self.L)), slice(None))]
+        at = z.ndim - len(sub.shape)  # the row axis, after z's leading axes
+        z = (z % p).astype(np.float64)
+        rows = np.stack([on_axes(sub, z, (), by_x.reshape(d, d)) for by_x in self.base._by_digit], at)
+        for k in reversed(range(sub.L)):
+            by_a = sub._redmats[k][d : (sub.primes[k] + 1) * d]
+            powers = [rows]
+            for _ in range(sub.primes[k] - 1):
+                powers.append(on_axes(sub, powers[-1], (k,), by_a))
+            rows = np.concatenate(powers, at)
+        return rows.reshape(rows.shape[: at + 1] + (-1,))
+
     def _build_addtable(self):
         m = self.flat_size
         idx = np.stack(np.unravel_index(np.arange(m), self.primes), axis=1)
@@ -547,7 +568,7 @@ class TowerField(_Field):
     def __eq__(self, other):
         if not isinstance(other, TowerField):
             return False
-        return (other.base == self.base and other.primes == self.primes
+        return other is self or (other.base == self.base and other.primes == self.primes
                 and all(map(np.array_equal, self.moduli, other.moduli)))
 
     def __hash__(self):

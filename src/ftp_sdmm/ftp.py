@@ -13,6 +13,7 @@ from . import kernels
 from .analysis import RateParams, costs
 from .errors import (
     DimMismatch,
+    FieldMismatch,
     InvalidParams,
     MissingBundle,
     NotDivisible,
@@ -47,11 +48,16 @@ class SchemeParams:
     server_scalars: list    # [i-1][j-1] = v_{L+j} k_i(alpha_j) = 1/((alpha_j - a_i) P_i'(alpha_j))
     lambdas: list           # lambda bases per group, each (p_i, *tower.shape)
     mus: list               # trace-dual bases per group, each (p_i, *tower.shape)
-    basis: object = dc_field(repr=False)
-    # (L+T, L+T, *tower.shape): basis[s][k] = coefficient s of the Lagrange
-    # basis polynomial l_k on the L+T interpolation nodes.
     vandermonde: list = dc_field(repr=False)
     # Per group i, the (N_i d, p_i d) F_p matrix of r -> c_is = -sum_j alpha_j^s r_ij.
+    # encode's Lagrange step.  On a tower that multiplies by its table
+    # (kernels._by_table_fits), only the basis: (L+T, L+T, *tower.shape),
+    # basis[s][k] = coefficient s of l_k on the L+T nodes.  Past its limit,
+    # only the basis's factors, as float64 F_p matrices (_node_factors).
+    basis: object = dc_field(default=None, repr=False)
+    node_scales: list = dc_field(default=None, repr=False)  # [(axes, matrices, nodes)]
+    combine: object = dc_field(default=None, repr=False)    # (2^L (L+T), (L+T) d, d)
+    by_gen: list = dc_field(default=None, repr=False)       # per axis k, times a_k
 
 
 @dataclass
@@ -92,8 +98,8 @@ class AuditReport:
 
 def build_scheme(L, T, primes, base, a, b, c):
     primes = tuple(int(p) for p in primes)
-    if L < 1 or T < 1:
-        raise InvalidParams("L and T must be positive")
+    if L < 1 or T < 1 or min(a, b, c) < 1:
+        raise InvalidParams("dimensions and L, T must be positive")
     if len(primes) != L:
         raise PrimesNotAscendingDistinct(f"need {L} primes, got {len(primes)}")
     if any(not is_prime(p) for p in primes) or any(
@@ -136,6 +142,7 @@ def build_scheme(L, T, primes, base, a, b, c):
             between[i, k], between[k, i] = g, tower.neg(g)
 
     to_axis, server_scalars, gen_inverses, duals, k_polys = [], [], [], [], []
+    pt_inv = []  # P_T(a_i)^-1 = prod_(t < T) (a_i - alpha_t)^-1, on axis i
     for i, (p_i, n_i) in enumerate(zip(primes, N), start=1):
         q = divide_at(base, tower.moduli[i - 1], alpha_powers[: p_i + 1])  # over F_q0
         q = base.mul(q[1:], base.inv(q[0]))
@@ -143,6 +150,7 @@ def build_scheme(L, T, primes, base, a, b, c):
         server_scalars.append(tower.mul(to_axis[-1][:n_i], tower.embed_base(deriv_inv[i][:n_i])))
         # v_i and A'(a_i)^-1: prod_(j < N_L or T) (a_i - alpha_j)^-1 prod_(k != i) (a_i - a_k)^-1
         from_axis = prefix_products(tower, tower.neg(to_axis[-1]))
+        pt_inv.append(from_axis[T - 1])
         others = reduce(tower.mul, [between[i, k] for k in gens if k != i], tower.one())
         gen_inverses.append(tower.mul(from_axis[[N[-1] - 1, T - 1]], others))
         duals.append(power_basis_dual(tower, from_axis[n_i - 1], i))  # scale 1/P_i(a_i)
@@ -153,23 +161,26 @@ def build_scheme(L, T, primes, base, a, b, c):
     upload = reduce(tower.mul, to_axis)
     weights = np.concatenate([[g[0] for g in gen_inverses],
                               tower.mul(upload, tower.embed_base(deriv_inv[-1]))])
-    node_inv = np.concatenate([[g[1] for g in gen_inverses],
-                               tower.mul(upload[:T], tower.embed_base(deriv_inv[0][:T]))])
     # Lagrange basis on the nodes a_1..a_L, alpha_1..alpha_T: each quotient of
     # A = prod_i (x - a_i) * P_T(x) by one of its factors has the same form.
-    quotients = [
-        *(_times_generators(tower, [k for k in gens if k != i], annihilator(base, alphas[:T]))
+    quotients = np.stack([
+        *(_times_generators(tower, [k for k in gens if k != i], annihilator(base, alphas[:T])).coeffs
           for i in gens),
-        *(_times_generators(tower, gens, annihilator(base, np.delete(alphas[:T], t, axis=0)))
-          for t in range(T))]
+        *(_times_generators(tower, gens, annihilator(base, np.delete(alphas[:T], t, axis=0))).coeffs
+          for t in range(T))], axis=1)  # [s, k]
+    if kernels._by_table_fits(tower):
+        node_inv = np.concatenate([[g[1] for g in gen_inverses],
+                                   tower.mul(upload[:T], tower.embed_base(deriv_inv[0][:T]))])
+        lagrange = dict(basis=tower.mul(quotients, node_inv))
+    else:
+        lagrange = _node_factors(tower, quotients, pt_inv, to_axis, between, deriv_inv[0][:T])
     return SchemeParams(
         L=L, T=T, primes=primes, base=base, tower=tower, a=a, b=b, c=c,
         N=N, n=n, points=points,
         domain=EvalDomain(tower, points, weights=weights),
         k_polys=k_polys, server_scalars=server_scalars,
         lambdas=[lam for lam, _ in duals], mus=[mu for _, mu in duals],
-        basis=tower.mul(np.stack([q.coeffs for q in quotients], axis=1), node_inv),
-        vandermonde=_vandermonde_blocks(base, alpha_powers, primes, N),
+        vandermonde=_vandermonde_blocks(base, alpha_powers, primes, N), **lagrange,
     )
 
 
@@ -185,6 +196,34 @@ def _times_generators(tower, axes, r):
             at = tuple(int(k in S) for k in range(1, tower.L + 1))
             out[(slice(len(axes) - size, len(axes) - size + len(r)),) + at] = r * (-1) ** size
     return Poly(tower, out)
+
+
+def _node_factors(tower, quotients, pt_inv, to_axis, between, scalars):
+    """encode's Lagrange step past the table's limit, from the quotients
+    A/(x - w_k) [s, k], as SchemeParams fields.  node_scales: (axes,
+    matrices, nodes) per factor of the nodes' scales A'(w_k)^-1, on the
+    axes it spans.  Generator i's scale is P_T(a_i)^-1 on axis i times the
+    (a_i - a_k)^-1 on axes {i, k}; random node t's is the (alpha_t - a_k)^-1
+    on each axis k times the F_q0 scalar scalars[t].  As (a_k - a_i)^-1 =
+    -(a_i - a_k)^-1, one matrix per pair i < k scales both of its nodes,
+    and generator k's F_q0 scalar is (-1)^k.  combine: [(S, s), (k, a), b]
+    is entry [a, b] of the multiplication matrix of node k's F_q0 scalar
+    times the coefficient of a_S x^s in its quotient, which lies in F_q0
+    and sits in the (2, ..., 2) corner of the tower axes.  by_gen: per axis
+    k, multiplication by a_k."""
+    base, L, T = tower.base, tower.L, len(scalars)
+    randoms = list(range(L, L + T))
+    scales = [((k,), tower.mul_matrix(np.stack([pt_inv[k], *to_axis[k][:T]]), (k,)),
+               [k, *randoms]) for k in range(L)]
+    scales += [((i, k), tower.mul_matrix(between[i + 1, k + 1], (i, k)), [i, k])
+               for i, k in combinations(range(L), 2)]
+    signs = base.one() * (-1) ** np.arange(L)[:, None] % base.p
+    per_node = np.concatenate([signs, scalars]).reshape((1, L + T) + (1,) * L + (base.d,))
+    corner = quotients[(slice(None), slice(None), *(slice(2),) * L)]  # [s, k, S, digit]
+    by = base.mul_matrix(np.moveaxis(base.mul(corner, per_node), (0, 1), (L, L + 1)))
+    return dict(node_scales=scales,
+                combine=by.reshape(2**L * (L + T), (L + T) * base.d, base.d).astype(np.float64),
+                by_gen=[tower.mul_matrix(tower.gen(k + 1), (k,)) for k in range(L)])
 
 
 def _vandermonde_blocks(base, alpha_powers, primes, N):
@@ -207,28 +246,65 @@ def _draw_randoms(scheme, seed):
 def encode(scheme, A, B, seed=0, randoms=None):
     """Interpolate f through (gens -> A blocks, first T upload points ->
     randoms) and likewise g, and return their values at the N_L upload
-    points: the coefficients of f and g are one product of the Lagrange
-    basis with the stacked nodes, and their values one F_q0 Vandermonde
-    product, since the upload points lie in F_q0."""
-    if (A.rows, A.cols) != (scheme.a, scheme.b) or (B.rows, B.cols) != (scheme.b, scheme.c):
-        raise DimMismatch("matrix dimensions do not match the scheme")
-    tower = scheme.tower
-    a, w, c = scheme.a, scheme.b // scheme.L, scheme.c
-    part = partition_inner(A, B, scheme.L)
+    points.  On a tower that multiplies by its table, the coefficients of f
+    and g are one product of the Lagrange basis with the stacked nodes.
+    Past its limit, they come from the basis's factors (_interpolate), each
+    an F_p matrix on the tower axes it spans.  Their values are one F_q0
+    Vandermonde product, since the upload points lie in F_q0."""
+    tower, L, T = scheme.tower, scheme.L, scheme.T
+    a, w, c = scheme.a, scheme.b // L, scheme.c
     R, S = randoms if randoms is not None else _draw_randoms(scheme, seed)
+    operands = [(A, (a, scheme.b)), (B, (scheme.b, c)),
+                *((r, (a, w)) for r in R), *((s, (w, c)) for s in S)]
+    if any(m.field != tower for m, _ in operands):
+        raise FieldMismatch("an operand is not over the scheme's tower")
+    if len(R) != T or len(S) != T or any((m.rows, m.cols) != shape for m, shape in operands):
+        raise DimMismatch("matrix dimensions do not match the scheme")
+    part = partition_inner(A, B, L)
     nodes = np.stack([
         np.concatenate([f.data.reshape((a * w,) + tower.shape),
                         g.data.reshape((w * c,) + tower.shape)])
         for f, g in zip(part.A_blocks + list(R), part.B_blocks + list(S))
     ])
-    coeffs = kernels.matmul(tower, scheme.basis, nodes)
-    evals = evaluate(tower, coeffs, scheme.points[scheme.L :])
+    if scheme.basis is not None:
+        coeffs = kernels.matmul(tower, scheme.basis, nodes)
+    else:
+        coeffs = _interpolate(scheme, nodes)
+    evals = evaluate(tower, coeffs, scheme.points[L:])
     return [
         Share(j + 1,
               Mat(tower, a, w, e[: a * w].reshape((a, w) + tower.shape)),
               Mat(tower, w, c, e[a * w :].reshape((w, c) + tower.shape)))
         for j, e in enumerate(evals)
     ]
+
+
+def _interpolate(scheme, nodes):
+    """The coefficients (L+T, m, *tower.shape) of the polynomials through
+    the stacked nodes (L+T, m, *tower.shape), sum_k A/(x - w_k) A'(w_k)^-1
+    v_k, from the factors that setup keeps: each node v_k times its scale's
+    tower factors, one on_axes product per factor; then, with A/(x - w_k) =
+    sum_S a_S sum_s c_Sks x^s, c_Sks in F_q0, and node k's F_q0 scalar
+    folded in, the sums sum_k c_Sks v_k for every subset S and power s as
+    one float64 F_p matmul; then sum_S a_S of those in L Horner steps, the
+    terms with a_k in S times a_k, on axis k, and added to the rest."""
+    tower, p, d, n = scheme.tower, scheme.base.p, scheme.base.d, len(nodes)
+    kernels.check_fp_exact(n * d, p)
+    u = (nodes % p).astype(np.float64)
+    for axes, matrices, which in scheme.node_scales:
+        u[which] = kernels.on_axes(tower, u[which], axes, matrices)
+    out = np.empty(nodes.shape, dtype=np.int64)
+    # The m columns in chunks, each with about _CHUNK_BYTES of sums, 2^L per node.
+    step = max(1, kernels._CHUNK_BYTES // (8 * 2**scheme.L * nodes[:, 0].size))
+    for c in range(0, nodes.shape[1], step):
+        part = u[:, c : c + step]
+        rows = part.reshape(n, -1, d).transpose(1, 0, 2).reshape(-1, n * d)  # [(m, F_q0 coeff), (k, a)]
+        sums = kernels.fp_mod(np.matmul(rows, scheme.combine), p)  # [(S, s), (m, F_q0 coeff), b]
+        sums = sums.reshape((2,) * scheme.L + part.shape)  # S as one 0/1 axis per tower axis
+        for k, by_a in enumerate(scheme.by_gen):
+            sums = kernels.fp_mod(sums[0] + kernels.on_axes(tower, sums[1], (k,), by_a), p)
+        out[:, c : c + step] = sums
+    return out
 
 
 def server_groups(scheme, j):
@@ -268,6 +344,8 @@ def server_compute(scheme, shares):
     server order, as encode makes them, group i's servers come first."""
     if isinstance(shares, Share):
         return server_compute(scheme, [shares])[0]
+    if not shares:
+        return []
     groups = [server_groups(scheme, share.server) for share in shares]
     scalars = {i: np.stack([g[i] for g in groups if i in g]) for i in groups[0]}
     return server_step(scheme.tower, scalars, shares)
@@ -279,8 +357,8 @@ def decode(scheme, bundles):
     replies r_ij in F_i (their index-0 slice on axis i), and the trace-dual
     basis gives h_i = sum_s c_is mu_is, the mirror of server_step: mu_is lies
     in F_q0(a_i), so coefficient e of h_i on axis i is sum_s c_is mu_ise with
-    every mu_ise in F_q0, one float64 F_p product of c_i's F_i digits with
-    the (p_i d, p_i d) matrix whose block (s, e) multiplies by mu_ise."""
+    every mu_ise in F_q0: with c_is on axis i, one on_axes product with the
+    (p_i d, p_i d) matrix whose block (s, e) multiplies by mu_ise."""
     tower, base = scheme.tower, scheme.base
     a, c, d, p = scheme.a, scheme.c, base.d, base.p
     by_server = {bundle.server: bundle for bundle in bundles}
@@ -302,10 +380,10 @@ def decode(scheme, bundles):
         c_is = flat @ scheme.vandermonde[i - 1] % p  # [(a, c, F_i), (s, digit)]
         mu = np.moveaxis(scheme.mus[i - 1], i, 1).reshape(p_i, p_i, -1, d)[:, :, 0]  # [s, e, digit]
         by_mu = base.mul_matrix(mu).transpose(0, 2, 1, 3).reshape(p_i * d, p_i * d)
-        kernels.check_fp_exact(p_i * d, p)
-        h_i = kernels._fp_matmul(c_is, by_mu, p)  # [(a, c, F_i), (e, digit)]
-        total += np.moveaxis(h_i.reshape(total.shape[: 1 + i] + total.shape[2 + i :-1] + (p_i, d)),
-                             -2, 1 + i)
+        c_i = c_is.reshape(total.shape[: 1 + i] + total.shape[2 + i :-1] + (p_i, d))  # s last
+        n = c_i.ndim  # transposes, as moveaxis costs more per call
+        c_i = c_i.transpose(*range(1 + i), n - 2, *range(1 + i, n - 2), n - 1)  # s on axis i
+        total += kernels.on_axes(tower, c_i, (i - 1,), by_mu)
     return Mat(tower, a, c, total % p)
 
 

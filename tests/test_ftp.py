@@ -1,6 +1,7 @@
 """Scheme construction, encode/servers/decode, costs, security audits."""
 
 import hashlib
+import math
 from itertools import combinations
 
 import numpy as np
@@ -9,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ftp_sdmm.ftp as ftp_module
+from ftp_sdmm import kernels
 from ftp_sdmm.errors import (
     DimMismatch,
+    FieldMismatch,
     InvalidParams,
     MissingBundle,
     NotDivisible,
@@ -18,7 +21,7 @@ from ftp_sdmm.errors import (
     TooFewEvalPoints,
     TooLargeForExhaustive,
 )
-from ftp_sdmm.fields import TowerField, make_base_field
+from ftp_sdmm.fields import TowerField, make_base_field, make_tower
 from ftp_sdmm.ftp import (
     build_scheme,
     cost_report,
@@ -28,7 +31,8 @@ from ftp_sdmm.ftp import (
     security_rank_audit,
     server_compute,
 )
-from ftp_sdmm.matrices import SplitMix64, mat_mul, random_mat
+from ftp_sdmm.matrices import SplitMix64, mat_mul, partition_inner, random_mat
+from ftp_sdmm.proto import run_inprocess
 
 from conftest import _DIGEST_SCHEMES
 from test_linalg import _elim
@@ -75,6 +79,110 @@ def test_parameter_validation():
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=1)
     with pytest.raises(DimMismatch):
         encode(scheme, bad, B)
+
+
+@pytest.mark.parametrize("a,b,c", [(0, 2, 2), (2, 0, 2), (2, 2, -1)])
+def test_build_scheme_refuses_nonpositive_dimensions(a, b, c):
+    """A scheme with no rows, no inner index or no columns is refused at
+    setup, as RateParams (and so cost_report) refuses it."""
+    with pytest.raises(InvalidParams):
+        build_scheme(2, 1, (2, 3), make_base_field(11, 1), a, b, c)
+
+
+def test_encode_refuses_operands_of_another_field_or_shape():
+    """Operands or randoms over another field raise FieldMismatch, and
+    randoms of the wrong count or shape DimMismatch, before any arithmetic."""
+    s = _scheme(CONFIGS[1])  # T = 1
+    A = random_mat(s.a, s.b, s.tower, seed=0)
+    B = random_mat(s.b, s.c, s.tower, seed=1)
+    alien = make_tower(make_base_field(13, 1), (2, 3))
+    R, S = ftp_module._draw_randoms(s, 0)
+    with pytest.raises(FieldMismatch):
+        encode(s, random_mat(s.a, s.b, alien, seed=0), B)
+    with pytest.raises(FieldMismatch):
+        encode(s, A, random_mat(s.b, s.c, alien, seed=1))
+    with pytest.raises(FieldMismatch):
+        encode(s, A, B, randoms=(R, [random_mat(*S[0].data.shape[:2], alien, seed=2)]))
+    w = s.b // s.L
+    for bad in [(R + R, S), (R, []), ([random_mat(s.a + 1, w, s.tower, seed=3)], S),
+                (R, [random_mat(w, s.c + 1, s.tower, seed=4)])]:
+        with pytest.raises(DimMismatch):
+            encode(s, A, B, randoms=bad)
+
+
+def test_server_compute_of_no_shares_is_empty():
+    assert server_compute(_scheme(CONFIGS[1]), []) == []
+
+
+def _lagrange_oracle(s, A, B, R, S):
+    """encode's values by the general route: the Lagrange basis on the L + T
+    nodes from lagrange_coefficients, times the stacked nodes, evaluated at
+    the upload points, as a (N_L, a w + w c, *tower.shape) tensor."""
+    part = partition_inner(A, B, s.L)
+    nodes = np.stack([np.concatenate([f.data.reshape((-1,) + s.tower.shape),
+                                      g.data.reshape((-1,) + s.tower.shape)])
+                      for f, g in zip(part.A_blocks + list(R), part.B_blocks + list(S))])
+    basis = lagrange_coefficients(s.tower, s.points[: s.L + s.T])
+    return evaluate(s.tower, kernels.matmul(s.tower, basis, nodes), s.points[s.L :])
+
+
+@pytest.mark.parametrize("name", [f"config {k}" for k in range(len(CONFIGS))] + list(_DIGEST_SCHEMES)
+                         + [f"config {k}, no table" for k in range(len(CONFIGS))])
+def test_encode_matches_the_lagrange_oracle(digest_schemes, name, monkeypatch):
+    """encode's shares equal the general route's values bit for bit, with
+    randoms drawn and with randoms given: by the kept basis on the small
+    towers, by its factors on paper-full's and, with the table's limit at
+    0, on the criterion-2 configurations."""
+    if name.endswith("no table"):
+        monkeypatch.setattr(kernels, "_TABLE_DIGITS", 0)
+    s = digest_schemes[name] if name in digest_schemes else _scheme(CONFIGS[int(name[7])])
+    assert (s.basis is None) == (not kernels._by_table_fits(s.tower)) == (s.combine is not None)
+    A = random_mat(s.a, s.b, s.tower, seed=60)
+    B = random_mat(s.b, s.c, s.tower, seed=61)
+    given_randoms = ftp_module._draw_randoms(s, 62)
+    for randoms in (None, given_randoms):
+        shares = encode(s, A, B, seed=5, randoms=randoms)
+        R, S = randoms or ftp_module._draw_randoms(s, 5)
+        got = np.stack([np.concatenate([sh.f_eval.data.reshape((-1,) + s.tower.shape),
+                                        sh.g_eval.data.reshape((-1,) + s.tower.shape)])
+                        for sh in shares])
+        assert np.array_equal(got, _lagrange_oracle(s, A, B, R, S))
+
+
+def test_no_table_past_the_limit():
+    """A paper-full job builds no structure-constant table for its tower or
+    any sub-tower past _TABLE_DIGITS digits (one for the axes of 7 and 11
+    would take 99 MB)."""
+    L, T, primes, p, d, a, b, c = _DIGEST_SCHEMES["paper-full"]
+    s = build_scheme(L, T, primes, make_base_field(p, d), a, b, c)
+    A = random_mat(a, b, s.tower, seed=0)
+    B = random_mat(b, c, s.tower, seed=1)
+    assert run_inprocess(s, A, B, seed=2)[0].eq(mat_mul(A, B))
+    fields = [s.tower, *s.tower._subtowers.values()]
+    assert any(math.prod(f.shape) > kernels._TABLE_DIGITS for f in fields[1:])
+    assert all(f._structure is None for f in fields if math.prod(f.shape) > kernels._TABLE_DIGITS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2,), (3,), (2, 3), (2, 5), (2, 3, 5)]), st.integers(1, 2),
+       st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 2), st.integers(1, 3),
+       st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32))
+def test_drawn_schemes_decode_to_the_product(primes, T, p, d, a, w, c, seed):
+    """run_inprocess on drawn small schemes and operands decodes to
+    mat_mul's product."""
+    L = len(primes)
+    assume(p**d >= primes[-1] + 2 * L + 2 * T - 2)  # q0 >= N_L
+    s = build_scheme(L, T, primes, make_base_field(p, d), a, L * w, c)
+    A = random_mat(a, L * w, s.tower, seed=seed)
+    B = random_mat(L * w, c, s.tower, seed=seed + 1)
+    assert run_inprocess(s, A, B, seed=seed)[0].eq(mat_mul(A, B))
+
+
+def test_drawn_schemes_decode_on_the_structured_path(monkeypatch):
+    """The same draws with the table's limit at 0, so that encode takes the
+    Lagrange basis's factors on small towers too."""
+    monkeypatch.setattr(kernels, "_TABLE_DIGITS", 0)
+    test_drawn_schemes_decode_to_the_product()
 
 
 def test_cost_report_formulas():
@@ -270,6 +378,15 @@ def _digest(arrays):
     return h.hexdigest()
 
 
+def _basis(s):
+    """The Lagrange basis on the L + T nodes: the one setup keeps, or, past
+    the table's limit where setup keeps its factors instead, the general
+    route's."""
+    if s.basis is None:
+        return lagrange_coefficients(s.tower, s.points[: s.L + s.T])
+    return s.basis
+
+
 @pytest.mark.parametrize("name", ["small-tower", "tcp-wide", "paper-full", 0, 1, 2, 3])
 def test_setup_values_are_pinned(digest_schemes, name):
     """The dual weights, server scalars, trace-dual bases, encode and decode
@@ -278,7 +395,7 @@ def test_setup_values_are_pinned(digest_schemes, name):
     s = digest_schemes[name] if isinstance(name, str) else _scheme(CONFIGS[name], a=4, b=6, c=4)
     values = (s.domain.weights, [np.stack(r) for r in s.server_scalars],
               [np.stack(b) for b in s.lambdas], [np.stack(b) for b in s.mus],
-              [np.swapaxes(evaluate(s.tower, s.basis, s.points[s.L :]), 0, 1)],
+              [np.swapaxes(evaluate(s.tower, _basis(s), s.points[s.L :]), 0, 1)],
               s.vandermonde, [k.coeffs for k in s.k_polys])
     got = dict(zip(_SETUP_VALUES, map(_digest, values)))
     key = (s.L, s.T, s.primes, s.base.p, s.base.d)
@@ -311,10 +428,10 @@ def _assert_closed_forms_match(s):
         assert np.array_equal(s.server_scalars[i], scalars[i])
         assert np.array_equal(s.lambdas[i][0], scales[i])  # lambda_0 = scale * a_i^0
         assert np.array_equal(s.k_polys[i].coeffs, k_polys[i])
-    assert np.array_equal(s.basis, basis)
+    assert np.array_equal(_basis(s), basis)
     # The leading coefficient of l_k is A'(w_k)^-1, the node's inverse.
     nodes = s.points[: s.L + s.T]
-    assert np.array_equal(s.basis[-1], dual_weights(s.tower, nodes))
+    assert np.array_equal(basis[-1], dual_weights(s.tower, nodes))
 
 
 @pytest.mark.parametrize("name", ["small-tower", "tcp-wide", "paper-full", 0, 1, 2, 3])

@@ -498,3 +498,50 @@ def test_products_near_the_float64_bound_match_the_oracle(p, primes):
     got = field.mul(xs, ys)
     assert np.array_equal(got, [_mul_oracle(field, x, y) for x, y in zip(xs, ys)])
     assert np.array_equal(field.mul(xs, field.inv(xs)), np.broadcast_to(field.one(), xs.shape))
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 65521, 67108879])
+def test_fp_mod_is_exact_below_2_53(p):
+    """fp_mod equals integer % on float64 integers below 2^53: random ones of
+    every size, the multiples of p and their neighbours at both ends, and
+    the largest."""
+    top = (1 << 53) - 1
+    k = np.arange(1, 300)
+    x = np.concatenate([np.random.default_rng(p).integers(0, top, 5000), np.arange(1000),
+                        k * p - 1, k * p, k * p + 1, top // p * p - k, top - k + 1])
+    assert x.min() >= 0 and x.max() == top
+    assert np.array_equal(kernels.fp_mod(x.astype(np.float64), p).astype(np.int64), x % p)
+
+
+@pytest.mark.parametrize("p,d,primes", FIELDS)
+def test_on_axes_by_mul_matrix_is_the_product(p, d, primes):
+    """For elements z of the sub-tower on any set of axes, tower.mul_matrix
+    gives the products of z with that sub-tower's basis (checked for the
+    first z, on sub-towers of at most 256 digits: paper-full's pairs of
+    axes, not its whole tower), and on_axes by
+    those matrices multiplies a stack by z as tower.mul does: one matrix
+    for every entry, and one per entry of the first axis."""
+    tower = _tower(p, d, primes)
+    rng = np.random.default_rng(3)
+    xs = rng.integers(0, p, (3, 1) + tower.shape)
+    xs[0] = p - 1
+    for size in range(1, tower.L + 1):
+        for axes in combinations(range(tower.L), size):
+            sub = tower.subtower(axes)
+            n = math.prod(sub.shape)
+            zs = rng.integers(0, p, (3,) + sub.shape)
+            mats = tower.mul_matrix(tower.embed_base(zs, axes), axes)
+            if n <= 256:
+                basis = np.eye(n, dtype=np.int64).reshape((n,) + sub.shape)
+                assert np.array_equal(mats[0], sub.mul(basis, zs[0]).reshape(n, n))
+            want = tower.mul(xs, tower.embed_base(zs, axes)[:, None])
+            assert np.array_equal(kernels.on_axes(tower, xs, axes, mats), want)
+            assert np.array_equal(kernels.on_axes(tower, xs[0], axes, mats[0]), want[0])
+
+
+def test_on_axes_past_the_float64_bound_raises():
+    """on_axes refuses residues whose products could pass 2^53, with the
+    explicit raise of check_fp_exact: over F_(2^31 - 1), (p-1)^2 > 2^53."""
+    field = make_base_field((1 << 31) - 1, 1)
+    with pytest.raises(RoundingBoundExceeded):
+        kernels.on_axes(field, np.ones((2, 1), dtype=np.int64), (), np.ones((1, 1)))
