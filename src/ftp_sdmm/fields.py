@@ -524,29 +524,24 @@ class TowerField(_Field):
 
     def frobenius(self, x, e=1):
         """x^(q0^e).  The q0-power map acts on each axis alone, as the linear
-        map _frob_mats[i] of order p_i, so axis i takes e mod p_i steps."""
-        d, p = self.base.d, self.base.p
-        cur = x % p
-        for i, p_i in enumerate(self.primes, start=1):
-            arr = np.moveaxis(cur, self._axis(i), -2)
-            lead = arr.shape[:-2]
-            arr = arr.reshape(-1, p_i, d)
-            for _ in range(e % p_i):
-                arr = np.einsum("nsa,sfab->nfb", arr, self._frob_mats[i - 1]) % p
-            cur = np.moveaxis(arr.reshape(lead + (p_i, d)), -2, self._axis(i))
-        return np.ascontiguousarray(cur)
+        map _frob_mats[k] of order p_k, so axis k takes e mod p_k steps, each
+        one on_axes product."""
+        cur = np.asarray(x) % self.base.p
+        for k, (p_k, frob) in enumerate(zip(self.primes, self._frob_mats)):
+            by = frob.transpose(0, 2, 1, 3).reshape(p_k * self.base.d, -1).astype(np.float64)
+            for _ in range(e % p_k):
+                cur = on_axes(self, cur, (k,), by)
+        return cur
 
     def trace_to_subfield(self, x, i):
-        """tr_{F_q/F_i}(x): collapse axis i with the small-trace scalars."""
+        """tr_{F_q/F_i}(x): collapse axis i with the small-trace scalars, one
+        on_axes product by a matrix that holds them in its column block 0,
+        so that the trace lands at index 0 of axis i."""
         self._check_axis(i)
         d = self.base.d
-        arr = np.moveaxis(x, self._axis(i), -2)
-        lead = arr.shape[:-2]
-        flat = arr.reshape(-1, self.primes[i - 1], d)
-        collapsed = np.einsum("nsa,sab->nb", flat, self._trace_mats[i - 1]) % self.base.p
-        out = np.zeros(lead + (self.primes[i - 1], d), dtype=np.int64)
-        out[..., 0, :] = collapsed.reshape(lead + (d,))
-        return np.ascontiguousarray(np.moveaxis(out, -2, self._axis(i)))
+        by = np.zeros((self.primes[i - 1] * d,) * 2)
+        by[:, :d] = self._trace_mats[i - 1].reshape(-1, d)
+        return on_axes(self, np.asarray(x) % self.base.p, (i - 1,), by)
 
     def trace_scalars(self, w, i):
         """tau_s = tr_i(w a_i^s) for s < p_i, w (..., *shape), as a (..., p_i,

@@ -82,7 +82,7 @@ class Share:
 @dataclass
 class ResponseBundle:
     server: int
-    traced: dict    # group i -> a x c Mat with entries in F_i
+    traced: dict    # group i -> (a, c, *F_i.shape) int64 tensor, F_i's digits only
 
 
 @dataclass
@@ -316,16 +316,14 @@ def server_groups(scheme, j):
 def server_step(tower, scalars, shares):
     """The servers' work, in process and in the TCP daemon alike, for a stack
     of shares and scalars[i] the stacked w_i of the first len(scalars[i]) of
-    them (one Share and {i: w} are a stack of one): every h = f(alpha_j)
-    g(alpha_j) in one batched product, then tr_i(w_i h) per group i.  The
-    trace is F_i-linear, so with h = sum_s h_s a_i^s, h_s in F_i the axis-i
-    slices of h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s):
-    one product over F_i of each (a c, p_i) slice matrix, a view of h, with
-    its column tau, embedded at index 0 of axis i.  For honest w_i, in
-    F_q0(a_i), every tau_s lies in F_q0 and the product takes no transform;
-    any other w_i in the stack makes it run on the axes both factors span."""
-    if isinstance(shares, Share):
-        return server_step(tower, {i: w[None] for i, w in scalars.items()}, [shares])[0]
+    them: every h = f(alpha_j) g(alpha_j) in one batched product, then
+    tr_i(w_i h) per group i.  The trace is F_i-linear, so with h = sum_s h_s
+    a_i^s, h_s in F_i the axis-i slices of h, tr_i(w_i h) = sum_s h_s tau_s
+    for tau_s = tr_i(w_i a_i^s): one product over F_i of each (a c, p_i)
+    slice matrix, a view of h, with its column tau, kept on F_i's axes as
+    the (a, c, *F_i.shape) reply.  For honest w_i, in F_q0(a_i), every tau_s
+    lies in F_q0 and the product takes no transform; any other w_i in the
+    stack makes it run on the axes both factors span."""
     h = kernels.matmul(tower, np.array([s.f_eval.data for s in shares]),
                        np.array([s.g_eval.data for s in shares]))
     flat = h.reshape((len(h), -1) + tower.shape)
@@ -334,8 +332,8 @@ def server_step(tower, scalars, shares):
         others = [k for k in range(tower.L) if k != i - 1]
         slices = flat[: len(w)].transpose(0, 1, i + 1, *(k + 2 for k in others), -1)  # [r, s]: h_s
         reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, :, None])
-        for k, r in enumerate(tower.embed_base(reply, others).reshape(h[: len(w)].shape)):
-            traced[k][i] = Mat(tower, *h.shape[1:3], r)
+        for k, r in enumerate(reply.reshape((len(w),) + h.shape[1:3] + reply.shape[3:])):
+            traced[k][i] = r
     return [ResponseBundle(share.server, t) for share, t in zip(shares, traced)]
 
 
@@ -354,7 +352,7 @@ def server_compute(scheme, shares):
 def decode(scheme, bundles):
     """Recover AB from all N_L response bundles.  For each group i, the
     Vandermonde step over F_q0 gives c_is = -sum_j alpha_j^s r_ij from the
-    replies r_ij in F_i (their index-0 slice on axis i), and the trace-dual
+    replies r_ij, each (a, c, *F_i.shape) on F_i's axes, and the trace-dual
     basis gives h_i = sum_s c_is mu_is, the mirror of server_step: mu_is lies
     in F_q0(a_i), so coefficient e of h_i on axis i is sum_s c_is mu_ise with
     every mu_ise in F_q0: with c_is on axis i, one on_axes product with the
@@ -369,13 +367,12 @@ def decode(scheme, bundles):
     total = np.zeros((a, c) + tower.shape, dtype=np.int64)
     for i in range(1, scheme.L + 1):
         p_i, n_i = scheme.primes[i - 1], scheme.N[i - 1]
-        replies = []
-        for j in range(1, n_i + 1):
-            r = by_server[j].traced.get(i)
-            if r is None or (r.rows, r.cols) != (a, c):
+        shape = (a, c) + tower.shape[: i - 1] + tower.shape[i:]
+        replies = [by_server[j].traced.get(i) for j in range(1, n_i + 1)]
+        for j, r in enumerate(replies, start=1):
+            if np.shape(r) != shape:  # a missing reply, None, has shape ()
                 raise ShapeMismatch(f"bundle {j} lacks a well-formed group {i} response")
-            replies.append(r.data)
-        r_i = np.take(np.stack(replies), 0, axis=2 + i)  # (n_i, a, c, F_i digits)
+        r_i = np.stack(replies)  # (n_i, a, c, F_i digits)
         flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
         c_is = flat @ scheme.vandermonde[i - 1] % p  # [(a, c, F_i), (s, digit)]
         mu = np.moveaxis(scheme.mus[i - 1], i, 1).reshape(p_i, p_i, -1, d)[:, :, 0]  # [s, e, digit]

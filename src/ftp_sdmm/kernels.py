@@ -281,7 +281,7 @@ def _by_table(field, x, y):
         cs = part.shape[-2]
         by_y = digits[..., s : s + cs, :, :].reshape(-1, n) @ table  # [(c, k), (u, o)]
         if not unreduced:
-            np.fmod(by_y, p, out=by_y)  # entries are >= 0, and fmod is the faster mod
+            fp_mod(by_y, p)  # entries are at most n (p-1)^2 < 2^53
         prod = np.matmul(rows, by_y.reshape(yl + (cs, k * n, n)))  # [c, r, o]
         part[...] = prod.astype(np.int64).swapaxes(-3, -2) % p
     return out.reshape(out.shape[:-1] + field.shape)

@@ -3,10 +3,11 @@ runner so servers can live in separate processes.
 
 Field elements travel as one byte per base-prime digit (requires p < 256):
 a full element is d * prod(p_i) bytes in multi-index lexicographic order
-(axis 1 slowest, base-field digits low-degree first); an element of the
-subfield F_i omits the unsupported axis-i coefficients.  Payload byte counts
-therefore equal d times the base-field symbol counts, which is what makes the
-cost accounting auditable on the wire.
+(axis 1 slowest, base-field digits low-degree first).  A group-i reply is a
+tensor on the axes of the subfield F_i, the tower's axes without axis i, and
+travels as those digits alone, d * prod(p_i) / p_i bytes per entry.  Payload
+byte counts therefore equal d times the base-field symbol counts, which is
+what makes the cost accounting auditable on the wire.
 
 The TCP runner keeps one open connection per endpoint across jobs, with
 TCP_NODELAY set on both ends, and starts no thread.  Each server's PARAMS
@@ -30,6 +31,7 @@ from .errors import (
     ConnectionFailed,
     DigitOverflow,
     FieldTooLarge,
+    InvalidParams,
     MalformedFrame,
     ProtocolError,
     ProtocolTimeout,
@@ -54,9 +56,12 @@ TIMEOUT_ENV = "FTP_SDMM_TIMEOUT_MS"
 
 
 def _timeout_seconds():
-    raw = os.environ.get(TIMEOUT_ENV)
-    ms = int(raw) if raw else DEFAULT_TIMEOUT_MS
-    return ms / 1000.0
+    """TIMEOUT_ENV in seconds, else the default.  InvalidParams unless it is
+    a whole number of milliseconds from 1 to 2^31 - 1, in decimal digits."""
+    raw = os.environ.get(TIMEOUT_ENV) or str(DEFAULT_TIMEOUT_MS)
+    if not (raw.isascii() and raw.isdigit() and 0 < int(raw) < 1 << 31):
+        raise InvalidParams(f"{TIMEOUT_ENV}={raw!r} is not a whole number of ms from 1 to 2^31 - 1")
+    return int(raw) / 1000.0
 
 
 # -- element and matrix serialization -----------------------------------------
@@ -66,63 +71,55 @@ def _check_digit_format(tower):
         raise DigitOverflow(f"digit-per-byte wire format needs p < 256, got {tower.base.p}")
 
 
-def elem_to_bytes(tower, x, group=None):
-    """Full element, or only the supported coefficients for F_i members."""
+def elem_to_bytes(tower, x):
     _check_digit_format(tower)
-    if group is not None:
-        x = np.take(x, 0, axis=group - 1)
     return x.astype(np.uint8).tobytes()
 
 
-def _digits(tower, raw, offset, lead, group):
-    """The digits at raw[offset:] as a tensor lead + tower.shape (an F_i
-    member's at index 0 of axis i), and the offset past them.  MalformedFrame
-    if raw is too short or a digit is not below p."""
-    _check_digit_format(tower)
-    shape = tower.shape if group is None else tower.shape[: group - 1] + tower.shape[group:]
-    count = prod(lead + shape)
+def _digits(field, raw, offset, lead):
+    """The digits at raw[offset:] as an int64 tensor lead + field.shape, and
+    the offset past them.  MalformedFrame if raw is too short or a digit is
+    not below p."""
+    _check_digit_format(field)
+    count = prod(lead + field.shape)
     if len(raw) - offset < count:
         raise MalformedFrame("payload shorter than its shape")
     digits = np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset)
-    if (digits >= tower.base.p).any():
-        raise MalformedFrame(f"a digit is not below p = {tower.base.p}")
-    data = np.zeros(lead + tower.shape, dtype=np.int64)
-    target = data if group is None else np.moveaxis(data, len(lead) + group - 1, 0)[0]
-    target[...] = digits.reshape(lead + shape)
-    return data, offset + count
+    if (digits >= field.base.p).any():
+        raise MalformedFrame(f"a digit is not below p = {field.base.p}")
+    return digits.reshape(lead + field.shape).astype(np.int64), offset + count
 
 
-def elem_from_bytes(tower, raw, group=None):
-    if len(raw) != elem_symbols(tower, group) * tower.base.d:
+def elem_from_bytes(tower, raw):
+    if len(raw) != tower.flat_size * tower.base.d:
         raise MalformedFrame("element payload has wrong length")
-    return _digits(tower, raw, 0, (), group)[0]
+    return _digits(tower, raw, 0, ())[0]
 
 
-def elem_symbols(tower, group=None):
-    """Base-field symbol count of one serialized element."""
-    if group is None:
-        return tower.flat_size
-    return tower.flat_size // tower.primes[group - 1]
+def _tensor_to_bytes(field, data):
+    """An 8-byte (rows, cols) header, then the digits of data, a (rows,
+    cols, ...) tensor of elements of field or of a sub-tower of it, in C
+    order: entries row-major, each element axis 1 slowest, digits
+    low-degree first."""
+    _check_digit_format(field)
+    return struct.pack(">II", *data.shape[:2]) + data.astype(np.uint8).tobytes()
 
 
-def mat_to_bytes(tower, m, group=None):
-    """An 8-byte shape header, then the tensor's digits in C order: entries
-    row-major, each element axis 1 slowest, digits low-degree first."""
-    _check_digit_format(tower)
-    data = m.data if group is None else np.take(m.data, 0, axis=group + 1)
-    return struct.pack(">II", m.rows, m.cols) + data.astype(np.uint8).tobytes()
-
-
-def mat_from_bytes(tower, raw, offset=0, group=None):
+def _tensor_from_bytes(field, raw, offset):
+    """The (rows, cols, *field.shape) tensor that _tensor_to_bytes wrote at
+    raw[offset:], and the offset past it."""
     if len(raw) - offset < 8:
         raise MalformedFrame("matrix header truncated")
-    rows, cols = struct.unpack_from(">II", raw, offset)
-    data, end = _digits(tower, raw, offset + 8, (rows, cols), group)
-    return Mat(tower, rows, cols, data), end
+    return _digits(field, raw, offset + 8, struct.unpack_from(">II", raw, offset))
 
 
-def mat_payload_symbols(tower, m, group=None):
-    return m.rows * m.cols * elem_symbols(tower, group)
+def mat_to_bytes(tower, m):
+    return _tensor_to_bytes(tower, m.data)
+
+
+def mat_from_bytes(tower, raw, offset=0):
+    data, end = _tensor_from_bytes(tower, raw, offset)
+    return Mat(tower, *data.shape[:2], data), end
 
 
 # -- framing -------------------------------------------------------------------
@@ -233,7 +230,7 @@ class ServerJob:
     b: int
     c: int
     L: int
-    scalars: dict   # group -> full tower element
+    scalars: dict   # group i -> w_ij as a stack of one, (1, *tower.shape)
 
 
 def parse_params(body):
@@ -274,7 +271,7 @@ def parse_params(body):
     if len(set(ids)) < n_groups or not all(1 <= i <= L for i in ids):
         raise MalformedFrame(f"group ids {ids} are not distinct members of 1..{L}")
     tower = _cached_tower(p, d, modulus, primes)
-    scalars = {i: elem_from_bytes(tower, body[off + k * step + 1 : off + (k + 1) * step])
+    scalars = {i: elem_from_bytes(tower, body[off + k * step + 1 : off + (k + 1) * step])[None]
                for k, i in enumerate(ids)}
     return ServerJob(job_id, server_index, tower, a, b, c, L, scalars)
 
@@ -303,7 +300,7 @@ def responses_body(job_id, tower, bundle):
     body += bytes([len(bundle.traced)])
     for i in sorted(bundle.traced):
         body += bytes([i])
-        body += mat_to_bytes(tower, bundle.traced[i], group=i)
+        body += _tensor_to_bytes(tower, bundle.traced[i])
     return body
 
 
@@ -321,7 +318,8 @@ def parse_responses(tower, body):
         tower._check_axis(i)
         if i in traced:
             raise MalformedFrame(f"group {i} occurs twice")
-        traced[i], off = mat_from_bytes(tower, body, off, group=i)
+        f_i = tower.subtower([k for k in range(tower.L) if k != i - 1])
+        traced[i], off = _tensor_from_bytes(f_i, body, off)
     if off != len(body):
         raise MalformedFrame("bytes past the end of the responses")
     return job_id, ResponseBundle(server, traced)
@@ -375,15 +373,14 @@ class TrafficLedger:
 def _ledger_share(ledger, scheme, share, body):
     """Count one share on its serialized body: the two matrix payloads,
     without the job id, the server index and the two shape headers."""
-    tower = scheme.tower
-    sym = mat_payload_symbols(tower, share.f_eval) + mat_payload_symbols(tower, share.g_eval)
+    sym = (share.f_eval.data.size + share.g_eval.data.size) // scheme.base.d
     ledger.add_upload(share.server, sym, len(body) - 10 - 16)
 
 
 def _ledger_bundle(ledger, scheme, bundle, body):
     """Count one bundle on its serialized body: the traced payloads, without
     the job id, server index, group count and each group's id and header."""
-    sym = sum(mat_payload_symbols(scheme.tower, m, group=i) for i, m in bundle.traced.items())
+    sym = sum(r.size for r in bundle.traced.values()) // scheme.base.d
     ledger.add_download(bundle.server, sym, len(body) - 11 - 9 * len(bundle.traced))
 
 
@@ -434,8 +431,8 @@ class _Link:
     again on a repeated PARAMS.  After a timeout the endpoint takes no more
     of the job's servers: a hung daemon costs one timeout, not one each."""
 
-    def __init__(self, endpoint):
-        self.endpoint = endpoint
+    def __init__(self, endpoint, timeout):
+        self.endpoint, self.timeout = endpoint, timeout
         with _kept_lock:
             self.sock = _kept.pop(endpoint, None)
         self.on_trial = self.sock is not None
@@ -450,9 +447,9 @@ class _Link:
             raise ProtocolTimeout(f"not sent: the endpoint timed out on server {self.timed_out}")
         if self.sock is None:
             self.stage = "connect"
-            self.sock = socket.create_connection(self.endpoint, timeout=_timeout_seconds())
+            self.sock = socket.create_connection(self.endpoint, timeout=self.timeout)
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.settimeout(_timeout_seconds())
+        self.sock.settimeout(self.timeout)
         self.stage, self.busy = "PARAMS", True
         try:
             self.sock.sendall(frames)
@@ -522,6 +519,7 @@ def run_remote(endpoints, scheme, A, B, seed=0):
     then reads each connection's replies in endpoint order, so distinct
     endpoints compute at once, and no connection ever has more than one
     request outstanding."""
+    timeout = _timeout_seconds()
     shares = encode(scheme, A, B, seed=seed)
     if len(endpoints) < len(shares):
         raise ConnectionFailed(len(endpoints) + 1, "not enough endpoints")
@@ -532,7 +530,7 @@ def run_remote(endpoints, scheme, A, B, seed=0):
         frames = (pack_message(MSG_PARAMS, params_body(job_id, scheme, j))
                   + pack_message(MSG_SHARE, sent))
         queues.setdefault(tuple(endpoints[j - 1]), []).append((j, frames, sent))
-    links = {endpoint: _Link(endpoint) for endpoint in queues}
+    links = {endpoint: _Link(endpoint, timeout) for endpoint in queues}
     results = {}
     errors = {}
     try:
@@ -699,7 +697,7 @@ class Server:
             if (f.rows, f.cols, g.rows, g.cols) != (job.a, w, w, job.c):
                 raise MalformedFrame(f"a share of {f.rows} x {f.cols} and {g.rows} x {g.cols} for "
                                      f"a job of {job.a} x {w} and {w} x {job.c}")
-            bundle = server_step(job.tower, job.scalars, share)
+            bundle = server_step(job.tower, job.scalars, [share])[0]
             return pack_message(MSG_RESPONSES, responses_body(job_id, job.tower, bundle))
         return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}"))
 

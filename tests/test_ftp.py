@@ -18,6 +18,7 @@ from ftp_sdmm.errors import (
     MissingBundle,
     NotDivisible,
     PrimesNotAscendingDistinct,
+    ShapeMismatch,
     TooFewEvalPoints,
     TooLargeForExhaustive,
 )
@@ -223,16 +224,42 @@ def test_decode_requires_all_bundles():
         decode(scheme, bundles[:-1])
 
 
+def test_decode_refuses_a_missing_or_misshapen_reply():
+    """decode raises ShapeMismatch for a bundle that lacks a group it must
+    answer, a reply with the wrong rows, and a reply of full-tower shape."""
+    scheme = _scheme(CONFIGS[1])
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=0)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=1)
+    bundles = server_compute(scheme, encode(scheme, A, B))
+    reply = bundles[0].traced[1]
+    full = scheme.tower.embed_base(reply, [1])
+    assert full.shape == (scheme.a, scheme.c) + scheme.tower.shape
+    for traced in ({2: bundles[0].traced[2]}, {**bundles[0].traced, 1: reply[:-1]},
+                   {**bundles[0].traced, 1: full}):
+        broken = [ftp_module.ResponseBundle(1, traced)] + bundles[1:]
+        with pytest.raises(ShapeMismatch):
+            decode(scheme, broken)
+    assert decode(scheme, bundles).eq(mat_mul(A, B))
+
+
 def test_responses_live_in_subfield():
+    """Each group-i reply is (a, c, *F_i.shape): the F_i digits, index 0 of
+    axis i, of tr_i(w_ij h_j) taken element by element, which lies in F_i."""
     scheme = _scheme(CONFIGS[1])
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=3)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=4)
     t = scheme.tower
-    for bundle in server_compute(scheme, encode(scheme, A, B)):
-        for i, m in bundle.traced.items():
-            for row in m.data:
-                for v in row:
-                    assert t.in_subfield(v, i)
+    shares = encode(scheme, A, B)
+    for share, bundle in zip(shares, server_compute(scheme, shares)):
+        h = mat_mul(share.f_eval, share.g_eval)
+        for i, w in ftp_module.server_groups(scheme, share.server).items():
+            reply = bundle.traced[i]
+            assert reply.shape == (scheme.a, scheme.c) + t.shape[: i - 1] + t.shape[i:]
+            for r, row in enumerate(h.data):
+                for c, v in enumerate(row):
+                    full = t.trace_to_subfield(t.mul(w, v), i)
+                    assert t.in_subfield(full, i)
+                    assert np.array_equal(reply[r, c], np.take(full, 0, axis=i - 1))
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
@@ -486,8 +513,7 @@ def _staged_decode(scheme, bundles):
     total = np.zeros((a, c) + tower.shape, dtype=np.int64)
     for i in range(1, scheme.L + 1):
         p_i, n_i = scheme.primes[i - 1], scheme.N[i - 1]
-        replies = [by_server[j].traced[i].data for j in range(1, n_i + 1)]
-        r_i = np.take(np.stack(replies), 0, axis=2 + i)
+        r_i = np.stack([by_server[j].traced[i] for j in range(1, n_i + 1)])
         flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
         c_is = (flat @ scheme.vandermonde[i - 1] % p).reshape(a * c, -1, p_i, d)
         c_i = np.zeros((a * c, p_i) + tower.shape, dtype=np.int64)
@@ -520,7 +546,6 @@ def _per_share_step(scheme, scalars, share):
     the taus of one w, with no batch axis anywhere."""
     from ftp_sdmm import kernels
     from ftp_sdmm.ftp import ResponseBundle
-    from ftp_sdmm.matrices import Mat
 
     tower = scheme.tower
     h = mat_mul(share.f_eval, share.g_eval)
@@ -530,7 +555,7 @@ def _per_share_step(scheme, scalars, share):
         others = [k for k in range(tower.L) if k != i - 1]
         slices = flat.transpose(0, i, *(k + 1 for k in others), -1)
         reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, None])
-        traced[i] = Mat(tower, h.rows, h.cols, tower.embed_base(reply, others).reshape(h.data.shape))
+        traced[i] = reply.reshape((h.rows, h.cols) + reply.shape[2:])
     return ResponseBundle(share.server, traced)
 
 
@@ -539,7 +564,7 @@ def _assert_same_bundles(got, want):
     for g, w in zip(got, want):
         assert sorted(g.traced) == sorted(w.traced)
         for i in w.traced:
-            assert np.array_equal(g.traced[i].data, w.traced[i].data), (g.server, i)
+            assert np.array_equal(g.traced[i], w.traced[i]), (g.server, i)
 
 
 @pytest.mark.parametrize("name", [f"config {k}" for k in range(len(CONFIGS))] + list(_DIGEST_SCHEMES))

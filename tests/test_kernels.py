@@ -316,11 +316,12 @@ def test_server_step_with_full_support_scalar_matches_elementwise_trace():
                     w[tuple(int(k == a) for k in range(L)) + (0,)] = 1
                 assert tower.support_axes(w) == [a + 1 for a in on]
                 scalars[i] = w
-            bundle = server_step(tower, scalars, share)
+            bundle = server_step(tower, {i: w[None] for i, w in scalars.items()}, [share])[0]
             for i, w in scalars.items():
-                want = [[tower.trace_to_subfield(_mul_oracle(tower, w, e), i) for e in row]
-                        for row in h]
-                assert np.array_equal(bundle.traced[i].data, want), (primes, i)
+                want = np.array([[tower.trace_to_subfield(_mul_oracle(tower, w, e), i)
+                                  for e in row] for row in h])
+                assert not np.take(want, range(1, primes[i - 1]), axis=1 + i).any()
+                assert np.array_equal(bundle.traced[i], np.take(want, 0, axis=1 + i)), (primes, i)
 
 
 _PAST_BOUND = """

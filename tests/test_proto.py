@@ -1,6 +1,7 @@
 """Wire format, framing, traffic ledger, in-process and TCP runners."""
 
 import hashlib
+import math
 import struct
 import sys
 import threading
@@ -8,18 +9,22 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftp_sdmm import proto
 from ftp_sdmm.errors import (
     ConnectionFailed,
     DigitOverflow,
     FieldTooLarge,
+    FtpError,
+    InvalidParams,
     MalformedFrame,
     ProtocolError,
     VersionMismatch,
 )
 from ftp_sdmm.fields import make_base_field
-from ftp_sdmm.ftp import build_scheme, cost_report, encode
+from ftp_sdmm.ftp import ResponseBundle, build_scheme, cost_report, encode
 from ftp_sdmm.matrices import SplitMix64, mat_mul, random_mat
 
 
@@ -46,14 +51,25 @@ def test_elem_roundtrip_full(scheme_ext):
         assert np.array_equal(proto.elem_from_bytes(t, raw), x)
 
 
-def test_elem_roundtrip_subfield(scheme):
-    t = scheme.tower
+@pytest.mark.parametrize("name", ["scheme", "scheme_ext"])
+def test_reply_roundtrip_on_subfield_axes(request, name):
+    """Group-i replies, (a, c, *F_i.shape) tensors of F_i's digits, travel
+    through responses_body and parse_responses bit for bit, each as an
+    8-byte header and a c (flat_size / p_i) d payload bytes."""
+    s = request.getfixturevalue(name)
+    t = s.tower
     rng = SplitMix64(2)
-    for i in (1, 2):
-        x = t.trace_to_subfield(t.random(rng), i)
-        raw = proto.elem_to_bytes(t, x, group=i)
-        assert len(raw) == t.flat_size // t.primes[i - 1] * t.base.d
-        assert np.array_equal(proto.elem_from_bytes(t, raw, group=i), x)
+    traced = {}
+    for i in range(1, s.L + 1):
+        shape = (s.a, s.c) + t.shape[: i - 1] + t.shape[i:]
+        traced[i] = rng.digits(t.base.p, math.prod(shape)).reshape(shape)
+    body = proto.responses_body(b"jobid123", t, ResponseBundle(5, traced))
+    payload = [s.a * s.c * (t.flat_size // t.primes[i - 1]) * t.base.d for i in traced]
+    assert len(body) == 8 + 2 + 1 + sum(1 + 8 + n for n in payload)
+    job_id, bundle = proto.parse_responses(t, body)
+    assert (job_id, bundle.server, sorted(bundle.traced)) == (b"jobid123", 5, sorted(traced))
+    for i, r in traced.items():
+        assert bundle.traced[i].dtype == np.int64 and np.array_equal(bundle.traced[i], r)
 
 
 def test_digit_overflow():
@@ -123,8 +139,8 @@ def test_params_share_responses_roundtrip(scheme):
     assert parsed.job_id == job and parsed.server_index == 3
     assert parsed.tower.primes == scheme.tower.primes
     assert (parsed.a, parsed.b, parsed.c) == (scheme.a, scheme.b, scheme.c)
-    for i, w in parsed.scalars.items():
-        assert np.array_equal(w, scheme.server_scalars[i - 1][2])
+    for i, w in parsed.scalars.items():  # each w_i3 as a stack of one
+        assert np.array_equal(w, scheme.server_scalars[i - 1][2][None])
 
 
 # In a PARAMS body for `scheme` (d = 1, L = 2, primes (2, 3)) as server 1,
@@ -305,6 +321,17 @@ def test_remote_server_down(scheme, monkeypatch):
     assert err.value.server_index >= 1
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", str(1 << 31), "2\u00b2"])
+def test_a_timeout_that_is_not_a_positive_integer_is_refused(scheme, monkeypatch, value):
+    """FTP_SDMM_TIMEOUT_MS must be a whole number of ms from 1 to 2^31 - 1:
+    anything else raises InvalidParams before any connection is tried."""
+    monkeypatch.setenv(proto.TIMEOUT_ENV, value)
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    with pytest.raises(InvalidParams, match=proto.TIMEOUT_ENV):
+        proto.run_remote([("127.0.0.1", 1)] * scheme.N[-1], scheme, A, B)
+
+
 def test_remote_names_every_failed_server(scheme, live_server, monkeypatch):
     """Servers 2 and 5 refuse connections and the rest answer: one
     ConnectionFailed, of the lowest-numbered failure, names both servers
@@ -403,12 +430,58 @@ def test_parsers_reject_digit_p_and_short_bodies(scheme):
     # A RESPONSES body with group 1 once parses, and with group 1 twice does not.
     from ftp_sdmm.ftp import server_compute
 
-    group = bytes([1]) + proto.mat_to_bytes(t, server_compute(scheme, [_share(scheme)])[0].traced[1],
-                                            group=1)
+    reply = server_compute(scheme, [_share(scheme)])[0].traced[1]
+    group = bytes([1]) + struct.pack(">II", *reply.shape[:2]) + reply.astype(np.uint8).tobytes()
     head = b"jobid123" + struct.pack(">H", 1)
     assert list(proto.parse_responses(t, head + bytes([1]) + group)[1].traced) == [1]
     with pytest.raises(MalformedFrame):
         proto.parse_responses(t, head + bytes([2]) + group + group)
+
+
+@pytest.fixture(scope="module")
+def valid_bodies(scheme):
+    """A SHARE body and the RESPONSES body of a server that answers every group."""
+    from ftp_sdmm.ftp import server_compute
+
+    share = _share(scheme)
+    bundle = server_compute(scheme, [share])[0]
+    assert sorted(bundle.traced) == [1, 2]
+    return [proto.share_body(b"jobid123", scheme, share),
+            proto.responses_body(b"jobid123", scheme.tower, bundle)]
+
+
+def _mutated(data, body):
+    """body truncated, overwritten in a run of bytes, or extended; or random bytes."""
+    how = data.draw(st.sampled_from(["truncate", "overwrite", "extend", "random"]))
+    if how == "truncate":
+        return body[: data.draw(st.integers(0, len(body) - 1))]
+    if how == "overwrite":
+        at = data.draw(st.integers(0, len(body) - 1))
+        run = data.draw(st.binary(min_size=1, max_size=12))
+        return body[:at] + run + body[at + len(run) :]
+    if how == "extend":
+        return body + data.draw(st.binary(min_size=1, max_size=12))
+    return data.draw(st.binary(max_size=120))
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_fuzzed_share_and_responses_bodies_raise_only_ftp_errors(scheme, valid_bodies, data):
+    """Valid SHARE and RESPONSES bodies roundtrip bit for bit; truncated,
+    overwritten or extended ones, and random bytes, make parse_share and
+    parse_responses return or raise an FtpError, and nothing else."""
+    t = scheme.tower
+    share_raw, responses_raw = valid_bodies
+    job_id, share = proto.parse_share(t, share_raw)
+    assert proto.share_body(job_id, scheme, share) == share_raw
+    job_id, bundle = proto.parse_responses(t, responses_raw)
+    assert proto.responses_body(job_id, t, bundle) == responses_raw
+    raw = _mutated(data, data.draw(st.sampled_from(valid_bodies)))
+    for parse in (proto.parse_share, proto.parse_responses):
+        try:
+            parse(t, raw)
+        except FtpError:
+            pass
 
 
 @pytest.mark.parametrize("corrupt", [_digit_p, _one_byte_short, _five_bytes])
