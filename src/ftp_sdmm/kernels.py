@@ -13,17 +13,16 @@ size and, on larger towers, from the operands' support.
 - Otherwise a real FFT over the tower axes that both operands span, read
   from the data.  The other axes become rows or columns of a product over
   the sub-tower on the shared axes (F_q0 where they share none), which
-  takes that field's table where it is small.  Element digit (i, a)
-  (tower multi-index i flattened, base digit a) sits at slot addtable[i, 0]
-  * (2d-1) + a of a grid of ext_len * (2d-1) slots; index sums never leave
-  the grid, so the cyclic convolution is the linear one.  Rounding back to
-  integers is exact while a worst-case error bound stays below 1/2, and the
-  product raises where not.
+  takes that field's table where it is small.  Element digit (i, a), tower
+  multi-index i and base digit a, sits at index (i, a) of the slot grid
+  viewed as (*_ext_shape, 2d-1); index sums never leave the grid, so the
+  cyclic convolution is the linear one.  The product stays in float64 from
+  the slots to the residues: rounding the inverse transform is exact while
+  a worst-case error bound stays below 1/2, and the float64 matmuls of the
+  reduction take a mod p only where their sums could reach 2^53.
 
-Reduction mod the moduli is float64 matmuls too, and so is ``on_axes``,
-which multiplies the digits of some tower axes by an F_p matrix.  Each
-float64 matmul is exact while its sums stay below 2^53, and raises where
-not."""
+``on_axes`` multiplies the digits of some tower axes by an F_p matrix, one
+float64 matmul.  Every float64 step raises where its bound fails."""
 
 import functools
 import math
@@ -33,8 +32,8 @@ import numpy as np
 from .errors import RoundingBoundExceeded
 
 _EPS = 2.0**-53
-# Bytes of spectra, or of multiplication matrices and their products, held
-# at once, about; bounds a product's working set.
+# Bytes a product's chunk holds at once, about: spectra of 8 n_fft bytes, k c
+# + r k + 2 r c per transform member, or multiplication matrices and products.
 _CHUNK_BYTES = 1 << 19
 # The most digits n = prod(field.shape) of a field whose products go by its
 # structure constants, a table of n^3 floats (0.9 MB at 48).  Measured on
@@ -72,38 +71,30 @@ def check_rounding(inner, size, p, n_fft):
             f"rounding error bound {bound:.3g} is not below 1/2")
 
 
-def _spectra(t, addtable, ext_len, n_fft):
-    """rfft of each element of t (..., m, d), laid out in its slots."""
-    d = t.shape[-1]
-    grid = np.zeros(t.shape[:-2] + (n_fft,))
-    slots = grid[..., : ext_len * (2 * d - 1)].reshape(t.shape[:-2] + (ext_len, 2 * d - 1))
-    slots[..., addtable[:, 0], :d] = t
+def _spectra(t, field, n_fft):
+    """rfft of each element of t (..., *field.shape), its digits mod p at the
+    low corner of the slot grid viewed as (..., *_ext_shape, 2d-1)."""
+    lead, d = t.shape[: -field.L - 1], field.base.d
+    grid = np.zeros(lead + (n_fft,))
+    slots = grid[..., : field._ext_flat * (2 * d - 1)].reshape(lead + field._ext_shape + (-1,))
+    np.remainder(t, field.base.p, out=slots[(..., *map(slice, field.shape))])
     return np.fft.rfft(grid)
 
 
-def _unslot(z, ext_len, d):
-    """Round the inverse transforms z (..., n_fft) to (ext_len, 2d-1) sums."""
-    w = 2 * d - 1
-    return np.rint(z[..., : ext_len * w]).astype(np.int64).reshape(z.shape[:-1] + (ext_len, w))
-
-
 def convolve(xf, yf, addtable, ext_len):
-    """Full convolution of two flattened coefficient tensors, the one-pair
-    case of the transform.  No product calls it; perfbench/run.py times it
-    as kernels.convolve_us.
-
-    xf, yf: int64 arrays of shape (M, d) — tower multi-index flattened
-    C-order, base-field coefficients on the last axis.  addtable[i, j] is the
-    flat index in the extended multi-index space of the (carry-free) sum of
-    multi-indices i and j.  Returns an (ext_len, 2d-1) int64 array of
-    un-reduced integer coefficient sums.
-    """
-    m, d = xf.shape
+    """The (ext_len, 2d-1) int64 sums of the full convolution of xf and yf,
+    int64 (M, d) digits with the tower multi-index flattened in C order,
+    the slot of i at addtable[i, 0] in the flat extended multi-index space:
+    the one-pair transform.  No product calls it; perfbench/run.py times it
+    as kernels.convolve_us."""
+    (m, d), w = xf.shape, 2 * xf.shape[1] - 1
     n_fft = fft_length(ext_len, d)
     pair = np.stack([xf, yf])
     check_rounding(1, m * d, int(np.abs(pair).max()) + 1, n_fft)
-    fx, fy = _spectra(pair, addtable, ext_len, n_fft)
-    return _unslot(np.fft.irfft(fx * fy, n_fft), ext_len, d)
+    grid = np.zeros((2, n_fft))
+    grid[:, : ext_len * w].reshape(2, ext_len, w)[:, addtable[:, 0], :d] = pair
+    fx, fy = np.fft.rfft(grid)
+    return np.rint(np.fft.irfft(fx * fy, n_fft)[: ext_len * w]).astype(np.int64).reshape(ext_len, w)
 
 
 def check_fp_exact(inner, p):
@@ -120,11 +111,6 @@ def check_fp_exact(inner, p):
 def check_reduce_exact(field):
     """check_fp_exact for ``reduce``: its largest inner dimension is K."""
     check_fp_exact(max(r.shape[0] for r in [field.base._redmat, *field._redmats]), field.base.p)
-
-
-def _fp_matmul(a, b, p):
-    """a @ b mod p for entries below p, by BLAS in float64."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
 
 
 def fp_mod(x, p):
@@ -168,25 +154,35 @@ def _axes_last(ndim, L, axes):
     return order, tuple(sorted(range(ndim), key=order.__getitem__))
 
 
-def reduce(field, raw):
-    """Unreduced sums (..., ext_flat, 2d-1) to canonical elements (...,
-    *field.shape): the base modulus, then one matmul per tower axis, each
-    reduced axis rotated to the front, so after L steps they are in order.
-    The matmuls run in float64 within check_reduce_exact's bound."""
+def reduce(field, sums, inner=1):
+    """Float64 slot sums (..., ext_flat, 2d-1) of ``inner`` products of n =
+    prod(shape) digits below p, each at most top = inner n (p-1)^2, to the
+    float64 residues (..., *shape): the base modulus, then one matmul per
+    tower axis, each reduced axis rotated to the front, so after L steps
+    they are in order, and one fp_mod.  A step of inner dimension K
+    multiplies top by K (p-1); where that reaches 2^53 its input is first
+    taken mod p in place, and check_reduce_exact's K (p-1)^2 < 2^53 holds."""
+    d, p, n = field.base.d, field.base.p, math.prod(field.shape)
     check_reduce_exact(field)
-    base = field.base
-    d, p = base.d, base.p
-    lead = raw.shape[:-2]
-    cur = raw % p
+    check_fp_exact(inner * n, p)  # top < 2^53: a sum of inner n products below p^2
+    top, lead = inner * n * (p - 1) ** 2, sums.shape[:-2]
+    m, L = len(lead), field.L
+    rotate = (*range(m), m + L - 1, *range(m, m + L - 1), m + L)
+
+    def times(cur, top, R):  # cur's rows times R, in float64 below 2^53
+        if not top * len(R) * (p - 1) < 1 << 53:
+            cur, top = fp_mod(cur, p), p - 1
+        return cur @ R, top * len(R) * (p - 1)
+
+    cur = sums
     if d > 1:  # over F_p, the base reduction matrix is the 1 x 1 identity
-        cur = _fp_matmul(cur, base._redmat, p)
+        cur, top = times(cur, top, field.base._redmat)
     cur = cur.reshape(lead + field._ext_shape + (d,))
-    n, L = len(lead), field.L
-    rotate = (*range(n), n + L - 1, *range(n, n + L - 1), n + L)
     for i in range(L - 1, -1, -1):
-        red = _fp_matmul(cur.reshape(-1, cur.shape[-2] * d), field._redmats[i], p)
+        red, top = times(cur.reshape(-1, cur.shape[-2] * d), top, field._redmats[i])
         cur = red.reshape(cur.shape[:-2] + (field.primes[i], d)).transpose(rotate)
-    return np.ascontiguousarray(cur)
+    fp_mod(red, p)  # in place, contiguous: cur is a view of it
+    return cur
 
 
 def support(field, x):
@@ -319,32 +315,33 @@ def _fold(field, x, y, sx, sy):
 
 def _product(field, x, y):
     """x @ y for a batch of x (B, r, k, *shape) and y (B, k, c, *shape) by
-    the transform over the whole of ``field``, in chunks of about
-    _CHUNK_BYTES of spectra: batch members whole, as many as fit, or one
-    member at a time in row and inner-index chunks.  y's spectra are made
-    once per batch chunk, into one array, and shared by every row chunk."""
+    the transform over the whole of ``field``, rounded in place and reduced
+    in float64, one cast to int64.  A member holds about k c + r k + 2 r c
+    spectra of 8 n_fft bytes (y's, x's, the sums and their products or
+    inverse), a chunk about _CHUNK_BYTES: whole members, as many as fit, to
+    share each transform and reduce call, or one member in row and inner
+    chunks.  y's spectra are made once per chunk, for every row chunk."""
     (B, r, k), c = x.shape[:3], y.shape[2]
-    m, d, p = field.flat_size, field.base.d, field.base.p
-    ext_len = field._ext_flat
-    n_fft = fft_length(ext_len, d)
-    x = x.reshape(B, r, k, m, d)
-    y = y.reshape(B, k, c, m, d)
+    w, ext_len = 2 * field.base.d - 1, field._ext_flat
+    n_fft = fft_length(ext_len, field.base.d)
     budget = max(1, _CHUNK_BYTES // (8 * n_fft))  # spectra at once
-    bstep = min(B, max(1, budget // (k * c + 2 * r * (k + c))))
+    bstep = min(B, max(1, budget // (k * c + r * k + 2 * r * c)))
     budget //= bstep
-    ystep = max(1, budget // c)
     kstep = max(1, min(k, budget // 2))
     rstep = max(1, budget // (2 * (kstep + c)))
     out = np.empty((B, r, c) + field.shape, dtype=np.int64)
     for b in range(0, B, bstep):
         xb, yb = x[b : b + bstep], y[b : b + bstep]
-        fy = np.empty((len(yb), k, c, n_fft // 2 + 1), dtype=np.complex128)
-        for t in range(0, k, ystep):
-            fy[:, t : t + ystep] = _spectra(yb[:, t : t + ystep] % p, field._addtable, ext_len, n_fft)
+        fy = _spectra(yb, field, n_fft)
         for s in range(0, r, rstep):
-            z = np.zeros((len(xb), min(rstep, r - s), c, n_fft // 2 + 1), dtype=np.complex128)
+            z = None  # the sums' spectra, one broadcast product per inner index
             for t in range(0, k, kstep):
-                fx = _spectra(xb[:, s : s + rstep, t : t + kstep] % p, field._addtable, ext_len, n_fft)
-                z += np.einsum("brkf,bkcf->brcf", fx, fy[:, t : t + kstep])
-            out[b : b + bstep, s : s + rstep] = reduce(field, _unslot(np.fft.irfft(z, n_fft), ext_len, d))
+                fx = _spectra(xb[:, s : s + rstep, t : t + kstep], field, n_fft)
+                for u in range(fx.shape[2]):
+                    term = fx[:, :, u, None] * fy[:, None, t + u]
+                    z = term if z is None else np.add(z, term, out=z)
+            sums = np.fft.irfft(z, n_fft)[..., : ext_len * w].reshape(z.shape[:-1] + (ext_len, w))
+            del fx, term, z  # held no longer than the inverse transform
+            np.rint(sums, out=sums)
+            out[b : b + bstep, s : s + rstep] = reduce(field, sums, k)
     return out

@@ -112,7 +112,8 @@ def evaluate(field, coeffs, points):
     by_power = field.base.mul_matrix(powers(field.base, flat[:, 0], n))  # [s, j, a, b]
     kernels.check_fp_exact(n * d, p)
     rows = coeffs.reshape(n, -1, d).transpose(1, 0, 2).reshape(-1, n * d) % p  # [m, (s, a)]
-    out = kernels._fp_matmul(rows, by_power.transpose(0, 2, 1, 3).reshape(n * d, -1), p)
+    out = rows.astype(np.float64) @ by_power.transpose(0, 2, 1, 3).reshape(n * d, -1)
+    out = kernels.fp_mod(out, p).astype(np.int64)
     out = out.reshape(-1, len(points), d).transpose(1, 0, 2).reshape((len(points),) + coeffs.shape[1:])
     columns = coeffs.reshape((n, -1) + field.shape)
     for j in np.flatnonzero(flat[:, 1:].any(axis=(1, 2))):

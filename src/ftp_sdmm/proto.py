@@ -567,14 +567,13 @@ def run_remote(endpoints, scheme, A, B, seed=0):
 
 # -- server side ----------------------------------------------------------------------
 
-def _refuse(conn, message):
-    """An error frame (code 5) and EOF to a connection that will not be
-    served.  Closing a socket with unread data resets the connection, which
-    can drop the frame before the client reads it, so what the client sends
-    meanwhile is read and dropped until it closes, for at most
-    _REFUSE_DRAIN_SECONDS."""
+def _refuse(conn, code, message):
+    """An error frame and EOF to a connection that will not be served.  Closing
+    a socket with unread data resets the connection, which can drop the frame
+    before the client reads it, so what the client sends meanwhile is read
+    and dropped until it closes, for at most _REFUSE_DRAIN_SECONDS."""
     try:
-        conn.sendall(pack_message(MSG_ERROR, error_body(5, message)))
+        conn.sendall(pack_message(MSG_ERROR, error_body(code, message)))
         conn.shutdown(socket.SHUT_WR)
         deadline = time.monotonic() + _REFUSE_DRAIN_SECONDS
         while (left := deadline - time.monotonic()) > 0:
@@ -637,7 +636,7 @@ class Server:
                     continue
             with conn:  # refused: past the bound, or the server is stopping
                 if full:
-                    _refuse(conn, f"{MAX_CONNECTIONS} connections are open; try again later")
+                    _refuse(conn, 5, f"{MAX_CONNECTIONS} connections are open; try again later")
 
     def _handle(self, conn):
         registered = {}  # key -> the job this connection's PARAMS left in _jobs
@@ -655,7 +654,10 @@ class Server:
                         del self._jobs[key]
 
     def _serve(self, conn, registered):
-        conn.settimeout(_timeout_seconds())
+        try:  # read per connection, so that a new value reaches the next one
+            conn.settimeout(_timeout_seconds())
+        except InvalidParams as exc:
+            return _refuse(conn, 1, f"{type(exc).__name__}: {exc}")
         while True:
             try:
                 mtype, body = read_message(conn)

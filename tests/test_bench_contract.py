@@ -1,13 +1,18 @@
-"""The names perfbench/tracing.py patches exist, and a traced in-process job
-still times its server stage: one server_compute call per job."""
+"""The names perfbench/tracing.py patches exist, a traced in-process job
+still times its server stage: one server_compute call per job, and the
+call perfbench/run.py times as kernels.convolve_us still returns the
+convolution."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ftp_sdmm import proto
+from ftp_sdmm import kernels, proto
 from ftp_sdmm.matrices import random_mat
+
+from test_kernels import _conv_reference
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +57,17 @@ def test_an_inprocess_job_calls_server_compute_once_and_times_it(
         assert len(calls) == 1 and len(calls[0][1]) == scheme.N[-1], name
         assert spans["ftp.server_compute_s"] > 0, name
         assert spans["ftp.encode_s"] > 0 and spans["ftp.decode_s"] > 0, name
+
+
+def test_convolve_as_the_benchmark_calls_it_returns_the_oracle_sums(digest_schemes):
+    """kernels.convolve(xf, yf, tower._addtable, tower._ext_flat) on
+    paper-full's tower, with xf and yf of (flat_size, d) digits as
+    perfbench/run.py draws them, is the (ext_len, 2d-1) int64 array of the
+    loop convolution's sums."""
+    tower = digest_schemes["paper-full"].tower
+    rng = np.random.default_rng(1)
+    xf, yf = rng.integers(0, tower.base.p, (2, tower.flat_size, tower.base.d), dtype=np.int64)
+    out = kernels.convolve(xf, yf, tower._addtable, tower._ext_flat)
+    want = _conv_reference(xf, yf, tower._addtable, tower._ext_flat)
+    assert out.shape == (tower._ext_flat, 2 * tower.base.d - 1) and out.dtype == np.int64
+    assert np.array_equal(out, want)

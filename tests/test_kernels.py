@@ -324,6 +324,32 @@ def test_server_step_with_full_support_scalar_matches_elementwise_trace():
                 assert np.array_equal(bundle.traced[i], np.take(want, 0, axis=1 + i)), (primes, i)
 
 
+@pytest.mark.parametrize("p,d,primes,mods", [(65521, 1, (5, 11), 3), (3, 3, (5, 7, 11), 1)])
+def test_transform_chain_takes_mods_only_past_2_53(p, d, primes, mods, monkeypatch):
+    """Past _TABLE_DIGITS, the transform's float64 chain from the slots to
+    the residues matches the oracle pair by pair on 19 members at two per
+    chunk, the last chunk partial, with all-(p-1) operands first.  On
+    F_65521(5,11), 55 digits, the sums would pass 2^53 at both axis steps,
+    so each reduce takes a mod before each and one at the end; on
+    paper-full's F_27(5,7,11), whose chain peaks near 2.5e10, it takes only
+    the one at the end.  Sums whose bound passes 2^53 are refused."""
+    tower = _tower(p, d, primes)
+    assert math.prod(tower.shape) > kernels._TABLE_DIGITS
+    xs, ys = np.random.default_rng(7).integers(0, p, (2, 19) + tower.shape)
+    xs[0] = ys[0] = p - 1
+    taken, chunks = [], []
+    fp_mod, reduce = kernels.fp_mod, kernels.reduce
+    monkeypatch.setattr(kernels, "fp_mod", lambda x, p: taken.append(p) or fp_mod(x, p))
+    monkeypatch.setattr(kernels, "reduce", lambda f, s, k: chunks.append(len(s)) or reduce(f, s, k))
+    # k c + r k + 2 r c = 4 spectra of 8 n_fft bytes per member: two fit.
+    monkeypatch.setattr(kernels, "_CHUNK_BYTES", 64 * kernels.fft_length(tower._ext_flat, d))
+    got = tower.mul(xs, ys)
+    assert chunks == [2] * 9 + [1] and len(taken) == mods * len(chunks)
+    assert np.array_equal(got, [_mul_oracle(tower, x, y) for x, y in zip(xs, ys)])
+    with pytest.raises(RoundingBoundExceeded):  # sums of 2^53 products may pass 2^53
+        reduce(tower, np.zeros((1, tower._ext_flat, 2 * d - 1)), 1 << 53)
+
+
 _PAST_BOUND = """
 import numpy as np
 from ftp_sdmm import kernels

@@ -484,6 +484,41 @@ def test_fuzzed_share_and_responses_bodies_raise_only_ftp_errors(scheme, valid_b
             pass
 
 
+class _NotBuilt(Exception):
+    """A field within the daemon's limits that the PARAMS fuzz does not
+    build, as building it could take seconds."""
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_fuzzed_params_bodies_raise_only_ftp_errors(scheme, data):
+    """Valid PARAMS bodies, for a server in both groups and one in group 2
+    only, parse to the scheme's job; truncated, overwritten or extended
+    ones, and random bytes, make parse_params return a job or raise an
+    FtpError, and nothing else, and no field past MAX_AXIS_DIGITS or
+    MAX_ELEMENT_DIGITS is asked for.  A field within them is built only if
+    it is small (axes of at most 12 digits, elements of at most 64)."""
+    bodies = [proto.params_body(b"jobid123", scheme, j) for j in (1, scheme.N[-1])]
+    build = proto._cached_tower
+
+    def bounded(p, d, modulus, primes):
+        digits = (max(primes) * d, math.prod(primes) * d)
+        assert digits[0] <= proto.MAX_AXIS_DIGITS and digits[1] <= proto.MAX_ELEMENT_DIGITS
+        if digits[0] > 12 or digits[1] > 64:
+            raise _NotBuilt
+        return build(p, d, modulus, primes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proto, "_cached_tower", bounded)
+        for j, body in zip((1, scheme.N[-1]), bodies):
+            job = proto.parse_params(body)
+            assert (job.server_index, job.tower, job.L) == (j, scheme.tower, scheme.L)
+        try:
+            proto.parse_params(_mutated(data, data.draw(st.sampled_from(bodies))))
+        except (FtpError, _NotBuilt):
+            pass
+
+
 @pytest.mark.parametrize("corrupt", [_digit_p, _one_byte_short, _five_bytes])
 def test_server_answers_bad_share_with_error_then_serves(scheme, live_server, corrupt):
     import socket
@@ -810,6 +845,26 @@ def test_remote_reconnects_once_the_daemon_closed_an_idle_connection(
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
     assert product.eq(mat_mul(A, B))
     assert len(connections) == 2
+
+
+def test_an_invalid_timeout_gets_an_error_frame_from_the_handler(live_server, monkeypatch):
+    """The daemon reads FTP_SDMM_TIMEOUT_MS per connection: set to abc after
+    it started, a HELLO on a new connection gets an error frame (code 1)
+    naming the variable, then EOF, and no exception escapes the handler
+    thread."""
+    import socket
+
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
+    monkeypatch.setenv(proto.TIMEOUT_ENV, "abc")
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        sock.sendall(proto.pack_message(proto.MSG_HELLO, b""))
+        mtype, body = proto.read_message(sock)
+        assert mtype == proto.MSG_ERROR and body[0] == 1
+        assert proto.TIMEOUT_ENV.encode() in body and b"'abc'" in body
+        assert sock.recv(1) == b""
+    _wait_until(lambda: not live_server._conns)  # the handler has returned
+    assert escaped == []
 
 
 def test_stopped_server_shuts_down_the_kept_socket(scheme, live_server):
