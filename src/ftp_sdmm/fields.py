@@ -25,6 +25,7 @@ with the trace scalars; the naive Frobenius-iterate definition is kept in
 the test suite as an oracle.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -346,7 +347,6 @@ class TowerField(_Field):
         self.flat_size = int(np.prod(primes))
         self._ext_shape = tuple(2 * p - 1 for p in primes)
         self._ext_flat = int(np.prod(self._ext_shape))
-        self._addtable = self._build_addtable()
         # _past_origin[k, i]: the flat multi-index i is past 0 on axis k.
         self._past_origin = np.indices(primes).reshape(self.L, -1) > 0
         (self.moduli, self._redmats, self._trace_mats, self._frob_mats,
@@ -410,7 +410,11 @@ class TowerField(_Field):
             rows = np.concatenate(powers, at)
         return rows.reshape(rows.shape[: at + 1] + (-1,))
 
-    def _build_addtable(self):
+    @functools.cached_property
+    def _addtable(self):
+        """[i, j]: the flat index of i + j in the extended multi-index
+        space, for flat tower multi-indices i and j; built on first use, as
+        only kernels.convolve reads it."""
         m = self.flat_size
         idx = np.stack(np.unravel_index(np.arange(m), self.primes), axis=1)
         sums = idx[:, None, :] + idx[None, :, :]

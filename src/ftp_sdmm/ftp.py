@@ -46,6 +46,7 @@ class SchemeParams:
     domain: EvalDomain      # Omega with dual weights
     k_polys: list           # annihilator k_i per group
     server_scalars: list    # [i-1][j-1] = v_{L+j} k_i(alpha_j) = 1/((alpha_j - a_i) P_i'(alpha_j))
+    server_taus: list       # [i-1]: trace_scalars of group i's stacked w, (N_i, p_i, *F_i.shape)
     lambdas: list           # lambda bases per group, each (p_i, *tower.shape)
     mus: list               # trace-dual bases per group, each (p_i, *tower.shape)
     vandermonde: list = dc_field(repr=False)
@@ -179,6 +180,7 @@ def build_scheme(L, T, primes, base, a, b, c):
         N=N, n=n, points=points,
         domain=EvalDomain(tower, points, weights=weights),
         k_polys=k_polys, server_scalars=server_scalars,
+        server_taus=[tower.trace_scalars(w, i) for i, w in enumerate(server_scalars, start=1)],
         lambdas=[lam for lam, _ in duals], mus=[mu for _, mu in duals],
         vandermonde=_vandermonde_blocks(base, alpha_powers, primes, N), **lagrange,
     )
@@ -313,40 +315,42 @@ def server_groups(scheme, j):
             for i in range(1, scheme.L + 1) if j <= scheme.N[i - 1]}
 
 
-def server_step(tower, scalars, shares):
+def server_step(tower, taus, shares):
     """The servers' work, in process and in the TCP daemon alike, for a stack
-    of shares and scalars[i] the stacked w_i of the first len(scalars[i]) of
-    them: every h = f(alpha_j) g(alpha_j) in one batched product, then
-    tr_i(w_i h) per group i.  The trace is F_i-linear, so with h = sum_s h_s
-    a_i^s, h_s in F_i the axis-i slices of h, tr_i(w_i h) = sum_s h_s tau_s
-    for tau_s = tr_i(w_i a_i^s): one product over F_i of each (a c, p_i)
-    slice matrix, a view of h, with its column tau, kept on F_i's axes as
-    the (a, c, *F_i.shape) reply.  For honest w_i, in F_q0(a_i), every tau_s
-    lies in F_q0 and the product takes no transform; any other w_i in the
-    stack makes it run on the axes both factors span."""
+    of shares and taus[i] = tower.trace_scalars(w_i, i) for the stacked w_i
+    of the first len(taus[i]) of them: every h = f(alpha_j) g(alpha_j) in
+    one batched product, then tr_i(w_i h) per group i.  The trace is
+    F_i-linear, so with h = sum_s h_s a_i^s, h_s in F_i the axis-i slices of
+    h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s): one product
+    over F_i of each (a c, p_i) slice matrix, a view of h, with its column
+    tau, kept on F_i's axes as the (a, c, *F_i.shape) reply.  For honest
+    w_i, in F_q0(a_i), every tau_s lies in F_q0 and the product takes no
+    transform; any other w_i in the stack makes it run on the axes both
+    factors span."""
     h = kernels.matmul(tower, np.array([s.f_eval.data for s in shares]),
                        np.array([s.g_eval.data for s in shares]))
     flat = h.reshape((len(h), -1) + tower.shape)
     traced = [{} for _ in shares]
-    for i, w in scalars.items():
+    for i, tau in taus.items():
         others = [k for k in range(tower.L) if k != i - 1]
-        slices = flat[: len(w)].transpose(0, 1, i + 1, *(k + 2 for k in others), -1)  # [r, s]: h_s
-        reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, :, None])
-        for k, r in enumerate(reply.reshape((len(w),) + h.shape[1:3] + reply.shape[3:])):
+        slices = flat[: len(tau)].transpose(0, 1, i + 1, *(k + 2 for k in others), -1)  # [r, s]: h_s
+        reply = kernels.matmul(tower.subtower(others), slices, tau[:, :, None])
+        for k, r in enumerate(reply.reshape((len(tau),) + h.shape[1:3] + reply.shape[3:])):
             traced[k][i] = r
     return [ResponseBundle(share.server, t) for share, t in zip(shares, traced)]
 
 
 def server_compute(scheme, shares):
-    """Each share's bundle, in order, from one server_step.  In ascending
-    server order, as encode makes them, group i's servers come first."""
+    """Each share's bundle, in order, from one server_step on the scheme's
+    taus.  In ascending server order, as encode makes them, group i's
+    servers come first."""
     if isinstance(shares, Share):
         return server_compute(scheme, [shares])[0]
     if not shares:
         return []
-    groups = [server_groups(scheme, share.server) for share in shares]
-    scalars = {i: np.stack([g[i] for g in groups if i in g]) for i in groups[0]}
-    return server_step(scheme.tower, scalars, shares)
+    taus = {i: scheme.server_taus[i - 1][[s.server - 1 for s in shares if s.server <= n_i]]
+            for i, n_i in enumerate(scheme.N, start=1) if shares[0].server <= n_i}
+    return server_step(scheme.tower, taus, shares)
 
 
 def decode(scheme, bundles):

@@ -19,7 +19,9 @@ size and, on larger towers, from the operands' support.
   cyclic convolution is the linear one.  The product stays in float64 from
   the slots to the residues: rounding the inverse transform is exact while
   a worst-case error bound stays below 1/2, and the float64 matmuls of the
-  reduction take a mod p only where their sums could reach 2^53.
+  reduction take a mod p only where their sums could reach 2^53.  Whole
+  batch members share each transform and reduce call, and every chunk
+  writes into one block made per product.
 
 ``on_axes`` multiplies the digits of some tower axes by an F_p matrix, one
 float64 matmul.  Every float64 step raises where its bound fails."""
@@ -32,9 +34,12 @@ import numpy as np
 from .errors import RoundingBoundExceeded
 
 _EPS = 2.0**-53
-# Bytes a product's chunk holds at once, about: spectra of 8 n_fft bytes, k c
-# + r k + 2 r c per transform member, or multiplication matrices and products.
+# Bytes a chunk of a table product, or of encode's sums, holds at once, about.
 _CHUNK_BYTES = 1 << 19
+# Bytes the transform's one block holds, about, in rows of 8 n_fft bytes (a
+# spectrum, or a slot grid that also takes the inverse transform): 3 per 1 x
+# 1 member, so 4 of paper-full's members (n_fft = 16384) per transform call.
+_TRANSFORM_BYTES = 3 << 19
 # The most digits n = prod(field.shape) of a field whose products go by its
 # structure constants, a table of n^3 floats (0.9 MB at 48).  Measured on
 # one CPU, products of 1x1 and 256x3 by 3x1 elements ran faster by the
@@ -71,14 +76,17 @@ def check_rounding(inner, size, p, n_fft):
             f"rounding error bound {bound:.3g} is not below 1/2")
 
 
-def _spectra(t, field, n_fft):
-    """rfft of each element of t (..., *field.shape), its digits mod p at the
-    low corner of the slot grid viewed as (..., *_ext_shape, 2d-1)."""
-    lead, d = t.shape[: -field.L - 1], field.base.d
-    grid = np.zeros(lead + (n_fft,))
-    slots = grid[..., : field._ext_flat * (2 * d - 1)].reshape(lead + field._ext_shape + (-1,))
+def _spectra(t, field, grid, out):
+    """rfft of each element of t (B, m, n, *field.shape) into out (B, m, n,
+    n_fft/2 + 1): its digits mod p at the low corner of a row of grid (at
+    least B, m n, ext_flat (2d-1)) viewed as (*_ext_shape, 2d-1), zero-padded
+    to n_fft.  Every call writes the same corner, so the zeros around it,
+    written once, stay."""
+    lead, n_fft = t.shape[: -field.L - 1], fft_length(field._ext_flat, field.base.d)
+    rows = grid[: lead[0], : lead[1] * lead[2]]
+    slots = rows.reshape(lead + field._ext_shape + (-1,))
     np.remainder(t, field.base.p, out=slots[(..., *map(slice, field.shape))])
-    return np.fft.rfft(grid)
+    return np.fft.rfft(rows.reshape(lead + (-1,)), n_fft, out=out)
 
 
 def convolve(xf, yf, addtable, ext_len):
@@ -316,32 +324,62 @@ def _fold(field, x, y, sx, sy):
 def _product(field, x, y):
     """x @ y for a batch of x (B, r, k, *shape) and y (B, k, c, *shape) by
     the transform over the whole of ``field``, rounded in place and reduced
-    in float64, one cast to int64.  A member holds about k c + r k + 2 r c
-    spectra of 8 n_fft bytes (y's, x's, the sums and their products or
-    inverse), a chunk about _CHUNK_BYTES: whole members, as many as fit, to
-    share each transform and reduce call, or one member in row and inner
-    chunks.  y's spectra are made once per chunk, for every row chunk."""
+    in float64, one cast to int64.  Every transform and product writes into
+    one block made per call, of rows of n_fft/2 + 1 complex.  A member holds
+    the spectra of y and of x's chunk, the sums' spectra (for k = c = 1 the
+    product overwrites x's instead), for k > 1 each inner index's product
+    before it is added, and one slot grid per element of y, of x's chunk or
+    of the sums, whichever are most: the inverse transform lands in the
+    grids, which are zeroed again after it.  Whole members, as many as fit
+    in about _TRANSFORM_BYTES, share each transform and reduce call, or one
+    member goes in row and inner chunks; y's spectra are made once per
+    chunk, for every row chunk.  One block, not one per buffer: freed at
+    once, it is reused by the next call, where separate buffers went back to
+    the system and were faulted in again on every paper-full job."""
     (B, r, k), c = x.shape[:3], y.shape[2]
     w, ext_len = 2 * field.base.d - 1, field._ext_flat
     n_fft = fft_length(ext_len, field.base.d)
-    budget = max(1, _CHUNK_BYTES // (8 * n_fft))  # spectra at once
-    bstep = min(B, max(1, budget // (k * c + r * k + 2 * r * c)))
-    budget //= bstep
-    kstep = max(1, min(k, budget // 2))
-    rstep = max(1, budget // (2 * (kstep + c)))
+    budget = max(1, _TRANSFORM_BYTES // (8 * n_fft))  # rows at once
+    own_z, many = (k, c) != (1, 1), k > 1
+
+    def held(rs, ks):  # a member's rows, with rs rows and ks inner indices at once
+        return k * c + rs * ks + (own_z + many) * rs * c + max(k * c, rs * ks, rs * c)
+
+    bstep, rstep, kstep = max(1, min(B, budget // held(r, k))), r, k
+    if held(r, k) > budget:  # bounded with max(a, b, e) <= a + b + e, so that chunks fit
+        per_out = own_z + many + 1
+        kstep = max(1, min(k, (budget - 2 * k * c - per_out * c) // 2))
+        rstep = max(1, min(r, (budget - 2 * k * c) // (2 * kstep + per_out * c)))
+    block = np.empty((bstep, held(rstep, kstep), n_fft // 2 + 1), dtype=complex)
+    ends = np.cumsum([k * c, rstep * kstep, own_z * rstep * c, many * rstep * c])
+    fy, fx, z, term, grid = np.split(block, ends, axis=1)
+    fy, fx = fy.reshape((bstep, k, c, -1)), fx.reshape((bstep, rstep, kstep, -1))
+    z = z.reshape((bstep, rstep, c, -1)) if own_z else fx
+    term = term.reshape(z.shape) if many else None
+    grid = grid.view(np.float64)  # rows of n_fft + 2 floats
+    sums = grid[:, : rstep * c, :n_fft].reshape((bstep, rstep, c, n_fft))
+    grid = grid[..., : ext_len * w]
+    grid[...] = 0
     out = np.empty((B, r, c) + field.shape, dtype=np.int64)
     for b in range(0, B, bstep):
         xb, yb = x[b : b + bstep], y[b : b + bstep]
-        fy = _spectra(yb, field, n_fft)
+        nb = len(xb)
+        fyb = _spectra(yb, field, grid, fy[:nb])
         for s in range(0, r, rstep):
-            z = None  # the sums' spectra, one broadcast product per inner index
+            xs = xb[:, s : s + rstep]
+            nr = xs.shape[1]
+            zs = z[:nb, :nr]
             for t in range(0, k, kstep):
-                fx = _spectra(xb[:, s : s + rstep, t : t + kstep], field, n_fft)
-                for u in range(fx.shape[2]):
-                    term = fx[:, :, u, None] * fy[:, None, t + u]
-                    z = term if z is None else np.add(z, term, out=z)
-            sums = np.fft.irfft(z, n_fft)[..., : ext_len * w].reshape(z.shape[:-1] + (ext_len, w))
-            del fx, term, z  # held no longer than the inverse transform
-            np.rint(sums, out=sums)
-            out[b : b + bstep, s : s + rstep] = reduce(field, sums, k)
+                xt = xs[:, :, t : t + kstep]
+                fxs = _spectra(xt, field, grid, fx[:nb, :nr, : xt.shape[2]])
+                for u in range(fxs.shape[2]):
+                    pair = fxs[:, :, u, None], fyb[:, None, t + u]
+                    if t + u == 0:
+                        np.multiply(*pair, out=zs)
+                    else:
+                        zs += np.multiply(*pair, out=term[:nb, :nr])
+            inv = np.fft.irfft(zs, n_fft, out=sums[:nb, :nr])[..., : ext_len * w]
+            inv = np.rint(inv, out=inv).reshape(zs.shape[:-1] + (ext_len, w))
+            out[b : b + nb, s : s + nr] = reduce(field, inv, k)
+            grid[:nb, : nr * c] = 0
     return out

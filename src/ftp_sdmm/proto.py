@@ -699,7 +699,8 @@ class Server:
             if (f.rows, f.cols, g.rows, g.cols) != (job.a, w, w, job.c):
                 raise MalformedFrame(f"a share of {f.rows} x {f.cols} and {g.rows} x {g.cols} for "
                                      f"a job of {job.a} x {w} and {w} x {job.c}")
-            bundle = server_step(job.tower, job.scalars, [share])[0]
+            taus = {i: job.tower.trace_scalars(w_i, i) for i, w_i in job.scalars.items()}
+            bundle = server_step(job.tower, taus, [share])[0]
             return pack_message(MSG_RESPONSES, responses_body(job_id, job.tower, bundle))
         return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}"))
 

@@ -1,7 +1,7 @@
 """The names perfbench/tracing.py patches exist, a traced in-process job
 still times its server stage: one server_compute call per job, and the
 call perfbench/run.py times as kernels.convolve_us still returns the
-convolution."""
+convolution, from an addtable that towers build only when it is read."""
 
 import importlib.util
 from pathlib import Path
@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from ftp_sdmm import kernels, proto
+from ftp_sdmm.fields import BaseField
+from ftp_sdmm.ftp import build_scheme
 from ftp_sdmm.matrices import random_mat
 
 from test_kernels import _conv_reference
@@ -71,3 +73,22 @@ def test_convolve_as_the_benchmark_calls_it_returns_the_oracle_sums(digest_schem
     want = _conv_reference(xf, yf, tower._addtable, tower._ext_flat)
     assert out.shape == (tower._ext_flat, 2 * tower.base.d - 1) and out.dtype == np.int64
     assert np.array_equal(out, want)
+
+
+def test_addtable_is_built_on_first_read_and_never_by_a_job():
+    """No tower or sub-tower holds its addtable until something reads it,
+    and building paper-full's scheme and running one job read none; the
+    table read is [i, j] = the flat extended index of the multi-index sum
+    i + j, cached on the tower."""
+    scheme = build_scheme(3, 2, (5, 7, 11), BaseField(3, 3), 1, 3, 1)
+    tower = scheme.tower
+    A = random_mat(scheme.a, scheme.b, tower, seed=1)
+    B = random_mat(scheme.b, scheme.c, tower, seed=2)
+    proto.run_inprocess(scheme, A, B, seed=3)
+    towers = [tower, *tower._subtowers.values()]
+    assert len(towers) > 1 and all("_addtable" not in t.__dict__ for t in towers)
+    for t in (tower.subtower([0, 2]), tower):
+        idx = np.indices(t.primes).reshape(t.L, -1)
+        want = np.ravel_multi_index(tuple(idx[:, :, None] + idx[:, None, :]), t._ext_shape)
+        assert np.array_equal(t._addtable, want) and t._addtable is t.__dict__["_addtable"]
+    assert "_addtable" not in tower.subtower([1]).__dict__

@@ -595,4 +595,5 @@ def test_stacked_servers_match_the_per_share_loop(digest_schemes, name):
         assert not past_origin[0].any() and past_origin[1].any()
     per_share = [{k: w[j] for k, w in scalars.items() if j < len(w)} for j in range(len(shares))]
     want = [_per_share_step(s, g, share) for g, share in zip(per_share, shares)]
-    _assert_same_bundles(ftp_module.server_step(tower, scalars, shares), want)
+    taus = {k: tower.trace_scalars(w, k) for k, w in scalars.items()}
+    _assert_same_bundles(ftp_module.server_step(tower, taus, shares), want)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from itertools import combinations, product
 from pathlib import Path
 
@@ -172,9 +173,10 @@ def test_tower_mul_matches_oracle(p, d, primes):
         assert got.dtype == np.int64 and np.array_equal(got, _mul_oracle(tower, x, y))
     xs, ys = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
     n_fft = kernels.fft_length(tower._ext_flat, d) if primes else 0
-    for spectra in (3, 12):  # batch chunks of one product and of two
+    for rows in (3, 6):  # batch chunks of one product and of two, at 3 rows each
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_CHUNK_BYTES", spectra * 8 * n_fft)
+            mp.setattr(kernels, "_CHUNK_BYTES", rows * 8 * n_fft)
+            mp.setattr(kernels, "_TRANSFORM_BYTES", rows * 8 * n_fft)
             products = [(tower.mul(xs, ys), [_mul_oracle(tower, x, y) for x, y in pairs]),
                         (tower.mul(xs, ys[4]), [_mul_oracle(tower, x, ys[4]) for x in xs]),
                         (tower.mul(xs[5], ys), [_mul_oracle(tower, xs[5], y) for y in ys]),
@@ -284,9 +286,11 @@ def test_matmul_on_every_support_matches_loop_oracle(data):
     if data.draw(st.booleans()):
         x = x + tower.base.p  # nonzero multiples of p widen the support
     n_fft = kernels.fft_length(tower._ext_flat, tower.base.d)
-    chunk = data.draw(st.sampled_from([1, 16 * n_fft, kernels._CHUNK_BYTES]))
+    chunk = data.draw(st.sampled_from([1, 16 * n_fft, None]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_CHUNK_BYTES", chunk)
+        if chunk is not None:
+            mp.setattr(kernels, "_CHUNK_BYTES", chunk)
+            mp.setattr(kernels, "_TRANSFORM_BYTES", chunk)
         got = kernels.matmul(tower, x, y)
     assert got.dtype == np.int64 and np.array_equal(got, want)
 
@@ -316,7 +320,8 @@ def test_server_step_with_full_support_scalar_matches_elementwise_trace():
                     w[tuple(int(k == a) for k in range(L)) + (0,)] = 1
                 assert tower.support_axes(w) == [a + 1 for a in on]
                 scalars[i] = w
-            bundle = server_step(tower, {i: w[None] for i, w in scalars.items()}, [share])[0]
+            taus = {i: tower.trace_scalars(w[None], i) for i, w in scalars.items()}
+            bundle = server_step(tower, taus, [share])[0]
             for i, w in scalars.items():
                 want = np.array([[tower.trace_to_subfield(_mul_oracle(tower, w, e), i)
                                   for e in row] for row in h])
@@ -341,14 +346,81 @@ def test_transform_chain_takes_mods_only_past_2_53(p, d, primes, mods, monkeypat
     fp_mod, reduce = kernels.fp_mod, kernels.reduce
     monkeypatch.setattr(kernels, "fp_mod", lambda x, p: taken.append(p) or fp_mod(x, p))
     monkeypatch.setattr(kernels, "reduce", lambda f, s, k: chunks.append(len(s)) or reduce(f, s, k))
-    # k c + r k + 2 r c = 4 spectra of 8 n_fft bytes per member: two fit.
-    monkeypatch.setattr(kernels, "_CHUNK_BYTES", 64 * kernels.fft_length(tower._ext_flat, d))
+    # 3 rows of 8 n_fft bytes per 1 x 1 member (y's spectra, x's, which take
+    # the product, and a grid, which takes the inverse transform): two fit.
+    monkeypatch.setattr(kernels, "_TRANSFORM_BYTES", 48 * kernels.fft_length(tower._ext_flat, d))
     got = tower.mul(xs, ys)
     assert chunks == [2] * 9 + [1] and len(taken) == mods * len(chunks)
     assert np.array_equal(got, [_mul_oracle(tower, x, y) for x, y in zip(xs, ys)])
     with pytest.raises(RoundingBoundExceeded):  # sums of 2^53 products may pass 2^53
         reduce(tower, np.zeros((1, tower._ext_flat, 2 * d - 1)), 1 << 53)
 
+
+
+@pytest.mark.parametrize("p,d,primes", [(3, 3, (5, 7, 11)), (65521, 1, (5, 11))])
+def test_batched_transform_matches_the_oracle(p, d, primes, monkeypatch):
+    """Past _TABLE_DIGITS, at a block of 12 rows (the default on
+    paper-full's tower), B = 1 to 9 members of 1 x 1 by 1 x 1 go four to a
+    transform and reduce call, the last chunk partial from B = 5, and each
+    equals _mul_oracle.  Two 3 x 2 by 2 x 2 members, with the leading axis
+    on both, on x only or on y only, equal the per-element triple loop, in
+    row and inner chunks at that block and as whole members in a larger."""
+    tower = _tower(p, d, primes)
+    block = 12 * 8 * kernels.fft_length(tower._ext_flat, d)
+    xs, ys = np.random.default_rng(11).integers(0, p, (2, 9, 1, 1) + tower.shape)
+    want = [_mul_oracle(tower, x, y) for x, y in zip(xs[:, 0, 0], ys[:, 0, 0])]
+    chunks, reduce = [], kernels.reduce
+    monkeypatch.setattr(kernels, "reduce", lambda f, s, k: chunks.append(len(s)) or reduce(f, s, k))
+    monkeypatch.setattr(kernels, "_TRANSFORM_BYTES", block)
+    for B in range(1, 10):
+        chunks.clear()
+        got = kernels.matmul(tower, xs[:B], ys[:B])
+        assert chunks == [4] * (B // 4) + [B % 4] * (B % 4 > 0)
+        assert got.shape == (B, 1, 1) + tower.shape and np.array_equal(got[:, 0, 0], want[:B])
+
+    rng = SplitMix64(12)
+    x = np.stack([random_mat(3, 2, tower, rng=rng).data for _ in range(2)])
+    y = np.stack([random_mat(2, 2, tower, rng=rng).data for _ in range(2)])
+    loops = {(a, b): _mat_mul_loop(Mat(tower, 3, 2, x[a]), Mat(tower, 2, 2, y[b]),
+                                   lambda u, v: _mul_oracle(tower, u, v))
+             for a, b in [(0, 0), (1, 1), (1, 0), (0, 1)]}
+    cases = [(x, y, [(0, 0), (1, 1)]), (x, y[0], [(0, 0), (1, 0)]), (x[0], y, [(0, 0), (0, 1)])]
+    for size in (block, 64 * block):
+        monkeypatch.setattr(kernels, "_TRANSFORM_BYTES", size)
+        for xl, yl, pairs in cases:
+            got = kernels.matmul(tower, xl, yl)
+            assert np.array_equal(got, np.stack([loops[ab] for ab in pairs])), (size, pairs)
+
+
+def test_threads_multiplying_on_one_shared_tower_match_the_oracle():
+    """The daemon's handler threads share its cached towers: three threads,
+    more than the cores, that multiply 9-member stacks on paper-full's tower
+    at once, three times each, with the interpreter switching threads every
+    10 us, all get the oracle's products every time."""
+    tower = _tower(3, 3, (5, 7, 11))
+    operands = np.random.default_rng(13).integers(0, 3, (3, 2, 9, 1, 1) + tower.shape)
+    want = [[_mul_oracle(tower, x, y) for x, y in zip(xs[:, 0, 0], ys[:, 0, 0])]
+            for xs, ys in operands]
+    start, results = threading.Barrier(len(operands)), [[] for _ in operands]
+
+    def work(t):
+        start.wait(timeout=60)
+        for _ in range(3):
+            results[t].append(kernels.matmul(tower, *operands[t]))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(len(operands))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t, got in enumerate(results):
+        assert len(got) == 3 and all(np.array_equal(g[:, 0, 0], want[t]) for g in got), t
 
 _PAST_BOUND = """
 import numpy as np
