@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     BadGroupIndex,
     FieldMismatch,
+    InvalidParams,
     NoIrreducible,
     NonPrime,
     NormOutsideBase,
@@ -548,17 +549,18 @@ class TowerField(_Field):
         return on_axes(self, np.asarray(x) % self.base.p, (i - 1,), by)
 
     def trace_scalars(self, w, i):
-        """tau_s = tr_i(w a_i^s) for s < p_i, w (..., *shape), as a (..., p_i,
-        *F_i.shape) tensor on the axes of F_i = self.subtower(axes other than
-        i).  With w = sum_t w_t a_i^t, w_t in F_i its axis-i slices, tau_s =
-        sum_t w_t tr_i(a_i^(s+t)), and the Hankel table holds those traces,
-        which lie in F_q0: for w in F_q0(a_i), every tau_s lies in F_q0."""
+        """tau_s = tr_i(w a_i^s) for s < p_i, as a (..., p_i, d) tensor over
+        F_q0, for w (..., *shape) in F_q0(a_i): with w_t in F_q0 its
+        coefficient of a_i^t, tau_s = sum_t w_t tr_i(a_i^(s+t)), one matmul
+        of w's axis-i line by the Hankel table of those traces, which lie in
+        F_q0.  InvalidParams if w has a nonzero digit off that line."""
         self._check_axis(i)
-        p, p_i, d, L = self.base.p, self.primes[i - 1], self.base.d, self.L
-        n = np.ndim(w) - L - 1  # leading axes; transposes, as moveaxis costs more per call
-        slices = (np.asarray(w) % p).transpose(*range(n + i - 1), *range(n + i, n + L), n + i - 1, n + L)
-        tau = slices.reshape(-1, p_i * d) @ self._hankel_mats[i - 1] % p  # [(..., F_i), (s, b)]
-        return tau.reshape(slices.shape).transpose(*range(n), n + L - 1, *range(n, n + L - 1), n + L)
+        w = np.asarray(w)
+        line = w[(..., *(slice(None) if k == i - 1 else 0 for k in range(self.L)), slice(None))]
+        if np.count_nonzero(w) != np.count_nonzero(line):
+            raise InvalidParams(f"a trace scalar w of group {i} does not lie in F_q0(a_{i})")
+        tau = line.reshape(line.shape[:-2] + (-1,)) @ self._hankel_mats[i - 1] % self.base.p
+        return tau.reshape(line.shape)
 
     def _check_axis(self, i):
         if not 1 <= i <= self.L:

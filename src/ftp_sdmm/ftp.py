@@ -46,7 +46,7 @@ class SchemeParams:
     domain: EvalDomain      # Omega with dual weights
     k_polys: list           # annihilator k_i per group
     server_scalars: list    # [i-1][j-1] = v_{L+j} k_i(alpha_j) = 1/((alpha_j - a_i) P_i'(alpha_j))
-    server_taus: list       # [i-1]: trace_scalars of group i's stacked w, (N_i, p_i, *F_i.shape)
+    server_taus: list       # [i-1]: trace_scalars of group i's stacked w, (N_i, p_i, d) over F_q0
     lambdas: list           # lambda bases per group, each (p_i, *tower.shape)
     mus: list               # trace-dual bases per group, each (p_i, *tower.shape)
     vandermonde: list = dc_field(repr=False)
@@ -317,27 +317,26 @@ def server_groups(scheme, j):
 
 def server_step(tower, taus, shares):
     """The servers' work, in process and in the TCP daemon alike, for a stack
-    of shares and taus[i] = tower.trace_scalars(w_i, i) for the stacked w_i
+    of shares and taus[i] = tower.trace_scalars(w_i, i) of the stacked w_i
     of the first len(taus[i]) of them: every h = f(alpha_j) g(alpha_j) in
     one batched product, then tr_i(w_i h) per group i.  The trace is
     F_i-linear, so with h = sum_s h_s a_i^s, h_s in F_i the axis-i slices of
-    h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s): one product
-    over F_i of each (a c, p_i) slice matrix, a view of h, with its column
-    tau, kept on F_i's axes as the (a, c, *F_i.shape) reply.  For honest
-    w_i, in F_q0(a_i), every tau_s lies in F_q0 and the product takes no
-    transform; any other w_i in the stack makes it run on the axes both
-    factors span."""
+    h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s) in F_q0:
+    h's axis-i digits, moved last, times the (p_i d, d) matrix whose block s
+    multiplies by tau_s, one float64 F_p matmul, kept on F_i's axes as the
+    (a, c, *F_i.shape) reply."""
     h = kernels.matmul(tower, np.array([s.f_eval.data for s in shares]),
                        np.array([s.g_eval.data for s in shares]))
-    flat = h.reshape((len(h), -1) + tower.shape)
-    traced = [{} for _ in shares]
+    replies = {}
     for i, tau in taus.items():
-        others = [k for k in range(tower.L) if k != i - 1]
-        slices = flat[: len(tau)].transpose(0, 1, i + 1, *(k + 2 for k in others), -1)  # [r, s]: h_s
-        reply = kernels.matmul(tower.subtower(others), slices, tau[:, :, None])
-        for k, r in enumerate(reply.reshape((len(tau),) + h.shape[1:3] + reply.shape[3:])):
-            traced[k][i] = r
-    return [ResponseBundle(share.server, t) for share, t in zip(shares, traced)]
+        kernels.check_fp_exact(tau[0].size, tower.base.p)
+        moved = h[: len(tau)].transpose(kernels._axes_last(h.ndim, tower.L, (i - 1,))[0])
+        rows = np.ascontiguousarray(moved, dtype=np.float64).reshape(len(tau), -1, tau[0].size)
+        by_tau = tower.base.mul_matrix(tau).reshape(len(tau), tau[0].size, -1)  # [(s, a), b]
+        reply = kernels.fp_mod(np.matmul(rows, by_tau.astype(np.float64)), tower.base.p)
+        replies[i] = reply.astype(np.int64).reshape(moved.shape[:-2] + (-1,))
+    return [ResponseBundle(share.server, {i: r[k] for i, r in replies.items() if k < len(r)})
+            for k, share in enumerate(shares)]
 
 
 def server_compute(scheme, shares):

@@ -230,16 +230,17 @@ class ServerJob:
     b: int
     c: int
     L: int
-    scalars: dict   # group i -> w_ij as a stack of one, (1, *tower.shape)
+    taus: dict   # group i -> trace_scalars of w_ij as a stack of one, (1, p_i, d)
 
 
 def parse_params(body):
     """A PARAMS body as a ServerJob.  Before any field is built, it raises
-    DigitOverflow if p >= 256, MalformedFrame if the body is truncated, runs
-    past its last group, names a group outside 1..L or twice (so never
-    more than L groups), or has a b that L does not divide, and
-    FieldTooLarge past MAX_AXIS_DIGITS, MAX_ELEMENT_DIGITS or
-    MAX_PRODUCT_DIGITS in any of its matrices."""
+    DigitOverflow if p >= 256, MalformedFrame if the body is truncated, has
+    a modulus digit not below p, runs past its last group, names a group
+    outside 1..L or twice (so never more than L groups), or has a b that L
+    does not divide, and FieldTooLarge past MAX_AXIS_DIGITS,
+    MAX_ELEMENT_DIGITS or MAX_PRODUCT_DIGITS in any of its matrices.  Then
+    trace_scalars raises InvalidParams for a w_ij outside F_q0(a_i)."""
     if len(body) < 13:
         raise MalformedFrame("params header truncated")
     job_id = bytes(body[:8])
@@ -250,6 +251,8 @@ def parse_params(body):
     if len(body) < off + 1:
         raise MalformedFrame("params truncated")
     modulus, L = tuple(body[13:off]), body[off]
+    if any(c >= p for c in modulus):  # a digit past p would alias a cached tower's key
+        raise MalformedFrame(f"a modulus digit is not below p = {p}")
     off += 1
     if len(body) < off + 2 * L + 13:
         raise MalformedFrame("params truncated")
@@ -271,9 +274,9 @@ def parse_params(body):
     if len(set(ids)) < n_groups or not all(1 <= i <= L for i in ids):
         raise MalformedFrame(f"group ids {ids} are not distinct members of 1..{L}")
     tower = _cached_tower(p, d, modulus, primes)
-    scalars = {i: elem_from_bytes(tower, body[off + k * step + 1 : off + (k + 1) * step])[None]
-               for k, i in enumerate(ids)}
-    return ServerJob(job_id, server_index, tower, a, b, c, L, scalars)
+    taus = {i: tower.trace_scalars(elem_from_bytes(tower, body[at + 1 : at + step])[None], i)
+            for i, at in zip(ids, range(off, len(body), step))}
+    return ServerJob(job_id, server_index, tower, a, b, c, L, taus)
 
 
 def share_body(job_id, scheme, share):
@@ -699,8 +702,7 @@ class Server:
             if (f.rows, f.cols, g.rows, g.cols) != (job.a, w, w, job.c):
                 raise MalformedFrame(f"a share of {f.rows} x {f.cols} and {g.rows} x {g.cols} for "
                                      f"a job of {job.a} x {w} and {w} x {job.c}")
-            taus = {i: job.tower.trace_scalars(w_i, i) for i, w_i in job.scalars.items()}
-            bundle = server_step(job.tower, taus, [share])[0]
+            bundle = server_step(job.tower, job.taus, [share])[0]
             return pack_message(MSG_RESPONSES, responses_body(job_id, job.tower, bundle))
         return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}"))
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ftp_sdmm.errors import (
     BadGroupIndex,
+    InvalidParams,
     NoIrreducible,
     NonPrime,
     NormOutsideBase,
@@ -27,9 +28,9 @@ from ftp_sdmm.fields import (
     trace_dual_basis,
     trace_to_subfield,
 )
-from ftp_sdmm.ftp import build_scheme
+from ftp_sdmm.ftp import Share, build_scheme, server_step
 from ftp_sdmm.linalg import mat_inverse, rank
-from ftp_sdmm.matrices import SplitMix64
+from ftp_sdmm.matrices import SplitMix64, mat_mul, random_mat
 
 
 def _axiom_check(field, x, y, z):
@@ -452,28 +453,37 @@ def test_trace_is_subfield_linear(tower11_6):
     assert t.is_zero(t.sub(lhs, rhs))
 
 
-@pytest.mark.parametrize("name", ["tower11_6", "tower11_30"])
-def test_trace_scalars_match_trace_of_products(tower11_6, tower11_30, name):
-    """tau_s = tr_i(w a_i^s) for every s, read on F_i's own axes, on
-    F_11(2,3) and F_11(2,3,5), for w in F_q0, on axis i, on one other axis
-    and on every axis."""
-    t = tower11_6 if name == "tower11_6" else tower11_30
+@pytest.mark.parametrize("name", ["tower11_6", "tower11_30", "f9_6", "paper-full"])
+def test_trace_scalars_match_trace_of_products(tower11_6, tower11_30, digest_schemes, name):
+    """For w in F_q0 and for w on axis i, tau_s = tr_i(w a_i^s) for every s,
+    an element of F_q0, and server_step's reply to a share is tr_i(w h) of
+    each entry of h = f g, read at index 0 of axis i; on F_11(2,3),
+    F_11(2,3,5), F_9(2,3) (d = 2) and paper-full's F_27(5,7,11).  A w with
+    one digit off axis i raises InvalidParams."""
+    t = {"tower11_6": tower11_6, "tower11_30": tower11_30,
+         "f9_6": make_tower(make_base_field(3, 2), (2, 3)),
+         "paper-full": digest_schemes["paper-full"].tower}[name]
     rng = SplitMix64(90 + t.L)
+    share = Share(1, random_mat(2, 2, t, rng=rng), random_mat(2, 3, t, rng=rng))
+    h = mat_mul(share.f_eval, share.g_eval).data
     for i in range(1, t.L + 1):
-        sub = t.subtower([a for a in range(t.L) if a != i - 1])
-        for on in ([], [i], [i % t.L + 1], list(range(1, t.L + 1))):
-            w = t.random(rng)
-            for a in range(1, t.L + 1):
-                if a in on:  # a nonzero coefficient of a_a
-                    w[tuple(int(k == a - 1) for k in range(t.L)) + (0,)] = 1
-                else:
-                    w[(slice(None),) * (a - 1) + (slice(1, None),)] = 0
-            assert t.support_axes(w) == sorted(on)
+        p_i, d = t.primes[i - 1], t.base.d
+        a_powers = t.embed_base(np.eye(p_i, dtype=np.int64)[..., None] * t.base.one(), [i - 1])
+        for on_axis in (False, True):
+            line = rng.digits(t.base.p, p_i * d).reshape(p_i, d)
+            line[1:] *= on_axis
+            line[int(on_axis), 0] = 1  # nonzero: the digit of a_i, or of 1 for w in F_q0
+            w = t.embed_base(line, [i - 1])
+            assert t.support_axes(w) == [i] * on_axis
             tau = t.trace_scalars(w, i)
-            assert tau.shape == (t.primes[i - 1],) + sub.shape
-            for s in range(t.primes[i - 1]):
-                want = trace_to_subfield(t, t.mul(w, t.pow(t.gen(i), s)), i)
-                assert np.array_equal(tau[s], np.take(want, 0, axis=i - 1)), (i, on, s)
+            assert tau.shape == (p_i, d)
+            assert np.array_equal(trace_to_subfield(t, t.mul(w, a_powers), i), t.embed_base(tau))
+            reply = server_step(t, {i: tau[None]}, [share])[0].traced[i]
+            want = np.take(trace_to_subfield(t, t.mul(w, h), i), 0, axis=1 + i)
+            assert np.array_equal(reply, want), (name, i, on_axis)
+            w[tuple(int(k == i % t.L) for k in range(t.L)) + (d - 1,)] = 1  # a digit off axis i
+            with pytest.raises(InvalidParams):
+                t.trace_scalars(w, i)
 
 
 @pytest.mark.parametrize("name", ["f27", "tower11_6"])

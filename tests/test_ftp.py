@@ -32,7 +32,7 @@ from ftp_sdmm.ftp import (
     security_rank_audit,
     server_compute,
 )
-from ftp_sdmm.matrices import SplitMix64, mat_mul, partition_inner, random_mat
+from ftp_sdmm.matrices import mat_mul, partition_inner, random_mat
 from ftp_sdmm.proto import run_inprocess
 
 from conftest import _DIGEST_SCHEMES
@@ -541,21 +541,15 @@ def test_decode_matches_staged_oracle(digest_schemes, name):
 
 
 def _per_share_step(scheme, scalars, share):
-    """The server's work one share at a time, as it was before the servers
-    became one stack: h from mat_mul, then per group the slices of h times
-    the taus of one w, with no batch axis anywhere."""
-    from ftp_sdmm import kernels
+    """The server's work one share at a time and element by element, as the
+    definition reads: h from mat_mul, then per group tr_i(w h) of each entry,
+    which lies in F_i, read at index 0 of axis i."""
     from ftp_sdmm.ftp import ResponseBundle
 
     tower = scheme.tower
     h = mat_mul(share.f_eval, share.g_eval)
-    flat = h.data.reshape((h.rows * h.cols,) + tower.shape)
-    traced = {}
-    for i, w in scalars.items():
-        others = [k for k in range(tower.L) if k != i - 1]
-        slices = flat.transpose(0, i, *(k + 1 for k in others), -1)
-        reply = kernels.matmul(tower.subtower(others), slices, tower.trace_scalars(w, i)[:, None])
-        traced[i] = reply.reshape((h.rows, h.cols) + reply.shape[2:])
+    traced = {i: np.take(tower.trace_to_subfield(tower.mul(w, h.data), i), 0, axis=1 + i)
+              for i, w in scalars.items()}
     return ResponseBundle(share.server, traced)
 
 
@@ -570,9 +564,8 @@ def _assert_same_bundles(got, want):
 @pytest.mark.parametrize("name", [f"config {k}" for k in range(len(CONFIGS))] + list(_DIGEST_SCHEMES))
 def test_stacked_servers_match_the_per_share_loop(digest_schemes, name):
     """server_compute on all N_L shares gives each server's bundle bit for bit
-    as the per-share loop does, servers j > N_1 (no group 1) included.  With
-    one honest w of a group's stack replaced by a full-support (hostile) w,
-    whose taus leave F_q0, the stack still matches the loop."""
+    as the element-wise per-share loop does, servers j > N_1 (no group 1)
+    included."""
     s = digest_schemes[name] if name in digest_schemes else _scheme(CONFIGS[int(name[-1])])
     tower = s.tower
     A = random_mat(s.a, s.b, tower, seed=50)
@@ -582,18 +575,3 @@ def test_stacked_servers_match_the_per_share_loop(digest_schemes, name):
     want = [_per_share_step(s, ftp_module.server_groups(s, share.server), share) for share in shares]
     _assert_same_bundles(server_compute(s, shares), want)
     assert all(1 not in b.traced for b in want[s.N[0]:])
-
-    hostile = tower.random(SplitMix64(7))
-    while len(tower.support_axes(hostile)) != tower.L:
-        hostile = tower.random(SplitMix64(int(hostile.sum())))
-    i = tower.L  # the group that every server answers
-    scalars = {k: w.copy() for k, w in enumerate(s.server_scalars, start=1)}
-    scalars[i][1] = hostile
-    if tower.L > 1:
-        taus = tower.trace_scalars(scalars[i], i)  # [server, s, F_i axes, digit]
-        past_origin = taus.reshape(len(taus), s.primes[i - 1], -1, s.base.d)[:, :, 1:]
-        assert not past_origin[0].any() and past_origin[1].any()
-    per_share = [{k: w[j] for k, w in scalars.items() if j < len(w)} for j in range(len(shares))]
-    want = [_per_share_step(s, g, share) for g, share in zip(per_share, shares)]
-    taus = {k: tower.trace_scalars(w, k) for k, w in scalars.items()}
-    _assert_same_bundles(ftp_module.server_step(tower, taus, shares), want)

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from ftp_sdmm import kernels
 from ftp_sdmm.errors import RoundingBoundExceeded
 from ftp_sdmm.fields import BaseField, make_base_field, make_tower
-from ftp_sdmm.ftp import build_scheme, encode, server_step
 from ftp_sdmm.matrices import Mat, SplitMix64, mat_mul, random_mat
 
 # F_4(2), F_11(2,3), F_11(2,3,5), F_8(5), F_251(2,3), F_27(5,7,11), F_9(2,3)
@@ -293,40 +292,6 @@ def test_matmul_on_every_support_matches_loop_oracle(data):
             mp.setattr(kernels, "_TRANSFORM_BYTES", chunk)
         got = kernels.matmul(tower, x, y)
     assert got.dtype == np.int64 and np.array_equal(got, want)
-
-
-def test_server_step_with_full_support_scalar_matches_elementwise_trace():
-    """An honest client's w_ij lies in F_q0(a_i); a w from the wire may lie
-    in F_q0, span axis i, one other axis or every axis, and the server's
-    reply is still tr_i(w h) entry by entry, on the tcp-wide and the
-    small-tower tower, and on F_9(2,3), whose tau_s multiply as 2 x 2
-    matrices over F_3."""
-    for (p, d), L, primes in [((11, 1), 2, (2, 3)), ((11, 1), 3, (2, 3, 5)), ((3, 2), 2, (2, 3))]:
-        scheme = build_scheme(L=L, T=1, primes=primes, base=make_base_field(p, d),
-                              a=2, b=2 * L, c=3)
-        tower = scheme.tower
-        A = random_mat(2, 2 * L, tower, seed=3)
-        B = random_mat(2 * L, 3, tower, seed=4)
-        share = encode(scheme, A, B, seed=5)[0]
-        h = _mat_mul_loop(share.f_eval, share.g_eval, lambda u, v: _mul_oracle(tower, u, v))
-        rng = SplitMix64(6)
-        # w_i in F_q0, on axis i, on one other axis, on every axis
-        for axes in (lambda i: [], lambda i: [i - 1], lambda i: [i % L], lambda i: range(L)):
-            scalars = {}
-            for i in range(1, L + 1):
-                on = list(axes(i))
-                w = _on_axes(tower, tower.random(rng)[None, None], on)[0, 0]
-                for a in on:  # a nonzero coefficient of the axis-a generator
-                    w[tuple(int(k == a) for k in range(L)) + (0,)] = 1
-                assert tower.support_axes(w) == [a + 1 for a in on]
-                scalars[i] = w
-            taus = {i: tower.trace_scalars(w[None], i) for i, w in scalars.items()}
-            bundle = server_step(tower, taus, [share])[0]
-            for i, w in scalars.items():
-                want = np.array([[tower.trace_to_subfield(_mul_oracle(tower, w, e), i)
-                                  for e in row] for row in h])
-                assert not np.take(want, range(1, primes[i - 1]), axis=1 + i).any()
-                assert np.array_equal(bundle.traced[i], np.take(want, 0, axis=1 + i)), (primes, i)
 
 
 @pytest.mark.parametrize("p,d,primes,mods", [(65521, 1, (5, 11), 3), (3, 3, (5, 7, 11), 1)])

@@ -139,14 +139,15 @@ def test_params_share_responses_roundtrip(scheme):
     assert parsed.job_id == job and parsed.server_index == 3
     assert parsed.tower.primes == scheme.tower.primes
     assert (parsed.a, parsed.b, parsed.c) == (scheme.a, scheme.b, scheme.c)
-    for i, w in parsed.scalars.items():  # each w_i3 as a stack of one
-        assert np.array_equal(w, scheme.server_scalars[i - 1][2][None])
+    assert sorted(parsed.taus) == [1, 2]
+    for i, tau in parsed.taus.items():  # the taus of each w_i3, as a stack of one
+        assert np.array_equal(tau, scheme.server_taus[i - 1][2][None])
 
 
 # In a PARAMS body for `scheme` (d = 1, L = 2, primes (2, 3)) as server 1,
-# the group count sits just before offset 33, and each group is its id and
-# six digits.
-_GROUPS_AT, _STEP = 33, 7
+# the modulus digits (0, 1) sit at offset 13, the group count just before
+# offset 33, and each group is its id and six digits.
+_MODULUS_AT, _GROUPS_AT, _STEP = 13, 33, 7
 
 
 def _set_byte(body, at, value):
@@ -161,6 +162,8 @@ _BAD_PARAMS = {
     "repeated group id": lambda b: _set_byte(b, _GROUPS_AT + _STEP, 1),
     "more groups than L": lambda b: _set_byte(b, _GROUPS_AT - 1, 3) + b[_GROUPS_AT : _GROUPS_AT + _STEP],
     "b not a multiple of L": lambda b: _set_byte(b, _GROUPS_AT - 6, 3),  # b's low byte
+    # 12 x = x mod 11: the same field under another cache key
+    "modulus digit not below p": lambda b: _set_byte(b, _MODULUS_AT + 1, 12),
 }
 
 
@@ -171,6 +174,7 @@ def _no_field(*args):
 @pytest.fixture
 def params_body(scheme, monkeypatch):
     body = proto.params_body(b"jobid123", scheme, 1)
+    assert body[_MODULUS_AT : _MODULUS_AT + 2] == bytes([0, 1])
     assert body[_GROUPS_AT - 1] == 2 and list(body[_GROUPS_AT::_STEP]) == [1, 2]
     monkeypatch.setattr(proto, "_cached_tower", _no_field)
     return body
@@ -535,6 +539,38 @@ def test_server_answers_bad_share_with_error_then_serves(scheme, live_server, co
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=4)
+    assert product.eq(mat_mul(A, B))
+
+
+def test_daemon_refuses_a_w_off_its_axis_then_serves(scheme, live_server):
+    """A PARAMS whose w for group i has a nonzero digit off axis i, so that
+    it does not lie in F_q0(a_i), gets an error frame of code 1 that names
+    InvalidParams, each such frame on one kept connection; the daemon then
+    serves a valid job.  Drawn: the group, the position off the axis and the
+    digit."""
+    import socket
+
+    body = proto.params_body(b"offaxis0", scheme, 1)
+    off_axis = {i: [k for k, e in enumerate(np.ndindex(scheme.primes))
+                    if any(e[a] for a in range(scheme.L) if a != i - 1)] for i in (1, 2)}
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+
+        @settings(max_examples=40)
+        @given(data=st.data())
+        def refused(data):
+            i = data.draw(st.sampled_from([1, 2]))
+            at = _GROUPS_AT + (i - 1) * _STEP + 1 + data.draw(st.sampled_from(off_axis[i]))
+            assert body[at] == 0  # d = 1: one digit per position
+            bad = _set_byte(body, at, data.draw(st.integers(1, scheme.base.p - 1)))
+            mtype, reply = _exchange(sock, proto.MSG_PARAMS, bad)
+            assert mtype == proto.MSG_ERROR
+            assert reply[0] == 1 and b"InvalidParams" in reply
+
+        refused()
+    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
+    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=5)
     assert product.eq(mat_mul(A, B))
 
 
