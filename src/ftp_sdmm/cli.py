@@ -176,13 +176,13 @@ def _cmd_run(args):
     return EXIT_OK if verified and ledger_ok else EXIT_VERIFY
 
 
-_RATES_SCHEMA = {"csv": str}
-
-
 def _cmd_rates(args):
     rows = []
     for spec_item in args.grid:
         fields = dict(kv.split("=", 1) for kv in spec_item.split(","))
+        missing = {"a", "b", "c", "L", "T", "primes"} - fields.keys()
+        if missing:
+            raise ValueError(f"grid row {spec_item!r} lacks {', '.join(sorted(missing))}")
         rows.append(analysis.RateParams(
             a=int(fields["a"]), b=int(fields["b"]), c=int(fields["c"]),
             L=int(fields["L"]), T=int(fields["T"]),

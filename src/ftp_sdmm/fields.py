@@ -357,10 +357,13 @@ class TowerField(_Field):
 
     def subtower(self, axes):
         """F_q0(a_k : k in axes), for ascending 0-based axes, built from this
-        tower's tables and cached on it; the base field for no axes."""
+        tower's tables and cached on it; the base field for no axes, and
+        this tower for all of them."""
         axes = tuple(axes)
         if not axes:
             return self.base
+        if len(axes) == self.L:
+            return self
         sub = self._subtowers.get(axes)
         if sub is None:
             sub = TowerField.__new__(TowerField)
@@ -504,7 +507,7 @@ class TowerField(_Field):
         x = np.asarray(x) % self.base.p
         axes = support(self, x)
         spanned = (..., *(slice(None) if k in axes else 0 for k in range(self.L)), slice(None))
-        sub = self if len(axes) == self.L else self.subtower(axes)
+        sub = self.subtower(axes)
         return self.embed_base((sub._itoh_tsujii if axes else sub.inv)(x[spanned]), axes)
 
     def _itoh_tsujii(self, x):

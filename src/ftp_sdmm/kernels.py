@@ -1,27 +1,26 @@
 """The one exact product behind field arithmetic, ``matmul``: batched matrix
 products of field elements, in one of two regimes, chosen from the field's
-size and, on larger towers, from the operands' support.
+size.
 
 - Structure constants, for a base field, or a tower of n = prod(field.shape)
   <= _TABLE_DIGITS digits: a table of the products of its basis elements,
   built once per field and cached on it.  The smaller factor's
   multiplication matrices are its digits times the table, and the product is
   the other factor's digits times those matrices: two float64 F_p matmuls,
-  with no transform and no support scan.  On a larger tower, a right factor
-  in F_q0 multiplies by F_q0's table, whatever the left factor spans: each
-  tower coefficient of the left factor joins its rows.
-- Otherwise a real FFT over the tower axes that both operands span, read
-  from the data.  The other axes become rows or columns of a product over
-  the sub-tower on the shared axes (F_q0 where they share none), which
-  takes that field's table where it is small.  Element digit (i, a), tower
-  multi-index i and base digit a, sits at index (i, a) of the slot grid
-  viewed as (*_ext_shape, 2d-1); index sums never leave the grid, so the
-  cyclic convolution is the linear one.  The product stays in float64 from
-  the slots to the residues: rounding the inverse transform is exact while
-  a worst-case error bound stays below 1/2, and the float64 matmuls of the
-  reduction take a mod p only where their sums could reach 2^53.  Whole
-  batch members share each transform and reduce call, and every chunk
-  writes into one block made per product.
+  with no transform and no support scan.
+- Otherwise a fold over F_S = F_q0(a_k : k in S), S the tower axes that
+  both operands span, read from the data: the other axes become rows or
+  columns of one product over F_S, by F_S's table where it is small (F_q0's
+  for S empty), else by a real FFT over F_S (the tower itself for S all of
+  its axes).  Element digit (i, a), tower multi-index i and base digit a,
+  sits at index (i, a) of the slot grid viewed as (*_ext_shape, 2d-1);
+  index sums never leave the grid, so the cyclic convolution is the linear
+  one.  The product stays in float64 from the slots to the residues:
+  rounding the inverse transform is exact while a worst-case error bound
+  stays below 1/2, and the float64 matmuls of the reduction take a mod p
+  only where their sums could reach 2^53.  Whole batch members share each
+  transform and reduce call, and every chunk writes into one block made per
+  product.
 
 ``on_axes`` multiplies the digits of some tower axes by an F_p matrix, one
 float64 matmul.  Every float64 step raises where its bound fails."""
@@ -211,12 +210,10 @@ def matmul(field, x, y):
     """x @ y over ``field`` for x (..., r, k, *field.shape) and y (..., k, c,
     *field.shape), reduced, with the leading axes broadcast as np.matmul
     broadcasts them.  A base field, or a tower of at most _TABLE_DIGITS
-    digits, multiplies by its structure constants.  On a larger tower, for y
-    in F_q0 (no coefficient past index 0) it is a product over F_q0 by its
-    table, x's tower coefficients joining its rows, whatever x spans.
-    Otherwise, with S the axes that both span, it runs over the sub-tower
-    F_S = F_q0(a_k : k in S), x's other axes joining its rows and y's its
-    columns: by F_S's table if it is small enough (F_S = F_q0 for S empty),
+    digits, multiplies by its structure constants.  On a larger tower, with
+    S the axes that both span, it is one product over the sub-tower F_S =
+    F_q0(a_k : k in S), x's other axes joining its rows and y's its columns
+    (_fold): by F_S's table if it is small enough (F_S = F_q0 for S empty),
     else a transform over F_S."""
     n = len(field.shape)
     (r, k), c, d = x.shape[-n - 2 : -n], y.shape[-n - 1], field.base.d
@@ -234,18 +231,8 @@ def matmul(field, x, y):
             t = np.broadcast_to(t, lead + t.shape[-n - 2 :])
         return t.reshape((math.prod(lead),) + t.shape[-n - 2 :])
 
-    past = y.reshape(-1, field.flat_size * d)[:, d:]
-    y_in_base = not (np.count_nonzero(past[:1]) or np.count_nonzero(past))  # often settled by [:1]
     x, y = stacked(x), stacked(y)
-    if y_in_base:
-        rows = x.swapaxes(2, -2)  # k and the last tower axis trade places, and back
-        y0 = y[(..., *(0,) * field.L, slice(None))]  # (B, k, c, d): y's F_q0 values
-        prod = _by_table(field.base, rows.reshape(len(x), math.prod(rows.shape[1:-2]), k, d), y0)
-        out = prod.reshape(rows.shape[:-2] + (c, d)).swapaxes(2, -2)
-    else:
-        sx, sy = support(field, x), support(field, y)
-        full = len(sx) == len(sy) == field.L
-        out = _product(field, x, y) if full else _fold(field, x, y, sx, sy)
+    out = _fold(field, x, y, support(field, x), support(field, y))
     return out.reshape(lead + (r, c) + field.shape)
 
 
@@ -293,10 +280,11 @@ def _by_table(field, x, y):
 
 def _fold(field, x, y, sx, sy):
     """x @ y for a batch of x supported on the axes sx and y on sy: the
-    product over the sub-tower on the axes in both, of x with its axes only
-    in sx folded into its rows and y with its axes only in sy into its
-    columns.  Monomials on disjoint axes multiply without reduction, so the
-    result unfolds into place, with the axes in neither at index 0."""
+    product over the sub-tower on the axes in both (F_q0 for none, the field
+    itself for all), of x with its axes only in sx folded into its rows and
+    y with its axes only in sy into its columns.  Monomials on disjoint axes
+    multiply without reduction, so the result unfolds into place, with the
+    axes in neither at index 0."""
     L, primes, (B, r, k), c = field.L, field.primes, x.shape[:3], y.shape[2]
     both = [a for a in sx if a in sy]
     only_x = [a for a in sx if a not in sy]
@@ -310,8 +298,10 @@ def _fold(field, x, y, sx, sy):
                                   *(3 + sx.index(a) for a in both), 3 + len(sx))
     ys = spanned(y, sy).transpose(0, 1, 2, *(3 + sy.index(a) for a in only_y),
                                   *(3 + sy.index(a) for a in both), 3 + len(sy))
+    rows, cols = (math.prod(primes[a] for a in only) for only in (only_x, only_y))
     by = _by_table if _by_table_fits(sub) else _product
-    prod = by(sub, xs.reshape((B, -1, k) + sub.shape), ys.reshape((B, k, -1) + sub.shape))
+    prod = by(sub, xs.reshape((B, r * rows, k) + sub.shape),
+              ys.reshape((B, k, c * cols) + sub.shape))
     prod = prod.reshape((B, r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
                         + sub.shape)
     at = {a: j for j, a in enumerate(["b", "r", *only_x, "c", *only_y, *both])}  # prod's axes

@@ -89,12 +89,8 @@ class Mat:
         return self._like(-self.data % self.field.base.p)
 
     def scale(self, c):
-        """Every entry times the field element c: one product of the
-        entries, as a column, with c."""
-        f = self.field
-        column = self.data.reshape((self.rows * self.cols, 1) + f.shape)
-        prod = kernels.matmul(f, column, np.reshape(c, (1, 1) + f.shape))
-        return self._like(prod.reshape(self.data.shape))
+        """Every entry times the field element c."""
+        return self._like(self.field.mul(self.data, c))
 
     def eq(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -50,10 +50,8 @@ class Poly:
         return self.add(Poly(self.field, -other.coeffs))
 
     def scale(self, c):
-        """Every coefficient times c: one product of the coefficients, as a
-        column, with c."""
-        c = np.reshape(c, (1, 1) + self.field.shape)
-        return Poly(self.field, kernels.matmul(self.field, self.coeffs[:, None], c)[:, 0])
+        """Every coefficient times the field element c."""
+        return Poly(self.field, self.field.mul(self.coeffs, c))
 
     def eq(self, other):
         return np.array_equal(self.coeffs, other.coeffs)

@@ -318,9 +318,8 @@ def parse_responses(tower, body):
         if off >= len(body):
             raise MalformedFrame("responses truncated")
         i = body[off]; off += 1
-        tower._check_axis(i)
-        if i in traced:
-            raise MalformedFrame(f"group {i} occurs twice")
+        if not 1 <= i <= tower.L or i in traced:
+            raise MalformedFrame(f"group {i} is not a new member of 1..{tower.L}")
         f_i = tower.subtower([k for k in range(tower.L) if k != i - 1])
         traced[i], off = _tensor_from_bytes(f_i, body, off)
     if off != len(body):

@@ -100,6 +100,12 @@ def test_rates_csv(capsys, tmp_path):
     assert rows[0]["winner"] in ("ftp", "baseline", "tie")
 
 
+def test_rates_row_missing_a_key_exit_2(capsys):
+    code, out, err = run_cli(capsys, ["rates", "--grid", "a=1"])
+    assert code == 2 and not out
+    assert err.startswith("ERROR ValueError: grid row 'a=1' lacks L, T, b, c, primes")
+
+
 def test_crossover_output(capsys):
     code, out, _ = run_cli(capsys, ["crossover"])
     assert code == 0

@@ -170,13 +170,20 @@ def test_no_table_past_the_limit():
        st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32))
 def test_drawn_schemes_decode_to_the_product(primes, T, p, d, a, w, c, seed):
     """run_inprocess on drawn small schemes and operands decodes to
-    mat_mul's product."""
+    mat_mul's product, and its ledger holds cost_report's symbols each way,
+    in d bytes per symbol."""
     L = len(primes)
     assume(p**d >= primes[-1] + 2 * L + 2 * T - 2)  # q0 >= N_L
     s = build_scheme(L, T, primes, make_base_field(p, d), a, L * w, c)
     A = random_mat(a, L * w, s.tower, seed=seed)
     B = random_mat(L * w, c, s.tower, seed=seed + 1)
-    assert run_inprocess(s, A, B, seed=seed)[0].eq(mat_mul(A, B))
+    product, ledger = run_inprocess(s, A, B, seed=seed)
+    assert product.eq(mat_mul(A, B))
+    report = cost_report(s)
+    assert (ledger.upload_symbols, ledger.download_symbols) == (report.upload_symbols,
+                                                                report.download_symbols)
+    assert (ledger.upload_bytes, ledger.download_bytes) == (d * report.upload_symbols,
+                                                            d * report.download_symbols)
 
 
 def test_drawn_schemes_decode_on_the_structured_path(monkeypatch):

@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 from ftp_sdmm import kernels
 from ftp_sdmm.errors import RoundingBoundExceeded
 from ftp_sdmm.fields import BaseField, make_base_field, make_tower
+from ftp_sdmm.ftp import build_scheme
 from ftp_sdmm.matrices import Mat, SplitMix64, mat_mul, random_mat
+from ftp_sdmm.proto import run_inprocess
 
 # F_4(2), F_11(2,3), F_11(2,3,5), F_8(5), F_251(2,3), F_27(5,7,11), F_9(2,3)
 FIELDS = [
@@ -407,9 +409,8 @@ for past in (lambda: kernels.reduce(f, one[0]), lambda: kernels.matmul(f, one, o
 
 def test_float_reduction_past_its_bound_raises():
     """Residues below p = 2^31 - 1 square past 2^53, so reduce, the direct
-    F_q0 product and, on F_p(a_1), a product with a right factor in F_q0
-    refuse them with an explicit raise, which python -O keeps; the towers
-    in use pass."""
+    F_q0 product and, on F_p(a_1), a product by the tower's one refuse them
+    with an explicit raise, which python -O keeps; the towers in use pass."""
     f = BaseField(2**31 - 1, 1)
     one = np.ones((1, 1, 1), dtype=np.int64)
     with pytest.raises(RoundingBoundExceeded):
@@ -488,10 +489,60 @@ def test_table_product_matches_transform_and_loop_oracle(p, d, primes):
 
 def test_every_support_draw_on_the_transform_paths(monkeypatch):
     """The every-support draws again with the table's limit at 0, so that
-    _product, _fold and the product by F_q0's table with x's tower
-    coefficients in its rows still meet the loop oracle on small towers."""
+    _fold, over sub-towers of every support and by _product where both
+    operands span every axis, still meets the loop oracle on small towers."""
     monkeypatch.setattr(kernels, "_TABLE_DIGITS", 0)
     test_matmul_on_every_support_matches_loop_oracle()
+
+
+def _route_spy(monkeypatch):
+    """Record (name, field, x's shape) for every _by_table and _product call."""
+    calls = []
+    for name in ("_by_table", "_product"):
+        def spy(field, x, y, name=name, real=getattr(kernels, name)):
+            calls.append((name, field, x.shape))
+            return real(field, x, y)
+        monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def test_products_past_the_table_fold_onto_the_sub_tower_both_span(monkeypatch):
+    """On paper-full's tower, past _TABLE_DIGITS: with y in F_q0 and x on
+    axis 1 (a_2, of degree 7), a 2 x 2 by 2 x 1 product is one product by
+    tower.base's table whose rows are x's 7 spanned coefficients per row,
+    and no _product; with both spanning every axis it is one _product over
+    the tower itself, the sub-tower of all its axes.  Both equal the
+    per-element triple loop."""
+    tower = _tower(3, 3, (5, 7, 11))
+    assert tower.subtower(range(tower.L)) is tower
+    rng = SplitMix64(27)
+    x, y = random_mat(2, 2, tower, rng=rng).data, random_mat(2, 1, tower, rng=rng).data
+    calls = _route_spy(monkeypatch)
+    cases = [(_on_axes(tower, x, {1}), _on_axes(tower, y, set()),
+              ("_by_table", tower.base, (1, 2 * 7, 2) + tower.base.shape)),
+             (x, y, ("_product", tower, (1, 2, 2) + tower.shape))]
+    for xs, ys, (name, field, shape) in cases:
+        calls.clear()
+        got = kernels.matmul(tower, xs, ys)
+        assert [(n, f is field, s) for n, f, s in calls] == [(name, True, shape)]
+        want = _mat_mul_loop(Mat(tower, 2, 2, xs), Mat(tower, 2, 1, ys),
+                             lambda u, v: _mul_oracle(tower, u, v))
+        assert np.array_equal(got, want)
+
+
+def test_a_paper_full_job_makes_one_transform_and_its_setup_none(monkeypatch):
+    """build_scheme for paper-full calls no _product, and one in-process job
+    calls it once, for the servers' products; the job's product equals the
+    per-element triple loop."""
+    calls = _route_spy(monkeypatch)
+    scheme = build_scheme(3, 2, (5, 7, 11), make_base_field(3, 3), 1, 3, 1)
+    assert [c for c in calls if c[0] == "_product"] == []
+    A, B = random_mat(1, 3, scheme.tower, seed=3), random_mat(3, 1, scheme.tower, seed=4)
+    calls.clear()
+    product, _ = run_inprocess(scheme, A, B, seed=5)
+    assert [n for n, _, _ in calls].count("_product") == 1
+    want = _mat_mul_loop(A, B, lambda u, v: _mul_oracle(scheme.tower, u, v))
+    assert np.array_equal(product.data, want)
 
 
 @pytest.mark.parametrize("limit", [0, kernels._TABLE_DIGITS])
@@ -499,7 +550,7 @@ def test_every_support_draw_on_the_transform_paths(monkeypatch):
 def test_empty_products_are_zero_on_every_path(limit, r, k, c, monkeypatch):
     """A product with no rows, no columns or an empty inner index is the
     (zero) product of its shape, with y in F_q0 or spanning an axis, by the
-    table and with the table's limit at 0."""
+    table and, with the table's limit at 0, by _fold."""
     monkeypatch.setattr(kernels, "_TABLE_DIGITS", limit)
     tower = _tower(11, 1, (2, 3))
     x = np.ones((2, r, k) + tower.shape, dtype=np.int64)

@@ -431,7 +431,8 @@ def test_parsers_reject_digit_p_and_short_bodies(scheme):
     elem[0] = 200  # not a digit of F_11
     with pytest.raises(MalformedFrame):
         proto.elem_from_bytes(t, bytes(elem))
-    # A RESPONSES body with group 1 once parses, and with group 1 twice does not.
+    # A RESPONSES body with group 1 once parses; with group 1 twice, or a group
+    # id outside 1..L, it is malformed.
     from ftp_sdmm.ftp import server_compute
 
     reply = server_compute(scheme, [_share(scheme)])[0].traced[1]
@@ -440,6 +441,9 @@ def test_parsers_reject_digit_p_and_short_bodies(scheme):
     assert list(proto.parse_responses(t, head + bytes([1]) + group)[1].traced) == [1]
     with pytest.raises(MalformedFrame):
         proto.parse_responses(t, head + bytes([2]) + group + group)
+    for i in (0, t.L + 1):
+        with pytest.raises(MalformedFrame):
+            proto.parse_responses(t, head + bytes([1, i]) + group[1:])
 
 
 @pytest.fixture(scope="module")
