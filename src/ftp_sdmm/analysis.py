@@ -15,6 +15,19 @@ CSV_HEADER = ["a", "b", "c", "L", "T", "primes", "N_L",
               "ftp_rate", "baseline", "baseline_rate", "winner"]
 
 
+def check_layout(L, T, primes):
+    """primes as a tuple of ints, or InvalidParams unless L and T are
+    positive and primes holds L distinct ascending primes, one per axis."""
+    primes = tuple(int(p) for p in primes)
+    if L < 1 or T < 1:
+        raise InvalidParams("L, T must be positive")
+    if len(primes) != L:
+        raise InvalidParams(f"need {L} primes")
+    if any(not is_prime(p) for p in primes) or any(x >= y for x, y in zip(primes, primes[1:])):
+        raise InvalidParams(f"primes must be distinct ascending: {primes}")
+    return primes
+
+
 @dataclass
 class RateParams:
     a: int
@@ -28,15 +41,9 @@ class RateParams:
     eta: Fraction = None     # slack parameter of the helper lemma
 
     def __post_init__(self):
-        self.primes = tuple(int(p) for p in self.primes)
-        if self.L < 1 or self.T < 1 or min(self.a, self.b, self.c) < 1:
-            raise InvalidParams("dimensions and L, T must be positive")
-        if len(self.primes) != self.L:
-            raise InvalidParams(f"need {self.L} primes")
-        if any(not is_prime(p) for p in self.primes) or any(
-            x >= y for x, y in zip(self.primes, self.primes[1:])
-        ):
-            raise InvalidParams(f"primes must be distinct ascending: {self.primes}")
+        self.primes = check_layout(self.L, self.T, self.primes)
+        if min(self.a, self.b, self.c) < 1:
+            raise InvalidParams("dimensions must be positive")
 
     @property
     def N(self):
@@ -125,8 +132,7 @@ class CrossoverReport:
 def crossover_K(L, T, n_prime, eta, primes):
     """K = (N' - L - 1/eta) / (N_L/L - N'/L), with L' = L.  For every
     aspect ratio below K the helper-lemma inequality holds."""
-    eta = Fraction(eta)
-    primes = tuple(primes)
+    eta, primes = Fraction(eta), check_layout(L, T, primes)
     N_L = primes[-1] + 2 * L + 2 * T - 2
     hyp = {
         "eta_positive": eta > 0,
@@ -146,7 +152,7 @@ def rate_crossover(L, T, primes, n_prime, l_prime=None):
     solve (N_L/L - N'/L') lambda < N' - sum_i N_i/p_i."""
     if l_prime is None:
         l_prime = L
-    primes = tuple(primes)
+    primes = check_layout(L, T, primes)
     N = [p + 2 * L + 2 * T - 2 for p in primes]
     slope = Fraction(N[-1], L) - Fraction(n_prime, l_prime)
     gap = n_prime - sum(Fraction(n, p) for n, p in zip(N, primes))

@@ -15,6 +15,7 @@ from .demo import run_demo
 from .errors import (
     ConnectionFailed,
     FtpError,
+    InvalidParams,
     MalformedFrame,
     ProtocolError,
     ProtocolTimeout,
@@ -245,6 +246,8 @@ def _cmd_audit(args):
 
 
 def _cmd_serve(args):
+    if not 0 <= args.port <= 65535:
+        raise InvalidParams(f"port {args.port} is outside 0..65535")
     print(f"serving on {args.host}:{args.port}", flush=True)
     proto.serve(args.port, host=args.host)
     return EXIT_OK

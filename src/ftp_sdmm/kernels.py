@@ -22,6 +22,18 @@ size.
   transform and reduce call, and every chunk writes into one block made per
   product.
 
+The transform packs f = 2 slots per float where it can (segmentation:
+Kronecker substitution with a radix, D. Harvey, J. Symbolic Comput. 44,
+2009): with R the power of two above top = k n (p-1)^2, the largest slot sum
+at inner dimension k, flat slots 2j and 2j+1 become s_2j + R s_(2j+1), and
+the transform is half as long (8192, not 16384, on paper-full).  Each packed
+coefficient c_j = e_j + R o_j + R^2 f_j, each part below R, unpacks by exact
+bit masks to slot 2j = e_j + f_(j-1) and slot 2j+1 = o_j, which reduce takes
+as before.  ``segmentation`` packs where R^3 <= 2^52, so that c_j + 2^52 is
+exact, and rounding_bound over the floats an element's digits reach, each
+at most (p-1)(1+R), is below 1/2 (0.0036 for paper-full's servers, 0.42 at
+k = 7, 1.93 at k = 8); else f = 1, where only that bound at p - 1 must hold.
+
 ``on_axes`` multiplies the digits of some tower axes by an F_p matrix, one
 float64 matmul.  Every float64 step raises where its bound fails."""
 
@@ -36,9 +48,10 @@ _EPS = 2.0**-53
 # Bytes a chunk of a table product, or of encode's sums, holds at once, about.
 _CHUNK_BYTES = 1 << 19
 # Bytes the transform's one block holds, about, in rows of 8 n_fft bytes (a
-# spectrum, or a slot grid that also takes the inverse transform): 3 per 1 x
-# 1 member, so 4 of paper-full's members (n_fft = 16384) per transform call.
-_TRANSFORM_BYTES = 3 << 19
+# spectrum, or one of a slot grid's 2f - 1 rows): 2f + 1 per 1 x 1 member,
+# so 4 of paper-full's members (f = 2, n_fft = 8192, 5 rows of 64 KB) per
+# transform call.
+_TRANSFORM_BYTES = 5 << 18
 # The most digits n = prod(field.shape) of a field whose products go by its
 # structure constants, a table of n^3 floats (0.9 MB at 48).  Measured on
 # one CPU, products of 1x1 and 256x3 by 3x1 elements ran faster by the
@@ -75,17 +88,23 @@ def check_rounding(inner, size, p, n_fft):
             f"rounding error bound {bound:.3g} is not below 1/2")
 
 
-def _spectra(t, field, grid, out):
+def _spectra(t, field, slots, src, R, out):
     """rfft of each element of t (B, m, n, *field.shape) into out (B, m, n,
-    n_fft/2 + 1): its digits mod p at the low corner of a row of grid (at
-    least B, m n, ext_flat (2d-1)) viewed as (*_ext_shape, 2d-1), zero-padded
-    to n_fft.  Every call writes the same corner, so the zeros around it,
+    n_fft/2 + 1): its digits mod p at the low corner of a row of ``slots``
+    (at least B, m n, h, f), each viewed flat as a slot grid (*_ext_shape,
+    2d-1), zero-padded to h f slots; for f = 2 each pair of slots packed
+    as s_2j + R s_(2j+1) into a row of ``src`` (at least B, m n, h'), h'
+    the floats up to the corner's last digit, which is the slots themselves
+    for f = 1.  Every call writes the same corner, so the zeros around it,
     written once, stay."""
-    lead, n_fft = t.shape[: -field.L - 1], fft_length(field._ext_flat, field.base.d)
-    rows = grid[: lead[0], : lead[1] * lead[2]]
-    slots = rows.reshape(lead + field._ext_shape + (-1,))
-    np.remainder(t, field.base.p, out=slots[(..., *map(slice, field.shape))])
-    return np.fft.rfft(rows.reshape(lead + (-1,)), n_fft, out=out)
+    lead, (h, f), live = t.shape[: -field.L - 1], slots.shape[-2:], src.shape[-1]
+    rows, src = (a[: lead[0], : lead[1] * lead[2]] for a in (slots, src))
+    grid = rows.reshape(rows.shape[:2] + (h * f,))[..., : field._ext_flat * (2 * field.base.d - 1)]
+    corner = grid.reshape(lead + field._ext_shape + (-1,))[(..., *map(slice, field.shape))]
+    np.remainder(t, field.base.p, out=corner)
+    if f > 1:
+        np.matmul(rows[..., :live, :], [1.0, R], out=src)
+    return np.fft.rfft(src.reshape(lead + (live,)), 2 * out.shape[-1] - 2, out=out)
 
 
 def convolve(xf, yf, addtable, ext_len):
@@ -311,65 +330,111 @@ def _fold(field, x, y, sx, sy):
     return out
 
 
+def segmentation(field, inner):
+    """(f, R, n_fft) for a transform product of inner dimension ``inner``
+    over the tower ``field``: f slots per float in radix R, the power of two
+    above every slot sum, and the transform length n_fft.  f = 2 where both
+    bounds of the module docstring hold, else 1; raises where f = 1 fails
+    too."""
+    d, p, n = field.base.d, field.base.p, math.prod(field.shape)
+    R = 1 << (inner * n * (p - 1) ** 2).bit_length()
+    run = d if d > 1 else field.primes[-1]  # an element's digits on consecutive slots
+    for f in (2, 1):
+        n_fft = fft_length(field._ext_flat, d) // f
+        floats = n // run * ((run + f - 2) // f + 1)  # a run meets that many floats, at most
+        error = rounding_bound(inner, floats, (p - 1) * sum(R**b for b in range(f)) + 1, n_fft)
+        if R ** (2 * f - 1) <= 1 << 52 and error < 0.5:
+            return f, R, n_fft
+    raise RoundingBoundExceeded(
+        f"inner dimension {inner} over {n} digits below {p}: rounding error "
+        f"bound {error:.3g} is not below 1/2")
+
+
 def _product(field, x, y):
     """x @ y for a batch of x (B, r, k, *shape) and y (B, k, c, *shape) by
     the transform over the whole of ``field``, rounded in place and reduced
-    in float64, one cast to int64.  Every transform and product writes into
-    one block made per call, of rows of n_fft/2 + 1 complex.  A member holds
-    the spectra of y and of x's chunk, the sums' spectra (for k = c = 1 the
-    product overwrites x's instead), for k > 1 each inner index's product
-    before it is added, and one slot grid per element of y, of x's chunk or
-    of the sums, whichever are most: the inverse transform lands in the
-    grids, which are zeroed again after it.  Whole members, as many as fit
-    in about _TRANSFORM_BYTES, share each transform and reduce call, or one
-    member goes in row and inner chunks; y's spectra are made once per
-    chunk, for every row chunk.  One block, not one per buffer: freed at
-    once, it is reused by the next call, where separate buffers went back to
-    the system and were faulted in again on every paper-full job."""
+    in float64, one cast to int64, f slots per float (segmentation).  Every
+    transform and product writes into one block made per call, of rows of
+    n_fft/2 + 1 complex.  A member holds the spectra of y and of x's chunk,
+    the sums' spectra (for k = c = 1 the product overwrites x's instead),
+    for k > 1 each inner index's product before it is added, and 2f - 1 rows
+    per element of y, of x's chunk or of the sums, whichever are most: a
+    slot grid in the first f and, for f = 2, its packed floats in the third.
+    The inverse transform lands in the packed floats, its sums are unpacked
+    into the slots, and these are zeroed again after them.  Whole members,
+    as many as fit in about _TRANSFORM_BYTES, share each transform and
+    reduce call, or one member goes in row and inner chunks; y's spectra
+    are made once per chunk, for every row chunk.  One block, not one per
+    buffer: freed at once, it is reused by the next call, where separate
+    buffers went back to the system and were faulted in again on every
+    paper-full job."""
     (B, r, k), c = x.shape[:3], y.shape[2]
-    w, ext_len = 2 * field.base.d - 1, field._ext_flat
-    n_fft = fft_length(ext_len, field.base.d)
+    (f, R, n_fft), w = segmentation(field, k), 2 * field.base.d - 1
+    span, g = field._ext_flat * w, 2 * f - 1  # slots of a grid; rows per grid
+    last = np.ravel_multi_index([p - 1 for p in field.primes], field._ext_shape) * w + w // 2
+    h, live = -(-span // f), last // f + 1  # floats of a packed grid, and up to its last digit
     budget = max(1, _TRANSFORM_BYTES // (8 * n_fft))  # rows at once
     own_z, many = (k, c) != (1, 1), k > 1
 
     def held(rs, ks):  # a member's rows, with rs rows and ks inner indices at once
-        return k * c + rs * ks + (own_z + many) * rs * c + max(k * c, rs * ks, rs * c)
+        return k * c + rs * ks + (own_z + many) * rs * c + g * max(k * c, rs * ks, rs * c)
 
     bstep, rstep, kstep = max(1, min(B, budget // held(r, k))), r, k
     if held(r, k) > budget:  # bounded with max(a, b, e) <= a + b + e, so that chunks fit
-        per_out = own_z + many + 1
-        kstep = max(1, min(k, (budget - 2 * k * c - per_out * c) // 2))
-        rstep = max(1, min(r, (budget - 2 * k * c) // (2 * kstep + per_out * c)))
+        per_out = own_z + many + g
+        kstep = max(1, min(k, (budget - (1 + g) * k * c - per_out * c) // (1 + g)))
+        rstep = max(1, min(r, (budget - (1 + g) * k * c) // ((1 + g) * kstep + per_out * c)))
     block = np.empty((bstep, held(rstep, kstep), n_fft // 2 + 1), dtype=complex)
     ends = np.cumsum([k * c, rstep * kstep, own_z * rstep * c, many * rstep * c])
     fy, fx, z, term, grid = np.split(block, ends, axis=1)
     fy, fx = fy.reshape((bstep, k, c, -1)), fx.reshape((bstep, rstep, kstep, -1))
     z = z.reshape((bstep, rstep, c, -1)) if own_z else fx
     term = term.reshape(z.shape) if many else None
-    grid = grid.view(np.float64)  # rows of n_fft + 2 floats
-    sums = grid[:, : rstep * c, :n_fft].reshape((bstep, rstep, c, n_fft))
-    grid = grid[..., : ext_len * w]
-    grid[...] = 0
+    grid = grid.view(np.float64).reshape((bstep, -1, g * (n_fft + 2)))  # a grid per row
+    slots = grid[..., : h * f].reshape(grid.shape[:2] + (h, f))
+    packed = grid[..., (g - 1) * (n_fft + 2) :][..., :n_fft]
+    slots[..., :live, :] = 0
+    src = packed[..., :live]  # the transform's input, up to the last digit
     out = np.empty((B, r, c) + field.shape, dtype=np.int64)
     for b in range(0, B, bstep):
         xb, yb = x[b : b + bstep], y[b : b + bstep]
         nb = len(xb)
-        fyb = _spectra(yb, field, grid, fy[:nb])
+        fyb = _spectra(yb, field, slots, src, R, fy[:nb])
         for s in range(0, r, rstep):
             xs = xb[:, s : s + rstep]
             nr = xs.shape[1]
             zs = z[:nb, :nr]
             for t in range(0, k, kstep):
                 xt = xs[:, :, t : t + kstep]
-                fxs = _spectra(xt, field, grid, fx[:nb, :nr, : xt.shape[2]])
+                fxs = _spectra(xt, field, slots, src, R, fx[:nb, :nr, : xt.shape[2]])
                 for u in range(fxs.shape[2]):
                     pair = fxs[:, :, u, None], fyb[:, None, t + u]
                     if t + u == 0:
                         np.multiply(*pair, out=zs)
                     else:
                         zs += np.multiply(*pair, out=term[:nb, :nr])
-            inv = np.fft.irfft(zs, n_fft, out=sums[:nb, :nr])[..., : ext_len * w]
-            inv = np.rint(inv, out=inv).reshape(zs.shape[:-1] + (ext_len, w))
-            out[b : b + nb, s : s + nr] = reduce(field, inv, k)
-            grid[:nb, : nr * c] = 0
+            inv = packed[:nb, : nr * c].reshape(zs.shape[:-1] + (n_fft,))
+            inv = np.fft.irfft(zs, n_fft, out=inv)[..., :h]
+            sums = slots[:nb, : nr * c].reshape(zs.shape[:-1] + (h, f))
+            if f == 1:
+                np.rint(inv, out=inv)  # the slots themselves
+            else:
+                _unpack(inv, sums, R)
+            grids = sums.reshape(zs.shape[:-1] + (h * f,))[..., :span]
+            out[b : b + nb, s : s + nr] = reduce(field, grids.reshape(zs.shape[:-1] + (-1, w)), k)
+            sums[..., :live, :] = 0
     return out
+
+
+def _unpack(c, sums, R):
+    """Packed coefficients c (..., h) = e + R o + R^2 f, e, o, f below R,
+    into slot pairs sums (..., h, 2) = (e_j + f_(j-1), o_j): adding 2^52
+    rounds c < R^3 <= 2^52 to an integer held in the float's low 52 bits."""
+    c += 2.0**52
+    v, bits = c.view(np.int64), R.bit_length() - 1
+    np.bitwise_and(v, R - 1, out=sums[..., 0])
+    v >>= bits
+    np.bitwise_and(v, R - 1, out=sums[..., 1])
+    v >>= bits
+    v &= (1 << 52 - 2 * bits) - 1
+    sums[..., 1:, 0] += v[..., :-1]

@@ -85,6 +85,20 @@ def test_crossover_K_hypotheses_fail():
         crossover_K(L=3, T=2, n_prime=7, eta=2, primes=(5, 7, 11))
 
 
+@pytest.mark.parametrize("L,T,primes", [
+    (0, 1, (5,)), (2, -1, (5, 7)), (1, 0, (5,)), (2, 1, (7, 5)), (2, 1, (5, 5)),
+    (2, 1, (5,)), (1, 1, (4,)),
+])
+def test_crossover_functions_refuse_invalid_layouts(L, T, primes):
+    """crossover_K and rate_crossover refuse L or T below 1 and primes that
+    are not one distinct ascending prime per axis, as RateParams does."""
+    for call in (lambda: crossover_K(L=L, T=T, n_prime=2, eta=2, primes=primes),
+                 lambda: rate_crossover(L=L, T=T, primes=primes, n_prime=2),
+                 lambda: RateParams(a=1, b=1, c=1, L=L, T=T, primes=primes)):
+        with pytest.raises(InvalidParams):
+            call()
+
+
 def test_lemma4_below_K_holds():
     rng = random.Random(1)
     K = Fraction(1, 10)

@@ -3,6 +3,8 @@
 import csv
 import threading
 
+import pytest
+
 from ftp_sdmm import cli, proto
 from ftp_sdmm.analysis import parse_rational
 from fractions import Fraction
@@ -111,6 +113,29 @@ def test_crossover_output(capsys):
     assert code == 0
     assert "K = 1/10" in out
     assert "hypothesis primes_large: ok" in out
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["--L", "0"], "L, T must be positive"),
+    (["--L", "2", "--T", "-1", "--primes", "5,7"], "L, T must be positive"),
+    (["--L", "2", "--primes", "7,5"], "distinct ascending"),
+    (["--L", "2", "--primes", "5"], "need 2 primes"),
+])
+def test_crossover_invalid_params_exit_2(capsys, argv, why):
+    """L or T below 1, or primes not one per axis ascending, are refused with
+    InvalidParams and exit 2 before anything is printed."""
+    code, out, err = run_cli(capsys, ["crossover"] + argv)
+    assert code == 2 and not out
+    assert err.startswith("ERROR InvalidParams:") and why in err
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_port_out_of_range_exit_2(capsys, port):
+    """A port outside 0..65535 is refused with exit 2 before the daemon
+    prints or binds."""
+    code, out, err = run_cli(capsys, ["serve", "--port", port])
+    assert code == 2 and not out
+    assert err.startswith("ERROR InvalidParams:") and "0..65535" in err
 
 
 def test_audit_rank(capsys):

@@ -173,11 +173,11 @@ def test_tower_mul_matches_oracle(p, d, primes):
         got = tower.mul(x, y)
         assert got.dtype == np.int64 and np.array_equal(got, _mul_oracle(tower, x, y))
     xs, ys = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
-    n_fft = kernels.fft_length(tower._ext_flat, d) if primes else 0
-    for rows in (3, 6):  # batch chunks of one product and of two, at 3 rows each
+    f, _, n_fft = kernels.segmentation(tower, 1) if primes else (1, 0, 0)
+    for members in (1, 2):  # batch chunks of one product and of two, at 2f + 1 rows each
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_CHUNK_BYTES", rows * 8 * n_fft)
-            mp.setattr(kernels, "_TRANSFORM_BYTES", rows * 8 * n_fft)
+            mp.setattr(kernels, "_CHUNK_BYTES", members * (2 * f + 1) * 8 * n_fft)
+            mp.setattr(kernels, "_TRANSFORM_BYTES", members * (2 * f + 1) * 8 * n_fft)
             products = [(tower.mul(xs, ys), [_mul_oracle(tower, x, y) for x, y in pairs]),
                         (tower.mul(xs, ys[4]), [_mul_oracle(tower, x, ys[4]) for x in xs]),
                         (tower.mul(xs[5], ys), [_mul_oracle(tower, xs[5], y) for y in ys]),
@@ -223,7 +223,8 @@ def test_base_field_mat_ops_match_loop_oracle():
 def test_rounding_bound_at_largest_tested_shapes():
     """Exact at the largest shapes above, at p = 251 and on F_27(5,7,11),
     with room to spare; the limit at p = 251 on F_251(2,3) lies between
-    inner dimensions 10^4 and 10^6."""
+    inner dimensions 10^4 and 10^6.  Packed two slots per float, the
+    paper-full shapes stay below 1/2."""
     small = kernels.fft_length(15, 1)        # F_251(2,3): ext grid 3 x 5
     large = kernels.fft_length(9 * 13 * 21, 3)
     assert kernels.rounding_bound(16, 6, 251, small) < 1e-6
@@ -231,6 +232,77 @@ def test_rounding_bound_at_largest_tested_shapes():
     kernels.check_rounding(10**4, 6, 251, small)
     with pytest.raises(RoundingBoundExceeded):
         kernels.check_rounding(10**6, 6, 251, small)
+    # Packed two slots per float on F_27(5,7,11): 770 floats of magnitude up
+    # to 2 (1 + R), R = 2^13 above 1155 * 4 at inner dimension 1 (the
+    # servers' products), 2^15 above 5 * 1155 * 4 at 5 (encode's shape).
+    assert kernels.rounding_bound(1, 770, 2 * (1 + 2**13) + 1, large // 2) < 0.004
+    assert kernels.rounding_bound(5, 770, 2 * (1 + 2**15) + 1, large // 2) < 0.3
+
+
+def _floats_reached(tower, f):
+    """The floats of f slots each that hold a digit of an element, counted
+    on the slot grid (*_ext_shape, 2d-1), digits at its low corner."""
+    grid = np.zeros(tower._ext_shape + (2 * tower.base.d - 1,), dtype=bool)
+    grid[tuple(map(slice, tower.shape))] = True
+    flat = np.concatenate([grid.reshape(-1), np.zeros(-grid.size % f, dtype=bool)])
+    return int(flat.reshape(-1, f).any(axis=1).sum())
+
+
+@pytest.mark.parametrize("p,d,primes", FIELDS + [(65521, 1, (5, 11))])
+def test_segmentation_packs_only_where_both_bounds_hold(p, d, primes):
+    """segmentation's radix R is the power of two above top = k n (p-1)^2,
+    and it packs two slots per float, at half the transform length, only
+    where R^3 <= 2^52 and Percival's bound over the floats an element
+    reaches, counted on the grid, stays below 1/2; on paper-full's tower,
+    where every float reached holds a run's digits, exactly there.  On
+    F_65521(5,11) top has 38 bits, so R^3 > 2^52 and it never packs."""
+    tower = _tower(p, d, primes)
+    n, full = math.prod(tower.shape), kernels.fft_length(tower._ext_flat, d)
+    for k in (1, 2, 5, 7, 8, 16, 19):
+        f, R, n_fft = kernels.segmentation(tower, k)
+        top = k * n * (p - 1) ** 2
+        assert R // 2 <= top < R and n_fft == full // f and f in (1, 2)
+        packs = R**3 <= 1 << 52 and kernels.rounding_bound(
+            k, _floats_reached(tower, 2), (p - 1) * (1 + R) + 1, full // 2) < 0.5
+        assert packs or f == 1
+        if primes == (5, 7, 11):
+            assert (f == 2) == packs == (k <= 7), k
+    if p == 65521:
+        assert (55 * 65520**2).bit_length() == 38 and kernels.segmentation(tower, 1)[:2] == (1, 2**38)
+
+
+def test_packed_product_matches_the_oracles_on_paper_full(monkeypatch):
+    """On paper-full's F_27(5,7,11), products that pack two slots per float
+    equal the oracles bit for bit: 19 members of 1 x 1 by 1 x 1, the first
+    all p - 1, against _mul_oracle, and encode's 19 x 5 by 5 x 2 with every
+    coefficient p - 1, against the per-element triple loop."""
+    tower = _tower(3, 3, (5, 7, 11))
+    chosen, segmentation = [], kernels.segmentation
+    monkeypatch.setattr(kernels, "segmentation",
+                        lambda f, k: chosen.append(segmentation(f, k)) or chosen[-1])
+    xs, ys = np.random.default_rng(29).integers(0, 3, (2, 19, 1, 1) + tower.shape)
+    xs[0] = ys[0] = 2
+    got = kernels.matmul(tower, xs, ys)
+    assert np.array_equal(got[:, 0, 0], [_mul_oracle(tower, x, y) for x, y in zip(xs[:, 0, 0], ys[:, 0, 0])])
+    x, y = _top(tower, 19, 5), _top(tower, 5, 2)
+    want = _mat_mul_loop(x, y, lambda u, v: _mul_oracle(tower, u, v))
+    assert np.array_equal(kernels.matmul(tower, x.data, y.data), want)
+    assert [f for f, _, _ in chosen] == [2, 2]
+
+
+def test_paper_full_packs_up_to_inner_dimension_7():
+    """On paper-full's tower the packed bound is 0.42 at inner dimension 7
+    (R = 2^15) and 1.93 at 8 (R = 2^16): 7 packs and 8 does not.  Both
+    products, with every coefficient p - 1, so that every slot sum reaches
+    its worst case, equal the per-element triple loop."""
+    tower = _tower(3, 3, (5, 7, 11))
+    for k, f, R, bound in ((7, 2, 2**15, 0.42), (8, 1, 2**16, 1.93)):
+        assert kernels.segmentation(tower, k)[:2] == (f, R)
+        packed = kernels.rounding_bound(k, 770, 2 * (1 + R) + 1, 8192)
+        assert abs(packed - bound) < 0.005, packed
+        x, y = _top(tower, 2, k), _top(tower, k, 1)
+        want = _mat_mul_loop(x, y, lambda u, v: _mul_oracle(tower, u, v))
+        assert np.array_equal(kernels.matmul(tower, x.data, y.data), want), k
 
 
 def test_product_past_the_bound_raises_before_allocating():
@@ -286,7 +358,7 @@ def test_matmul_on_every_support_matches_loop_oracle(data):
         for b in np.ndindex(lead)]).reshape(lead + (r, c) + tower.shape)
     if data.draw(st.booleans()):
         x = x + tower.base.p  # nonzero multiples of p widen the support
-    n_fft = kernels.fft_length(tower._ext_flat, tower.base.d)
+    n_fft = kernels.segmentation(tower, k)[2]
     chunk = data.draw(st.sampled_from([1, 16 * n_fft, None]))
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
@@ -313,9 +385,11 @@ def test_transform_chain_takes_mods_only_past_2_53(p, d, primes, mods, monkeypat
     fp_mod, reduce = kernels.fp_mod, kernels.reduce
     monkeypatch.setattr(kernels, "fp_mod", lambda x, p: taken.append(p) or fp_mod(x, p))
     monkeypatch.setattr(kernels, "reduce", lambda f, s, k: chunks.append(len(s)) or reduce(f, s, k))
-    # 3 rows of 8 n_fft bytes per 1 x 1 member (y's spectra, x's, which take
-    # the product, and a grid, which takes the inverse transform): two fit.
-    monkeypatch.setattr(kernels, "_TRANSFORM_BYTES", 48 * kernels.fft_length(tower._ext_flat, d))
+    # 2f + 1 rows of 8 n_fft bytes per 1 x 1 member (y's spectra, x's, which
+    # take the product, and a grid of 2f - 1 rows, which takes the inverse
+    # transform): two fit.
+    f, _, n_fft = kernels.segmentation(tower, 1)
+    monkeypatch.setattr(kernels, "_TRANSFORM_BYTES", 2 * (2 * f + 1) * 8 * n_fft)
     got = tower.mul(xs, ys)
     assert chunks == [2] * 9 + [1] and len(taken) == mods * len(chunks)
     assert np.array_equal(got, [_mul_oracle(tower, x, y) for x, y in zip(xs, ys)])
@@ -326,14 +400,15 @@ def test_transform_chain_takes_mods_only_past_2_53(p, d, primes, mods, monkeypat
 
 @pytest.mark.parametrize("p,d,primes", [(3, 3, (5, 7, 11)), (65521, 1, (5, 11))])
 def test_batched_transform_matches_the_oracle(p, d, primes, monkeypatch):
-    """Past _TABLE_DIGITS, at a block of 12 rows (the default on
-    paper-full's tower), B = 1 to 9 members of 1 x 1 by 1 x 1 go four to a
-    transform and reduce call, the last chunk partial from B = 5, and each
-    equals _mul_oracle.  Two 3 x 2 by 2 x 2 members, with the leading axis
+    """Past _TABLE_DIGITS, at a block of four members' 2f + 1 rows (the
+    default on paper-full's tower), B = 1 to 9 members of 1 x 1 by 1 x 1 go
+    four to a transform and reduce call, the last chunk partial from B = 5,
+    and each equals _mul_oracle.  Two 3 x 2 by 2 x 2 members, with the leading axis
     on both, on x only or on y only, equal the per-element triple loop, in
     row and inner chunks at that block and as whole members in a larger."""
     tower = _tower(p, d, primes)
-    block = 12 * 8 * kernels.fft_length(tower._ext_flat, d)
+    f, _, n_fft = kernels.segmentation(tower, 1)
+    block = 4 * (2 * f + 1) * 8 * n_fft
     xs, ys = np.random.default_rng(11).integers(0, p, (2, 9, 1, 1) + tower.shape)
     want = [_mul_oracle(tower, x, y) for x, y in zip(xs[:, 0, 0], ys[:, 0, 0])]
     chunks, reduce = [], kernels.reduce
@@ -424,6 +499,30 @@ def test_float_reduction_past_its_bound_raises():
     out = subprocess.run([sys.executable, "-O", "-c", _PAST_BOUND], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0 and out.stdout.split() == ["raised"] * 3, out.stderr
+
+
+_SEGMENTATION_PAST_BOUND = """
+from ftp_sdmm import kernels
+from ftp_sdmm.errors import RoundingBoundExceeded
+from ftp_sdmm.fields import BaseField, make_tower
+for p, primes, k in ((2**31 - 1, (2,), 1), (251, (2, 3), 10**6)):
+    try:
+        kernels.segmentation(make_tower(BaseField(p, 1), primes), k)
+    except RoundingBoundExceeded:
+        print("raised")
+"""
+
+
+def test_segmentation_past_both_factors_raises_under_O():
+    """segmentation raises where one slot per float fails too: on F_p(a_1)
+    at p = 2^31 - 1 the slot sums pass 2^52, and on F_251(2,3) at inner
+    dimension 10^6 the rounding bound passes 1/2; python -O keeps both
+    raises."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-O", "-c", _SEGMENTATION_PAST_BOUND], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.split() == ["raised"] * 2, out.stderr
 
 
 # The fields of FIELDS whose products go by their structure constants.
