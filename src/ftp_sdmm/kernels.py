@@ -29,10 +29,11 @@ at inner dimension k, flat slots 2j and 2j+1 become s_2j + R s_(2j+1), and
 the transform is half as long (8192, not 16384, on paper-full).  Each packed
 coefficient c_j = e_j + R o_j + R^2 f_j, each part below R, unpacks by exact
 bit masks to slot 2j = e_j + f_(j-1) and slot 2j+1 = o_j, which reduce takes
-as before.  ``segmentation`` packs where R^3 <= 2^52, so that c_j + 2^52 is
-exact, and rounding_bound over the floats an element's digits reach, each
-at most (p-1)(1+R), is below 1/2 (0.0036 for paper-full's servers, 0.42 at
-k = 7, 1.93 at k = 8); else f = 1, where only that bound at p - 1 must hold.
+as before.  ``segmentation`` packs where R^3 <= 2^51, so that c_j + 3 2^51
+lies where floats are 1 apart, and rounding_bound over the floats an
+element's digits reach, each at most (p-1)(1+R), is below 1/2 (0.0036 for
+paper-full's servers, 0.42 at k = 7, 1.93 at k = 8); else f = 1, where only
+that bound at p - 1 must hold.
 
 ``on_axes`` multiplies the digits of some tower axes by an F_p matrix, one
 float64 matmul.  Every float64 step raises where its bound fails."""
@@ -334,20 +335,16 @@ def segmentation(field, inner):
     """(f, R, n_fft) for a transform product of inner dimension ``inner``
     over the tower ``field``: f slots per float in radix R, the power of two
     above every slot sum, and the transform length n_fft.  f = 2 where both
-    bounds of the module docstring hold, else 1; raises where f = 1 fails
-    too."""
+    bounds of the module docstring hold, else 1, where check_rounding
+    raises past its bound."""
     d, p, n = field.base.d, field.base.p, math.prod(field.shape)
-    R = 1 << (inner * n * (p - 1) ** 2).bit_length()
+    R, n_fft = 1 << (inner * n * (p - 1) ** 2).bit_length(), fft_length(field._ext_flat, d)
     run = d if d > 1 else field.primes[-1]  # an element's digits on consecutive slots
-    for f in (2, 1):
-        n_fft = fft_length(field._ext_flat, d) // f
-        floats = n // run * ((run + f - 2) // f + 1)  # a run meets that many floats, at most
-        error = rounding_bound(inner, floats, (p - 1) * sum(R**b for b in range(f)) + 1, n_fft)
-        if R ** (2 * f - 1) <= 1 << 52 and error < 0.5:
-            return f, R, n_fft
-    raise RoundingBoundExceeded(
-        f"inner dimension {inner} over {n} digits below {p}: rounding error "
-        f"bound {error:.3g} is not below 1/2")
+    floats = n // run * (run // 2 + 1)  # a run meets that many pairs of slots, at most
+    if R**3 <= 1 << 51 and rounding_bound(inner, floats, (p - 1) * (1 + R) + 1, n_fft // 2) < 0.5:
+        return 2, R, n_fft // 2
+    check_rounding(inner, n, p, n_fft)
+    return 1, R, n_fft
 
 
 def _product(field, x, y):
@@ -428,13 +425,15 @@ def _product(field, x, y):
 
 def _unpack(c, sums, R):
     """Packed coefficients c (..., h) = e + R o + R^2 f, e, o, f below R,
-    into slot pairs sums (..., h, 2) = (e_j + f_(j-1), o_j): adding 2^52
-    rounds c < R^3 <= 2^52 to an integer held in the float's low 52 bits."""
-    c += 2.0**52
+    into slot pairs sums (..., h, 2) = (e_j + f_(j-1), o_j): adding 3 2^51
+    keeps c, within 1/2 of an integer below R^3 <= 2^51, in [2^52, 2^53),
+    where floats are 1 apart, so it rounds to that integer, and the float's
+    low 52 bits hold it plus 2^51, which is 0 mod R^2."""
+    c += 3.0 * 2**51
     v, bits = c.view(np.int64), R.bit_length() - 1
     np.bitwise_and(v, R - 1, out=sums[..., 0])
     v >>= bits
     np.bitwise_and(v, R - 1, out=sums[..., 1])
     v >>= bits
-    v &= (1 << 52 - 2 * bits) - 1
+    v &= (1 << 51 - 2 * bits) - 1
     sums[..., 1:, 0] += v[..., :-1]

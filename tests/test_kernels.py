@@ -237,6 +237,9 @@ def test_rounding_bound_at_largest_tested_shapes():
     # servers' products), 2^15 above 5 * 1155 * 4 at 5 (encode's shape).
     assert kernels.rounding_bound(1, 770, 2 * (1 + 2**13) + 1, large // 2) < 0.004
     assert kernels.rounding_bound(5, 770, 2 * (1 + 2**15) + 1, large // 2) < 0.3
+    # Inner dimension 7 (R = 2^15) is the largest that packs, 8 (2^16) is not.
+    assert abs(kernels.rounding_bound(7, 770, 2 * (1 + 2**15) + 1, large // 2) - 0.42) < 0.005
+    assert abs(kernels.rounding_bound(8, 770, 2 * (1 + 2**16) + 1, large // 2) - 1.93) < 0.005
 
 
 def _floats_reached(tower, f):
@@ -252,17 +255,17 @@ def _floats_reached(tower, f):
 def test_segmentation_packs_only_where_both_bounds_hold(p, d, primes):
     """segmentation's radix R is the power of two above top = k n (p-1)^2,
     and it packs two slots per float, at half the transform length, only
-    where R^3 <= 2^52 and Percival's bound over the floats an element
+    where R^3 <= 2^51 and Percival's bound over the floats an element
     reaches, counted on the grid, stays below 1/2; on paper-full's tower,
     where every float reached holds a run's digits, exactly there.  On
-    F_65521(5,11) top has 38 bits, so R^3 > 2^52 and it never packs."""
+    F_65521(5,11) top has 38 bits, so R^3 > 2^51 and it never packs."""
     tower = _tower(p, d, primes)
     n, full = math.prod(tower.shape), kernels.fft_length(tower._ext_flat, d)
     for k in (1, 2, 5, 7, 8, 16, 19):
         f, R, n_fft = kernels.segmentation(tower, k)
         top = k * n * (p - 1) ** 2
         assert R // 2 <= top < R and n_fft == full // f and f in (1, 2)
-        packs = R**3 <= 1 << 52 and kernels.rounding_bound(
+        packs = R**3 <= 1 << 51 and kernels.rounding_bound(
             k, _floats_reached(tower, 2), (p - 1) * (1 + R) + 1, full // 2) < 0.5
         assert packs or f == 1
         if primes == (5, 7, 11):
@@ -275,7 +278,10 @@ def test_packed_product_matches_the_oracles_on_paper_full(monkeypatch):
     """On paper-full's F_27(5,7,11), products that pack two slots per float
     equal the oracles bit for bit: 19 members of 1 x 1 by 1 x 1, the first
     all p - 1, against _mul_oracle, and encode's 19 x 5 by 5 x 2 with every
-    coefficient p - 1, against the per-element triple loop."""
+    coefficient p - 1, against the per-element triple loop.  So do 2 x 7 by
+    7 x 1, the largest inner dimension that packs, and 2 x 8 by 8 x 1, which
+    does not, with every coefficient p - 1, so that every slot sum reaches
+    its worst case."""
     tower = _tower(3, 3, (5, 7, 11))
     chosen, segmentation = [], kernels.segmentation
     monkeypatch.setattr(kernels, "segmentation",
@@ -284,25 +290,32 @@ def test_packed_product_matches_the_oracles_on_paper_full(monkeypatch):
     xs[0] = ys[0] = 2
     got = kernels.matmul(tower, xs, ys)
     assert np.array_equal(got[:, 0, 0], [_mul_oracle(tower, x, y) for x, y in zip(xs[:, 0, 0], ys[:, 0, 0])])
-    x, y = _top(tower, 19, 5), _top(tower, 5, 2)
-    want = _mat_mul_loop(x, y, lambda u, v: _mul_oracle(tower, u, v))
-    assert np.array_equal(kernels.matmul(tower, x.data, y.data), want)
-    assert [f for f, _, _ in chosen] == [2, 2]
-
-
-def test_paper_full_packs_up_to_inner_dimension_7():
-    """On paper-full's tower the packed bound is 0.42 at inner dimension 7
-    (R = 2^15) and 1.93 at 8 (R = 2^16): 7 packs and 8 does not.  Both
-    products, with every coefficient p - 1, so that every slot sum reaches
-    its worst case, equal the per-element triple loop."""
-    tower = _tower(3, 3, (5, 7, 11))
-    for k, f, R, bound in ((7, 2, 2**15, 0.42), (8, 1, 2**16, 1.93)):
-        assert kernels.segmentation(tower, k)[:2] == (f, R)
-        packed = kernels.rounding_bound(k, 770, 2 * (1 + R) + 1, 8192)
-        assert abs(packed - bound) < 0.005, packed
-        x, y = _top(tower, 2, k), _top(tower, k, 1)
+    for r, k, c in ((19, 5, 2), (2, 7, 1), (2, 8, 1)):
+        x, y = _top(tower, r, k), _top(tower, k, c)
         want = _mat_mul_loop(x, y, lambda u, v: _mul_oracle(tower, u, v))
         assert np.array_equal(kernels.matmul(tower, x.data, y.data), want), k
+    assert [f for f, _, _ in chosen] == [2, 2, 2, 1]
+
+
+def test_unpack_rounds_errors_below_one_half_either_way():
+    """_unpack reads the slot pairs (e_j + f_(j-1), o_j) off packed
+    coefficients c_j = e_j + R o_j + R^2 f_j that are up to 1/2 off, below
+    as well as above: a zero coefficient computed as -0.3 or -0.49 gives
+    zero slots, and at R = 2^17, the largest radix that packs, so does every
+    part up to R - 1."""
+    rng = np.random.default_rng(31)
+    for R in (2**13, 2**17):
+        e, o, f = rng.integers(0, R, (3, 2, 40))
+        e[:, :4] = o[:, :4] = f[:, :4] = 0
+        e[:, 4:8] = o[:, 4:8] = f[:, 4:8] = R - 1
+        exact = (e + R * o + R * R * f).astype(np.float64)
+        c = exact + rng.uniform(-0.3, 0.3, exact.shape)
+        c[:, :4] = [-0.3, -0.49, 0.49, 0.0]
+        assert np.all(np.abs(c - exact) < 0.5)
+        sums = np.full(c.shape + (2,), np.nan)
+        kernels._unpack(c, sums, R)
+        assert np.array_equal(sums[..., 1], o)
+        assert np.array_equal(sums[..., 0], e + np.pad(f[:, :-1], ((0, 0), (1, 0))))
 
 
 def test_product_past_the_bound_raises_before_allocating():
@@ -471,10 +484,11 @@ from ftp_sdmm.errors import RoundingBoundExceeded
 from ftp_sdmm.fields import BaseField, make_tower
 f = BaseField(2**31 - 1, 1)
 one = np.ones((1, 1, 1), dtype=np.int64)
-tower = make_tower(f, (2,))
+tower, small = make_tower(f, (2,)), make_tower(BaseField(251, 1), (2, 3))
 column = np.ones((1, 1) + tower.shape, dtype=np.int64)
 for past in (lambda: kernels.reduce(f, one[0]), lambda: kernels.matmul(f, one, one),
-             lambda: kernels.matmul(tower, column, tower.one()[None, None])):
+             lambda: kernels.matmul(tower, column, tower.one()[None, None]),
+             lambda: kernels.segmentation(small, 10**6)):
     try:
         past()
     except RoundingBoundExceeded:
@@ -485,7 +499,9 @@ for past in (lambda: kernels.reduce(f, one[0]), lambda: kernels.matmul(f, one, o
 def test_float_reduction_past_its_bound_raises():
     """Residues below p = 2^31 - 1 square past 2^53, so reduce, the direct
     F_q0 product and, on F_p(a_1), a product by the tower's one refuse them
-    with an explicit raise, which python -O keeps; the towers in use pass."""
+    with an explicit raise, which python -O keeps, as it keeps segmentation's
+    where one slot per float fails too (F_251(2,3) at inner dimension
+    10^6); the towers in use pass."""
     f = BaseField(2**31 - 1, 1)
     one = np.ones((1, 1, 1), dtype=np.int64)
     with pytest.raises(RoundingBoundExceeded):
@@ -498,31 +514,7 @@ def test_float_reduction_past_its_bound_raises():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-O", "-c", _PAST_BOUND], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0 and out.stdout.split() == ["raised"] * 3, out.stderr
-
-
-_SEGMENTATION_PAST_BOUND = """
-from ftp_sdmm import kernels
-from ftp_sdmm.errors import RoundingBoundExceeded
-from ftp_sdmm.fields import BaseField, make_tower
-for p, primes, k in ((2**31 - 1, (2,), 1), (251, (2, 3), 10**6)):
-    try:
-        kernels.segmentation(make_tower(BaseField(p, 1), primes), k)
-    except RoundingBoundExceeded:
-        print("raised")
-"""
-
-
-def test_segmentation_past_both_factors_raises_under_O():
-    """segmentation raises where one slot per float fails too: on F_p(a_1)
-    at p = 2^31 - 1 the slot sums pass 2^52, and on F_251(2,3) at inner
-    dimension 10^6 the rounding bound passes 1/2; python -O keeps both
-    raises."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-O", "-c", _SEGMENTATION_PAST_BOUND], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0 and out.stdout.split() == ["raised"] * 2, out.stderr
+    assert out.returncode == 0 and out.stdout.split() == ["raised"] * 4, out.stderr
 
 
 # The fields of FIELDS whose products go by their structure constants.
