@@ -8,7 +8,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesesFail, InvalidParams
+from .errors import HypothesesFail, InvalidParams, PrimesNotAscendingDistinct
 from .fields import is_prime
 
 CSV_HEADER = ["a", "b", "c", "L", "T", "primes", "N_L",
@@ -17,15 +17,21 @@ CSV_HEADER = ["a", "b", "c", "L", "T", "primes", "N_L",
 
 def check_layout(L, T, primes):
     """primes as a tuple of ints, or InvalidParams unless L and T are
-    positive and primes holds L distinct ascending primes, one per axis."""
+    positive and primes holds L primes, one per axis; of them
+    PrimesNotAscendingDistinct unless they are distinct and ascending."""
     primes = tuple(int(p) for p in primes)
     if L < 1 or T < 1:
         raise InvalidParams("L, T must be positive")
     if len(primes) != L:
         raise InvalidParams(f"need {L} primes")
     if any(not is_prime(p) for p in primes) or any(x >= y for x, y in zip(primes, primes[1:])):
-        raise InvalidParams(f"primes must be distinct ascending: {primes}")
+        raise PrimesNotAscendingDistinct(f"primes must be distinct ascending: {primes}")
     return primes
+
+
+def server_counts(L, T, primes):
+    """N_i = p_i + 2L + 2T - 2: servers 1..N_i answer group i."""
+    return [p + 2 * L + 2 * T - 2 for p in primes]
 
 
 @dataclass
@@ -47,7 +53,7 @@ class RateParams:
 
     @property
     def N(self):
-        return [p + 2 * self.L + 2 * self.T - 2 for p in self.primes]
+        return server_counts(self.L, self.T, self.primes)
 
     @property
     def aspect(self):
@@ -104,7 +110,7 @@ def lemma4_check(T, n_prime, l_prime, L, lam, eta, primes):
     lam = Fraction(lam)
     eta = Fraction(eta)
     primes = tuple(primes)
-    N = [p + 2 * L + 2 * T - 2 for p in primes]
+    N = server_counts(L, T, primes)
     hyp = {}
     hyp["primes_large"] = eta > 0 and all(p >= 2 * L * (L + T - 1) * eta for p in primes)
     hyp["pL_exceeds"] = primes[-1] > Fraction(L * n_prime, l_prime) - 2 * L - 2 * T + 2
@@ -133,7 +139,7 @@ def crossover_K(L, T, n_prime, eta, primes):
     """K = (N' - L - 1/eta) / (N_L/L - N'/L), with L' = L.  For every
     aspect ratio below K the helper-lemma inequality holds."""
     eta, primes = Fraction(eta), check_layout(L, T, primes)
-    N_L = primes[-1] + 2 * L + 2 * T - 2
+    N_L = server_counts(L, T, primes)[-1]
     hyp = {
         "eta_positive": eta > 0,
         "primes_large": eta > 0 and all(p >= 2 * L * (L + T - 1) * eta for p in primes),
@@ -153,7 +159,7 @@ def rate_crossover(L, T, primes, n_prime, l_prime=None):
     if l_prime is None:
         l_prime = L
     primes = check_layout(L, T, primes)
-    N = [p + 2 * L + 2 * T - 2 for p in primes]
+    N = server_counts(L, T, primes)
     slope = Fraction(N[-1], L) - Fraction(n_prime, l_prime)
     gap = n_prime - sum(Fraction(n, p) for n, p in zip(N, primes))
     if slope <= 0:

@@ -15,10 +15,6 @@ class NoIrreducible(FtpError):
     pass
 
 
-class PrimesNotAscendingDistinct(FtpError):
-    pass
-
-
 class ZeroInverse(FtpError):
     pass
 
@@ -93,6 +89,10 @@ class TooFewPoints(FtpError):
 
 class InvalidParams(FtpError):
     pass
+
+
+class PrimesNotAscendingDistinct(InvalidParams):
+    """Tower degrees that are not primes, or not strictly ascending."""
 
 
 class HypothesesFail(FtpError):

@@ -335,12 +335,12 @@ class TowerField(_Field):
             traces = np.einsum("kja,jab->kb", X, by_trace) % base.p
             # Row (t, u), column (s, v): entry [u, v] of multiplication by tr(x^(s+t)).
             hankel = base.mul_matrix(traces[s[:, None] + s]).transpose(0, 2, 1, 3)
-            axes.append((m, R, by_trace, base.mul_matrix(Q), hankel.reshape(n * base.d, -1)))
+            axes.append((m, R, base.mul_matrix(Q), hankel.reshape(n * base.d, -1)))
         self._set_axes(base, primes, axes)
 
     def _set_axes(self, base, primes, axes):
-        """Lay out the tower from one (modulus, reduction, trace, Frobenius,
-        Hankel trace) table tuple per axis."""
+        """Lay out the tower from one (modulus, reduction, Frobenius, Hankel
+        trace) table tuple per axis."""
         self.base = base
         self.primes = primes
         self.L = len(primes)
@@ -350,8 +350,7 @@ class TowerField(_Field):
         self._ext_flat = int(np.prod(self._ext_shape))
         # _past_origin[k, i]: the flat multi-index i is past 0 on axis k.
         self._past_origin = np.indices(primes).reshape(self.L, -1) > 0
-        (self.moduli, self._redmats, self._trace_mats, self._frob_mats,
-         self._hankel_mats) = map(list, zip(*axes))
+        self.moduli, self._redmats, self._frob_mats, self._hankel_mats = map(list, zip(*axes))
         self._subtowers = {}
         self._structure = None
 
@@ -368,8 +367,8 @@ class TowerField(_Field):
         if sub is None:
             sub = TowerField.__new__(TowerField)
             sub._set_axes(self.base, tuple(self.primes[k] for k in axes),
-                          [(self.moduli[k], self._redmats[k], self._trace_mats[k],
-                            self._frob_mats[k], self._hankel_mats[k]) for k in axes])
+                          [(self.moduli[k], self._redmats[k], self._frob_mats[k],
+                            self._hankel_mats[k]) for k in axes])
             sub = self._subtowers.setdefault(axes, sub)
         return sub
 
@@ -548,7 +547,7 @@ class TowerField(_Field):
         self._check_axis(i)
         d = self.base.d
         by = np.zeros((self.primes[i - 1] * d,) * 2)
-        by[:, :d] = self._trace_mats[i - 1].reshape(-1, d)
+        by[:, :d] = self._hankel_mats[i - 1][:, :d]  # tr(a_i^s), s < p_i
         return on_axes(self, np.asarray(x) % self.base.p, (i - 1,), by)
 
     def trace_scalars(self, w, i):

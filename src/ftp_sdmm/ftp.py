@@ -17,12 +17,11 @@ from .errors import (
     InvalidParams,
     MissingBundle,
     NotDivisible,
-    PrimesNotAscendingDistinct,
     ShapeMismatch,
     TooFewEvalPoints,
     TooLargeForExhaustive,
 )
-from .fields import is_prime, make_tower, power_basis_dual
+from .fields import make_tower, power_basis_dual
 # Exported from here too: perfbench/tracing.py times ftp.trace_dual_basis.
 from .fields import trace_dual_basis  # noqa: F401
 from .linalg import rank
@@ -98,18 +97,10 @@ class AuditReport:
 
 
 def build_scheme(L, T, primes, base, a, b, c):
-    primes = tuple(int(p) for p in primes)
-    if L < 1 or T < 1 or min(a, b, c) < 1:
-        raise InvalidParams("dimensions and L, T must be positive")
-    if len(primes) != L:
-        raise PrimesNotAscendingDistinct(f"need {L} primes, got {len(primes)}")
-    if any(not is_prime(p) for p in primes) or any(
-        x >= y for x, y in zip(primes, primes[1:])
-    ):
-        raise PrimesNotAscendingDistinct(f"primes must be distinct ascending: {primes}")
+    layout = RateParams(a, b, c, L, T, primes)
+    primes, N = layout.primes, layout.N
     if b % L != 0:
         raise NotDivisible(f"L={L} does not divide b={b}")
-    N = [p + 2 * L + 2 * T - 2 for p in primes]
     n = N[-1] + L
     if base.order < N[-1]:
         raise TooFewEvalPoints(f"q0={base.order} < N_L={N[-1]}")

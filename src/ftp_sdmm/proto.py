@@ -15,7 +15,8 @@ and SHARE go out back to back in one sendall; the servers at one endpoint
 take its connection in rounds, so distinct endpoints compute at once.  A
 kept connection that fails before the first byte of its reply (the daemon
 closed it while idle) is replaced once by a fresh one.  The daemon serves
-each connection from one thread for as many jobs as it carries."""
+each connection from one thread for as many jobs as it carries, and keeps
+at most one pending job per connection, on that connection alone."""
 
 import os
 import socket
@@ -137,16 +138,6 @@ def _header(buf):
     return buf[5], struct.unpack_from(">I", buf, 6)[0]
 
 
-def unpack_message(buf):
-    """Parse one frame from the head of buf; returns (type, body, rest)."""
-    if len(buf) < 10:
-        raise MalformedFrame("frame shorter than header")
-    msg_type, length = _header(buf)
-    if len(buf) < 10 + length:
-        raise MalformedFrame("truncated body")
-    return msg_type, bytes(buf[10 : 10 + length]), buf[10 + length :]
-
-
 def _recv_exact(sock, n):
     buf = bytearray()
     while len(buf) < n:
@@ -197,7 +188,6 @@ MAX_AXIS_DIGITS = 48
 MAX_ELEMENT_DIGITS = 4096
 MAX_PRODUCT_DIGITS = 1 << 24
 MAX_FRAME_BYTES = 2 * MAX_PRODUCT_DIGITS + 4096
-MAX_OPEN_JOBS = 16  # PARAMS frames on one connection that await their SHARE
 MAX_CONNECTIONS = 16  # connections served at once, each by its own thread
 _REFUSE_DRAIN_SECONDS = 0.2  # the most a refused connection holds up accept
 TOWER_CACHE_SIZE = 8
@@ -428,10 +418,10 @@ class _Link:
     """A job's connection to one endpoint: the kept socket if there is one,
     else a fresh one opened at the first send.  The daemon may have closed
     a kept socket while it was idle, so a send error, a reset or EOF before
-    the first byte of its first reply replaces it once by a fresh one; the
-    daemon allows that, as it drops a job on its SHARE and registers it
-    again on a repeated PARAMS.  After a timeout the endpoint takes no more
-    of the job's servers: a hung daemon costs one timeout, not one each."""
+    the first byte of its first reply replaces it once by a fresh one, which
+    takes the server's PARAMS and SHARE again.  After a timeout the endpoint
+    takes no more of the job's servers: a hung daemon costs one timeout, not
+    one each."""
 
     def __init__(self, endpoint, timeout):
         self.endpoint, self.timeout = endpoint, timeout
@@ -520,7 +510,11 @@ def run_remote(endpoints, scheme, A, B, seed=0):
     sends the next pending server's frames on every endpoint's connection,
     then reads each connection's replies in endpoint order, so distinct
     endpoints compute at once, and no connection ever has more than one
-    request outstanding."""
+    request outstanding.  InvalidParams, before anything is sent, for an
+    endpoint port outside 1..65535."""
+    for host, port in endpoints:
+        if not 0 < port < 1 << 16:
+            raise InvalidParams(f"endpoint {host}:{port}: the port is outside 1..65535")
     timeout = _timeout_seconds()
     shares = encode(scheme, A, B, seed=seed)
     if len(endpoints) < len(shares):
@@ -587,12 +581,14 @@ def _refuse(conn, code, message):
 
 
 class Server:
-    """One computing node.  It keeps each job's params, keyed by job id and
-    server index under a lock, from its PARAMS frame until its SHARE, or
-    until the connection that sent the PARAMS closes, and computes a SHARE
-    only if its matrices are a x b/L and b/L x c.  One thread serves each
-    connection, for as many jobs as its client sends; a connection past
-    MAX_CONNECTIONS open ones gets an error frame and EOF (``_refuse``)."""
+    """One computing node.  Each connection keeps its own pending job: the
+    params of its last PARAMS frame, until its SHARE is answered or refused.
+    A new PARAMS ends the pending job, as does any frame refused with error
+    code 1; a SHARE for another job gets error 3 and leaves it pending.  A
+    SHARE is computed only if its matrices are a x b/L and b/L x c.  One
+    thread serves each connection, for as many jobs as its client sends; a
+    connection past MAX_CONNECTIONS open ones gets an error frame and EOF
+    (``_refuse``).  Connections share nothing but the tower cache."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -600,8 +596,6 @@ class Server:
         self._sock.bind((host, port))
         self._sock.listen(16)
         self.host, self.port = self._sock.getsockname()
-        self._jobs = {}
-        self._jobs_lock = threading.Lock()
         self._conns = set()
         self._conns_lock = threading.Lock()
         self._stop = threading.Event()
@@ -641,69 +635,57 @@ class Server:
                     _refuse(conn, 5, f"{MAX_CONNECTIONS} connections are open; try again later")
 
     def _handle(self, conn):
-        registered = {}  # key -> the job this connection's PARAMS left in _jobs
         try:
             with conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._serve(conn, registered)
+                _serve(conn)
         finally:
             with self._conns_lock:
                 self._conns.discard(conn)
-            # Jobs whose SHARE never came leave with their connection.
-            with self._jobs_lock:
-                for key, job in registered.items():
-                    if self._jobs.get(key) is job:
-                        del self._jobs[key]
 
-    def _serve(self, conn, registered):
-        try:  # read per connection, so that a new value reaches the next one
-            conn.settimeout(_timeout_seconds())
-        except InvalidParams as exc:
-            return _refuse(conn, 1, f"{type(exc).__name__}: {exc}")
-        while True:
-            try:
-                mtype, body = read_message(conn)
-            except (MalformedFrame, ProtocolTimeout):
-                return
-            except VersionMismatch as exc:
-                conn.sendall(pack_message(MSG_ERROR, error_body(2, str(exc))))
-                return
-            try:
-                reply = self._dispatch(mtype, body, registered)
-            except Exception as exc:
-                reply = pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}"))
-            conn.sendall(reply)
 
-    def _dispatch(self, mtype, body, registered):
-        if mtype == MSG_HELLO:
-            return pack_message(MSG_HELLO, b"")
-        if mtype == MSG_PARAMS:
-            if len(registered) >= MAX_OPEN_JOBS:
-                raise ProtocolError(f"{MAX_OPEN_JOBS} jobs on this connection await their SHARE")
-            job = parse_params(body)
-            key = (job.job_id, job.server_index)
-            with self._jobs_lock:
-                self._jobs[key] = registered[key] = job
-            return pack_message(MSG_PARAMS, job.job_id)
-        if mtype == MSG_SHARE:
-            if len(body) < 10:
-                raise MalformedFrame("share header truncated")
-            job_id = bytes(body[:8])
-            key = (job_id, struct.unpack_from(">H", body, 8)[0])
-            # A job is answered once, so it leaves the table on its SHARE.
-            with self._jobs_lock:
-                job = self._jobs.pop(key, None)
-                registered.pop(key, None)
-            if job is None:
-                return pack_message(MSG_ERROR, error_body(3, "unknown job id"))
-            _, share = parse_share(job.tower, body)
-            f, g, w = share.f_eval, share.g_eval, job.b // job.L
-            if (f.rows, f.cols, g.rows, g.cols) != (job.a, w, w, job.c):
-                raise MalformedFrame(f"a share of {f.rows} x {f.cols} and {g.rows} x {g.cols} for "
-                                     f"a job of {job.a} x {w} and {w} x {job.c}")
-            bundle = server_step(job.tower, job.taus, [share])[0]
-            return pack_message(MSG_RESPONSES, responses_body(job_id, job.tower, bundle))
-        return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}"))
+def _serve(conn):
+    try:  # read per connection, so that a new value reaches the next one
+        conn.settimeout(_timeout_seconds())
+    except InvalidParams as exc:
+        return _refuse(conn, 1, f"{type(exc).__name__}: {exc}")
+    job = None  # the ServerJob of this connection's last PARAMS, until its SHARE
+    while True:
+        try:
+            mtype, body = read_message(conn)
+        except (MalformedFrame, ProtocolTimeout):
+            return
+        except VersionMismatch as exc:
+            conn.sendall(pack_message(MSG_ERROR, error_body(2, str(exc))))
+            return
+        try:
+            reply, job = _dispatch(mtype, body, job)
+        except Exception as exc:
+            reply = pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}"))
+            job = None
+        conn.sendall(reply)
+
+
+def _dispatch(mtype, body, job):
+    """The reply to one frame, and the connection's pending job after it."""
+    if mtype == MSG_HELLO:
+        return pack_message(MSG_HELLO, b""), job
+    if mtype == MSG_PARAMS:
+        job = parse_params(body)
+        return pack_message(MSG_PARAMS, job.job_id), job
+    if mtype == MSG_SHARE:
+        if len(body) < 10:
+            raise MalformedFrame("share header truncated")
+        if job is None or body[:10] != job.job_id + struct.pack(">H", job.server_index):
+            return pack_message(MSG_ERROR, error_body(3, "unknown job id")), job
+        _, share = parse_share(job.tower, body)
+        f, g, w = share.f_eval, share.g_eval, job.b // job.L
+        if (f.rows, f.cols, g.rows, g.cols) != (job.a, w, w, job.c):
+            raise MalformedFrame(f"a share of {f.rows} x {f.cols} and {g.rows} x {g.cols} for "
+                                 f"a job of {job.a} x {w} and {w} x {job.c}")
+        bundle = server_step(job.tower, job.taus, [share])[0]
+        return pack_message(MSG_RESPONSES, responses_body(job.job_id, job.tower, bundle)), None
+    return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}")), job
 
 
 def serve(port, host="127.0.0.1"):

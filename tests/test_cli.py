@@ -56,6 +56,17 @@ def test_run_transport_failure_exit_3(capsys, monkeypatch):
     assert "ERROR ConnectionFailed" in err
 
 
+@pytest.mark.parametrize("port", ["70000", "-5"])
+def test_run_endpoint_port_out_of_range_exit_2(capsys, port):
+    """An endpoint port outside 1..65535 is refused with exit 2, where 70000
+    would reach port 4464 (70000 mod 2^16) and -5 would fail as a
+    transport error."""
+    eps = ",".join([f"127.0.0.1:{port}"] * 4)
+    code, out, err = run_cli(capsys, ["run", "--endpoints", eps])
+    assert code == 2 and not out
+    assert err.startswith("ERROR InvalidParams:") and "1..65535" in err
+
+
 def test_run_remote_matches_inprocess(capsys):
     server = proto.Server()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -123,10 +134,12 @@ def test_crossover_output(capsys):
 ])
 def test_crossover_invalid_params_exit_2(capsys, argv, why):
     """L or T below 1, or primes not one per axis ascending, are refused with
-    InvalidParams and exit 2 before anything is printed."""
+    InvalidParams, or its subclass PrimesNotAscendingDistinct for primes out
+    of order, and exit 2 before anything is printed."""
     code, out, err = run_cli(capsys, ["crossover"] + argv)
     assert code == 2 and not out
-    assert err.startswith("ERROR InvalidParams:") and why in err
+    name = "PrimesNotAscendingDistinct" if why == "distinct ascending" else "InvalidParams"
+    assert err.startswith(f"ERROR {name}:") and why in err
 
 
 @pytest.mark.parametrize("port", ["70000", "-1"])

@@ -182,9 +182,11 @@ _BASE_DIGESTS = {
 @pytest.mark.parametrize("p, d, primes", list(_TABLE_DIGESTS))
 def test_tower_tables_match_pinned_digests(p, d, primes):
     t = make_tower(make_base_field(p, d), primes)
+    # Block column 0 of each Hankel table: the matrices of tr(a_k^s), s < p_k.
+    trace_mats = [h[:, :d].reshape(n, d, d) for n, h in zip(primes, t._hankel_mats)]
     got = {"modulus": _digest([t.base.modulus]), "redmat": _digest([t.base._redmat]),
            "moduli": _digest(t.moduli), "redmats": _digest(t._redmats),
-           "trace_mats": _digest(t._trace_mats), "frob_mats": _digest(t._frob_mats)}
+           "trace_mats": _digest(trace_mats), "frob_mats": _digest(t._frob_mats)}
     assert got == _TABLE_DIGESTS[(p, d, primes)]
 
 

@@ -113,23 +113,36 @@ def test_cold_tower_built_once(monkeypatch):
     assert all(g is got[0] for g in got)
 
 
+def _read_sent(data):
+    """read_message on one end of a socket pair whose other end sent data
+    and EOF, and the bytes it left unread."""
+    import socket
+
+    near, far = socket.socketpair()
+    with near, far:
+        far.settimeout(5)
+        near.sendall(data)
+        near.shutdown(socket.SHUT_WR)
+        return proto.read_message(far), far.recv(64)
+
+
 def test_framing_roundtrip():
     frame = proto.pack_message(proto.MSG_HELLO, b"payload")
-    mtype, body, rest = proto.unpack_message(frame + b"extra")
+    (mtype, body), rest = _read_sent(frame + b"extra")
     assert (mtype, body, rest) == (proto.MSG_HELLO, b"payload", b"extra")
 
 
 def test_framing_errors():
     good = proto.pack_message(proto.MSG_HELLO, b"abc")
     with pytest.raises(MalformedFrame):
-        proto.unpack_message(good[:5])            # shorter than header
+        _read_sent(good[:5])            # shorter than header
     with pytest.raises(MalformedFrame):
-        proto.unpack_message(good[:-1])           # truncated body
+        _read_sent(good[:-1])           # truncated body
     with pytest.raises(MalformedFrame):
-        proto.unpack_message(b"XXXX" + good[4:])  # bad magic
+        _read_sent(b"XXXX" + good[4:])  # bad magic
     bumped = good[:4] + bytes([99]) + good[5:]
     with pytest.raises(VersionMismatch):
-        proto.unpack_message(bumped)
+        _read_sent(bumped)
 
 
 def test_params_share_responses_roundtrip(scheme):
@@ -359,6 +372,22 @@ def test_remote_too_few_endpoints(scheme):
         proto.run_remote([("127.0.0.1", 1)], scheme, A, B)
 
 
+@pytest.mark.parametrize("port", [0, -5, 70000])
+def test_remote_refuses_a_port_out_of_range_before_connecting(scheme, connections, port):
+    """A port outside 1..65535 among the endpoints is refused with
+    InvalidParams before any share is encoded or any connection opened,
+    not wrapped onto another port (70000 mod 2^16 = 4464)."""
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded for an endpoint that cannot be reached")
+
+    endpoints = [("127.0.0.1", 1)] * (scheme.N[-1] - 1) + [("127.0.0.1", port)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proto, "encode", no_encode)
+        with pytest.raises(InvalidParams, match=f"127.0.0.1:{port}: .* 1..65535"):
+            proto.run_remote(endpoints, scheme, *_job(scheme))
+    assert connections == []
+
+
 def test_server_unknown_message_type(live_server):
     import socket
 
@@ -414,6 +443,15 @@ def _share(scheme, seed=1):
 def _exchange(sock, mtype, body):
     sock.sendall(proto.pack_message(mtype, body))
     return proto.read_message(sock)
+
+
+def _assert_unknown(sock, scheme, job_id, share=None):
+    """A SHARE for job_id (server 1's share unless one is given) gets error
+    3 on sock: no such job is pending there."""
+    body = proto.share_body(job_id, scheme, share or _share(scheme))
+    mtype, reply = _exchange(sock, proto.MSG_SHARE, body)
+    assert mtype == proto.MSG_ERROR
+    assert reply[0] == 3 and b"unknown job id" in reply
 
 
 def test_parsers_reject_digit_p_and_short_bodies(scheme):
@@ -578,6 +616,63 @@ def test_daemon_refuses_a_w_off_its_axis_then_serves(scheme, live_server):
     assert product.eq(mat_mul(A, B))
 
 
+@pytest.fixture()
+def kept_socket(live_server):
+    """A connection to the live daemon, and its endpoint; closed after the
+    test, and taken out of run_remote's kept sockets if it was left there."""
+    import socket
+
+    endpoint = ("127.0.0.1", live_server.port)
+    sock = socket.create_connection(endpoint, timeout=5)
+    yield sock, endpoint
+    if proto._kept.get(endpoint) is sock:
+        del proto._kept[endpoint]
+    sock.close()
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def _fuzz_one_frame(data, sock, scheme, params, share):
+    """One drawn frame on sock, and a check of its reply: a SHARE mutated as
+    _mutated does, after its job's PARAMS; a PARAMS whose field and
+    dimensions stay and whose groups (count, ids and w digits) are mutated,
+    so that no new field is built; or a frame of a type the daemon does not
+    know.  Each gets an error frame or the valid reply to its frame."""
+    job_id = params[:8]
+    kind = data.draw(st.sampled_from(["SHARE", "PARAMS", "unknown"]))
+    if kind == "SHARE":
+        assert _exchange(sock, proto.MSG_PARAMS, params) == (proto.MSG_PARAMS, job_id)
+        mtype, reply = _exchange(sock, proto.MSG_SHARE, _mutated(data, share))
+        assert (mtype == proto.MSG_ERROR and reply[0] in (1, 3)
+                or mtype == proto.MSG_RESPONSES
+                and proto.parse_responses(scheme.tower, reply)[0] == job_id)
+    elif kind == "PARAMS":
+        tail = _mutated(data, params[_GROUPS_AT - 1 :])
+        mtype, reply = _exchange(sock, proto.MSG_PARAMS, params[: _GROUPS_AT - 1] + tail)
+        assert (mtype == proto.MSG_ERROR and reply[0] == 1
+                or (mtype, reply) == (proto.MSG_PARAMS, job_id))
+    else:
+        mtype = data.draw(st.sampled_from([0, *range(4, 256)]))
+        mtype, reply = _exchange(sock, mtype, data.draw(st.binary(max_size=40)))
+        assert (mtype, reply[0]) == (proto.MSG_ERROR, 4)
+
+
+def test_fuzzed_frames_on_a_kept_connection_get_errors_then_a_job_runs(
+        scheme, kept_socket, connections):
+    """Drawn frames (``_fuzz_one_frame``) on one connection to a live
+    daemon; run_remote then takes that connection as its kept one, opens
+    no other, and its job decodes."""
+    sock, endpoint = kept_socket
+    params = proto.params_body(b"fuzzjob1", scheme, 1)
+    share = proto.share_body(b"fuzzjob1", scheme, _share(scheme))
+    _fuzz_one_frame(sock=sock, scheme=scheme, params=params, share=share)
+    proto._kept[endpoint] = sock
+    A, B = _job(scheme)
+    product, _ = proto.run_remote([endpoint] * scheme.N[-1], scheme, A, B, seed=7)
+    assert product.eq(mat_mul(A, B))
+    assert proto._kept[endpoint] is sock and connections == []
+
+
 def test_server_refuses_a_share_that_does_not_fit_its_params(scheme, live_server):
     """PARAMS for a 2 x 2 times 2 x 2 job with L = 2, then a SHARE of 40 x 30
     and 30 x 40 matrices: the daemon answers MSG_ERROR, not a product, and
@@ -602,23 +697,18 @@ def test_server_refuses_a_share_that_does_not_fit_its_params(scheme, live_server
 
 
 def test_server_drops_each_job_once_answered(scheme, live_server):
+    """A job's SHARE ends it, whether answered or refused as malformed: the
+    same SHARE again gets error 3."""
     import socket
 
-    A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
-    B = random_mat(scheme.b, scheme.c, scheme.tower, seed=9)
-    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
-    proto.run_remote(endpoints, scheme, A, B, seed=5)
-    assert live_server._jobs == {}
     job = b"onceonly"
     body = proto.share_body(job, scheme, _share(scheme))
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
-        _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
-        mtype, _ = _exchange(sock, proto.MSG_SHARE, body)
-        assert mtype == proto.MSG_RESPONSES
-        mtype, reply = _exchange(sock, proto.MSG_SHARE, body)
-    assert mtype == proto.MSG_ERROR
-    assert reply[0] == 3 and b"unknown job id" in reply
-    assert live_server._jobs == {}
+        for first, want in ((body, proto.MSG_RESPONSES), (body[:-1], proto.MSG_ERROR)):
+            mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
+            assert mtype == proto.MSG_PARAMS
+            assert _exchange(sock, proto.MSG_SHARE, first)[0] == want
+            _assert_unknown(sock, scheme, job)
 
 
 def _params_for(p, d, modulus, primes, groups=1, abc=(1, 1, 1)):
@@ -683,8 +773,8 @@ def test_daemon_refuses_a_huge_product_then_serves(scheme, live_server):
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
         body = _params_for(11, 1, (0, 1), (2,), abc=(1 << 16, 1, 1 << 16))
         mtype, reply = _exchange(sock, proto.MSG_PARAMS, body)
-    assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in reply
-    assert live_server._jobs == {}
+        assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in reply
+        _assert_unknown(sock, scheme, b"bigfield")
     A, B = _job(scheme)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
@@ -716,8 +806,8 @@ def test_daemon_refuses_a_huge_share_then_serves(scheme, live_server):
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
         body = _params_for(11, 1, (0, 1), (2,), abc=(1, 1 << 24, 1))
         mtype, reply = _exchange(sock, proto.MSG_PARAMS, body)
-    assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in reply
-    assert live_server._jobs == {}
+        assert mtype == proto.MSG_ERROR and b"FieldTooLarge" in reply
+        _assert_unknown(sock, scheme, b"bigfield")
     A, B = _job(scheme)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
@@ -762,30 +852,27 @@ def test_daemon_drops_a_frame_past_the_limit_then_serves(scheme, live_server):
     assert product.eq(mat_mul(A, B))
 
 
-def test_a_connection_holds_at_most_max_open_jobs(scheme, live_server, monkeypatch):
-    """With the cap at 2, a third PARAMS with no SHARE is refused and
-    registers nothing; a SHARE frees its slot for the next PARAMS, and the
-    daemon serves a valid job on another connection."""
+def test_a_second_params_replaces_the_first(scheme, live_server):
+    """A connection holds one pending job: after PARAMS for two jobs, the
+    first job's SHARE gets error 3, as does the second job's SHARE for
+    another server, and neither ends the second job, whose SHARE is then
+    answered.  A refused PARAMS leaves no job pending."""
     import socket
 
-    monkeypatch.setattr(proto, "MAX_OPEN_JOBS", 2)
-    share = _share(scheme)
+    first, second = encode(scheme, *_job(scheme))[:2]
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
-        for job in (b"openjob1", b"openjob2"):
+        for job in (b"replaced", b"replacer"):
             mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
             assert mtype == proto.MSG_PARAMS
-        mtype, reply = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"openjob3", scheme, 1))
-        assert mtype == proto.MSG_ERROR and b"await their SHARE" in reply
-        assert sorted(live_server._jobs) == [(b"openjob1", 1), (b"openjob2", 1)]
-        mtype, _ = _exchange(sock, proto.MSG_SHARE, proto.share_body(b"openjob1", scheme, share))
+        _assert_unknown(sock, scheme, b"replaced", first)
+        _assert_unknown(sock, scheme, b"replacer", second)
+        mtype, _ = _exchange(sock, proto.MSG_SHARE, proto.share_body(b"replacer", scheme, first))
         assert mtype == proto.MSG_RESPONSES
-        mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"openjob3", scheme, 1))
+        mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"bigfield", scheme, 1))
         assert mtype == proto.MSG_PARAMS
-        assert sorted(live_server._jobs) == [(b"openjob2", 1), (b"openjob3", 1)]
-        A, B = _job(scheme)
-        endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
-        product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
-        assert product.eq(mat_mul(A, B))
+        huge = _params_for(11, 1, (0, 1), (2,), abc=(1 << 16, 1, 1 << 16))  # also job b"bigfield"
+        assert _exchange(sock, proto.MSG_PARAMS, huge)[0] == proto.MSG_ERROR
+        _assert_unknown(sock, scheme, b"bigfield", first)
 
 
 def test_the_daemon_serves_at_most_max_connections_at_once(scheme, live_server, monkeypatch):
@@ -972,13 +1059,23 @@ def test_two_servers_as_two_endpoints_match_inprocess(scheme, live_server):
 
 
 def test_an_unanswered_job_leaves_with_its_connection(scheme, live_server):
+    """A job lives on the connection that sent its PARAMS: its SHARE on
+    another open connection gets error 3, and on its own connection is then
+    answered.  A job left pending there is unknown after that connection
+    closes."""
     import socket
 
-    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
-        mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"noshare!", scheme, 1))
-        assert mtype == proto.MSG_PARAMS
-        assert list(live_server._jobs) == [(b"noshare!", 1)]
-    _wait_until(lambda: live_server._jobs == {})
+    address = ("127.0.0.1", live_server.port)
+    params = proto.params_body(b"noshare!", scheme, 1)
+    with socket.create_connection(address, timeout=5) as own, \
+            socket.create_connection(address, timeout=5) as other:
+        assert _exchange(own, proto.MSG_PARAMS, params)[0] == proto.MSG_PARAMS
+        _assert_unknown(other, scheme, b"noshare!")
+        body = proto.share_body(b"noshare!", scheme, _share(scheme))
+        assert _exchange(own, proto.MSG_SHARE, body)[0] == proto.MSG_RESPONSES
+        assert _exchange(own, proto.MSG_PARAMS, params)[0] == proto.MSG_PARAMS
+    with socket.create_connection(address, timeout=5) as sock:
+        _assert_unknown(sock, scheme, b"noshare!")
 
 
 def test_both_ends_of_a_kept_connection_set_tcp_nodelay(scheme, live_server):
