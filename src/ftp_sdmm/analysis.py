@@ -16,9 +16,9 @@ CSV_HEADER = ["a", "b", "c", "L", "T", "primes", "N_L",
 
 
 def check_layout(L, T, primes):
-    """primes as a tuple of ints, or InvalidParams unless L and T are
-    positive and primes holds L primes, one per axis; of them
-    PrimesNotAscendingDistinct unless they are distinct and ascending."""
+    """primes as a tuple of ints.  InvalidParams unless L and T are positive
+    and primes holds one entry per axis, and its subclass
+    PrimesNotAscendingDistinct unless those are distinct ascending primes."""
     primes = tuple(int(p) for p in primes)
     if L < 1 or T < 1:
         raise InvalidParams("L, T must be positive")
