@@ -8,8 +8,8 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesesFail, InvalidParams, PrimesNotAscendingDistinct
-from .fields import is_prime
+from .errors import HypothesesFail, InvalidParams
+from .fields import check_primes, is_prime
 
 CSV_HEADER = ["a", "b", "c", "L", "T", "primes", "N_L",
               "ftp_rate", "baseline", "baseline_rate", "winner"]
@@ -19,14 +19,11 @@ def check_layout(L, T, primes):
     """primes as a tuple of ints.  InvalidParams unless L and T are positive
     and primes holds one entry per axis, and its subclass
     PrimesNotAscendingDistinct unless those are distinct ascending primes."""
-    primes = tuple(int(p) for p in primes)
     if L < 1 or T < 1:
         raise InvalidParams("L, T must be positive")
     if len(primes) != L:
         raise InvalidParams(f"need {L} primes")
-    if any(not is_prime(p) for p in primes) or any(x >= y for x, y in zip(primes, primes[1:])):
-        raise PrimesNotAscendingDistinct(f"primes must be distinct ascending: {primes}")
-    return primes
+    return check_primes(primes)
 
 
 def server_counts(L, T, primes):

@@ -17,8 +17,10 @@ Niederreiter, Finite Fields, Ch. 2).  The q-power rows x^(kq) mod m give the
 Frobenius map and Rabin's irreducibility test (M. O. Rabin, SIAM J. Comput.
 9, 1980): x^(q^n) = x mod m, and gcd(x^(q^(n/r)) - x, m) = 1 for each prime
 r | n, a gcd tested as the full F_p rank of multiplication by that
-difference mod m.  The modulus is the first candidate, in lexicographic
-order, to pass.
+difference mod m.  For r = n that gcd is 1 iff m has no root in F: a small F
+screens for roots first, in place of that rank test, and composite degrees
+keep theirs.  The modulus is the first candidate, in lexicographic order, to
+pass.
 
 Traces to the maximal subfields F_i = F_{q0}(a_j : j != i) collapse axis i
 with the trace scalars; the naive Frobenius-iterate definition is kept in
@@ -76,6 +78,14 @@ def _full_rank(M, p):
     return True
 
 
+def check_primes(primes):
+    """primes as a tuple of ints, if they are one or more distinct ascending primes."""
+    primes = tuple(int(p) for p in primes)
+    if not primes or not all(map(is_prime, primes)) or sorted(set(primes)) != list(primes):
+        raise PrimesNotAscendingDistinct(f"primes must be distinct ascending: {primes}")
+    return primes
+
+
 # -- moduli: one routine over a coefficient field F -----------------------------
 
 def _fp_matrix(F, rows):
@@ -89,8 +99,17 @@ def _extension_tables(F, m):
     """For a monic m of degree n over F, held as an (n + 1, d) array: the rows
     X[k] = x^k mod m (k < 2n - 1), the ((2n - 1)d, nd) F_p matrix R that
     takes a product's coefficients mod m, and the q-power rows
-    Q[k] = x^(kq) mod m (k < n, q = |F|).  None if m is reducible (Rabin)."""
+    Q[k] = x^(kq) mod m (k < n, q = |F|).  None if m is reducible (Rabin).
+    Where F is small, a root, found by one Horner pass over all of F, rejects
+    m first, in place of the rank test of gcd(x^q - x, m) = 1."""
     n, d, p = len(m) - 1, F.d, F.p
+    screened = n > 1 and F.order * d * d <= 2**15  # entries in F's multiplication matrices
+    if screened:
+        value, by_t = np.broadcast_to(m[-1], (F.order, d)), F._element_mats
+        for c in m[-2::-1]:
+            value = ((value[:, None] @ by_t)[:, 0] + c) % p
+        if not value.any(axis=1).all():
+            return None
     X = np.zeros((2 * n - 1, n, d), dtype=np.int64)
     X[0, 0] = F.one()
     by_m = F.mul_matrix(m[:n])
@@ -124,7 +143,7 @@ def _extension_tables(F, m):
     v = x
     for j in range(1, n + 1):
         v = v @ frob % p  # x^(q^j)
-        if j < n and n % j == 0 and is_prime(n // j):
+        if (j > 1 or not screened) and j < n and n % j == 0 and is_prime(n // j):
             # gcd(v - x, m) = 1 iff multiplication by v - x mod m is invertible.
             if not _full_rank(times((v - x).reshape(n, d) % p), p):
                 return None
@@ -260,12 +279,7 @@ class BaseField(_Field):
     def from_int(self, k):
         # enumeration index -> element; c_0 is the most significant digit,
         # so ordering by k is lexicographic low-degree-first.
-        digits = []
-        for _ in range(self.d):
-            digits.append(k % self.p)
-            k //= self.p
-        digits.reverse()
-        return np.array(digits, dtype=np.int64)
+        return np.array([k // self.p**j % self.p for j in reversed(range(self.d))], dtype=np.int64)
 
     def to_int(self, x):
         v = 0
@@ -275,6 +289,11 @@ class BaseField(_Field):
 
     def _structure_table(self):
         return self._by_digit
+
+    @functools.cached_property
+    def _element_mats(self):
+        """The (q, d, d) multiplication matrices of all q elements."""
+        return self.mul_matrix(np.indices((self.p,) * self.d).reshape(self.d, -1).T)
 
     def mul_matrix(self, s):
         """d x d matrices of multiplication by the elements s[..., :] acting
@@ -321,11 +340,7 @@ class TowerField(_Field):
     each a (p_i + 1, d) array."""
 
     def __init__(self, base, primes):
-        primes = tuple(int(p) for p in primes)
-        if not primes or any(not is_prime(p) for p in primes):
-            raise PrimesNotAscendingDistinct(f"tower degrees must be primes: {primes}")
-        if any(a >= b for a, b in zip(primes, primes[1:])):
-            raise PrimesNotAscendingDistinct(f"primes must be strictly ascending: {primes}")
+        primes = check_primes(primes)
         axes = []
         for n in primes:
             m, X, R, Q = _smallest_irreducible(base, n)
@@ -460,14 +475,9 @@ class TowerField(_Field):
         return e
 
     def from_int(self, k):
-        digits = []
         q0 = self.base.order
-        for _ in range(self.flat_size):
-            digits.append(k % q0)
-            k //= q0
-        digits.reverse()
-        flat = np.stack([self.base.from_int(t) for t in digits])
-        return flat.reshape(self.shape)
+        digits = [k // q0**j % q0 for j in reversed(range(self.flat_size))]  # most significant first
+        return np.stack([self.base.from_int(t) for t in digits]).reshape(self.shape)
 
     def to_int(self, x):
         flat = x.reshape(self.flat_size, self.base.d)

@@ -19,9 +19,13 @@ from ftp_sdmm.errors import (
     SingularGram,
     ZeroInverse,
 )
+from ftp_sdmm import fields
 from ftp_sdmm.fields import (
     BaseField,
     _extension_tables,
+    _fp_matrix,
+    _full_rank,
+    is_prime,
     make_base_field,
     make_tower,
     power_basis_dual,
@@ -244,6 +248,103 @@ def test_hostile_base_modulus_is_fast():
     with pytest.raises(NoIrreducible):
         BaseField(2, 64, product)
     assert time.perf_counter() - start < 1.0
+
+
+def _rabin_tables(F, m):
+    """The oracle: _extension_tables with no root screen, Rabin's test by
+    rank alone, r = n included."""
+    n, d, p = len(m) - 1, F.d, F.p
+    X = np.zeros((2 * n - 1, n, d), dtype=np.int64)
+    X[0, 0] = F.one()
+    by_m = F.mul_matrix(m[:n])
+    for k in range(1, 2 * n - 1):
+        X[k, 1:] = X[k - 1, :-1]
+        X[k] = (X[k] - X[k - 1, -1] @ by_m) % p
+    R = _fp_matrix(F, X)
+    if n == 1:
+        return X, R, X[:1]
+
+    def times(b):
+        U = np.zeros((n, d, 2 * n - 1, d), dtype=np.int64)
+        by_b = F.mul_matrix(b).swapaxes(0, 1)
+        for i in range(n):
+            U[i, :, i : i + n] = by_b
+        return U.reshape(n * d, -1) @ R % p
+
+    x, by_x = X[1].reshape(-1), _fp_matrix(F, X[1 : n + 1])
+    xq = X[0].reshape(-1)
+    for bit in bin(F.order)[2:]:
+        xq = xq @ times(xq.reshape(n, d)) % p
+        if bit == "1":
+            xq = xq @ by_x % p
+    Q = np.zeros((n, n * d), dtype=np.int64)
+    Q[0] = X[0].reshape(-1)
+    by_xq = times(xq.reshape(n, d))
+    for k in range(1, n):
+        Q[k] = Q[k - 1] @ by_xq % p
+    Q = Q.reshape(n, n, d)
+    frob = _fp_matrix(F, Q)
+    v = x
+    for j in range(1, n + 1):
+        v = v @ frob % p
+        if j < n and n % j == 0 and is_prime(n // j):
+            if not _full_rank(times((v - x).reshape(n, d) % p), p):
+                return None
+    return (X, R, Q) if np.array_equal(v, x) else None
+
+
+def _same_verdict_and_tables(F, m):
+    got, want = _extension_tables(F, m), _rabin_tables(F, m)
+    assert (got is None) == (want is None), (F, m.tolist())
+    if got is not None:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return got is not None
+
+
+def test_root_screen_accepts_what_rabin_alone_accepts(monkeypatch):
+    """Every monic candidate of degree 2-4 over F_4 and 2-3 over F_9: the
+    screened test accepts exactly the oracle's set, with the same tables.
+    Degree 4 keeps a composite degree, and its rank test, covered.  Over
+    F_65521, past the screen's size, prime degrees keep the rank test at
+    r = n, which rejects a reducible candidate with a root."""
+    ranks = []  # the size of each matrix the screened test row-reduces
+
+    def counted(M, p):
+        ranks.append(len(M))
+        return _full_rank(M, p)
+
+    monkeypatch.setattr(fields, "_full_rank", counted)
+    for (p, d), degrees in (((2, 2), (2, 3, 4)), ((3, 2), (2, 3))):
+        F = BaseField(p, d)
+        q = F.order
+        for n in degrees:
+            accepted = 0
+            for idx in range(q**n):
+                m = np.stack([F.from_int(idx // q**j % q) for j in range(n)] + [F.one()])
+                accepted += _same_verdict_and_tables(F, m)
+            assert accepted == sum(_mobius(k) * q ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
+    # Over the small fields only degree 4's r = 2 test reached a rank test.
+    assert set(ranks) == {4 * 2}
+    ranks.clear()
+    # 17 is the least non-square mod 65521 and 2 is not a cube; x^2 - 1 and
+    # (x - 1)(x - 2)(x - 3) split, so x^(q^n) = x mod m and only the rank
+    # test at r = n rejects them.
+    F = BaseField(65521, 1)
+    cases = {(-1, 0, 1): False, (-17, 0, 1): True, (-2, 0, 0, 1): True,
+             (-8, 0, 0, 1): False, (-6, 11, -6, 1): False}
+    for coeffs, irreducible in cases.items():
+        m = np.array(coeffs, dtype=np.int64).reshape(-1, 1) % F.p
+        assert _same_verdict_and_tables(F, m) == irreducible, coeffs
+    assert len(ranks) == len(cases)
+
+
+@pytest.mark.parametrize("p, non_square", [(11, 2), (65521, 17)])
+def test_base_modulus_with_a_root_is_refused(p, non_square):
+    """x^2 - 1 = (x - 1)(x + 1) is refused, on both sides of the root
+    screen's size; x^2 - c for a non-square c is taken."""
+    with pytest.raises(NoIrreducible):
+        BaseField(p, 2, (p - 1, 0, 1))
+    assert BaseField(p, 2, (p - non_square, 0, 1)).modulus == (p - non_square, 0, 1)
 
 
 def test_int_roundtrip_lexicographic():

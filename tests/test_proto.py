@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,14 +499,20 @@ def valid_bodies(scheme):
             proto.responses_body(b"jobid123", scheme.tower, bundle)]
 
 
-def _mutated(data, body):
-    """body truncated, overwritten in a run of bytes, or extended; or random bytes."""
-    how = data.draw(st.sampled_from(["truncate", "overwrite", "extend", "random"]))
+def _mutated(data, body, p=None):
+    """body truncated, overwritten in a run of bytes, or extended; or random
+    bytes.  Given p, also overwritten in a run of digits below p, which
+    keeps a body legal where the run lands on its payload."""
+    hows = ["truncate", "overwrite", "extend", "random"] + (["digits"] if p else [])
+    how = data.draw(st.sampled_from(hows))
     if how == "truncate":
         return body[: data.draw(st.integers(0, len(body) - 1))]
-    if how == "overwrite":
+    if how in ("overwrite", "digits"):
         at = data.draw(st.integers(0, len(body) - 1))
-        run = data.draw(st.binary(min_size=1, max_size=12))
+        if how == "digits":
+            run = bytes(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=12)))
+        else:
+            run = data.draw(st.binary(min_size=1, max_size=12))
         return body[:at] + run + body[at + len(run) :]
     if how == "extend":
         return body + data.draw(st.binary(min_size=1, max_size=12))
@@ -632,22 +641,23 @@ def kept_socket(live_server):
 
 @settings(max_examples=300)
 @given(data=st.data())
-def _fuzz_one_frame(data, sock, scheme, params, share):
+def _fuzz_one_frame(data, sock, scheme, params, share, valid):
     """One drawn frame on sock, and a check of its reply: a SHARE mutated as
-    _mutated does, after its job's PARAMS; a PARAMS whose field and
-    dimensions stay and whose groups (count, ids and w digits) are mutated,
-    so that no new field is built; or a frame of a type the daemon does not
-    know.  Each gets an error frame or the valid reply to its frame."""
-    job_id = params[:8]
+    _mutated does with digits below p, after its job's PARAMS; a PARAMS
+    whose field and dimensions stay and whose groups (count, ids and w
+    digits) are mutated, so that no new field is built; or a frame of a
+    type the daemon does not know.  Each gets an error frame or the valid
+    reply to its frame; the valid replies' kinds go to ``valid``."""
+    job_id, p = params[:8], scheme.base.p
     kind = data.draw(st.sampled_from(["SHARE", "PARAMS", "unknown"]))
     if kind == "SHARE":
         assert _exchange(sock, proto.MSG_PARAMS, params) == (proto.MSG_PARAMS, job_id)
-        mtype, reply = _exchange(sock, proto.MSG_SHARE, _mutated(data, share))
+        mtype, reply = _exchange(sock, proto.MSG_SHARE, _mutated(data, share, p))
         assert (mtype == proto.MSG_ERROR and reply[0] in (1, 3)
                 or mtype == proto.MSG_RESPONSES
                 and proto.parse_responses(scheme.tower, reply)[0] == job_id)
     elif kind == "PARAMS":
-        tail = _mutated(data, params[_GROUPS_AT - 1 :])
+        tail = _mutated(data, params[_GROUPS_AT - 1 :], p)
         mtype, reply = _exchange(sock, proto.MSG_PARAMS, params[: _GROUPS_AT - 1] + tail)
         assert (mtype == proto.MSG_ERROR and reply[0] == 1
                 or (mtype, reply) == (proto.MSG_PARAMS, job_id))
@@ -655,6 +665,8 @@ def _fuzz_one_frame(data, sock, scheme, params, share):
         mtype = data.draw(st.sampled_from([0, *range(4, 256)]))
         mtype, reply = _exchange(sock, mtype, data.draw(st.binary(max_size=40)))
         assert (mtype, reply[0]) == (proto.MSG_ERROR, 4)
+    if mtype != proto.MSG_ERROR:
+        valid.append(kind)
 
 
 def test_fuzzed_frames_on_a_kept_connection_get_errors_then_a_job_runs(
@@ -665,7 +677,10 @@ def test_fuzzed_frames_on_a_kept_connection_get_errors_then_a_job_runs(
     sock, endpoint = kept_socket
     params = proto.params_body(b"fuzzjob1", scheme, 1)
     share = proto.share_body(b"fuzzjob1", scheme, _share(scheme))
-    _fuzz_one_frame(sock=sock, scheme=scheme, params=params, share=share)
+    valid = []
+    _fuzz_one_frame(sock=sock, scheme=scheme, params=params, share=share, valid=valid)
+    # Some mutated frames stay legal and get their valid reply.
+    assert "SHARE" in valid and "PARAMS" in valid
     proto._kept[endpoint] = sock
     A, B = _job(scheme)
     product, _ = proto.run_remote([endpoint] * scheme.N[-1], scheme, A, B, seed=7)
@@ -1111,3 +1126,57 @@ def test_a_hung_endpoint_costs_one_timeout(scheme, monkeypatch):
         assert time.perf_counter() - start < 1.0
     named = [part.split(":")[0] for part in str(err.value).split("; ")]
     assert named == [f"server {j} at PARAMS" for j in range(1, scheme.N[-1] + 1)]
+
+
+_DAEMON = """
+import sys, threading
+from ftp_sdmm.proto import Server
+server = Server()
+threading.Thread(target=server.serve_forever, daemon=True).start()
+print(server.port, flush=True)
+sys.stdin.read()
+server.stop()
+"""
+
+
+def _resident_bytes(pid):
+    """A process's resident size, from /proc/<pid>/statm (read only)."""
+    with open(f"/proc/{pid}/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/<pid>/statm")
+def test_daemon_resident_size_stays_flat_over_many_jobs(scheme, connections):
+    """One daemon process and one kept connection: after 50 warm-up jobs,
+    300 more run_remote jobs grow the daemon's resident size by less than
+    512 KB, so it keeps nothing per job."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    daemon = subprocess.Popen([sys.executable, "-c", _DAEMON], env=env, text=True,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    endpoint = None
+    try:
+        endpoint = ("127.0.0.1", int(daemon.stdout.readline()))
+        A, B = _job(scheme)
+
+        def jobs(count):
+            for seed in range(count):
+                product, _ = proto.run_remote([endpoint] * scheme.N[-1], scheme, A, B, seed=seed)
+                assert product.eq(mat_mul(A, B))
+
+        jobs(50)
+        before = _resident_bytes(daemon.pid)
+        jobs(300)
+        grown = _resident_bytes(daemon.pid) - before
+        assert connections == [endpoint]
+        assert grown < 512 * 1024
+    finally:
+        sock = proto._kept.pop(endpoint, None)
+        if sock is not None:
+            sock.close()
+        daemon.stdin.close()
+        try:
+            daemon.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            daemon.kill()
+            daemon.wait()
