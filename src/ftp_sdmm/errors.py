@@ -63,10 +63,6 @@ class TooFewEvalPoints(FtpError):
     pass
 
 
-class MissingBundle(FtpError):
-    pass
-
-
 class ShapeMismatch(FtpError):
     pass
 

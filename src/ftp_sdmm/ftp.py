@@ -15,7 +15,6 @@ from .errors import (
     DimMismatch,
     FieldMismatch,
     InvalidParams,
-    MissingBundle,
     NotDivisible,
     ShapeMismatch,
     TooFewEvalPoints,
@@ -70,19 +69,6 @@ class CostReport:
     def rate(self):
         return Fraction(self.output_symbols,
                         self.upload_symbols + self.download_symbols)
-
-
-@dataclass
-class Share:
-    server: int     # 1-based index j in [N_L]
-    f_eval: Mat     # a x (b/L) over F_q
-    g_eval: Mat     # (b/L) x c over F_q
-
-
-@dataclass
-class ResponseBundle:
-    server: int
-    traced: dict    # group i -> (a, c, *F_i.shape) int64 tensor, F_i's digits only
 
 
 @dataclass
@@ -239,8 +225,11 @@ def _draw_randoms(scheme, seed):
 def encode(scheme, A, B, seed=0, randoms=None):
     """Interpolate f through (gens -> A blocks, first T upload points ->
     randoms) and likewise g, and return their values at the N_L upload
-    points.  On a tower that multiplies by its table, the coefficients of f
-    and g are one product of the Lagrange basis with the stacked nodes.
+    points as the share stacks F (N_L, a, b/L, *tower.shape) and G (N_L,
+    b/L, c, *tower.shape), views into one evaluation array: server j's
+    share is F[j - 1] and G[j - 1].  On a tower that multiplies by its
+    table, the coefficients of f and g are one product of the Lagrange basis
+    with the stacked nodes.
     Past its limit, they come from the basis's factors (_interpolate), each
     an F_p matrix on the tower axes it spans.  Their values are one F_q0
     Vandermonde product, since the upload points lie in F_q0."""
@@ -264,12 +253,9 @@ def encode(scheme, A, B, seed=0, randoms=None):
     else:
         coeffs = _interpolate(scheme, nodes)
     evals = evaluate(tower, coeffs, scheme.points[L:])
-    return [
-        Share(j + 1,
-              Mat(tower, a, w, e[: a * w].reshape((a, w) + tower.shape)),
-              Mat(tower, w, c, e[a * w :].reshape((w, c) + tower.shape)))
-        for j, e in enumerate(evals)
-    ]
+    n = len(evals)
+    return (evals[:, : a * w].reshape((n, a, w) + tower.shape),
+            evals[:, a * w :].reshape((n, w, c) + tower.shape))
 
 
 def _interpolate(scheme, nodes):
@@ -306,18 +292,18 @@ def server_groups(scheme, j):
             for i in range(1, scheme.L + 1) if j <= scheme.N[i - 1]}
 
 
-def server_step(tower, taus, shares):
-    """The servers' work, in process and in the TCP daemon alike, for a stack
-    of shares and taus[i] = tower.trace_scalars(w_i, i) of the stacked w_i
-    of the first len(taus[i]) of them: every h = f(alpha_j) g(alpha_j) in
-    one batched product, then tr_i(w_i h) per group i.  The trace is
+def server_step(tower, taus, F, G):
+    """The servers' work, in process and in the TCP daemon alike, for the
+    share stacks F and G and taus[i] = tower.trace_scalars(w_i, i) of the
+    stacked w_i of the first len(taus[i]) shares: every h = f(alpha_j)
+    g(alpha_j) in one batched product, then tr_i(w_i h) per group i, as
+    {i: (len(taus[i]), a, c, *F_i.shape)}.  The trace is
     F_i-linear, so with h = sum_s h_s a_i^s, h_s in F_i the axis-i slices of
     h, tr_i(w_i h) = sum_s h_s tau_s for tau_s = tr_i(w_i a_i^s) in F_q0:
     h's axis-i digits, moved last, times the (p_i d, d) matrix whose block s
-    multiplies by tau_s, one float64 F_p matmul, kept on F_i's axes as the
-    (a, c, *F_i.shape) reply."""
-    h = kernels.matmul(tower, np.array([s.f_eval.data for s in shares]),
-                       np.array([s.g_eval.data for s in shares]))
+    multiplies by tau_s, one float64 F_p matmul, kept on F_i's axes as each
+    share's (a, c, *F_i.shape) reply."""
+    h = kernels.matmul(tower, F, G)
     replies = {}
     for i, tau in taus.items():
         kernels.check_fp_exact(tau[0].size, tower.base.p)
@@ -326,47 +312,43 @@ def server_step(tower, taus, shares):
         by_tau = tower.base.mul_matrix(tau).reshape(len(tau), tau[0].size, -1)  # [(s, a), b]
         reply = kernels.fp_mod(np.matmul(rows, by_tau.astype(np.float64)), tower.base.p)
         replies[i] = reply.astype(np.int64).reshape(moved.shape[:-2] + (-1,))
-    return [ResponseBundle(share.server, {i: r[k] for i, r in replies.items() if k < len(r)})
-            for k, share in enumerate(shares)]
+    return replies
 
 
-def server_compute(scheme, shares):
-    """Each share's bundle, in order, from one server_step on the scheme's
-    taus.  In ascending server order, as encode makes them, group i's
-    servers come first."""
-    if isinstance(shares, Share):
-        return server_compute(scheme, [shares])[0]
-    if not shares:
-        return []
-    taus = {i: scheme.server_taus[i - 1][[s.server - 1 for s in shares if s.server <= n_i]]
-            for i, n_i in enumerate(scheme.N, start=1) if shares[0].server <= n_i}
-    return server_step(scheme.tower, taus, shares)
+def server_compute(scheme, F, G):
+    """Every server's replies, {i: (N_i, a, c, *F_i.shape)}, from one
+    server_step on the scheme's taus, for the share stacks F and G of all
+    N_L servers in order, as encode makes them: group i's servers are the
+    first N_i.  DimMismatch for stacks of another shape."""
+    w = scheme.b // scheme.L
+    if (F.shape[:3], G.shape[:3]) != ((scheme.N[-1], scheme.a, w), (scheme.N[-1], w, scheme.c)):
+        raise DimMismatch(f"share stacks of {F.shape[:3]} and {G.shape[:3]} for N_L = "
+                          f"{scheme.N[-1]} servers of {scheme.a} x {w} and {w} x {scheme.c}")
+    taus = dict(enumerate(scheme.server_taus, start=1))
+    return server_step(scheme.tower, taus, F, G)
 
 
-def decode(scheme, bundles):
-    """Recover AB from all N_L response bundles.  For each group i, the
-    Vandermonde step over F_q0 gives c_is = -sum_j alpha_j^s r_ij from the
-    replies r_ij, each (a, c, *F_i.shape) on F_i's axes, and the trace-dual
+def decode(scheme, replies):
+    """Recover AB from replies[i], the (N_i, a, c, *F_i.shape) stack of
+    group i's traces from servers 1..N_i, for every group i in 1..L;
+    ShapeMismatch for another set of groups or a stack of another shape.
+    For each group i, the Vandermonde step over F_q0 gives c_is = -sum_j
+    alpha_j^s r_ij from the replies r_ij on F_i's axes, and the trace-dual
     basis gives h_i = sum_s c_is mu_is, the mirror of server_step: mu_is lies
     in F_q0(a_i), so coefficient e of h_i on axis i is sum_s c_is mu_ise with
     every mu_ise in F_q0: with c_is on axis i, one on_axes product with the
     (p_i d, p_i d) matrix whose block (s, e) multiplies by mu_ise."""
     tower, base = scheme.tower, scheme.base
     a, c, d, p = scheme.a, scheme.c, base.d, base.p
-    by_server = {bundle.server: bundle for bundle in bundles}
-    for j in range(1, scheme.N[-1] + 1):
-        if j not in by_server:
-            raise MissingBundle(f"no bundle from server {j}")
-
+    if sorted(replies) != list(range(1, scheme.L + 1)):
+        raise ShapeMismatch(f"replies for groups {sorted(replies)}, not 1..{scheme.L}")
     total = np.zeros((a, c) + tower.shape, dtype=np.int64)
     for i in range(1, scheme.L + 1):
         p_i, n_i = scheme.primes[i - 1], scheme.N[i - 1]
-        shape = (a, c) + tower.shape[: i - 1] + tower.shape[i:]
-        replies = [by_server[j].traced.get(i) for j in range(1, n_i + 1)]
-        for j, r in enumerate(replies, start=1):
-            if np.shape(r) != shape:  # a missing reply, None, has shape ()
-                raise ShapeMismatch(f"bundle {j} lacks a well-formed group {i} response")
-        r_i = np.stack(replies)  # (n_i, a, c, F_i digits)
+        r_i = replies[i]
+        shape = (n_i, a, c) + tower.shape[: i - 1] + tower.shape[i:]
+        if np.shape(r_i) != shape:
+            raise ShapeMismatch(f"group {i}'s replies are {np.shape(r_i)}, not a {shape} stack")
         flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
         c_is = flat @ scheme.vandermonde[i - 1] % p  # [(a, c, F_i), (s, digit)]
         mu = np.moveaxis(scheme.mus[i - 1], i, 1).reshape(p_i, p_i, -1, d)[:, :, 0]  # [s, e, digit]
@@ -420,8 +402,8 @@ def security_audit(scheme, mode="rank", fixed_A=None):
         views = []
         for draw in product(range(q), repeat=T):
             R = [Mat(tower, 1, 1, [[tower.from_int(k)]]) for k in draw]
-            shares = encode(scheme, A, B, randoms=(R, S))
-            views.append([tower.to_int(share.f_eval.data[0][0]) for share in shares])
+            F, _ = encode(scheme, A, B, randoms=(R, S))
+            views.append([tower.to_int(f[0, 0]) for f in F])
         # A subset sees each of its q^T views once iff the draws give q^T
         # distinct views.
         subsets = list(combinations(range(1, scheme.N[-1] + 1), T))

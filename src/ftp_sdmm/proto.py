@@ -9,6 +9,13 @@ travels as those digits alone, d * prod(p_i) / p_i bytes per entry.  Payload
 byte counts therefore equal d times the base-field symbol counts, which is
 what makes the cost accounting auditable on the wire.
 
+A job stays three stacks from encode to decode: the shares F and G, one
+row per server, and per group i the (N_i, a, c, *F_i.shape) stack of its
+traces.  Both runners take one path (_job) and differ only in how SHARE
+bodies become RESPONSES bodies: server_compute in process, or the daemons
+over TCP.  A daemon parses each SHARE frame alone, as hostile bytes, with
+the same parser, and computes on stacks of one.
+
 The TCP runner keeps one open connection per endpoint across jobs, with
 TCP_NODELAY set on both ends, and starts no thread.  Each server's PARAMS
 and SHARE go out back to back in one sendall; the servers at one endpoint
@@ -24,6 +31,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from math import prod
 
 import numpy as np
@@ -39,8 +47,7 @@ from .errors import (
     VersionMismatch,
 )
 from .fields import BaseField, TowerField
-from .ftp import (ResponseBundle, Share, decode, encode, server_compute,
-                  server_groups, server_step)
+from .ftp import decode, encode, server_compute, server_groups, server_step
 from .matrices import Mat
 
 MAGIC = b"FTPC"
@@ -77,50 +84,55 @@ def elem_to_bytes(tower, x):
     return x.astype(np.uint8).tobytes()
 
 
-def _digits(field, raw, offset, lead):
-    """The digits at raw[offset:] as an int64 tensor lead + field.shape, and
-    the offset past them.  MalformedFrame if raw is too short or a digit is
-    not below p."""
+def _digits(field, digits, shape):
+    """uint8 digits as an int64 tensor of ``shape``, which ends in
+    field.shape.  MalformedFrame if a digit is not below p."""
     _check_digit_format(field)
-    count = prod(lead + field.shape)
-    if len(raw) - offset < count:
-        raise MalformedFrame("payload shorter than its shape")
-    digits = np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset)
     if (digits >= field.base.p).any():
         raise MalformedFrame(f"a digit is not below p = {field.base.p}")
-    return digits.reshape(lead + field.shape).astype(np.int64), offset + count
+    return digits.reshape(shape).astype(np.int64)
 
 
 def elem_from_bytes(tower, raw):
     if len(raw) != tower.flat_size * tower.base.d:
         raise MalformedFrame("element payload has wrong length")
-    return _digits(tower, raw, 0, ())[0]
-
-
-def _tensor_to_bytes(field, data):
-    """An 8-byte (rows, cols) header, then the digits of data, a (rows,
-    cols, ...) tensor of elements of field or of a sub-tower of it, in C
-    order: entries row-major, each element axis 1 slowest, digits
-    low-degree first."""
-    _check_digit_format(field)
-    return struct.pack(">II", *data.shape[:2]) + data.astype(np.uint8).tobytes()
-
-
-def _tensor_from_bytes(field, raw, offset):
-    """The (rows, cols, *field.shape) tensor that _tensor_to_bytes wrote at
-    raw[offset:], and the offset past it."""
-    if len(raw) - offset < 8:
-        raise MalformedFrame("matrix header truncated")
-    return _digits(field, raw, offset + 8, struct.unpack_from(">II", raw, offset))
+    return _digits(tower, np.frombuffer(raw, dtype=np.uint8), tower.shape)
 
 
 def mat_to_bytes(tower, m):
-    return _tensor_to_bytes(tower, m.data)
+    """A Mat's wire form: an 8-byte (rows, cols) header, then its digits in
+    C order: entries row-major, each element axis 1 slowest, digits
+    low-degree first.  Given a stack (n, rows, cols, ...) of matrices over
+    tower or a sub-tower of it in place of a Mat, the n wire forms as the
+    rows of one uint8 array, from one cast."""
+    _check_digit_format(tower)
+    data = m.data[None] if isinstance(m, Mat) else m
+    n, rows, cols = data.shape[:3]
+    out = np.empty((n, 8 + data[0].size), dtype=np.uint8)
+    out[:, :8] = np.frombuffer(struct.pack(">II", rows, cols), dtype=np.uint8)
+    out[:, 8:] = data.reshape(n, -1)
+    return out[0].tobytes() if isinstance(m, Mat) else out
 
 
 def mat_from_bytes(tower, raw, offset=0):
-    data, end = _tensor_from_bytes(tower, raw, offset)
-    return Mat(tower, *data.shape[:2], data), end
+    """The Mat that mat_to_bytes wrote at raw[offset:], and the offset past
+    it.  Given in place of bytes a uint8 array whose rows each hold a wire
+    form at column ``offset``, the (n, rows, cols, *tower.shape) stack of
+    them, from one digit check.  MalformedFrame if a header or its digits
+    are cut short, the rows' headers differ or a digit is not below p."""
+    stacked = isinstance(raw, np.ndarray)
+    rows = raw if stacked else np.frombuffer(raw, dtype=np.uint8)[None]
+    if rows.shape[1] - offset < 8:
+        raise MalformedFrame("matrix header truncated")
+    head = rows[:, offset : offset + 8]
+    if (head != head[0]).any():
+        raise MalformedFrame("the matrices' headers differ")
+    shape = struct.unpack(">II", head[0].tobytes()) + tower.shape
+    end = offset + 8 + prod(shape)
+    if rows.shape[1] < end:
+        raise MalformedFrame("payload shorter than its shape")
+    data = _digits(tower, rows[:, offset + 8 : end], (len(rows),) + shape)
+    return (data, end) if stacked else (Mat(tower, *shape[:2], data[0]), end)
 
 
 # -- framing -------------------------------------------------------------------
@@ -269,52 +281,69 @@ def parse_params(body):
     return ServerJob(job_id, server_index, tower, a, b, c, L, taus)
 
 
-def share_body(job_id, scheme, share):
-    body = job_id + struct.pack(">H", share.server)
-    body += mat_to_bytes(scheme.tower, share.f_eval)
-    body += mat_to_bytes(scheme.tower, share.g_eval)
-    return body
+def share_bodies(job_id, tower, F, G):
+    """The SHARE bodies of servers 1..n for the share stacks F (n, a, b/L,
+    *tower.shape) and G (n, b/L, c, *tower.shape): each the job id, the
+    server index, then F[j - 1] and G[j - 1] as mat_to_bytes writes them."""
+    f, g = mat_to_bytes(tower, F), mat_to_bytes(tower, G)
+    return [job_id + struct.pack(">H", j) + f[j - 1].tobytes() + g[j - 1].tobytes()
+            for j in range(1, len(F) + 1)]
 
 
-def parse_share(tower, body):
-    if len(body) < 10:
-        raise MalformedFrame("share header truncated")
-    job_id, off = bytes(body[:8]), 8
-    (server,) = struct.unpack_from(">H", body, off); off += 2
-    f_eval, off = mat_from_bytes(tower, body, off)
-    g_eval, off = mat_from_bytes(tower, body, off)
-    if off != len(body):
-        raise MalformedFrame("bytes past the end of the share")
-    return job_id, Share(server, f_eval, g_eval)
+def parse_shares(tower, bodies, a, w, c):
+    """The share stacks F (n, a, w, *tower.shape) and G (n, w, c,
+    *tower.shape) of n SHARE bodies, read past each one's job id and server
+    index.  MalformedFrame unless each body is those 10 bytes, then the wire
+    forms of an a x w and a w x c matrix, and nothing more."""
+    length = 26 + (a * w + w * c) * tower.flat_size * tower.base.d
+    if any(len(body) != length for body in bodies):
+        raise MalformedFrame(f"a share body is not {length} bytes, for {a} x {w} and {w} x {c}")
+    rows = np.frombuffer(b"".join(bodies), dtype=np.uint8).reshape(len(bodies), length)
+    F, end = mat_from_bytes(tower, rows, 10)
+    G, _ = mat_from_bytes(tower, rows, end)
+    if F.shape[1:3] != (a, w) or G.shape[1:3] != (w, c):
+        raise MalformedFrame(f"a share of {F.shape[1]} x {F.shape[2]} and {G.shape[1]} x "
+                             f"{G.shape[2]} matrices for a job of {a} x {w} and {w} x {c}")
+    return F, G
 
 
-def responses_body(job_id, tower, bundle):
-    body = job_id + struct.pack(">H", bundle.server)
-    body += bytes([len(bundle.traced)])
-    for i in sorted(bundle.traced):
-        body += bytes([i])
-        body += _tensor_to_bytes(tower, bundle.traced[i])
-    return body
+def responses_body(job_id, tower, replies, servers):
+    """The RESPONSES bodies of ``servers`` for the group stacks replies[i],
+    (n_i, a, c, *F_i.shape), whose rows are the first n_i servers' replies:
+    each the job id, the server index, its group count, then per group, in
+    ascending order, the group id and the reply as mat_to_bytes writes it."""
+    groups = [(i, mat_to_bytes(tower, r)) for i, r in sorted(replies.items())]
+    bodies = []
+    for k, j in enumerate(servers):
+        mine = [bytes([i]) + g[k].tobytes() for i, g in groups if k < len(g)]
+        bodies.append(job_id + struct.pack(">HB", j, len(mine)) + b"".join(mine))
+    return bodies
 
 
-def parse_responses(tower, body):
-    if len(body) < 11:
-        raise MalformedFrame("responses header truncated")
-    job_id, off = bytes(body[:8]), 8
-    (server,) = struct.unpack_from(">H", body, off); off += 2
-    n_groups = body[off]; off += 1
-    traced = {}
-    for _ in range(n_groups):
-        if off >= len(body):
-            raise MalformedFrame("responses truncated")
-        i = body[off]; off += 1
-        if not 1 <= i <= tower.L or i in traced:
-            raise MalformedFrame(f"group {i} is not a new member of 1..{tower.L}")
-        f_i = tower.subtower([k for k in range(tower.L) if k != i - 1])
-        traced[i], off = _tensor_from_bytes(f_i, body, off)
-    if off != len(body):
-        raise MalformedFrame("bytes past the end of the responses")
-    return job_id, ResponseBundle(server, traced)
+def parse_responses(scheme, job_id, bodies):
+    """The group stacks {i: (n_i, a, c, *F_i.shape)} of the RESPONSES bodies
+    of servers 1..n, bodies[j - 1] server j's, with n_i = min(N_i, n).
+    MalformedFrame, naming the server, unless server j's body is for job_id
+    and server j, answers exactly the groups i with j <= N_i, in ascending
+    order, each with an a x c reply and each digit below p, and ends there."""
+    tower, a, c = scheme.tower, scheme.a, scheme.c
+    fields = {i: tower.subtower([k for k in range(scheme.L) if k != i - 1])
+              for i in range(1, scheme.L + 1)}
+    sizes = {i: 9 + a * c * prod(f.shape) for i, f in fields.items()}
+    parts = {i: [] for i in fields}
+    for j, body in enumerate(bodies, start=1):
+        groups = [i for i in fields if j <= scheme.N[i - 1]]
+        starts = list(accumulate((sizes[i] for i in groups), initial=11))
+        if (len(body) != starts[-1] or body[:11] != job_id + struct.pack(">HB", j, len(groups))
+                or any(body[at : at + 9] != bytes([i]) + struct.pack(">II", a, c)
+                       for i, at in zip(groups, starts))):
+            raise MalformedFrame(f"server {j}: not job {job_id.hex()}'s reply from server {j} "
+                                 f"with groups {groups}, each an {a} x {c} trace")
+        for i, at in zip(groups, starts):
+            parts[i].append(body[at + 9 : at + sizes[i]])
+    return {i: _digits(f, np.frombuffer(b"".join(parts[i]), dtype=np.uint8),
+                       (len(parts[i]), a, c) + f.shape)
+            for i, f in fields.items()}
 
 
 def error_body(code, message):
@@ -362,40 +391,38 @@ class TrafficLedger:
         return sum(s["down_bytes"] for s in self.per_server.values())
 
 
-def _ledger_share(ledger, scheme, share, body):
-    """Count one share on its serialized body: the two matrix payloads,
-    without the job id, the server index and the two shape headers."""
-    sym = (share.f_eval.data.size + share.g_eval.data.size) // scheme.base.d
-    ledger.add_upload(share.server, sym, len(body) - 10 - 16)
-
-
-def _ledger_bundle(ledger, scheme, bundle, body):
-    """Count one bundle on its serialized body: the traced payloads, without
-    the job id, server index, group count and each group's id and header."""
-    sym = sum(r.size for r in bundle.traced.values()) // scheme.base.d
-    ledger.add_download(bundle.server, sym, len(body) - 11 - 9 * len(bundle.traced))
-
-
 # -- runners ------------------------------------------------------------------------
+
+def _job(scheme, A, B, seed, job_id, exchange):
+    """One job through the wire format, the same for both runners: encode,
+    the SHARE bodies, exchange(bodies) for the RESPONSES bodies of servers
+    1..N_L, their parse, the ledger and decode.  The ledger counts each
+    server's symbols on the stacks, and its payload bytes on its bodies:
+    without the job id, the server index, the group count, and each
+    matrix's header and group id."""
+    F, G = encode(scheme, A, B, seed=seed)
+    sent = share_bodies(job_id, scheme.tower, F, G)
+    received = exchange(sent)
+    replies = parse_responses(scheme, job_id, received)
+    ledger, d = TrafficLedger(), scheme.base.d
+    for j, (up, down) in enumerate(zip(sent, received), start=1):
+        traced = [r[j - 1] for r in replies.values() if j <= len(r)]
+        ledger.add_upload(j, (F[j - 1].size + G[j - 1].size) // d, len(up) - 10 - 16)
+        ledger.add_download(j, sum(r.size for r in traced) // d, len(down) - 11 - 9 * len(traced))
+    return decode(scheme, replies), ledger
+
 
 def run_inprocess(scheme, A, B, seed=0):
     """encode -> serialize -> every server at once -> serialize -> decode, in
     memory; every payload passes through the wire format so the ledger is exact."""
-    tower = scheme.tower
-    job_id = b"\0" * 8
-    ledger = TrafficLedger()
-    shares, bundles = [], []
-    for share in encode(scheme, A, B, seed=seed):
-        body = share_body(job_id, scheme, share)
-        _ledger_share(ledger, scheme, share, body)
-        shares.append(parse_share(tower, body)[1])
-    for bundle in server_compute(scheme, shares):
-        body = responses_body(job_id, tower, bundle)
-        _, bundle = parse_responses(tower, body)
-        _ledger_bundle(ledger, scheme, bundle, body)
-        bundles.append(bundle)
-    product = decode(scheme, bundles)
-    return product, ledger
+    job_id, tower = b"\0" * 8, scheme.tower
+
+    def servers(bodies):
+        F, G = parse_shares(tower, bodies, scheme.a, scheme.b // scheme.L, scheme.c)
+        return responses_body(job_id, tower, server_compute(scheme, F, G),
+                              range(1, len(bodies) + 1))
+
+    return _job(scheme, A, B, seed, job_id, servers)
 
 
 def _reply(sock, j, expected):
@@ -450,8 +477,8 @@ class _Link:
                 raise
             self._renew(frames)
 
-    def receive(self, j, frames, tower):
-        """Server j's PARAMS reply, then its RESPONSES as (bundle, body)."""
+    def receive(self, j, frames):
+        """Server j's PARAMS reply, then its RESPONSES body."""
         if self.on_trial and not self._answering():
             self._renew(frames)
         self.on_trial = False
@@ -459,7 +486,7 @@ class _Link:
         self.stage = "SHARE"
         body = _reply(self.sock, j, MSG_RESPONSES)
         self.busy = False
-        return parse_responses(tower, body)[1], body
+        return body
 
     def _answering(self):
         """Whether the first byte of a reply arrives, not EOF or a reset."""
@@ -505,40 +532,45 @@ def _attempt(errors, j, link, act, *args):
 
 
 def run_remote(endpoints, scheme, A, B, seed=0):
-    """Contact one TCP server per share; identical result and ledger to
-    run_inprocess for the same seed.  With no thread, in rounds: each round
-    sends the next pending server's frames on every endpoint's connection,
-    then reads each connection's replies in endpoint order, so distinct
-    endpoints compute at once, and no connection ever has more than one
-    request outstanding.  InvalidParams, before anything is sent, for an
-    endpoint port outside 1..65535."""
+    """Contact one TCP server per share, server j at endpoints[j - 1];
+    identical result and ledger to run_inprocess for the same seed.
+    InvalidParams, before anything is sent, for an endpoint port outside
+    1..65535."""
     for host, port in endpoints:
         if not 0 < port < 1 << 16:
             raise InvalidParams(f"endpoint {host}:{port}: the port is outside 1..65535")
     timeout = _timeout_seconds()
-    shares = encode(scheme, A, B, seed=seed)
-    if len(endpoints) < len(shares):
+    if len(endpoints) < scheme.N[-1]:
         raise ConnectionFailed(len(endpoints) + 1, "not enough endpoints")
     job_id = os.urandom(8)
-    queues = {}  # endpoint -> [(j, PARAMS and SHARE frames, share body)]
-    for j, share in enumerate(shares, start=1):
-        sent = share_body(job_id, scheme, share)
+    return _job(scheme, A, B, seed, job_id,
+                lambda bodies: _exchange(endpoints, scheme, job_id, bodies, timeout))
+
+
+def _exchange(endpoints, scheme, job_id, bodies, timeout):
+    """The RESPONSES bodies of servers 1..n for their SHARE bodies.  With no
+    thread, in rounds: each round sends the next pending server's PARAMS
+    and SHARE on every endpoint's connection, then reads each connection's
+    replies in endpoint order, so distinct endpoints compute at once, and no
+    connection ever has more than one request outstanding."""
+    queues = {}  # endpoint -> [(j, PARAMS and SHARE frames)]
+    for j, body in enumerate(bodies, start=1):
         frames = (pack_message(MSG_PARAMS, params_body(job_id, scheme, j))
-                  + pack_message(MSG_SHARE, sent))
-        queues.setdefault(tuple(endpoints[j - 1]), []).append((j, frames, sent))
+                  + pack_message(MSG_SHARE, body))
+        queues.setdefault(tuple(endpoints[j - 1]), []).append((j, frames))
     links = {endpoint: _Link(endpoint, timeout) for endpoint in queues}
-    results = {}
+    received = {}
     errors = {}
     try:
         for turn in range(max(map(len, queues.values()))):
             pending = [(links[e], queue[turn]) for e, queue in queues.items() if turn < len(queue)]
-            for link, (j, frames, _) in pending:
+            for link, (j, frames) in pending:
                 _attempt(errors, j, link, link.send, frames)
-            for link, (j, frames, sent) in pending:
+            for link, (j, frames) in pending:
                 if j not in errors:
-                    got = _attempt(errors, j, link, link.receive, j, frames, scheme.tower)
-                    if got is not None:
-                        results[j] = (sent, *got)
+                    body = _attempt(errors, j, link, link.receive, j, frames)
+                    if body is not None:
+                        received[j] = body
     finally:
         for link in links.values():
             link.release()
@@ -549,16 +581,7 @@ def run_remote(endpoints, scheme, A, B, seed=0):
         first.args = ("; ".join(f"server {j} at {stage}: {str(exc).removeprefix(f'server {j}: ')}"
                                 for j, (stage, exc) in sorted(errors.items())),)
         raise first
-
-    ledger = TrafficLedger()
-    bundles = []
-    for j, share in enumerate(shares, start=1):
-        sent, bundle, received = results[j]
-        _ledger_share(ledger, scheme, share, sent)
-        _ledger_bundle(ledger, scheme, bundle, received)
-        bundles.append(bundle)
-    product = decode(scheme, bundles)
-    return product, ledger
+    return [received[j] for j in range(1, len(bodies) + 1)]
 
 
 # -- server side ----------------------------------------------------------------------
@@ -678,13 +701,10 @@ def _dispatch(mtype, body, job):
             raise MalformedFrame("share header truncated")
         if job is None or body[:10] != job.job_id + struct.pack(">H", job.server_index):
             return pack_message(MSG_ERROR, error_body(3, "unknown job id")), job
-        _, share = parse_share(job.tower, body)
-        f, g, w = share.f_eval, share.g_eval, job.b // job.L
-        if (f.rows, f.cols, g.rows, g.cols) != (job.a, w, w, job.c):
-            raise MalformedFrame(f"a share of {f.rows} x {f.cols} and {g.rows} x {g.cols} for "
-                                 f"a job of {job.a} x {w} and {w} x {job.c}")
-        bundle = server_step(job.tower, job.taus, [share])[0]
-        return pack_message(MSG_RESPONSES, responses_body(job.job_id, job.tower, bundle)), None
+        F, G = parse_shares(job.tower, [body], job.a, job.b // job.L, job.c)
+        replies = server_step(job.tower, job.taus, F, G)
+        body = responses_body(job.job_id, job.tower, replies, [job.server_index])[0]
+        return pack_message(MSG_RESPONSES, body), None
     return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}")), job
 
 

@@ -92,3 +92,34 @@ def test_addtable_is_built_on_first_read_and_never_by_a_job():
         want = np.ravel_multi_index(tuple(idx[:, :, None] + idx[:, None, :]), t._ext_shape)
         assert np.array_equal(t._addtable, want) and t._addtable is t.__dict__["_addtable"]
     assert "_addtable" not in tower.subtower([1]).__dict__
+
+
+def test_an_inprocess_job_writes_and_reads_each_share_stack_once(tracing, digest_schemes):
+    """Under Tracer, one run_inprocess job writes each share stack in one
+    mat_to_bytes call and reads it back in one mat_from_bytes call, on all
+    N_L shares at once, not one call per server; each of these calls is the
+    outermost wire call, so proto.wire_s holds its time.  The job makes one
+    responses_body call and one parse_responses call."""
+    names = ("mat_to_bytes", "mat_from_bytes", "responses_body", "parse_responses")
+    for name in ("small-tower", "paper-full"):
+        scheme = digest_schemes[name]
+        tower, n, w = scheme.tower, scheme.N[-1], scheme.b // scheme.L
+        A = random_mat(scheme.a, scheme.b, tower, seed=1)
+        B = random_mat(scheme.b, scheme.c, tower, seed=2)
+        calls = {attr: [] for attr in names}
+        with tracing.Tracer() as tracer, pytest.MonkeyPatch.context() as mp:
+            for attr, seen in calls.items():
+                def recording(*args, timed=getattr(proto, attr), seen=seen):
+                    seen.append((args[1], tracer._wire_depth))  # depth 0: outermost
+                    return timed(*args)
+
+                mp.setattr(proto, attr, recording)
+            tracer.take()
+            proto.run_inprocess(scheme, A, B, seed=3)
+            spans, _ = tracer.take()
+        writes = [data.shape for data, depth in calls["mat_to_bytes"] if depth == 0]
+        assert writes == [(n, scheme.a, w) + tower.shape, (n, w, scheme.c) + tower.shape], name
+        reads = calls["mat_from_bytes"]
+        assert [(raw.shape[0], depth) for raw, depth in reads] == [(n, 0), (n, 0)], name
+        assert len(calls["responses_body"]) == len(calls["parse_responses"]) == 1, name
+        assert spans["proto.wire_s"] > 0, name

@@ -32,7 +32,7 @@ from ftp_sdmm.fields import (
     trace_dual_basis,
     trace_to_subfield,
 )
-from ftp_sdmm.ftp import Share, build_scheme, server_step
+from ftp_sdmm.ftp import build_scheme, server_step
 from ftp_sdmm.linalg import mat_inverse, rank
 from ftp_sdmm.matrices import SplitMix64, mat_mul, random_mat
 
@@ -567,8 +567,8 @@ def test_trace_scalars_match_trace_of_products(tower11_6, tower11_30, digest_sch
          "f9_6": make_tower(make_base_field(3, 2), (2, 3)),
          "paper-full": digest_schemes["paper-full"].tower}[name]
     rng = SplitMix64(90 + t.L)
-    share = Share(1, random_mat(2, 2, t, rng=rng), random_mat(2, 3, t, rng=rng))
-    h = mat_mul(share.f_eval, share.g_eval).data
+    f, g = random_mat(2, 2, t, rng=rng), random_mat(2, 3, t, rng=rng)
+    h = mat_mul(f, g).data
     for i in range(1, t.L + 1):
         p_i, d = t.primes[i - 1], t.base.d
         a_powers = t.embed_base(np.eye(p_i, dtype=np.int64)[..., None] * t.base.one(), [i - 1])
@@ -581,7 +581,7 @@ def test_trace_scalars_match_trace_of_products(tower11_6, tower11_30, digest_sch
             tau = t.trace_scalars(w, i)
             assert tau.shape == (p_i, d)
             assert np.array_equal(trace_to_subfield(t, t.mul(w, a_powers), i), t.embed_base(tau))
-            reply = server_step(t, {i: tau[None]}, [share])[0].traced[i]
+            reply = server_step(t, {i: tau[None]}, f.data[None], g.data[None])[i][0]
             want = np.take(trace_to_subfield(t, t.mul(w, h), i), 0, axis=1 + i)
             assert np.array_equal(reply, want), (name, i, on_axis)
             w[tuple(int(k == i % t.L) for k in range(t.L)) + (d - 1,)] = 1  # a digit off axis i

@@ -15,7 +15,6 @@ from ftp_sdmm.errors import (
     DimMismatch,
     FieldMismatch,
     InvalidParams,
-    MissingBundle,
     NotDivisible,
     PrimesNotAscendingDistinct,
     ShapeMismatch,
@@ -32,7 +31,7 @@ from ftp_sdmm.ftp import (
     security_rank_audit,
     server_compute,
 )
-from ftp_sdmm.matrices import mat_mul, partition_inner, random_mat
+from ftp_sdmm.matrices import Mat, SplitMix64, mat_mul, partition_inner, random_mat
 from ftp_sdmm.proto import run_inprocess
 
 from conftest import _DIGEST_SCHEMES
@@ -61,8 +60,8 @@ def test_roundtrip(cfg):
     for seed in range(3):
         A = random_mat(scheme.a, scheme.b, scheme.tower, seed=seed + 100)
         B = random_mat(scheme.b, scheme.c, scheme.tower, seed=seed + 200)
-        bundles = server_compute(scheme, encode(scheme, A, B, seed=seed))
-        assert decode(scheme, bundles).eq(mat_mul(A, B))
+        replies = server_compute(scheme, *encode(scheme, A, B, seed=seed))
+        assert decode(scheme, replies).eq(mat_mul(A, B))
 
 
 def test_parameter_validation():
@@ -111,8 +110,15 @@ def test_encode_refuses_operands_of_another_field_or_shape():
             encode(s, A, B, randoms=bad)
 
 
-def test_server_compute_of_no_shares_is_empty():
-    assert server_compute(_scheme(CONFIGS[1]), []) == []
+def test_server_compute_refuses_stacks_of_another_shape():
+    """server_compute takes the stacks of all N_L shares, each a x b/L and
+    b/L x c: one server fewer, or a matrix of another shape, raises
+    DimMismatch."""
+    s = _scheme(CONFIGS[1])
+    F, G = encode(s, random_mat(s.a, s.b, s.tower, seed=0), random_mat(s.b, s.c, s.tower, seed=1))
+    for bad in ((F[:-1], G[:-1]), (F[:, :1], G), (F, G[:, :, :1])):
+        with pytest.raises(DimMismatch):
+            server_compute(s, *bad)
 
 
 def _lagrange_oracle(s, A, B, R, S):
@@ -142,11 +148,10 @@ def test_encode_matches_the_lagrange_oracle(digest_schemes, name, monkeypatch):
     B = random_mat(s.b, s.c, s.tower, seed=61)
     given_randoms = ftp_module._draw_randoms(s, 62)
     for randoms in (None, given_randoms):
-        shares = encode(s, A, B, seed=5, randoms=randoms)
+        F, G = encode(s, A, B, seed=5, randoms=randoms)
         R, S = randoms or ftp_module._draw_randoms(s, 5)
-        got = np.stack([np.concatenate([sh.f_eval.data.reshape((-1,) + s.tower.shape),
-                                        sh.g_eval.data.reshape((-1,) + s.tower.shape)])
-                        for sh in shares])
+        got = np.concatenate([F.reshape((len(F), -1) + s.tower.shape),
+                              G.reshape((len(G), -1) + s.tower.shape)], axis=1)
         assert np.array_equal(got, _lagrange_oracle(s, A, B, R, S))
 
 
@@ -209,10 +214,8 @@ def test_server_group_omission():
     scheme = _scheme(CONFIGS[1])
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=0)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=1)
-    shares = encode(scheme, A, B)
-    for share, bundle in zip(shares, server_compute(scheme, shares)):
-        for i in range(1, scheme.L + 1):
-            assert (i in bundle.traced) == (share.server <= scheme.N[i - 1])
+    replies = server_compute(scheme, *encode(scheme, A, B))
+    assert {i: len(r) for i, r in replies.items()} == dict(enumerate(scheme.N, start=1))
     # annihilator really vanishes at the omitted servers' points
     t = scheme.tower
     for i in range(1, scheme.L + 1):
@@ -226,27 +229,27 @@ def test_decode_requires_all_bundles():
     scheme = _scheme(CONFIGS[1])
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=0)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=1)
-    bundles = server_compute(scheme, encode(scheme, A, B))
-    with pytest.raises(MissingBundle):
-        decode(scheme, bundles[:-1])
+    replies = server_compute(scheme, *encode(scheme, A, B))
+    with pytest.raises(ShapeMismatch):
+        decode(scheme, {i: r[: scheme.N[-1] - 1] for i, r in replies.items()})
 
 
 def test_decode_refuses_a_missing_or_misshapen_reply():
-    """decode raises ShapeMismatch for a bundle that lacks a group it must
-    answer, a reply with the wrong rows, and a reply of full-tower shape."""
+    """decode raises ShapeMismatch for replies that lack a group, hold a
+    group past L, or hold a stack with the wrong rows or of full-tower
+    shape."""
     scheme = _scheme(CONFIGS[1])
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=0)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=1)
-    bundles = server_compute(scheme, encode(scheme, A, B))
-    reply = bundles[0].traced[1]
+    replies = server_compute(scheme, *encode(scheme, A, B))
+    reply = replies[1]
     full = scheme.tower.embed_base(reply, [1])
-    assert full.shape == (scheme.a, scheme.c) + scheme.tower.shape
-    for traced in ({2: bundles[0].traced[2]}, {**bundles[0].traced, 1: reply[:-1]},
-                   {**bundles[0].traced, 1: full}):
-        broken = [ftp_module.ResponseBundle(1, traced)] + bundles[1:]
+    assert full.shape == (scheme.N[0], scheme.a, scheme.c) + scheme.tower.shape
+    for broken in ({2: replies[2]}, {**replies, 3: replies[2]}, {**replies, 1: reply[:, :-1]},
+                   {**replies, 1: full}):
         with pytest.raises(ShapeMismatch):
             decode(scheme, broken)
-    assert decode(scheme, bundles).eq(mat_mul(A, B))
+    assert decode(scheme, replies).eq(mat_mul(A, B))
 
 
 def test_responses_live_in_subfield():
@@ -255,12 +258,13 @@ def test_responses_live_in_subfield():
     scheme = _scheme(CONFIGS[1])
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=3)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=4)
-    t = scheme.tower
-    shares = encode(scheme, A, B)
-    for share, bundle in zip(shares, server_compute(scheme, shares)):
-        h = mat_mul(share.f_eval, share.g_eval)
-        for i, w in ftp_module.server_groups(scheme, share.server).items():
-            reply = bundle.traced[i]
+    t, width = scheme.tower, scheme.b // scheme.L
+    F, G = encode(scheme, A, B)
+    replies = server_compute(scheme, F, G)
+    for j, (f, g) in enumerate(zip(F, G), start=1):
+        h = mat_mul(Mat(t, scheme.a, width, f), Mat(t, width, scheme.c, g))
+        for i, w in ftp_module.server_groups(scheme, j).items():
+            reply = replies[i][j - 1]
             assert reply.shape == (scheme.a, scheme.c) + t.shape[: i - 1] + t.shape[i:]
             for r, row in enumerate(h.data):
                 for c, v in enumerate(row):
@@ -333,9 +337,9 @@ def test_exhaustive_audit_encodes_each_draw_once_and_finds_a_leak(monkeypatch):
 
     def leaky(*args, **kwargs):
         calls.append(1)
-        shares = encode(*args, **kwargs)
-        shares[1].f_eval.data[...] = 0
-        return shares
+        F, G = encode(*args, **kwargs)
+        F[1] = 0
+        return F, G
 
     monkeypatch.setattr(ftp_module, "encode", leaky)
     report = security_audit(scheme, mode="exhaustive")
@@ -507,7 +511,7 @@ def test_setup_inverts_no_element_spanning_two_axes(monkeypatch):
     assert all(len(axes) <= 1 for axes in supports), supports
 
 
-def _staged_decode(scheme, bundles):
+def _staged_decode(scheme, replies):
     """decode as it was before the product with the trace-dual basis became
     one F_p matmul: per group, c_i staged in a zero-filled tower tensor and
     multiplied by mu_i through the general product."""
@@ -516,11 +520,10 @@ def _staged_decode(scheme, bundles):
 
     tower = scheme.tower
     a, c, d, p = scheme.a, scheme.c, scheme.base.d, scheme.base.p
-    by_server = {bundle.server: bundle for bundle in bundles}
     total = np.zeros((a, c) + tower.shape, dtype=np.int64)
     for i in range(1, scheme.L + 1):
         p_i, n_i = scheme.primes[i - 1], scheme.N[i - 1]
-        r_i = np.stack([by_server[j].traced[i] for j in range(1, n_i + 1)])
+        r_i = replies[i]
         flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
         c_is = (flat @ scheme.vandermonde[i - 1] % p).reshape(a * c, -1, p_i, d)
         c_i = np.zeros((a * c, p_i) + tower.shape, dtype=np.int64)
@@ -541,44 +544,76 @@ def test_decode_matches_staged_oracle(digest_schemes, name):
     for seed in range(2):
         A = random_mat(s.a, s.b, s.tower, seed=30 + seed)
         B = random_mat(s.b, s.c, s.tower, seed=40 + seed)
-        bundles = server_compute(s, encode(s, A, B, seed=seed))
-        got = decode(s, bundles)
-        assert np.array_equal(got.data, _staged_decode(s, bundles).data)
+        replies = server_compute(s, *encode(s, A, B, seed=seed))
+        got = decode(s, replies)
+        assert np.array_equal(got.data, _staged_decode(s, replies).data)
         assert got.eq(mat_mul(A, B))
 
 
-def _per_share_step(scheme, scalars, share):
-    """The server's work one share at a time and element by element, as the
-    definition reads: h from mat_mul, then per group tr_i(w h) of each entry,
-    which lies in F_i, read at index 0 of axis i."""
-    from ftp_sdmm.ftp import ResponseBundle
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2,), (3,), (2, 3), (2, 5), (2, 3, 5)]), st.integers(1, 2),
+       st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, 2), st.integers(0, 2**32))
+def test_decode_is_linear_over_each_groups_subfield(primes, T, p, d, a, c, seed):
+    """On drawn small schemes and drawn reply stacks R and R', decode is
+    F_q0-linear: decode(lam R + R') = lam decode(R) + decode(R') for lam in
+    F_q0.  Group i's term is F_i-linear: with every other group's stack
+    zero, group i's stack multiplied entrywise by z in F_i decodes to z
+    times what group i's stack alone decodes to."""
+    L = len(primes)
+    assume(p**d >= primes[-1] + 2 * L + 2 * T - 2)  # q0 >= N_L
+    s = build_scheme(L, T, primes, make_base_field(p, d), a, L, c)
+    t, base, rng = s.tower, s.base, SplitMix64(seed)
+    axes = {i: [k for k in range(L) if k != i - 1] for i in range(1, L + 1)}
+    fields = {i: t.subtower(ax) for i, ax in axes.items()}
 
-    tower = scheme.tower
-    h = mat_mul(share.f_eval, share.g_eval)
-    traced = {i: np.take(tower.trace_to_subfield(tower.mul(w, h.data), i), 0, axis=1 + i)
-              for i, w in scalars.items()}
-    return ResponseBundle(share.server, traced)
+    def draw():
+        shapes = {i: (s.N[i - 1], a, c) + f.shape for i, f in fields.items()}
+        return {i: rng.digits(p, math.prod(shape)).reshape(shape) for i, shape in shapes.items()}
+
+    R, R2, lam = draw(), draw(), base.random(rng)
+    mixed = {i: (base.mul(R[i], lam) + R2[i]) % p for i in R}
+    want = (base.mul(decode(s, R).data, lam) + decode(s, R2).data) % p
+    assert np.array_equal(decode(s, mixed).data, want)
+    for i, f in fields.items():
+        z = f.random(rng)
+        alone = {k: r if k == i else np.zeros_like(r) for k, r in R.items()}
+        scaled = {**alone, i: f.mul(R[i], z)}
+        want = t.mul(decode(s, alone).data, t.embed_base(z, axes[i]))
+        assert np.array_equal(decode(s, scaled).data, want), i
 
 
-def _assert_same_bundles(got, want):
-    assert [b.server for b in got] == [b.server for b in want]
-    for g, w in zip(got, want):
-        assert sorted(g.traced) == sorted(w.traced)
-        for i in w.traced:
-            assert np.array_equal(g.traced[i], w.traced[i]), (g.server, i)
+def _per_share_step(scheme, scalars, f, g):
+    """The server's work one share (f, g) at a time and element by element,
+    as the definition reads: h from mat_mul, then per group tr_i(w h) of
+    each entry, which lies in F_i, read at index 0 of axis i."""
+    tower, w = scheme.tower, scheme.b // scheme.L
+    h = mat_mul(Mat(tower, scheme.a, w, f), Mat(tower, w, scheme.c, g))
+    return {i: np.take(tower.trace_to_subfield(tower.mul(w_i, h.data), i), 0, axis=1 + i)
+            for i, w_i in scalars.items()}
+
+
+def _assert_same_replies(got, want):
+    """got, the group stacks, holds server j's reply for group i at
+    got[i][j - 1] exactly for the groups in want[j - 1], bit for bit."""
+    for j, w in enumerate(want, start=1):
+        assert sorted(i for i, r in got.items() if j <= len(r)) == sorted(w), j
+        for i in w:
+            assert np.array_equal(got[i][j - 1], w[i]), (j, i)
 
 
 @pytest.mark.parametrize("name", [f"config {k}" for k in range(len(CONFIGS))] + list(_DIGEST_SCHEMES))
 def test_stacked_servers_match_the_per_share_loop(digest_schemes, name):
-    """server_compute on all N_L shares gives each server's bundle bit for bit
-    as the element-wise per-share loop does, servers j > N_1 (no group 1)
-    included."""
+    """server_compute on all N_L shares gives each server's replies bit for
+    bit as the element-wise per-share loop does, servers j > N_1 (no group
+    1) included."""
     s = digest_schemes[name] if name in digest_schemes else _scheme(CONFIGS[int(name[-1])])
     tower = s.tower
     A = random_mat(s.a, s.b, tower, seed=50)
     B = random_mat(s.b, s.c, tower, seed=51)
-    shares = encode(s, A, B, seed=3)
-    assert [share.server for share in shares] == list(range(1, s.N[-1] + 1))
-    want = [_per_share_step(s, ftp_module.server_groups(s, share.server), share) for share in shares]
-    _assert_same_bundles(server_compute(s, shares), want)
-    assert all(1 not in b.traced for b in want[s.N[0]:])
+    F, G = encode(s, A, B, seed=3)
+    assert len(F) == len(G) == s.N[-1]
+    want = [_per_share_step(s, ftp_module.server_groups(s, j), f, g)
+            for j, (f, g) in enumerate(zip(F, G), start=1)]
+    _assert_same_replies(server_compute(s, F, G), want)
+    assert all(1 not in w for w in want[s.N[0]:])

@@ -27,7 +27,7 @@ from ftp_sdmm.errors import (
     VersionMismatch,
 )
 from ftp_sdmm.fields import make_base_field
-from ftp_sdmm.ftp import ResponseBundle, build_scheme, cost_report, encode
+from ftp_sdmm.ftp import build_scheme, cost_report, encode
 from ftp_sdmm.matrices import SplitMix64, mat_mul, random_mat
 
 
@@ -56,23 +56,26 @@ def test_elem_roundtrip_full(scheme_ext):
 
 @pytest.mark.parametrize("name", ["scheme", "scheme_ext"])
 def test_reply_roundtrip_on_subfield_axes(request, name):
-    """Group-i replies, (a, c, *F_i.shape) tensors of F_i's digits, travel
-    through responses_body and parse_responses bit for bit, each as an
-    8-byte header and a c (flat_size / p_i) d payload bytes."""
+    """Group-i reply stacks, (N_i, a, c, *F_i.shape) tensors of F_i's
+    digits, travel through responses_body and parse_responses bit for bit,
+    server j's body holding an 8-byte header and a c (flat_size / p_i) d
+    payload bytes for each group i with j <= N_i."""
     s = request.getfixturevalue(name)
     t = s.tower
     rng = SplitMix64(2)
-    traced = {}
-    for i in range(1, s.L + 1):
-        shape = (s.a, s.c) + t.shape[: i - 1] + t.shape[i:]
-        traced[i] = rng.digits(t.base.p, math.prod(shape)).reshape(shape)
-    body = proto.responses_body(b"jobid123", t, ResponseBundle(5, traced))
-    payload = [s.a * s.c * (t.flat_size // t.primes[i - 1]) * t.base.d for i in traced]
-    assert len(body) == 8 + 2 + 1 + sum(1 + 8 + n for n in payload)
-    job_id, bundle = proto.parse_responses(t, body)
-    assert (job_id, bundle.server, sorted(bundle.traced)) == (b"jobid123", 5, sorted(traced))
-    for i, r in traced.items():
-        assert bundle.traced[i].dtype == np.int64 and np.array_equal(bundle.traced[i], r)
+    replies = {}
+    for i, n_i in enumerate(s.N, start=1):
+        shape = (n_i, s.a, s.c) + t.shape[: i - 1] + t.shape[i:]
+        replies[i] = rng.digits(t.base.p, math.prod(shape)).reshape(shape)
+    bodies = proto.responses_body(b"jobid123", t, replies, range(1, s.N[-1] + 1))
+    for j, body in enumerate(bodies, start=1):
+        payload = [s.a * s.c * (t.flat_size // t.primes[i - 1]) * t.base.d
+                   for i, n_i in enumerate(s.N, start=1) if j <= n_i]
+        assert len(body) == 8 + 2 + 1 + sum(1 + 8 + n for n in payload)
+    parsed = proto.parse_responses(s, b"jobid123", bodies)
+    assert sorted(parsed) == sorted(replies)
+    for i, r in replies.items():
+        assert parsed[i].dtype == np.int64 and np.array_equal(parsed[i], r)
 
 
 def test_digit_overflow():
@@ -300,10 +303,10 @@ def test_job_bytes_are_pinned(digest_schemes, name, seed):
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=10 + seed)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=20 + seed)
     job_id = b"\0" * 8
-    shares = encode(scheme, A, B, seed=seed)
-    share_bodies = [proto.share_body(job_id, scheme, s) for s in shares]
-    reply_bodies = [proto.responses_body(job_id, scheme.tower, proto.server_compute(scheme, s))
-                    for s in shares]
+    F, G = encode(scheme, A, B, seed=seed)
+    share_bodies = proto.share_bodies(job_id, scheme.tower, F, G)
+    reply_bodies = proto.responses_body(job_id, scheme.tower, proto.server_compute(scheme, F, G),
+                                        range(1, scheme.N[-1] + 1))
     product, ledger = proto.run_inprocess(scheme, A, B, seed=seed)
     assert product.eq(mat_mul(A, B))
     counts = repr(sorted(ledger.per_server.items())).encode()
@@ -404,16 +407,8 @@ def test_server_unknown_message_type(live_server):
 def test_server_unknown_job(scheme, live_server):
     import socket
 
-    from ftp_sdmm.ftp import encode
-
-    shares = encode(
-        scheme,
-        random_mat(scheme.a, scheme.b, scheme.tower, seed=1),
-        random_mat(scheme.b, scheme.c, scheme.tower, seed=2),
-    )
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
-        sock.sendall(proto.pack_message(
-            proto.MSG_SHARE, proto.share_body(b"nosuchjb", scheme, shares[0])))
+        sock.sendall(proto.pack_message(proto.MSG_SHARE, _share_body(b"nosuchjb", scheme)))
         mtype, body = proto.read_message(sock)
     assert mtype == proto.MSG_ERROR
     assert b"unknown job id" in body
@@ -435,12 +430,15 @@ def _five_bytes(body, scheme):
     return body[:5]
 
 
-def _share(scheme, seed=1):
-    from ftp_sdmm.ftp import encode
-
+def _share_body(job_id, scheme, j=1, seed=1):
+    """Server j's SHARE body for job_id, from an encode of random operands."""
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=seed)
     B = random_mat(scheme.b, scheme.c, scheme.tower, seed=seed + 1)
-    return encode(scheme, A, B)[0]
+    return proto.share_bodies(job_id, scheme.tower, *encode(scheme, A, B))[j - 1]
+
+
+def _parse_share(scheme, body):
+    return proto.parse_shares(scheme.tower, [body], scheme.a, scheme.b // scheme.L, scheme.c)
 
 
 def _exchange(sock, mtype, body):
@@ -448,10 +446,10 @@ def _exchange(sock, mtype, body):
     return proto.read_message(sock)
 
 
-def _assert_unknown(sock, scheme, job_id, share=None):
-    """A SHARE for job_id (server 1's share unless one is given) gets error
-    3 on sock: no such job is pending there."""
-    body = proto.share_body(job_id, scheme, share or _share(scheme))
+def _assert_unknown(sock, scheme, job_id, j=1):
+    """A SHARE for job_id, server j's, gets error 3 on sock: no such job is
+    pending there."""
+    body = _share_body(job_id, scheme, j)
     mtype, reply = _exchange(sock, proto.MSG_SHARE, body)
     assert mtype == proto.MSG_ERROR
     assert reply[0] == 3 and b"unknown job id" in reply
@@ -459,44 +457,43 @@ def _assert_unknown(sock, scheme, job_id, share=None):
 
 def test_parsers_reject_digit_p_and_short_bodies(scheme):
     t = scheme.tower
-    body = proto.share_body(b"jobid123", scheme, _share(scheme))
+    body = _share_body(b"jobid123", scheme)
     for corrupt in (_digit_p, _one_byte_short):
         with pytest.raises(MalformedFrame):
-            proto.parse_share(t, corrupt(body, scheme))
+            _parse_share(scheme, corrupt(body, scheme))
     with pytest.raises(MalformedFrame):
-        proto.parse_share(t, body + b"\0")
-    raw = proto.mat_to_bytes(t, _share(scheme).f_eval)
+        _parse_share(scheme, body + b"\0")
+    raw = proto.mat_to_bytes(t, random_mat(scheme.a, scheme.b // scheme.L, t, seed=1))
     with pytest.raises(MalformedFrame):
         proto.mat_from_bytes(t, raw[:-1])
     elem = bytearray(proto.elem_to_bytes(t, t.one()))
     elem[0] = 200  # not a digit of F_11
     with pytest.raises(MalformedFrame):
         proto.elem_from_bytes(t, bytes(elem))
-    # A RESPONSES body with group 1 once parses; with group 1 twice, or a group
-    # id outside 1..L, it is malformed.
-    from ftp_sdmm.ftp import server_compute
-
-    reply = server_compute(scheme, [_share(scheme)])[0].traced[1]
-    group = bytes([1]) + struct.pack(">II", *reply.shape[:2]) + reply.astype(np.uint8).tobytes()
+    # Server 1's RESPONSES body with groups 1 and 2 parses; with group 1
+    # twice, group 2 alone, a group id outside 1..L, or a third group, it is
+    # malformed.
+    reply = proto.server_compute(scheme, *encode(scheme, *_job(scheme)))
+    group = {i: bytes([i]) + struct.pack(">II", *r.shape[1:3]) + r[0].astype(np.uint8).tobytes()
+             for i, r in reply.items()}
     head = b"jobid123" + struct.pack(">H", 1)
-    assert list(proto.parse_responses(t, head + bytes([1]) + group)[1].traced) == [1]
-    with pytest.raises(MalformedFrame):
-        proto.parse_responses(t, head + bytes([2]) + group + group)
-    for i in (0, t.L + 1):
-        with pytest.raises(MalformedFrame):
-            proto.parse_responses(t, head + bytes([1, i]) + group[1:])
+    parsed = proto.parse_responses(scheme, b"jobid123", [head + bytes([2]) + group[1] + group[2]])
+    assert all(np.array_equal(parsed[i], reply[i][:1]) for i in (1, 2))
+    for bad in (bytes([2]) + group[1] + group[1], bytes([1]) + group[2],
+                *(bytes([2, i]) + group[1][1:] + group[2] for i in (0, t.L + 1)),
+                bytes([3]) + group[1] + group[2] + group[2]):
+        with pytest.raises(MalformedFrame, match="server 1: "):
+            proto.parse_responses(scheme, b"jobid123", [head + bad])
 
 
 @pytest.fixture(scope="module")
 def valid_bodies(scheme):
-    """A SHARE body and the RESPONSES body of a server that answers every group."""
-    from ftp_sdmm.ftp import server_compute
-
-    share = _share(scheme)
-    bundle = server_compute(scheme, [share])[0]
-    assert sorted(bundle.traced) == [1, 2]
-    return [proto.share_body(b"jobid123", scheme, share),
-            proto.responses_body(b"jobid123", scheme.tower, bundle)]
+    """Server 1's SHARE body and its RESPONSES body, which answers every group."""
+    F, G = encode(scheme, *_job(scheme, seed=1))
+    replies = proto.server_compute(scheme, F, G)
+    bodies = proto.responses_body(b"jobid123", scheme.tower, replies, range(1, scheme.N[-1] + 1))
+    assert bodies[0][10] == 2
+    return [proto.share_bodies(b"jobid123", scheme.tower, F, G)[0], bodies[0]]
 
 
 def _mutated(data, body, p=None):
@@ -523,18 +520,19 @@ def _mutated(data, body, p=None):
 @given(data=st.data())
 def test_fuzzed_share_and_responses_bodies_raise_only_ftp_errors(scheme, valid_bodies, data):
     """Valid SHARE and RESPONSES bodies roundtrip bit for bit; truncated,
-    overwritten or extended ones, and random bytes, make parse_share and
-    parse_responses return or raise an FtpError, and nothing else."""
+    overwritten or extended ones, and random bytes, make parse_shares and
+    parse_responses, each given the one body, return or raise an FtpError,
+    and nothing else."""
     t = scheme.tower
     share_raw, responses_raw = valid_bodies
-    job_id, share = proto.parse_share(t, share_raw)
-    assert proto.share_body(job_id, scheme, share) == share_raw
-    job_id, bundle = proto.parse_responses(t, responses_raw)
-    assert proto.responses_body(job_id, t, bundle) == responses_raw
+    assert proto.share_bodies(b"jobid123", t, *_parse_share(scheme, share_raw)) == [share_raw]
+    replies = proto.parse_responses(scheme, b"jobid123", [responses_raw])
+    assert proto.responses_body(b"jobid123", t, replies, [1]) == [responses_raw]
     raw = _mutated(data, data.draw(st.sampled_from(valid_bodies)))
-    for parse in (proto.parse_share, proto.parse_responses):
+    for parse in (lambda: _parse_share(scheme, raw),
+                  lambda: proto.parse_responses(scheme, b"jobid123", [raw])):
         try:
-            parse(t, raw)
+            parse()
         except FtpError:
             pass
 
@@ -579,7 +577,7 @@ def test_server_answers_bad_share_with_error_then_serves(scheme, live_server, co
     import socket
 
     job = b"badshare"
-    body = corrupt(proto.share_body(job, scheme, _share(scheme)), scheme)
+    body = corrupt(_share_body(job, scheme), scheme)
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
         mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
         assert mtype == proto.MSG_PARAMS
@@ -653,9 +651,9 @@ def _fuzz_one_frame(data, sock, scheme, params, share, valid):
     if kind == "SHARE":
         assert _exchange(sock, proto.MSG_PARAMS, params) == (proto.MSG_PARAMS, job_id)
         mtype, reply = _exchange(sock, proto.MSG_SHARE, _mutated(data, share, p))
-        assert (mtype == proto.MSG_ERROR and reply[0] in (1, 3)
-                or mtype == proto.MSG_RESPONSES
-                and proto.parse_responses(scheme.tower, reply)[0] == job_id)
+        assert mtype == proto.MSG_ERROR and reply[0] in (1, 3) or mtype == proto.MSG_RESPONSES
+        if mtype == proto.MSG_RESPONSES:  # parses only as server 1's reply to this job
+            proto.parse_responses(scheme, job_id, [reply])
     elif kind == "PARAMS":
         tail = _mutated(data, params[_GROUPS_AT - 1 :], p)
         mtype, reply = _exchange(sock, proto.MSG_PARAMS, params[: _GROUPS_AT - 1] + tail)
@@ -676,7 +674,7 @@ def test_fuzzed_frames_on_a_kept_connection_get_errors_then_a_job_runs(
     no other, and its job decodes."""
     sock, endpoint = kept_socket
     params = proto.params_body(b"fuzzjob1", scheme, 1)
-    share = proto.share_body(b"fuzzjob1", scheme, _share(scheme))
+    share = _share_body(b"fuzzjob1", scheme)
     valid = []
     _fuzz_one_frame(sock=sock, scheme=scheme, params=params, share=share, valid=valid)
     # Some mutated frames stay legal and get their valid reply.
@@ -694,14 +692,13 @@ def test_server_refuses_a_share_that_does_not_fit_its_params(scheme, live_server
     then serves a valid job."""
     import socket
 
-    from ftp_sdmm.ftp import Share
-
     job = b"oversize"
-    big = Share(1, random_mat(40, 30, scheme.tower, seed=1), random_mat(30, 40, scheme.tower, seed=2))
+    big = proto.share_bodies(job, scheme.tower, random_mat(40, 30, scheme.tower, seed=1).data[None],
+                             random_mat(30, 40, scheme.tower, seed=2).data[None])[0]
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
         mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
         assert mtype == proto.MSG_PARAMS
-        mtype, reply = _exchange(sock, proto.MSG_SHARE, proto.share_body(job, scheme, big))
+        mtype, reply = _exchange(sock, proto.MSG_SHARE, big)
     assert mtype == proto.MSG_ERROR
     assert reply[0] == 1 and b"MalformedFrame" in reply
     A = random_mat(scheme.a, scheme.b, scheme.tower, seed=8)
@@ -717,7 +714,7 @@ def test_server_drops_each_job_once_answered(scheme, live_server):
     import socket
 
     job = b"onceonly"
-    body = proto.share_body(job, scheme, _share(scheme))
+    body = _share_body(job, scheme)
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
         for first, want in ((body, proto.MSG_RESPONSES), (body[:-1], proto.MSG_ERROR)):
             mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
@@ -874,20 +871,19 @@ def test_a_second_params_replaces_the_first(scheme, live_server):
     answered.  A refused PARAMS leaves no job pending."""
     import socket
 
-    first, second = encode(scheme, *_job(scheme))[:2]
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
         for job in (b"replaced", b"replacer"):
             mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(job, scheme, 1))
             assert mtype == proto.MSG_PARAMS
-        _assert_unknown(sock, scheme, b"replaced", first)
-        _assert_unknown(sock, scheme, b"replacer", second)
-        mtype, _ = _exchange(sock, proto.MSG_SHARE, proto.share_body(b"replacer", scheme, first))
+        _assert_unknown(sock, scheme, b"replaced", 1)
+        _assert_unknown(sock, scheme, b"replacer", 2)
+        mtype, _ = _exchange(sock, proto.MSG_SHARE, _share_body(b"replacer", scheme))
         assert mtype == proto.MSG_RESPONSES
         mtype, _ = _exchange(sock, proto.MSG_PARAMS, proto.params_body(b"bigfield", scheme, 1))
         assert mtype == proto.MSG_PARAMS
         huge = _params_for(11, 1, (0, 1), (2,), abc=(1 << 16, 1, 1 << 16))  # also job b"bigfield"
         assert _exchange(sock, proto.MSG_PARAMS, huge)[0] == proto.MSG_ERROR
-        _assert_unknown(sock, scheme, b"bigfield", first)
+        _assert_unknown(sock, scheme, b"bigfield", 1)
 
 
 def test_the_daemon_serves_at_most_max_connections_at_once(scheme, live_server, monkeypatch):
@@ -1043,6 +1039,60 @@ def test_an_error_reply_fails_its_job_and_the_next_job_runs(scheme, live_server,
     assert product.eq(mat_mul(A, B))
 
 
+def _answering_another_job(real):
+    return lambda job_id, *rest: real(b"otherjob", *rest)
+
+
+def _answering_as_the_next_server(real):
+    return lambda job_id, tower, replies, servers: real(job_id, tower, replies,
+                                                        [j + 1 for j in servers])
+
+
+def _adding_group_1(real):
+    """server_step with a zero group-1 reply for the servers past N_1."""
+    def step(tower, taus, F, G):
+        replies = real(tower, taus, F, G)
+        f_1 = tower.subtower(list(range(1, tower.L)))
+        replies.setdefault(1, np.zeros((len(F), F.shape[1], G.shape[2]) + f_1.shape, np.int64))
+        return replies
+    return step
+
+
+def _dropping_the_last_group(real):
+    def step(tower, taus, F, G):
+        replies = real(tower, taus, F, G)
+        del replies[max(replies)]
+        return replies
+    return step
+
+
+# The first server whose reply each mutation makes wrong: the daemon's
+# attribute patched, the mutation, and that server, given N.
+_UNASKED_REPLIES = {
+    "another job id": ("responses_body", _answering_another_job, lambda N: 1),
+    "another server index": ("responses_body", _answering_as_the_next_server, lambda N: 1),
+    "an extra group": ("server_step", _adding_group_1, lambda N: N[0] + 1),
+    "a missing group": ("server_step", _dropping_the_last_group, lambda N: 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNASKED_REPLIES))
+def test_the_client_refuses_a_reply_it_did_not_ask_for(scheme, live_server, case):
+    """A live daemon that answers with another job id or server index, or
+    with groups other than {i : j <= N_i}: run_remote raises MalformedFrame
+    naming the first such server, and the next job, answered as asked,
+    decodes over the same kept connection."""
+    attr, mutation, first = _UNASKED_REPLIES[case]
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(proto, attr, mutation(getattr(proto, attr)))
+        with pytest.raises(MalformedFrame, match=f"^server {first(scheme.N)}: "):
+            proto.run_remote(endpoints, scheme, A, B, seed=1)
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+
+
 def test_run_remote_starts_no_thread(scheme, live_server, monkeypatch):
     A, B = _job(scheme)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
@@ -1086,7 +1136,7 @@ def test_an_unanswered_job_leaves_with_its_connection(scheme, live_server):
             socket.create_connection(address, timeout=5) as other:
         assert _exchange(own, proto.MSG_PARAMS, params)[0] == proto.MSG_PARAMS
         _assert_unknown(other, scheme, b"noshare!")
-        body = proto.share_body(b"noshare!", scheme, _share(scheme))
+        body = _share_body(b"noshare!", scheme)
         assert _exchange(own, proto.MSG_SHARE, body)[0] == proto.MSG_RESPONSES
         assert _exchange(own, proto.MSG_PARAMS, params)[0] == proto.MSG_PARAMS
     with socket.create_connection(address, timeout=5) as sock:
