@@ -7,6 +7,7 @@ parameters, 3 transport failure."""
 import argparse
 import hashlib
 import sys
+import time
 from fractions import Fraction
 
 from . import analysis, proto
@@ -151,7 +152,9 @@ def _checksum(scheme, m):
 
 def _cmd_run(args):
     opts = _merge(args, _RUN_SCHEMA, _RUN_DEFAULTS)
+    start = time.perf_counter_ns()
     scheme = _build_from_opts(opts)
+    setup_s = (time.perf_counter_ns() - start) / 1e9
     seed = opts["seed"]
     A = random_mat(opts["a"], opts["b"], scheme.tower, seed=seed * 2 + 1)
     B = random_mat(opts["b"], opts["c"], scheme.tower, seed=seed * 2 + 2)
@@ -174,6 +177,9 @@ def _cmd_run(args):
           f"download={ledger.download_symbols} formula={report.download_symbols} "
           f"{'match' if ledger_ok else 'MISMATCH'}")
     print(f"rate={_rat(report.rate)}")
+    spans = {"setup": setup_s, **ledger.spans}
+    stages = ("setup", "encode", "servers", "wire", "decode")
+    print("times", *(f"{k}={spans.get(k, 0.0) * 1e3:.2f}ms" for k in stages), file=sys.stderr)
     return EXIT_OK if verified and ledger_ok else EXIT_VERIFY
 
 

@@ -89,79 +89,91 @@ def check_primes(primes):
 # -- moduli: one routine over a coefficient field F -----------------------------
 
 def _fp_matrix(F, rows):
-    """The F_p matrix of the F-linear map x^k -> rows[k] on flat coefficient
-    rows: its row for y^a x^k, with y the generator of F, is y^a * rows[k]."""
-    k, n, d = rows.shape
-    return F.mul_matrix(rows).transpose(0, 2, 1, 3).reshape(k * d, n * d)
+    """The F_p matrices of the F-linear maps x^k -> rows[..., k, :] on flat
+    coefficient rows: row y^a x^k, y the generator of F, is y^a rows[..., k, :]."""
+    *lead, k, n, d = rows.shape
+    return np.swapaxes(F.mul_matrix(rows), -3, -2).reshape(*lead, k * d, n * d)
 
 
-def _extension_tables(F, m):
-    """For a monic m of degree n over F, held as an (n + 1, d) array: the rows
-    X[k] = x^k mod m (k < 2n - 1), the ((2n - 1)d, nd) F_p matrix R that
-    takes a product's coefficients mod m, and the q-power rows
-    Q[k] = x^(kq) mod m (k < n, q = |F|).  None if m is reducible (Rabin).
+def _extension_tables(F, ms):
+    """For a stack of monic m of degree n over F, each an (n + 1, d) array,
+    one entry per candidate: the rows X[k] = x^k mod m (k < 2n - 1), the
+    ((2n - 1)d, nd) F_p matrix R that takes a product's coefficients mod m,
+    and the q-power rows Q[k] = x^(kq) mod m (k < n, q = |F|); or None if m
+    is reducible (Rabin).  The candidates take each step together, as
+    stacked matmuls, and one that a step rejects takes no later rank test.
     Where F is small, a root, found by one Horner pass over all of F, rejects
     m first, in place of the rank test of gcd(x^q - x, m) = 1."""
-    n, d, p = len(m) - 1, F.d, F.p
+    n, d, p = ms.shape[1] - 1, F.d, F.p
+    live = np.arange(len(ms))
     screened = n > 1 and F.order * d * d <= 2**15  # entries in F's multiplication matrices
     if screened:
-        value, by_t = np.broadcast_to(m[-1], (F.order, d)), F._element_mats
-        for c in m[-2::-1]:
-            value = ((value[:, None] @ by_t)[:, 0] + c) % p
-        if not value.any(axis=1).all():
-            return None
-    X = np.zeros((2 * n - 1, n, d), dtype=np.int64)
-    X[0, 0] = F.one()
-    by_m = F.mul_matrix(m[:n])
+        value, by_t = np.broadcast_to(ms[:, -1, None], (len(ms), F.order, d)), F._element_mats
+        for c in ms[:, -2::-1].swapaxes(0, 1):
+            value = ((value[..., None, :] @ by_t)[..., 0, :] + c[:, None]) % p
+        live = np.flatnonzero(value.any(axis=2).all(axis=1))
+    S = len(live)
+    X = np.zeros((S, 2 * n - 1, n, d), dtype=np.int64)
+    X[:, 0, 0] = F.one()
+    by_m = F.mul_matrix(ms[live, :n])
     for k in range(1, 2 * n - 1):  # x^k = x * x^(k-1), with x^n = -sum m_j x^j
-        X[k, 1:] = X[k - 1, :-1]
-        X[k] = (X[k] - X[k - 1, -1] @ by_m) % p
+        X[:, k, 1:] = X[:, k - 1, :-1]
+        X[:, k] = (X[:, k] - (X[:, k - 1, -1, None, None] @ by_m)[:, :, 0]) % p
     R = _fp_matrix(F, X)
     if n == 1:
-        return X, R, X[:1]
+        return [(X[s], R[s], X[s, :1]) for s in range(S)]  # every m is x - c
 
-    def times(b):  # multiplication by b mod m, on flat rows
-        U = np.zeros((n, d, 2 * n - 1, d), dtype=np.int64)
-        by_b = F.mul_matrix(b).swapaxes(0, 1)
+    def spread(b):  # multiplication by b, on flat rows, before R reduces it mod m
+        U = np.zeros((S, n, d, 2 * n - 1, d), dtype=np.int64)
+        by_b = F.mul_matrix(b.reshape(S, n, d)).swapaxes(1, 2)
         for i in range(n):
-            U[i, :, i : i + n] = by_b
-        return U.reshape(n * d, -1) @ R % p
+            U[:, i, :, i : i + n] = by_b
+        return U.reshape(S, n * d, (2 * n - 1) * d)
 
-    x, by_x = X[1].reshape(-1), _fp_matrix(F, X[1 : n + 1])
-    xq = X[0].reshape(-1)
+    def apply(v, M):  # each candidate's row v times its matrix M
+        return (v[:, None] @ M)[:, 0] % p
+
+    x, by_x = X[:, 1].reshape(S, n * d), _fp_matrix(F, X[:, 1 : n + 1])
+    Q = [X[:, 0].reshape(S, n * d)]
+    xq = Q[0]
     for bit in bin(F.order)[2:]:  # square-and-multiply, high bit first
-        xq = xq @ times(xq.reshape(n, d)) % p
+        xq = apply(apply(xq, spread(xq)), R)
         if bit == "1":
-            xq = xq @ by_x % p
-    Q = np.zeros((n, n * d), dtype=np.int64)
-    Q[0] = X[0].reshape(-1)
-    by_xq = times(xq.reshape(n, d))
-    for k in range(1, n):
-        Q[k] = Q[k - 1] @ by_xq % p
-    Q = Q.reshape(n, n, d)
+            xq = apply(xq, by_x)
+    by_xq = spread(xq) @ R % p
+    for _ in range(1, n):
+        Q.append(apply(Q[-1], by_xq))
+    Q = np.stack(Q, axis=1).reshape(S, n, n, d)
     frob = _fp_matrix(F, Q)  # the q-power map fixes F, so it is F-linear
-    v = x
+    v, ok = x, np.ones(S, dtype=bool)
     for j in range(1, n + 1):
-        v = v @ frob % p  # x^(q^j)
+        v = apply(v, frob)  # x^(q^j)
         if (j > 1 or not screened) and j < n and n % j == 0 and is_prime(n // j):
             # gcd(v - x, m) = 1 iff multiplication by v - x mod m is invertible.
-            if not _full_rank(times((v - x).reshape(n, d) % p), p):
-                return None
-    return (X, R, Q) if np.array_equal(v, x) else None
+            by_diff = spread((v - x) % p) @ R % p
+            ok = np.array([o and _full_rank(M, p) for o, M in zip(ok, by_diff)], dtype=bool)
+    ok &= (v == x).all(axis=1)
+    tables = dict(zip(live[ok], zip(X[ok], R[ok], Q[ok])))
+    return [tables.get(c) for c in range(len(ms))]
+
+
+# Candidates per stack in the search for the smallest irreducible.
+_BLOCK = 16
 
 
 def _smallest_irreducible(F, n):
     """The lexicographically smallest monic irreducible of degree n over F
     (coefficients compared low-degree first, by F's enumeration index), and
-    its tables.  Past degree 1, c_0 = 0 means x | m, so that block is
-    skipped."""
-    q = F.order
-    for idx in range(q ** (n - 1) if n > 1 else 0, q**n):
-        digits = [idx // q ** (n - 1 - j) % q for j in range(n)]  # c_0 first
-        m = np.stack([F.from_int(t) for t in digits] + [F.one()])
-        tables = _extension_tables(F, m)
-        if tables is not None:
-            return (m,) + tables
+    its tables, from stacks of _BLOCK candidates in that order.  Past
+    degree 1, c_0 = 0 means x | m, so those are skipped."""
+    q, p, d = F.order, F.p, F.d
+    for lo in range(q ** (n - 1) if n > 1 else 0, q**n, _BLOCK):
+        # m's F_p digits, c_0 first: its index's n d base-p digits, then monic 1.
+        ms = np.array([[t // p**k % p for k in range(n * d - 1, -1, -1)] + [1] + [0] * (d - 1)
+                       for t in range(lo, min(lo + _BLOCK, q**n))]).reshape(-1, n + 1, d)
+        for m, tables in zip(ms, _extension_tables(F, ms)):
+            if tables is not None:
+                return (m,) + tables
     raise NoIrreducible(f"no irreducible of degree {n} over F_{q}")
 
 
@@ -243,7 +255,7 @@ class BaseField(_Field):
             m = np.array([int(c) % p for c in modulus], dtype=np.int64).reshape(-1, 1)
             if len(m) != d + 1 or m[-1, 0] != 1:
                 raise NoIrreducible("modulus must be monic of degree d")
-            tables = _extension_tables(fp, m)
+            tables = _extension_tables(fp, m[None])[0]
             if tables is None:
                 raise NoIrreducible(f"modulus {m[:, 0].tolist()} is reducible over F_{p}")
             self._redmat = tables[1]

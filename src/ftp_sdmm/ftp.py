@@ -104,41 +104,45 @@ def build_scheme(L, T, primes, base, a, b, c):
     diff = base.sub(alphas, alphas[:, None])  # [j', j]
     diff[np.diag_indices(N[-1])] = base.one()
     deriv_inv = base.inv(prefix_products(base, diff)[[T - 1] + [n_i - 1 for n_i in N]])
-    # (a_i - a_k)^-1 for i < k from m_k divided by x - a_i in F_q0(a_i), where
-    # m_k(a_i) is the one element inverted; Q(a_k) spans axes i and k.
+    # Group i's values lie in F_q0(a_i), subs[i - 1], and are computed there.
+    # between[i, k] = (a_i - a_k)^-1 by powers of a_k over F_q0(a_i), (p_k,
+    # p_i, d): for i < k from m_k divided by x - a_i, m_k(a_i) inverted.
+    subs = [tower.subtower([i]) for i in range(L)]
     between = {}
     for i in range(1, L):
-        ks = range(i + 1, L + 1)
-        sub = tower.subtower([i - 1])
+        ks, sub = range(i + 1, L + 1), subs[i - 1]
         u_powers = powers(sub, sub.gen(1), primes[-1] + 1)[:, 0]
         divs = [divide_at(sub, tower.moduli[k - 1], u_powers[: primes[k - 1] + 1]) for k in ks]
-        inverses = tower.embed_base(sub.inv(np.stack([q[0] for q in divs])), [i - 1])
-        # Q(a_k) = sum_s Q_s a_k^s: entry [e_i, s] is Q_s's coefficient of a_i^(e_i)
-        quotients = np.stack([tower.embed_base(np.moveaxis(q[1:], 0, 1), [i - 1, k - 1])
-                              for k, q in zip(ks, divs)])
-        for k, g in zip(ks, tower.mul(quotients, inverses)):
-            between[i, k], between[k, i] = g, tower.neg(g)
+        inverses = np.repeat(sub.inv(np.stack([q[0] for q in divs])), primes[i:], axis=0)
+        quotients = sub.mul(np.concatenate([q[1:] for q in divs]), inverses)
+        for k, g in zip(ks, np.split(quotients, np.cumsum(primes[i:-1]))):
+            between[i, k], between[k, i] = g, base.neg(np.moveaxis(g, 0, 1))
 
     to_axis, server_scalars, gen_inverses, duals, k_polys = [], [], [], [], []
-    pt_inv = []  # P_T(a_i)^-1 = prod_(t < T) (a_i - alpha_t)^-1, on axis i
-    for i, (p_i, n_i) in enumerate(zip(primes, N), start=1):
+    pt_inv = []  # P_T(a_i)^-1 = prod_(t < T) (a_i - alpha_t)^-1, in F_q0(a_i)
+    for i, (p_i, n_i, sub) in enumerate(zip(primes, N, subs), start=1):
         q = divide_at(base, tower.moduli[i - 1], alpha_powers[: p_i + 1])  # over F_q0
-        q = base.mul(q[1:], base.inv(q[0]))
-        to_axis.append(tower.embed_base(np.moveaxis(q, 0, 1), [i - 1]))  # (alpha_j - a_i)^-1
-        server_scalars.append(tower.mul(to_axis[-1][:n_i], tower.embed_base(deriv_inv[i][:n_i])))
+        to_axis.append(np.moveaxis(base.mul(q[1:], base.inv(q[0])), 0, 1))  # (alpha_j - a_i)^-1
+        w = base.mul(to_axis[-1][:n_i], deriv_inv[i][:n_i, None])
+        server_scalars.append(tower.embed_base(w, [i - 1]))
         # v_i and A'(a_i)^-1: prod_(j < N_L or T) (a_i - alpha_j)^-1 prod_(k != i) (a_i - a_k)^-1
-        from_axis = prefix_products(tower, tower.neg(to_axis[-1]))
+        from_axis = prefix_products(sub, sub.neg(to_axis[-1]))
         pt_inv.append(from_axis[T - 1])
-        others = reduce(tower.mul, [between[i, k] for k in gens if k != i], tower.one())
-        gen_inverses.append(tower.mul(from_axis[[N[-1] - 1, T - 1]], others))
-        duals.append(power_basis_dual(tower, from_axis[n_i - 1], i))  # scale 1/P_i(a_i)
-        k_polys.append(_times_generators(tower, [k for k in gens if k != i],
-                                         annihilator(base, alphas[n_i:])))
+        ks = [k for k in gens if k != i]
+        others = [np.expand_dims(between[i, k], tuple(t for t in range(L - 1) if ks[t] != k))
+                  for k in ks]
+        start = from_axis[[N[-1] - 1, T - 1]].reshape((2,) + (1,) * (L - 1) + sub.shape)
+        gen_inverses.append(np.moveaxis(reduce(sub.mul, others, start), -2, i))
+        duals.append([tower.embed_base(v, [i - 1])  # scale 1/P_i(a_i)
+                      for v in power_basis_dual(sub, from_axis[n_i - 1], 1)])
+        k_polys.append(_times_generators(tower, ks, annihilator(base, alphas[n_i:])))
 
-    # At the upload points, prod_i (alpha_j - a_i)^-1 times an F_q0 scalar.
-    upload = reduce(tower.mul, to_axis)
-    weights = np.concatenate([[g[0] for g in gen_inverses],
-                              tower.mul(upload, tower.embed_base(deriv_inv[-1]))])
+    # At the upload points prod_i (alpha_j - a_i)^-1, factors on disjoint axes
+    # (no reduction), times the F_q0 scalars of the weights and node inverses.
+    scalars = deriv_inv[[-1, 0]].reshape((2, N[-1]) + (1,) * L + (base.d,))
+    upload = reduce(base.mul, [np.expand_dims(t, tuple(1 + j for j in range(L) if j != k))
+                               for k, t in enumerate(to_axis)], scalars)
+    weights = np.concatenate([[g[0] for g in gen_inverses], upload[0]])
     # Lagrange basis on the nodes a_1..a_L, alpha_1..alpha_T: each quotient of
     # A = prod_i (x - a_i) * P_T(x) by one of its factors has the same form.
     quotients = np.stack([
@@ -147,8 +151,7 @@ def build_scheme(L, T, primes, base, a, b, c):
         *(_times_generators(tower, gens, annihilator(base, np.delete(alphas[:T], t, axis=0))).coeffs
           for t in range(T))], axis=1)  # [s, k]
     if kernels._by_table_fits(tower):
-        node_inv = np.concatenate([[g[1] for g in gen_inverses],
-                                   tower.mul(upload[:T], tower.embed_base(deriv_inv[0][:T]))])
+        node_inv = np.concatenate([[g[1] for g in gen_inverses], upload[1, :T]])
         lagrange = dict(basis=tower.mul(quotients, node_inv))
     else:
         lagrange = _node_factors(tower, quotients, pt_inv, to_axis, between, deriv_inv[0][:T])
@@ -192,9 +195,10 @@ def _node_factors(tower, quotients, pt_inv, to_axis, between, scalars):
     k, multiplication by a_k."""
     base, L, T = tower.base, tower.L, len(scalars)
     randoms = list(range(L, L + T))
-    scales = [((k,), tower.mul_matrix(np.stack([pt_inv[k], *to_axis[k][:T]]), (k,)),
+    scales = [((k,), tower.subtower((k,)).mul_matrix(np.stack([pt_inv[k], *to_axis[k][:T]]), (0,)),
                [k, *randoms]) for k in range(L)]
-    scales += [((i, k), tower.mul_matrix(between[i + 1, k + 1], (i, k)), [i, k])
+    scales += [((i, k), tower.subtower((i, k)).mul_matrix(np.moveaxis(between[i + 1, k + 1], 0, 1),
+                                                          (0, 1)), [i, k])
                for i, k in combinations(range(L), 2)]
     signs = base.one() * (-1) ** np.arange(L)[:, None] % base.p
     per_node = np.concatenate([signs, scalars]).reshape((1, L + T) + (1,) * L + (base.d,))

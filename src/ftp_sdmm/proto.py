@@ -30,6 +30,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 from math import prod
@@ -355,9 +356,20 @@ def error_body(code, message):
 @dataclass
 class TrafficLedger:
     """Per-server, per-direction counters of base-field symbols and payload
-    bytes (matrix payload sections only, matching the cost model)."""
+    bytes (matrix payload sections only, matching the cost model), and the
+    job's wall time per stage in seconds, by ``span``."""
 
     per_server: dict = dc_field(default_factory=dict)
+    spans: dict = dc_field(default_factory=dict)
+
+    @contextmanager
+    def span(self, stage):
+        """Add the wall time of the block, by perf_counter_ns, to spans[stage]."""
+        start = time.perf_counter_ns()
+        try:
+            yield
+        finally:
+            self.spans[stage] = self.spans.get(stage, 0.0) + (time.perf_counter_ns() - start) / 1e9
 
     def _slot(self, j):
         return self.per_server.setdefault(
@@ -399,17 +411,24 @@ def _job(scheme, A, B, seed, job_id, exchange):
     1..N_L, their parse, the ledger and decode.  The ledger counts each
     server's symbols on the stacks, and its payload bytes on its bodies:
     without the job id, the server index, the group count, and each
-    matrix's header and group id."""
-    F, G = encode(scheme, A, B, seed=seed)
-    sent = share_bodies(job_id, scheme.tower, F, G)
-    received = exchange(sent)
-    replies = parse_responses(scheme, job_id, received)
+    matrix's header and group id.  Its spans time the stages: encode, the
+    client's wire codec, the exchange with the servers (in process, their
+    codec and server_compute) and decode."""
     ledger, d = TrafficLedger(), scheme.base.d
+    with ledger.span("encode"):
+        F, G = encode(scheme, A, B, seed=seed)
+    with ledger.span("wire"):
+        sent = share_bodies(job_id, scheme.tower, F, G)
+    with ledger.span("servers"):
+        received = exchange(sent)
+    with ledger.span("wire"):
+        replies = parse_responses(scheme, job_id, received)
     for j, (up, down) in enumerate(zip(sent, received), start=1):
         traced = [r[j - 1] for r in replies.values() if j <= len(r)]
         ledger.add_upload(j, (F[j - 1].size + G[j - 1].size) // d, len(up) - 10 - 16)
         ledger.add_download(j, sum(r.size for r in traced) // d, len(down) - 11 - 9 * len(traced))
-    return decode(scheme, replies), ledger
+    with ledger.span("decode"):
+        return decode(scheme, replies), ledger
 
 
 def run_inprocess(scheme, A, B, seed=0):

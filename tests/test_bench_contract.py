@@ -123,3 +123,17 @@ def test_an_inprocess_job_writes_and_reads_each_share_stack_once(tracing, digest
         assert [(raw.shape[0], depth) for raw, depth in reads] == [(n, 0), (n, 0)], name
         assert len(calls["responses_body"]) == len(calls["parse_responses"]) == 1, name
         assert spans["proto.wire_s"] > 0, name
+
+
+def test_setup_calls_the_make_tower_the_tracer_times(tracing):
+    """A build_scheme inside Tracer, on each benchmark scheme, records
+    fields.make_tower_s: setup still builds its tower through the
+    module-level ftp.make_tower that perfbench/tracing.py patches."""
+    from conftest import _DIGEST_SCHEMES
+
+    for name, (L, T, primes, p, d, a, b, c) in _DIGEST_SCHEMES.items():
+        with tracing.Tracer() as tracer:
+            tracer.take()
+            build_scheme(L, T, primes, BaseField(p, d), a, b, c)
+            spans, _ = tracer.take()
+        assert spans.get("fields.make_tower_s", 0) > 0, name

@@ -41,6 +41,19 @@ def test_run_inprocess(capsys):
     assert out == out2
 
 
+def test_run_prints_one_line_of_stage_times_on_stderr(capsys):
+    """Setup, encode, the servers, the wire codec and decode, each timed,
+    on one stderr line; stdout carries no times, so it stays the same."""
+    code, out, err = run_cli(capsys, ["run", "--L", "2", "--T", "1", "--primes", "2,3",
+                                      "--q0-p", "11", "--b", "2"])
+    assert code == 0 and "times" not in out
+    (line,) = err.splitlines()
+    name, *fields = line.split()
+    assert name == "times"
+    assert [f.split("=")[0] for f in fields] == ["setup", "encode", "servers", "wire", "decode"]
+    assert all(float(f.split("=")[1].removesuffix("ms")) > 0 for f in fields)
+
+
 def test_run_invalid_params_exit_2(capsys):
     code, _, err = run_cli(capsys, ["run", "--L", "1", "--primes", "5",
                                     "--q0-p", "2", "--q0-d", "2"])

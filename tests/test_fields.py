@@ -200,6 +200,15 @@ def test_base_tables_match_pinned_digests(p, d):
     assert (f.modulus, _digest([f._redmat])) == _BASE_DIGESTS[(p, d)]
 
 
+def _candidates(F, n, indices=None):
+    """The monic candidates of degree n over F, one (n + 1, d) array per
+    enumeration index (c_0 most significant), as one stack; all q^n of them
+    by default."""
+    q = F.order
+    return np.stack([np.stack([F.from_int(idx // q ** (n - 1 - j) % q) for j in range(n)] + [F.one()])
+                     for idx in (range(q**n) if indices is None else indices)])
+
+
 def _mobius(n):
     mu, k = 1, 2
     while k * k <= n:
@@ -219,10 +228,7 @@ def test_irreducible_count_matches_gauss(p, d, max_n):
     F = BaseField(p, d)
     q = F.order
     for n in range(1, max_n + 1):
-        accepted = 0
-        for idx in range(q**n):
-            m = np.stack([F.from_int(idx // q**j % q) for j in range(n)] + [F.one()])
-            accepted += _extension_tables(F, m) is not None
+        accepted = sum(t is not None for t in _extension_tables(F, _candidates(F, n)))
         gauss = sum(_mobius(k) * q ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
         assert accepted == gauss, (q, n)
 
@@ -293,20 +299,25 @@ def _rabin_tables(F, m):
     return (X, R, Q) if np.array_equal(v, x) else None
 
 
-def _same_verdict_and_tables(F, m):
-    got, want = _extension_tables(F, m), _rabin_tables(F, m)
-    assert (got is None) == (want is None), (F, m.tolist())
-    if got is not None:
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    return got is not None
+def _same_verdicts_and_tables(F, ms):
+    """The batched test's verdict on each candidate of the stack ms, which
+    is the oracle's, as are the tables of each candidate it accepts."""
+    verdicts = []
+    for m, got in zip(ms, _extension_tables(F, ms)):
+        want = _rabin_tables(F, m)
+        assert (got is None) == (want is None), (F, m.tolist())
+        if got is not None:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        verdicts.append(got is not None)
+    return verdicts
 
 
 def test_root_screen_accepts_what_rabin_alone_accepts(monkeypatch):
-    """Every monic candidate of degree 2-4 over F_4 and 2-3 over F_9: the
-    screened test accepts exactly the oracle's set, with the same tables.
-    Degree 4 keeps a composite degree, and its rank test, covered.  Over
-    F_65521, past the screen's size, prime degrees keep the rank test at
-    r = n, which rejects a reducible candidate with a root."""
+    """Every monic candidate of degree 2-4 over F_4 and 2-3 over F_9, one
+    stack per degree: the screened test accepts exactly the oracle's set,
+    with the same tables.  Degree 4 keeps a composite degree, and its rank
+    test, covered.  Over F_65521, past the screen's size, prime degrees keep
+    the rank test at r = n, which rejects a reducible candidate with a root."""
     ranks = []  # the size of each matrix the screened test row-reduces
 
     def counted(M, p):
@@ -318,10 +329,7 @@ def test_root_screen_accepts_what_rabin_alone_accepts(monkeypatch):
         F = BaseField(p, d)
         q = F.order
         for n in degrees:
-            accepted = 0
-            for idx in range(q**n):
-                m = np.stack([F.from_int(idx // q**j % q) for j in range(n)] + [F.one()])
-                accepted += _same_verdict_and_tables(F, m)
+            accepted = sum(_same_verdicts_and_tables(F, _candidates(F, n)))
             assert accepted == sum(_mobius(k) * q ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
     # Over the small fields only degree 4's r = 2 test reached a rank test.
     assert set(ranks) == {4 * 2}
@@ -332,10 +340,37 @@ def test_root_screen_accepts_what_rabin_alone_accepts(monkeypatch):
     F = BaseField(65521, 1)
     cases = {(-1, 0, 1): False, (-17, 0, 1): True, (-2, 0, 0, 1): True,
              (-8, 0, 0, 1): False, (-6, 11, -6, 1): False}
-    for coeffs, irreducible in cases.items():
-        m = np.array(coeffs, dtype=np.int64).reshape(-1, 1) % F.p
-        assert _same_verdict_and_tables(F, m) == irreducible, coeffs
+    for n in (2, 3):
+        stack = [c for c in cases if len(c) == n + 1]
+        ms = np.array(stack, dtype=np.int64)[..., None] % F.p
+        assert _same_verdicts_and_tables(F, ms) == [cases[c] for c in stack]
     assert len(ranks) == len(cases)
+
+
+def _first_irreducible(F, n):
+    """The oracle search: the candidates one at a time, in lexicographic
+    order, each judged by _rabin_tables."""
+    for idx in range(F.order ** (n - 1) if n > 1 else 0, F.order**n):
+        m = _candidates(F, n, [idx])[0]
+        tables = _rabin_tables(F, m)
+        if tables is not None:
+            return (m,) + tables
+
+
+@pytest.mark.parametrize("block", [3, fields._BLOCK])
+@pytest.mark.parametrize("p, d, degrees", [(2, 1, range(1, 6)), (3, 1, range(1, 6)),
+                                           (2, 2, range(1, 6)), (3, 2, range(1, 6)),
+                                           (11, 1, range(1, 6)), (3, 3, (5, 7, 11))])
+def test_batched_search_equals_one_candidate_at_a_time(monkeypatch, block, p, d, degrees):
+    """The search in blocks of candidates finds the modulus, and the tables,
+    that a one-candidate-at-a-time search by the unscreened oracle finds;
+    blocks of 3 also cross a block's end before the modulus."""
+    monkeypatch.setattr(fields, "_BLOCK", block)
+    F = BaseField(p, d)
+    for n in degrees:
+        got, want = fields._smallest_irreducible(F, n), _first_irreducible(F, n)
+        assert len(got) == len(want) == 4
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (F, n)
 
 
 @pytest.mark.parametrize("p, non_square", [(11, 2), (65521, 17)])

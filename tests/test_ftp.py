@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ftp_sdmm.ftp as ftp_module
@@ -481,17 +481,54 @@ def test_closed_form_setup_matches_annihilator_route(digest_schemes, name):
 
 
 _PRIME_SETS = [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
-_SMALL_PRIMES = [p for p in range(2, 32) if all(p % f for f in range(2, p))]
+_SMALL_PRIMES = [p for p in range(2, 256) if all(p % f for f in range(2, p))]
+# The most draws q^T for which the drawn test runs the exhaustive audit,
+# which encodes every draw once.
+_EXHAUSTIVE_DRAWS = 1 << 12
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=24, deadline=None)
 @given(st.sampled_from(_PRIME_SETS), st.integers(1, 2), st.sampled_from(_SMALL_PRIMES),
        st.integers(1, 2))
+@example(primes=(2,), T=1, p=7, d=2)
+@example(primes=(3,), T=1, p=13, d=1)
+@example(primes=(2,), T=2, p=7, d=1)
 def test_closed_form_setup_matches_annihilator_route_on_drawn_schemes(primes, T, p, d):
+    """On drawn schemes over F_p^d, p < 256, the closed forms equal the
+    annihilator route.  Where L = 1 (so the blocks are 1 x 1), |F_q| <=
+    2^16 and there are at most _EXHAUSTIVE_DRAWS draws of the T randoms,
+    the exhaustive audit passes too."""
     L = len(primes)
     assume(p**d >= primes[-1] + 2 * L + 2 * T - 2)  # q0 >= N_L
     s = build_scheme(L=L, T=T, primes=primes, base=make_base_field(p, d), a=1, b=L, c=1)
     _assert_closed_forms_match(s)
+    q = s.tower.order_int
+    if L == 1 and q <= 1 << 16 and q**T <= _EXHAUSTIVE_DRAWS:
+        report = security_audit(s, mode="exhaustive")
+        assert report.passed and report.checks == math.comb(s.N[-1], T)
+
+
+def test_setup_products_run_on_their_subtowers(monkeypatch):
+    """No product that paper-full's build_scheme makes on the full tower
+    has both operands on one axis: group i's values are computed in
+    F_q0(a_i), and products of elements on disjoint axes are outer
+    products."""
+    from ftp_sdmm import fields
+
+    calls = []
+    matmul = kernels.matmul
+
+    def spy(field, x, y):
+        calls.append((field, x, y))
+        return matmul(field, x, y)
+
+    monkeypatch.setattr(kernels, "matmul", spy)
+    monkeypatch.setattr(fields, "matmul", spy)
+    L, T, primes, p, d, a, b, c = _DIGEST_SCHEMES["paper-full"]
+    s = build_scheme(L, T, primes, make_base_field(p, d), a, b, c)
+    full = [(kernels.support(f, x), kernels.support(f, y)) for f, x, y in calls if f is s.tower]
+    assert calls
+    assert not [axes for axes in full if len(set().union(*axes)) <= 1], full
 
 
 def test_setup_inverts_no_element_spanning_two_axes(monkeypatch):

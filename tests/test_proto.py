@@ -322,6 +322,11 @@ def live_server():
     yield server
     server.stop()
     thread.join(timeout=5)
+    # The socket that run_remote kept for this daemon's endpoint.
+    with proto._kept_lock:
+        kept = proto._kept.pop(("127.0.0.1", server.port), None)
+    if kept is not None:
+        kept.close()
 
 
 def test_remote_identical_to_inprocess(scheme, live_server):
