@@ -50,18 +50,7 @@ from .poly import divide_at
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def _full_rank(M, p):
@@ -157,20 +146,16 @@ def _extension_tables(F, ms):
     return [tables.get(c) for c in range(len(ms))]
 
 
-# Candidates per stack in the search for the smallest irreducible.
-_BLOCK = 16
-
-
-def _smallest_irreducible(F, n):
+def _smallest_irreducible(F, n, block=16):
     """The lexicographically smallest monic irreducible of degree n over F
     (coefficients compared low-degree first, by F's enumeration index), and
-    its tables, from stacks of _BLOCK candidates in that order.  Past
+    its tables, from stacks of ``block`` candidates in that order.  Past
     degree 1, c_0 = 0 means x | m, so those are skipped."""
     q, p, d = F.order, F.p, F.d
-    for lo in range(q ** (n - 1) if n > 1 else 0, q**n, _BLOCK):
+    for lo in range(q ** (n - 1) if n > 1 else 0, q**n, block):
         # m's F_p digits, c_0 first: its index's n d base-p digits, then monic 1.
         ms = np.array([[t // p**k % p for k in range(n * d - 1, -1, -1)] + [1] + [0] * (d - 1)
-                       for t in range(lo, min(lo + _BLOCK, q**n))]).reshape(-1, n + 1, d)
+                       for t in range(lo, min(lo + block, q**n))]).reshape(-1, n + 1, d)
         for m, tables in zip(ms, _extension_tables(F, ms)):
             if tables is not None:
                 return (m,) + tables
@@ -318,10 +303,6 @@ class BaseField(_Field):
         if not (np.asarray(x) % self.p).any(axis=-1).all():
             raise ZeroInverse("0 has no inverse")
         return self.pow(x, self.order - 2)
-
-    def elements(self):
-        for k in range(self.order):
-            yield self.from_int(k)
 
     def random(self, rng):
         return rng.digits(self.p, self.d)
@@ -497,10 +478,6 @@ class TowerField(_Field):
         for row in flat:
             v = v * self.base.order + self.base.to_int(row)
         return v
-
-    def elements(self):
-        for k in range(self.order_int):
-            yield self.from_int(k)
 
     def random(self, rng):
         return rng.digits(self.base.p, self.flat_size * self.base.d).reshape(self.shape)

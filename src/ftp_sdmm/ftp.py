@@ -113,10 +113,9 @@ def build_scheme(L, T, primes, base, a, b, c):
         ks, sub = range(i + 1, L + 1), subs[i - 1]
         u_powers = powers(sub, sub.gen(1), primes[-1] + 1)[:, 0]
         divs = [divide_at(sub, tower.moduli[k - 1], u_powers[: primes[k - 1] + 1]) for k in ks]
-        inverses = np.repeat(sub.inv(np.stack([q[0] for q in divs])), primes[i:], axis=0)
-        quotients = sub.mul(np.concatenate([q[1:] for q in divs]), inverses)
-        for k, g in zip(ks, np.split(quotients, np.cumsum(primes[i:-1]))):
-            between[i, k], between[k, i] = g, base.neg(np.moveaxis(g, 0, 1))
+        for k, q, inverse in zip(ks, divs, sub.inv(np.stack([q[0] for q in divs]))):
+            between[i, k] = sub.mul(q[1:], inverse)
+            between[k, i] = base.neg(np.moveaxis(between[i, k], 0, 1))
 
     to_axis, server_scalars, gen_inverses, duals, k_polys = [], [], [], [], []
     pt_inv = []  # P_T(a_i)^-1 = prod_(t < T) (a_i - alpha_t)^-1, in F_q0(a_i)
@@ -137,12 +136,13 @@ def build_scheme(L, T, primes, base, a, b, c):
                       for v in power_basis_dual(sub, from_axis[n_i - 1], 1)])
         k_polys.append(_times_generators(tower, ks, annihilator(base, alphas[n_i:])))
 
-    # At the upload points prod_i (alpha_j - a_i)^-1, factors on disjoint axes
-    # (no reduction), times the F_q0 scalars of the weights and node inverses.
-    scalars = deriv_inv[[-1, 0]].reshape((2, N[-1]) + (1,) * L + (base.d,))
-    upload = reduce(base.mul, [np.expand_dims(t, tuple(1 + j for j in range(L) if j != k))
+    # At the upload points prod_i (alpha_j - a_i)^-1, an outer product over the axes, times
+    # an F_q0 scalar: the weights at all N_L points, then the node inverses at the first T.
+    at = np.r_[: N[-1], :T]
+    scalars = np.concatenate([deriv_inv[-1], deriv_inv[0][:T]]).reshape(at.shape + (1,) * L + (-1,))
+    upload = reduce(base.mul, [np.expand_dims(t[at], tuple(1 + j for j in range(L) if j != k))
                                for k, t in enumerate(to_axis)], scalars)
-    weights = np.concatenate([[g[0] for g in gen_inverses], upload[0]])
+    weights = np.concatenate([[g[0] for g in gen_inverses], upload[: N[-1]]])
     # Lagrange basis on the nodes a_1..a_L, alpha_1..alpha_T: each quotient of
     # A = prod_i (x - a_i) * P_T(x) by one of its factors has the same form.
     quotients = np.stack([
@@ -151,7 +151,7 @@ def build_scheme(L, T, primes, base, a, b, c):
         *(_times_generators(tower, gens, annihilator(base, np.delete(alphas[:T], t, axis=0))).coeffs
           for t in range(T))], axis=1)  # [s, k]
     if kernels._by_table_fits(tower):
-        node_inv = np.concatenate([[g[1] for g in gen_inverses], upload[1, :T]])
+        node_inv = np.concatenate([[g[1] for g in gen_inverses], upload[N[-1] :]])
         lagrange = dict(basis=tower.mul(quotients, node_inv))
     else:
         lagrange = _node_factors(tower, quotients, pt_inv, to_axis, between, deriv_inv[0][:T])

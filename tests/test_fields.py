@@ -357,18 +357,18 @@ def _first_irreducible(F, n):
             return (m,) + tables
 
 
-@pytest.mark.parametrize("block", [3, fields._BLOCK])
+@pytest.mark.parametrize("block", [{"block": 3}, {}])
 @pytest.mark.parametrize("p, d, degrees", [(2, 1, range(1, 6)), (3, 1, range(1, 6)),
                                            (2, 2, range(1, 6)), (3, 2, range(1, 6)),
                                            (11, 1, range(1, 6)), (3, 3, (5, 7, 11))])
-def test_batched_search_equals_one_candidate_at_a_time(monkeypatch, block, p, d, degrees):
-    """The search in blocks of candidates finds the modulus, and the tables,
-    that a one-candidate-at-a-time search by the unscreened oracle finds;
-    blocks of 3 also cross a block's end before the modulus."""
-    monkeypatch.setattr(fields, "_BLOCK", block)
+def test_batched_search_equals_one_candidate_at_a_time(block, p, d, degrees):
+    """The search in blocks of candidates (the default size, or 3, which also
+    crosses a block's end before the modulus) finds the modulus, and the
+    tables, that a one-candidate-at-a-time search by the unscreened oracle
+    finds."""
     F = BaseField(p, d)
     for n in degrees:
-        got, want = fields._smallest_irreducible(F, n), _first_irreducible(F, n)
+        got, want = fields._smallest_irreducible(F, n, **block), _first_irreducible(F, n)
         assert len(got) == len(want) == 4
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (F, n)
 
