@@ -50,7 +50,25 @@ from .poly import divide_at
 
 
 def is_prime(n):
-    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def _digits(k, p, width):
+    """The ``width`` base-p digits of k, or of each k in a range, most significant
+    first: the enumeration order (c_0 first) of elements and candidate moduli."""
+    powers = p ** np.arange(width - 1, -1, -1, dtype=object)
+    return (np.asarray(k, dtype=object)[..., None] // powers % p).astype(np.int64)
 
 
 def _full_rank(M, p):
@@ -146,16 +164,25 @@ def _extension_tables(F, ms):
     return [tables.get(c) for c in range(len(ms))]
 
 
-def _smallest_irreducible(F, n, block=16):
+def _candidates(F, n, lo, hi):
+    """The monic candidates of degree n over F with enumeration indices
+    lo..hi - 1, as one (hi - lo, n + 1, d) stack: c_0, ..., c_(n-1) by the
+    index's digits, then the leading 1."""
+    c = _digits(range(lo, hi), F.p, n * F.d).reshape(hi - lo, n, F.d)
+    return np.concatenate([c, np.broadcast_to(F.one(), (hi - lo, 1, F.d))], axis=1)
+
+
+_SEARCH_BLOCK = 16  # candidates per stack in the moduli search
+
+
+def _smallest_irreducible(F, n):
     """The lexicographically smallest monic irreducible of degree n over F
     (coefficients compared low-degree first, by F's enumeration index), and
-    its tables, from stacks of ``block`` candidates in that order.  Past
+    its tables, from stacks of _SEARCH_BLOCK candidates in that order.  Past
     degree 1, c_0 = 0 means x | m, so those are skipped."""
-    q, p, d = F.order, F.p, F.d
-    for lo in range(q ** (n - 1) if n > 1 else 0, q**n, block):
-        # m's F_p digits, c_0 first: its index's n d base-p digits, then monic 1.
-        ms = np.array([[t // p**k % p for k in range(n * d - 1, -1, -1)] + [1] + [0] * (d - 1)
-                       for t in range(lo, min(lo + block, q**n))]).reshape(-1, n + 1, d)
+    q = F.order
+    for lo in range(q ** (n - 1) if n > 1 else 0, q**n, _SEARCH_BLOCK):
+        ms = _candidates(F, n, lo, min(lo + _SEARCH_BLOCK, q**n))
         for m, tables in zip(ms, _extension_tables(F, ms)):
             if tables is not None:
                 return (m,) + tables
@@ -274,9 +301,7 @@ class BaseField(_Field):
         return x
 
     def from_int(self, k):
-        # enumeration index -> element; c_0 is the most significant digit,
-        # so ordering by k is lexicographic low-degree-first.
-        return np.array([k // self.p**j % self.p for j in reversed(range(self.d))], dtype=np.int64)
+        return _digits(k, self.p, self.d)
 
     def to_int(self, x):
         v = 0
@@ -467,17 +492,11 @@ class TowerField(_Field):
         e[tuple(idx)] = self.base.one()
         return e
 
-    def from_int(self, k):
-        q0 = self.base.order
-        digits = [k // q0**j % q0 for j in reversed(range(self.flat_size))]  # most significant first
-        return np.stack([self.base.from_int(t) for t in digits]).reshape(self.shape)
+    def from_int(self, k):  # the base digits, most significant first, are k's base-p digits
+        return _digits(k, self.base.p, self.flat_size * self.base.d).reshape(self.shape)
 
     def to_int(self, x):
-        flat = x.reshape(self.flat_size, self.base.d)
-        v = 0
-        for row in flat:
-            v = v * self.base.order + self.base.to_int(row)
-        return v
+        return self.base.to_int(x.reshape(-1))
 
     def random(self, rng):
         return rng.digits(self.base.p, self.flat_size * self.base.d).reshape(self.shape)

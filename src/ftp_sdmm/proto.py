@@ -30,7 +30,6 @@ import socket
 import struct
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 from math import prod
@@ -357,19 +356,17 @@ def error_body(code, message):
 class TrafficLedger:
     """Per-server, per-direction counters of base-field symbols and payload
     bytes (matrix payload sections only, matching the cost model), and the
-    job's wall time per stage in seconds, by ``span``."""
+    job's wall time per stage in seconds, by ``timed``."""
 
     per_server: dict = dc_field(default_factory=dict)
     spans: dict = dc_field(default_factory=dict)
 
-    @contextmanager
-    def span(self, stage):
-        """Add the wall time of the block, by perf_counter_ns, to spans[stage]."""
+    def timed(self, stage, fn, *args, **kwargs):
+        """fn(*args, **kwargs), its wall time by perf_counter_ns added to spans[stage]."""
         start = time.perf_counter_ns()
-        try:
-            yield
-        finally:
-            self.spans[stage] = self.spans.get(stage, 0.0) + (time.perf_counter_ns() - start) / 1e9
+        out = fn(*args, **kwargs)
+        self.spans[stage] = self.spans.get(stage, 0.0) + (time.perf_counter_ns() - start) / 1e9
+        return out
 
     def _slot(self, j):
         return self.per_server.setdefault(
@@ -415,20 +412,15 @@ def _job(scheme, A, B, seed, job_id, exchange):
     client's wire codec, the exchange with the servers (in process, their
     codec and server_compute) and decode."""
     ledger, d = TrafficLedger(), scheme.base.d
-    with ledger.span("encode"):
-        F, G = encode(scheme, A, B, seed=seed)
-    with ledger.span("wire"):
-        sent = share_bodies(job_id, scheme.tower, F, G)
-    with ledger.span("servers"):
-        received = exchange(sent)
-    with ledger.span("wire"):
-        replies = parse_responses(scheme, job_id, received)
+    F, G = ledger.timed("encode", encode, scheme, A, B, seed=seed)
+    sent = ledger.timed("wire", share_bodies, job_id, scheme.tower, F, G)
+    received = ledger.timed("servers", exchange, sent)
+    replies = ledger.timed("wire", parse_responses, scheme, job_id, received)
     for j, (up, down) in enumerate(zip(sent, received), start=1):
         traced = [r[j - 1] for r in replies.values() if j <= len(r)]
         ledger.add_upload(j, (F[j - 1].size + G[j - 1].size) // d, len(up) - 10 - 16)
         ledger.add_download(j, sum(r.size for r in traced) // d, len(down) - 11 - 9 * len(traced))
-    with ledger.span("decode"):
-        return decode(scheme, replies), ledger
+    return ledger.timed("decode", decode, scheme, replies), ledger
 
 
 def run_inprocess(scheme, A, B, seed=0):

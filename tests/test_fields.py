@@ -200,15 +200,6 @@ def test_base_tables_match_pinned_digests(p, d):
     assert (f.modulus, _digest([f._redmat])) == _BASE_DIGESTS[(p, d)]
 
 
-def _candidates(F, n, indices=None):
-    """The monic candidates of degree n over F, one (n + 1, d) array per
-    enumeration index (c_0 most significant), as one stack; all q^n of them
-    by default."""
-    q = F.order
-    return np.stack([np.stack([F.from_int(idx // q ** (n - 1 - j) % q) for j in range(n)] + [F.one()])
-                     for idx in (range(q**n) if indices is None else indices)])
-
-
 def _mobius(n):
     mu, k = 1, 2
     while k * k <= n:
@@ -228,7 +219,7 @@ def test_irreducible_count_matches_gauss(p, d, max_n):
     F = BaseField(p, d)
     q = F.order
     for n in range(1, max_n + 1):
-        accepted = sum(t is not None for t in _extension_tables(F, _candidates(F, n)))
+        accepted = sum(t is not None for t in _extension_tables(F, fields._candidates(F, n, 0, q**n)))
         gauss = sum(_mobius(k) * q ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
         assert accepted == gauss, (q, n)
 
@@ -329,7 +320,7 @@ def test_root_screen_accepts_what_rabin_alone_accepts(monkeypatch):
         F = BaseField(p, d)
         q = F.order
         for n in degrees:
-            accepted = sum(_same_verdicts_and_tables(F, _candidates(F, n)))
+            accepted = sum(_same_verdicts_and_tables(F, fields._candidates(F, n, 0, q**n)))
             assert accepted == sum(_mobius(k) * q ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
     # Over the small fields only degree 4's r = 2 test reached a rank test.
     assert set(ranks) == {4 * 2}
@@ -351,26 +342,27 @@ def _first_irreducible(F, n):
     """The oracle search: the candidates one at a time, in lexicographic
     order, each judged by _rabin_tables."""
     for idx in range(F.order ** (n - 1) if n > 1 else 0, F.order**n):
-        m = _candidates(F, n, [idx])[0]
+        m = fields._candidates(F, n, idx, idx + 1)[0]
         tables = _rabin_tables(F, m)
         if tables is not None:
             return (m,) + tables
 
 
-@pytest.mark.parametrize("block", [{"block": 3}, {}])
 @pytest.mark.parametrize("p, d, degrees", [(2, 1, range(1, 6)), (3, 1, range(1, 6)),
                                            (2, 2, range(1, 6)), (3, 2, range(1, 6)),
                                            (11, 1, range(1, 6)), (3, 3, (5, 7, 11))])
-def test_batched_search_equals_one_candidate_at_a_time(block, p, d, degrees):
-    """The search in blocks of candidates (the default size, or 3, which also
-    crosses a block's end before the modulus) finds the modulus, and the
-    tables, that a one-candidate-at-a-time search by the unscreened oracle
-    finds."""
-    F = BaseField(p, d)
+def test_batched_search_equals_one_candidate_at_a_time(monkeypatch, p, d, degrees):
+    """The search in stacks of candidates finds the modulus, and the tables,
+    that a one-candidate-at-a-time search by the unscreened oracle finds.
+    Over F_27, degree 7's modulus is the 31st candidate: the second stack."""
+    F, stacks, screen = BaseField(p, d), [], fields._extension_tables
+    monkeypatch.setattr(fields, "_extension_tables", lambda F, ms: stacks.append(len(ms)) or screen(F, ms))
     for n in degrees:
-        got, want = fields._smallest_irreducible(F, n, **block), _first_irreducible(F, n)
+        stacks.clear()
+        got, want = fields._smallest_irreducible(F, n), _first_irreducible(F, n)
         assert len(got) == len(want) == 4
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (F, n)
+        assert (F.order, n) != (27, 7) or stacks == [fields._SEARCH_BLOCK] * 2
 
 
 @pytest.mark.parametrize("p, non_square", [(11, 2), (65521, 17)])

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ftp_sdmm.ftp as ftp_module
@@ -482,30 +482,39 @@ def test_closed_form_setup_matches_annihilator_route(digest_schemes, name):
 
 _PRIME_SETS = [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
 _SMALL_PRIMES = [p for p in range(2, 256) if all(p % f for f in range(2, p))]
-# The most draws q^T for which the drawn test runs the exhaustive audit,
-# which encodes every draw once.
-_EXHAUSTIVE_DRAWS = 1 << 12
 
 
 @settings(max_examples=24, deadline=None)
 @given(st.sampled_from(_PRIME_SETS), st.integers(1, 2), st.sampled_from(_SMALL_PRIMES),
        st.integers(1, 2))
-@example(primes=(2,), T=1, p=7, d=2)
-@example(primes=(3,), T=1, p=13, d=1)
-@example(primes=(2,), T=2, p=7, d=1)
 def test_closed_form_setup_matches_annihilator_route_on_drawn_schemes(primes, T, p, d):
     """On drawn schemes over F_p^d, p < 256, the closed forms equal the
-    annihilator route.  Where L = 1 (so the blocks are 1 x 1), |F_q| <=
-    2^16 and there are at most _EXHAUSTIVE_DRAWS draws of the T randoms,
-    the exhaustive audit passes too."""
+    annihilator route."""
     L = len(primes)
     assume(p**d >= primes[-1] + 2 * L + 2 * T - 2)  # q0 >= N_L
     s = build_scheme(L=L, T=T, primes=primes, base=make_base_field(p, d), a=1, b=L, c=1)
     _assert_closed_forms_match(s)
-    q = s.tower.order_int
-    if L == 1 and q <= 1 << 16 and q**T <= _EXHAUSTIVE_DRAWS:
-        report = security_audit(s, mode="exhaustive")
-        assert report.passed and report.checks == math.comb(s.N[-1], T)
+
+
+# The one-axis schemes over F_p^d, p < 256, with q0 >= N_L and at most 2^12
+# draws |F_q|^T of the T randoms, which the exhaustive audit encodes once
+# each, by (p_1, T); p_1 = 3 with T = 2, and p_1 = 5, have none.
+_AUDITED = {(p_1, T): [(p, d) for p in _SMALL_PRIMES for d in (1, 2)
+                       if p**d >= p_1 + 2 * T and p ** (d * p_1 * T) <= 1 << 12]
+            for p_1, T in ((2, 1), (2, 2), (3, 1))}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(_AUDITED)).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.sampled_from(_AUDITED[shape]))))
+def test_exhaustive_audit_passes_on_drawn_one_axis_schemes(draw):
+    """On drawn one-axis schemes with 1 x 1 blocks and at most 2^12 draws of
+    the randoms, the exhaustive audit passes: every T-subset of the servers
+    sees each draw once."""
+    (p_1, T), (p, d) = draw
+    s = build_scheme(L=1, T=T, primes=(p_1,), base=make_base_field(p, d), a=1, b=1, c=1)
+    report = security_audit(s, mode="exhaustive")
+    assert report.passed and report.checks == math.comb(s.N[-1], T)
 
 
 def test_setup_products_run_on_their_subtowers(monkeypatch):
