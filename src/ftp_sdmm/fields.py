@@ -185,7 +185,7 @@ def _smallest_irreducible(F, n):
         ms = _candidates(F, n, lo, min(lo + _SEARCH_BLOCK, q**n))
         for m, tables in zip(ms, _extension_tables(F, ms)):
             if tables is not None:
-                return (m,) + tables
+                return tuple(np.copy(a) for a in (m, *tables))  # not views into the block
     raise NoIrreducible(f"no irreducible of degree {n} over F_{q}")
 
 
