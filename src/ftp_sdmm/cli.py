@@ -6,6 +6,7 @@ parameters, 3 transport failure."""
 
 import argparse
 import hashlib
+import json
 import sys
 import time
 from fractions import Fraction
@@ -180,6 +181,10 @@ def _cmd_run(args):
     spans = {"setup": setup_s, **ledger.spans}
     stages = ("setup", "encode", "servers", "wire", "decode")
     print("times", *(f"{k}={spans.get(k, 0.0) * 1e3:.2f}ms" for k in stages), file=sys.stderr)
+    if args.trace:
+        with open(args.trace, "w") as fh:
+            json.dump({"spans_s": spans, "per_server": ledger.per_server, "upload_bytes":
+                       ledger.upload_bytes, "download_bytes": ledger.download_bytes}, fh, indent=1)
     return EXIT_OK if verified and ledger_ok else EXIT_VERIFY
 
 
@@ -269,6 +274,8 @@ def build_parser():
 
     p = subs.add_parser("run", help="full protocol run, in-process or remote")
     _add_schema_flags(p, _RUN_SCHEMA)
+    p.add_argument("--trace", metavar="FILE.json",
+                   help="write the stage times, setup's with them, and the ledger as JSON")
     p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("rates", help="exact-rational rate table as CSV")

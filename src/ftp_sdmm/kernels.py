@@ -26,7 +26,7 @@ The transform packs f = 2 slots per float where it can (segmentation:
 Kronecker substitution with a radix, D. Harvey, J. Symbolic Comput. 44,
 2009): with R the power of two above top = k n (p-1)^2, the largest slot sum
 at inner dimension k, flat slots 2j and 2j+1 become s_2j + R s_(2j+1), and
-the transform is half as long (8192, not 16384, on paper-full).  Each packed
+the transform is half as long (6144, not 12288, on paper-full).  Each packed
 coefficient c_j = e_j + R o_j + R^2 f_j, each part below R, unpacks by exact
 bit masks to slot 2j = e_j + f_(j-1) and slot 2j+1 = o_j, which reduce takes
 as before.  ``segmentation`` packs where R^3 <= 2^51, so that c_j + 3 2^51
@@ -38,6 +38,7 @@ that bound at p - 1 must hold.
 ``on_axes`` multiplies the digits of some tower axes by an F_p matrix, one
 float64 matmul.  Every float64 step raises where its bound fails."""
 
+import ctypes
 import functools
 import math
 
@@ -50,9 +51,16 @@ _EPS = 2.0**-53
 _CHUNK_BYTES = 1 << 19
 # Bytes the transform's one block holds, about, in rows of 8 n_fft bytes (a
 # spectrum, or one of a slot grid's 2f - 1 rows): 2f + 1 per 1 x 1 member,
-# so 4 of paper-full's members (f = 2, n_fft = 8192, 5 rows of 64 KB) per
+# so 5 of paper-full's members (f = 2, n_fft = 6144, 5 rows of 48 KB) per
 # transform call.
 _TRANSFORM_BYTES = 5 << 18
+# glibc gives the heap's top back past twice its mmap threshold, the largest
+# mmapped array freed: a paper-full job's 2.6 MB of arrays were faulted in on
+# every job (550 faults, 0.7 ms) at n_fft = 6144.  Both are held: 4 and 8 MiB.
+try:
+    ctypes.CDLL(None).mallopt(-3, 4 << 20), ctypes.CDLL(None).mallopt(-1, 8 << 20)
+except (OSError, AttributeError, TypeError):  # no glibc
+    pass
 # The most digits n = prod(field.shape) of a field whose products go by its
 # structure constants, a table of n^3 floats (0.9 MB at 48).  Measured on
 # one CPU, products of 1x1 and 256x3 by 3x1 elements ran faster by the
@@ -336,15 +344,22 @@ def segmentation(field, inner):
     over the tower ``field``: f slots per float in radix R, the power of two
     above every slot sum, and the transform length n_fft.  f = 2 where both
     bounds of the module docstring hold, else 1, where check_rounding
-    raises past its bound."""
+    raises past its bound.  n_fft is the least 2^a or 3 2^a (even, at least
+    8) at or above h = ceil(span / f) for the grid's span slots; packed index
+    sums stay at most (span - 1) / 2 < h, so none wraps.  The bounds take the
+    power of two at or above h: for 3 2^a, 2^(a+2), as a radix-3 pass (two
+    twiddle products and two sums) is two radix-2 levels of Percival's."""
     d, p, n = field.base.d, field.base.p, math.prod(field.shape)
-    R, n_fft = 1 << (inner * n * (p - 1) ** 2).bit_length(), fft_length(field._ext_flat, d)
+    R, pow2 = 1 << (inner * n * (p - 1) ** 2).bit_length(), fft_length(field._ext_flat, d)
     run = d if d > 1 else field.primes[-1]  # an element's digits on consecutive slots
     floats = n // run * (run // 2 + 1)  # a run meets that many pairs of slots, at most
-    if R**3 <= 1 << 51 and rounding_bound(inner, floats, (p - 1) * (1 + R) + 1, n_fft // 2) < 0.5:
-        return 2, R, n_fft // 2
-    check_rounding(inner, n, p, n_fft)
-    return 1, R, n_fft
+    if R**3 <= 1 << 51 and rounding_bound(inner, floats, (p - 1) * (1 + R) + 1, pow2 // 2) < 0.5:
+        f, pow2 = 2, pow2 // 2
+    else:
+        f = 1
+        check_rounding(inner, n, p, pow2)
+    h = -(-field._ext_flat * (2 * d - 1) // f)
+    return f, R, pow2 // 4 * 3 if pow2 // 4 * 3 >= max(h, 8) else pow2
 
 
 def _product(field, x, y):

@@ -23,8 +23,10 @@ take its connection in rounds, so distinct endpoints compute at once.  A
 kept connection that fails before the first byte of its reply (the daemon
 closed it while idle) is replaced once by a fresh one.  The daemon serves
 each connection from one thread for as many jobs as it carries, and keeps
-at most one pending job per connection, on that connection alone."""
+at most one pending job per connection, on that connection alone.  A STATS
+frame, of empty body, gets its counters since it started, as JSON."""
 
+import json
 import os
 import socket
 import struct
@@ -58,6 +60,7 @@ MSG_PARAMS = 2
 MSG_SHARE = 3
 MSG_RESPONSES = 4
 MSG_ERROR = 5
+MSG_STATS = 6
 
 DEFAULT_TIMEOUT_MS = 30_000
 TIMEOUT_ENV = "FTP_SDMM_TIMEOUT_MS"
@@ -614,6 +617,31 @@ def _refuse(conn, code, message):
         pass
 
 
+class DaemonStats:
+    """A daemon's counters since it started, under one lock: jobs answered,
+    their payload bytes in and out as the client's ledger counts them, the
+    seconds spent parsing frames, in server_step and replying (the
+    RESPONSES body and every send), and the error frames sent, by code."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._totals = {"jobs": 0, "bytes_in": 0, "bytes_out": 0, "parse_s": 0.0,
+                        "server_step_s": 0.0, "reply_s": 0.0, "errors": {}}
+
+    def add(self, error=None, **amounts):
+        """Each amount to its counter, and one error frame of code ``error``, if any."""
+        with self._lock:
+            for key, amount in amounts.items():
+                self._totals[key] += amount
+            if error is not None:
+                self._totals["errors"][error] = self._totals["errors"].get(error, 0) + 1
+
+    def body(self):
+        """The counters as a STATS reply's JSON body."""
+        with self._lock:
+            return json.dumps(self._totals).encode()
+
+
 class Server:
     """One computing node.  Each connection keeps its own pending job: the
     params of its last PARAMS frame, until its SHARE is answered or refused.
@@ -622,7 +650,7 @@ class Server:
     SHARE is computed only if its matrices are a x b/L and b/L x c.  One
     thread serves each connection, for as many jobs as its client sends; a
     connection past MAX_CONNECTIONS open ones gets an error frame and EOF
-    (``_refuse``).  Connections share nothing but the tower cache."""
+    (``_refuse``).  Connections share nothing but the tower cache and ``stats``."""
 
     def __init__(self, host="127.0.0.1", port=0):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -633,6 +661,7 @@ class Server:
         self._conns = set()
         self._conns_lock = threading.Lock()
         self._stop = threading.Event()
+        self.stats = DaemonStats()
 
     def stop(self):
         """Stop accepting, and shut down every open connection, so that a
@@ -666,22 +695,24 @@ class Server:
                     continue
             with conn:  # refused: past the bound, or the server is stopping
                 if full:
+                    self.stats.add(5)
                     _refuse(conn, 5, f"{MAX_CONNECTIONS} connections are open; try again later")
 
     def _handle(self, conn):
         try:
             with conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                _serve(conn)
+                _serve(conn, self.stats)
         finally:
             with self._conns_lock:
                 self._conns.discard(conn)
 
 
-def _serve(conn):
+def _serve(conn, stats):
     try:  # read per connection, so that a new value reaches the next one
         conn.settimeout(_timeout_seconds())
     except InvalidParams as exc:
+        stats.add(1)
         return _refuse(conn, 1, f"{type(exc).__name__}: {exc}")
     job = None  # the ServerJob of this connection's last PARAMS, until its SHARE
     while True:
@@ -690,31 +721,48 @@ def _serve(conn):
         except (MalformedFrame, ProtocolTimeout):
             return
         except VersionMismatch as exc:
+            stats.add(2)
             conn.sendall(pack_message(MSG_ERROR, error_body(2, str(exc))))
             return
+        amounts = {"reply_s": 0.0}
         try:
-            reply, job = _dispatch(mtype, body, job)
+            reply, job = _dispatch(mtype, body, job, stats, amounts)
         except Exception as exc:
             reply = pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}"))
             job = None
+        start = time.perf_counter()
         conn.sendall(reply)
+        amounts["reply_s"] += time.perf_counter() - start
+        stats.add(reply[10] if reply[5] == MSG_ERROR else None, **amounts)  # an error body's code
 
 
-def _dispatch(mtype, body, job):
-    """The reply to one frame, and the connection's pending job after it."""
+def _dispatch(mtype, body, job, stats, amounts):
+    """The reply to one frame, and the connection's pending job after it;
+    ``amounts`` takes the frame's counts for ``stats``."""
     if mtype == MSG_HELLO:
         return pack_message(MSG_HELLO, b""), job
+    if mtype == MSG_STATS:
+        if body:
+            raise MalformedFrame("a STATS frame has an empty body")
+        return pack_message(MSG_STATS, stats.body()), job
     if mtype == MSG_PARAMS:
+        start = time.perf_counter()
         job = parse_params(body)
+        amounts["parse_s"] = time.perf_counter() - start
         return pack_message(MSG_PARAMS, job.job_id), job
     if mtype == MSG_SHARE:
         if len(body) < 10:
             raise MalformedFrame("share header truncated")
         if job is None or body[:10] != job.job_id + struct.pack(">H", job.server_index):
             return pack_message(MSG_ERROR, error_body(3, "unknown job id")), job
+        t0 = time.perf_counter()
         F, G = parse_shares(job.tower, [body], job.a, job.b // job.L, job.c)
+        t1 = time.perf_counter()
         replies = server_step(job.tower, job.taus, F, G)
+        t2 = time.perf_counter()
         body = responses_body(job.job_id, job.tower, replies, [job.server_index])[0]
+        amounts.update(jobs=1, bytes_in=F.size + G.size, bytes_out=sum(r.size for r in replies.values()),
+                       parse_s=t1 - t0, server_step_s=t2 - t1, reply_s=time.perf_counter() - t2)
         return pack_message(MSG_RESPONSES, body), None
     return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}")), job
 

@@ -1,6 +1,9 @@
+import threading
+
 import pytest
 from hypothesis import settings
 
+from ftp_sdmm import proto
 from ftp_sdmm.fields import make_base_field, make_tower
 from ftp_sdmm.ftp import build_scheme
 
@@ -48,3 +51,27 @@ _DIGEST_SCHEMES = {
 def digest_schemes():
     return {name: build_scheme(L, T, primes, make_base_field(p, d), a, b, c)
             for name, (L, T, primes, p, d, a, b, c) in _DIGEST_SCHEMES.items()}
+
+
+@pytest.fixture()
+def serve():
+    """Starts a proto.Server on loopback, in a thread, per call, and returns
+    it.  At teardown each is stopped, and the idle socket that run_remote
+    kept for its endpoint, if any, is closed."""
+    started = []
+
+    def start():
+        server = proto.Server()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.stop()
+        thread.join(timeout=5)
+        with proto._kept_lock:
+            kept = proto._kept.pop(("127.0.0.1", server.port), None)
+        if kept is not None:
+            kept.close()

@@ -92,7 +92,7 @@ def test_criterion_3_worked_analytics_exact():
     print("\ncriterion 3: PASS")
 
 
-def test_criterion_4_cost_truth_ledger_equals_formulas():
+def test_criterion_4_cost_truth_ledger_equals_formulas(serve):
     for cfg in CONFIGS:
         scheme = _scheme(cfg, a=2, b=cfg["L"] * 2, c=2)
         A = random_mat(scheme.a, scheme.b, scheme.tower, seed=1)
@@ -106,19 +106,11 @@ def test_criterion_4_cost_truth_ledger_equals_formulas():
         assert ledger.upload_bytes == scheme.base.d * report.upload_symbols
         assert ledger.download_bytes == scheme.base.d * report.download_symbols
     # remote (TCP) mode: payload bytes equal d * symbols, d > 1
-    import threading
-
     scheme = _scheme(CONFIGS[0], a=2, b=2, c=2)  # base F_4, d = 2
-    server = proto.Server()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        A = random_mat(2, 2, scheme.tower, seed=5)
-        B = random_mat(2, 2, scheme.tower, seed=6)
-        endpoints = [("127.0.0.1", server.port)] * scheme.N[-1]
-        product, ledger = proto.run_remote(endpoints, scheme, A, B, seed=0)
-    finally:
-        server.stop()
+    A = random_mat(2, 2, scheme.tower, seed=5)
+    B = random_mat(2, 2, scheme.tower, seed=6)
+    endpoints = [("127.0.0.1", serve().port)] * scheme.N[-1]
+    product, ledger = proto.run_remote(endpoints, scheme, A, B, seed=0)
     assert product.eq(mat_mul(A, B))
     report = cost_report(scheme)
     assert ledger.upload_symbols == report.upload_symbols

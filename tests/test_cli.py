@@ -1,7 +1,7 @@
 """CLI subcommands, config file plumbing, exit codes, determinism."""
 
 import csv
-import threading
+import json
 
 import pytest
 
@@ -54,6 +54,30 @@ def test_run_prints_one_line_of_stage_times_on_stderr(capsys):
     assert all(float(f.split("=")[1].removesuffix("ms")) > 0 for f in fields)
 
 
+def test_run_trace_writes_the_spans_and_the_ledger(capsys, tmp_path, monkeypatch):
+    """--trace FILE.json writes the job's stage times with setup's, each
+    server's symbols and bytes, and the byte totals, as the ledger has
+    them."""
+    jobs, real = [], proto.run_inprocess
+
+    def spy(*args, **kwargs):
+        jobs.append(real(*args, **kwargs))
+        return jobs[-1]
+
+    monkeypatch.setattr(proto, "run_inprocess", spy)
+    path = tmp_path / "trace.json"
+    code, _, _ = run_cli(capsys, ["run", "--L", "2", "--T", "1", "--primes", "2,3",
+                                  "--q0-p", "11", "--b", "2", "--trace", str(path)])
+    assert code == 0
+    (_, ledger), = jobs
+    trace = json.loads(path.read_text())
+    assert trace["per_server"] == {str(j): s for j, s in ledger.per_server.items()}
+    assert (trace["upload_bytes"], trace["download_bytes"]) == (ledger.upload_bytes,
+                                                                ledger.download_bytes)
+    assert trace["spans_s"] == {"setup": trace["spans_s"]["setup"], **ledger.spans}
+    assert all(s > 0 for s in trace["spans_s"].values())
+
+
 def test_run_invalid_params_exit_2(capsys):
     code, _, err = run_cli(capsys, ["run", "--L", "1", "--primes", "5",
                                     "--q0-p", "2", "--q0-d", "2"])
@@ -80,16 +104,13 @@ def test_run_endpoint_port_out_of_range_exit_2(capsys, port):
     assert err.startswith("ERROR InvalidParams:") and "1..65535" in err
 
 
-def test_run_remote_matches_inprocess(capsys):
-    server = proto.Server()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+def test_run_remote_matches_inprocess(capsys, serve):
+    server = serve()
     base = ["run", "--L", "2", "--T", "1", "--primes", "2,3",
             "--q0-p", "11", "--b", "2", "--seed", "4"]
     code_l, out_l, _ = run_cli(capsys, base)
     eps = ",".join([f"127.0.0.1:{server.port}"] * 7)
     code_r, out_r, _ = run_cli(capsys, base + ["--endpoints", eps])
-    server.stop()
     assert code_l == code_r == 0
     checksum = [l for l in out_l.splitlines() if l.startswith("product_checksum")]
     assert checksum == [l for l in out_r.splitlines() if l.startswith("product_checksum")]
@@ -121,7 +142,8 @@ def test_rates_csv(capsys, tmp_path):
         "--csv", str(out_path),
     ])
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    with out_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert parse_rational(rows[0]["ftp_rate"]) == Fraction(385, 17121)
     assert rows[0]["winner"] in ("ftp", "baseline", "tie")
 

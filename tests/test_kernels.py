@@ -251,20 +251,29 @@ def _floats_reached(tower, f):
     return int(flat.reshape(-1, f).any(axis=1).sum())
 
 
+# The transform's lengths: the powers of two, and 3 2^a from 12, the first
+# that is even and at least 8.
+_LENGTHS = sorted([2**a for a in range(1, 64)] + [3 * 2**a for a in range(2, 64)])
+
+
 @pytest.mark.parametrize("p,d,primes", FIELDS + [(65521, 1, (5, 11))])
 def test_segmentation_packs_only_where_both_bounds_hold(p, d, primes):
     """segmentation's radix R is the power of two above top = k n (p-1)^2,
-    and it packs two slots per float, at half the transform length, only
-    where R^3 <= 2^51 and Percival's bound over the floats an element
-    reaches, counted on the grid, stays below 1/2; on paper-full's tower,
-    where every float reached holds a run's digits, exactly there.  On
-    F_65521(5,11) top has 38 bits, so R^3 > 2^51 and it never packs."""
+    and it packs two slots per float only where R^3 <= 2^51 and Percival's
+    bound over the floats an element reaches, counted on the grid, stays
+    below 1/2 at half fft_length; on paper-full's tower, where every float
+    reached holds a run's digits, exactly there.  n_fft is the least of
+    _LENGTHS that holds h = ceil(span / f) floats of the span slots of the
+    grid.  On F_65521(5,11) top has 38 bits, so R^3 > 2^51 and it never
+    packs."""
     tower = _tower(p, d, primes)
     n, full = math.prod(tower.shape), kernels.fft_length(tower._ext_flat, d)
+    span = tower._ext_flat * (2 * d - 1)
     for k in (1, 2, 5, 7, 8, 16, 19):
         f, R, n_fft = kernels.segmentation(tower, k)
         top = k * n * (p - 1) ** 2
-        assert R // 2 <= top < R and n_fft == full // f and f in (1, 2)
+        assert R // 2 <= top < R and f in (1, 2)
+        assert n_fft == min(m for m in _LENGTHS if m >= -(-span // f))
         packs = R**3 <= 1 << 51 and kernels.rounding_bound(
             k, _floats_reached(tower, 2), (p - 1) * (1 + R) + 1, full // 2) < 0.5
         assert packs or f == 1
@@ -272,6 +281,43 @@ def test_segmentation_packs_only_where_both_bounds_hold(p, d, primes):
             assert (f == 2) == packs == (k <= 7), k
     if p == 65521:
         assert (55 * 65520**2).bit_length() == 38 and kernels.segmentation(tower, 1)[:2] == (1, 2**38)
+
+
+def _segmentation_at_powers_of_two(tower, k):
+    """segmentation as it was with n_fft a power of two: f, R, n_fft, and
+    the arguments of the rounding bound it took, before the length."""
+    d, p, n = tower.base.d, tower.base.p, math.prod(tower.shape)
+    R, n_fft = 1 << (k * n * (p - 1) ** 2).bit_length(), kernels.fft_length(tower._ext_flat, d)
+    run = d if d > 1 else tower.primes[-1]
+    packed = (k, n // run * (run // 2 + 1), (p - 1) * (1 + R) + 1)
+    if R**3 <= 1 << 51 and kernels.rounding_bound(*packed, n_fft // 2) < 0.5:
+        return 2, R, n_fft // 2, packed
+    return 1, R, n_fft, (k, n, p)
+
+
+@pytest.mark.parametrize("p,d,primes", FIELDS + [(65521, 1, (5, 11))])
+def test_segmentation_keeps_f_r_and_the_bound_of_the_power_of_two_length(p, d, primes):
+    """f, R and the rounding bound, taken at the power of two at or above
+    n_fft, are those of the power-of-two rule, for every inner dimension
+    tested, and n_fft is never longer than that rule's."""
+    tower = _tower(p, d, primes)
+    for k in (1, 2, 5, 7, 8, 16, 19):
+        f, R, n_fft = kernels.segmentation(tower, k)
+        old_f, old_R, old_n_fft, args = _segmentation_at_powers_of_two(tower, k)
+        at = 1 << (n_fft - 1).bit_length()
+        assert (f, R, at) == (old_f, old_R, old_n_fft) and n_fft <= old_n_fft, k
+        assert kernels.rounding_bound(*args, at) == kernels.rounding_bound(*args, old_n_fft)
+
+
+def test_unpacked_transform_at_192_matches_the_loop_oracle():
+    """On F_65521(5,11), 55 digits, R^3 > 2^51, so the product goes one slot
+    per float, at n_fft = 192 = 3 2^6 for its 189 slots; 2 x 3 by 3 x 2
+    with every digit p - 1 equals the per-element triple loop bit for bit."""
+    tower = _tower(65521, 1, (5, 11))
+    assert tower._ext_flat == 189 and kernels.segmentation(tower, 3)[::2] == (1, 192)
+    x, y = _top(tower, 2, 3), _top(tower, 3, 2)
+    want = _mat_mul_loop(x, y, lambda u, v: _mul_oracle(tower, u, v))
+    assert np.array_equal(kernels.matmul(tower, x.data, y.data), want)
 
 
 def test_packed_product_matches_the_oracles_on_paper_full(monkeypatch):
@@ -413,10 +459,9 @@ def test_transform_chain_takes_mods_only_past_2_53(p, d, primes, mods, monkeypat
 
 @pytest.mark.parametrize("p,d,primes", [(3, 3, (5, 7, 11)), (65521, 1, (5, 11))])
 def test_batched_transform_matches_the_oracle(p, d, primes, monkeypatch):
-    """Past _TABLE_DIGITS, at a block of four members' 2f + 1 rows (the
-    default on paper-full's tower), B = 1 to 9 members of 1 x 1 by 1 x 1 go
-    four to a transform and reduce call, the last chunk partial from B = 5,
-    and each equals _mul_oracle.  Two 3 x 2 by 2 x 2 members, with the leading axis
+    """Past _TABLE_DIGITS, at a block of four members' 2f + 1 rows, B = 1
+    to 9 members of 1 x 1 by 1 x 1 go four to a transform and reduce call,
+    the last chunk partial from B = 5, and each equals _mul_oracle.  Two 3 x 2 by 2 x 2 members, with the leading axis
     on both, on x only or on y only, equal the per-element triple loop, in
     row and inner chunks at that block and as whole members in a larger."""
     tower = _tower(p, d, primes)
@@ -634,6 +679,53 @@ def test_a_paper_full_job_makes_one_transform_and_its_setup_none(monkeypatch):
     assert [n for n, _, _ in calls].count("_product") == 1
     want = _mat_mul_loop(A, B, lambda u, v: _mul_oracle(scheme.tower, u, v))
     assert np.array_equal(product.data, want)
+
+
+def test_a_paper_full_job_transforms_at_6144_points(digest_schemes, monkeypatch):
+    """Every forward and inverse transform of a paper-full job is 6144 = 3
+    2^11 points long: its grid's 12285 slots, two to a float, take 6143,
+    past 4096, and the power of two above them is 8192."""
+    scheme = digest_schemes["paper-full"]
+    lengths = []
+    for name in ("rfft", "irfft"):
+        def spy(a, n=None, *args, real=getattr(np.fft, name), **kwargs):
+            lengths.append(n)
+            return real(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    A, B = random_mat(1, 3, scheme.tower, seed=3), random_mat(3, 1, scheme.tower, seed=4)
+    product, _ = run_inprocess(scheme, A, B, seed=5)
+    assert scheme.tower._ext_flat * 5 == 12285 and lengths and set(lengths) == {6144}
+    assert product.eq(mat_mul(A, B))
+
+
+_FAULTS_PER_JOB = """
+import resource, statistics
+from ftp_sdmm.fields import make_base_field
+from ftp_sdmm.ftp import build_scheme
+from ftp_sdmm.matrices import random_mat
+from ftp_sdmm.proto import run_inprocess
+scheme = build_scheme(3, 2, (5, 7, 11), make_base_field(3, 3), 1, 3, 1)
+A, B = random_mat(1, 3, scheme.tower, seed=1), random_mat(3, 1, scheme.tower, seed=2)
+faults = []
+for seed in range(14):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_inprocess(scheme, A, B, seed=seed)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults[4:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's malloc and getrusage's faults")
+def test_paper_full_jobs_keep_their_heap():
+    """In a process of their own, paper-full jobs after four take a median
+    of under 50 minor page faults each: the heap that a job's arrays,
+    about 2.6 MB, leave free stays with the process for the next job (550
+    faults per job at n_fft = 6144 with glibc's own thresholds)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_JOB], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and float(out.stdout) < 50, (out.stdout, out.stderr)
 
 
 @pytest.mark.parametrize("limit", [0, kernels._TABLE_DIGITS])

@@ -1,6 +1,7 @@
 """Wire format, framing, traffic ledger, in-process and TCP runners."""
 
 import hashlib
+import json
 import math
 import os
 import struct
@@ -315,18 +316,8 @@ def test_job_bytes_are_pinned(digest_schemes, name, seed):
 
 
 @pytest.fixture()
-def live_server():
-    server = proto.Server()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.stop()
-    thread.join(timeout=5)
-    # The socket that run_remote kept for this daemon's endpoint.
-    with proto._kept_lock:
-        kept = proto._kept.pop(("127.0.0.1", server.port), None)
-    if kept is not None:
-        kept.close()
+def live_server(serve):
+    return serve()
 
 
 def test_remote_identical_to_inprocess(scheme, live_server):
@@ -665,7 +656,7 @@ def _fuzz_one_frame(data, sock, scheme, params, share, valid):
         assert (mtype == proto.MSG_ERROR and reply[0] == 1
                 or (mtype, reply) == (proto.MSG_PARAMS, job_id))
     else:
-        mtype = data.draw(st.sampled_from([0, *range(4, 256)]))
+        mtype = data.draw(st.sampled_from([0, 4, 5, *range(7, 256)]))  # not HELLO to STATS
         mtype, reply = _exchange(sock, mtype, data.draw(st.binary(max_size=40)))
         assert (mtype, reply[0]) == (proto.MSG_ERROR, 4)
     if mtype != proto.MSG_ERROR:
@@ -1111,21 +1102,65 @@ def test_run_remote_starts_no_thread(scheme, live_server, monkeypatch):
     assert threading.active_count() == before and started == []
 
 
-def test_two_servers_as_two_endpoints_match_inprocess(scheme, live_server):
-    other = proto.Server()
-    thread = threading.Thread(target=other.serve_forever, daemon=True)
-    thread.start()
-    try:
-        A, B = _job(scheme)
-        ports = (live_server.port, other.port)
-        endpoints = [("127.0.0.1", ports[j % 2]) for j in range(scheme.N[-1])]
-        product, ledger = proto.run_remote(endpoints, scheme, A, B, seed=3)
-    finally:
-        other.stop()
-        thread.join(timeout=5)
+def test_two_servers_as_two_endpoints_match_inprocess(scheme, live_server, serve):
+    A, B = _job(scheme)
+    ports = (live_server.port, serve().port)
+    endpoints = [("127.0.0.1", ports[j % 2]) for j in range(scheme.N[-1])]
+    product, ledger = proto.run_remote(endpoints, scheme, A, B, seed=3)
     local_product, local_ledger = proto.run_inprocess(scheme, A, B, seed=3)
     assert np.array_equal(product.data, local_product.data)
     assert ledger.per_server == local_ledger.per_server
+
+
+def test_stats_frame_counts_jobs_bytes_times_and_errors(scheme, serve):
+    """After two remote jobs, one daemon per server, each daemon's STATS
+    reply counts 2 jobs, payload bytes in and out equal to its server's in
+    the two ledgers, and time in parse, server_step and reply.  A STATS
+    frame with a body gets error 1, an unknown type still gets error 4, and
+    the counters then hold one of each."""
+    import socket
+
+    servers = [serve() for _ in range(scheme.N[-1])]
+    endpoints = [("127.0.0.1", server.port) for server in servers]
+    ledgers = [proto.run_remote(endpoints, scheme, *_job(scheme, seed), seed=seed)[1]
+               for seed in (1, 2)]
+    for j, server in enumerate(servers, start=1):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            mtype, body = _exchange(sock, proto.MSG_STATS, b"")
+            assert mtype == proto.MSG_STATS
+            stats = json.loads(body)
+            assert stats["jobs"] == 2 and stats["errors"] == {}
+            for key, slot in (("bytes_in", "up_bytes"), ("bytes_out", "down_bytes")):
+                assert stats[key] == sum(ledger.per_server[j][slot] for ledger in ledgers)
+            assert all(stats[k] > 0 for k in ("parse_s", "server_step_s", "reply_s"))
+            assert _exchange(sock, proto.MSG_STATS, b"x")[1][0] == 1
+            assert _exchange(sock, 42, b"")[1][0] == 4
+            assert json.loads(_exchange(sock, proto.MSG_STATS, b"")[1])["errors"] == {"1": 1, "4": 1}
+
+
+def test_daemon_stats_lose_no_update_across_threads():
+    """Eight threads add 500 frames each to one DaemonStats at a switch
+    interval of 1 us; the counters hold every one of them."""
+    stats = proto.DaemonStats()
+
+    def adds():
+        for _ in range(500):
+            stats.add(4, jobs=1, bytes_in=3, bytes_out=2, parse_s=0.5)
+
+    threads = [threading.Thread(target=adds) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    totals = json.loads(stats.body())
+    assert (totals["jobs"], totals["bytes_in"], totals["bytes_out"]) == (4000, 12000, 8000)
+    assert totals["parse_s"] == 2000.0 and totals["errors"] == {"4": 4000}
 
 
 def test_an_unanswered_job_leaves_with_its_connection(scheme, live_server):
@@ -1235,3 +1270,4 @@ def test_daemon_resident_size_stays_flat_over_many_jobs(scheme, connections):
         except subprocess.TimeoutExpired:
             daemon.kill()
             daemon.wait()
+        daemon.stdout.close()
