@@ -46,7 +46,7 @@ from .poly import (
     eval_poly,
     lagrange_interpolate,
 )
-from .proto import Server, TrafficLedger, run_inprocess, run_remote, serve
+from .proto import Server, TrafficLedger, run_inprocess, run_remote
 
 __version__ = "0.1.0"
 
@@ -59,6 +59,6 @@ __all__ = [
     "lemma4_check", "make_base_field", "make_tower", "make_traditional",
     "mat_mul", "matdot_run", "partition_inner", "prime_search",
     "random_mat", "rate_crossover", "rates_table", "run_demo",
-    "run_inprocess", "run_remote", "security_audit", "serve",
+    "run_inprocess", "run_remote", "security_audit",
     "server_compute", "trace_dual_basis", "trace_to_subfield", "trad_run",
 ]

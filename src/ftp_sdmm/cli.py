@@ -259,8 +259,12 @@ def _cmd_audit(args):
 def _cmd_serve(args):
     if not 0 <= args.port <= 65535:
         raise InvalidParams(f"port {args.port} is outside 0..65535")
-    print(f"serving on {args.host}:{args.port}", flush=True)
-    proto.serve(args.port, host=args.host)
+    server = proto.Server(args.host, args.port)
+    print(f"serving on {args.host}:{server.port}", flush=True)
+    try:
+        server.serve_forever()
+    finally:
+        server.stop()
     return EXIT_OK
 
 

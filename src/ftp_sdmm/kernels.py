@@ -7,20 +7,16 @@ size.
   built once per field and cached on it.  The smaller factor's
   multiplication matrices are its digits times the table, and the product is
   the other factor's digits times those matrices: two float64 F_p matmuls,
-  with no transform and no support scan.
-- Otherwise a fold over F_S = F_q0(a_k : k in S), S the tower axes that
-  both operands span, read from the data: the other axes become rows or
-  columns of one product over F_S, by F_S's table where it is small (F_q0's
-  for S empty), else by a real FFT over F_S (the tower itself for S all of
-  its axes).  Element digit (i, a), tower multi-index i and base digit a,
-  sits at index (i, a) of the slot grid viewed as (*_ext_shape, 2d-1);
-  index sums never leave the grid, so the cyclic convolution is the linear
-  one.  The product stays in float64 from the slots to the residues:
-  rounding the inverse transform is exact while a worst-case error bound
-  stays below 1/2, and the float64 matmuls of the reduction take a mod p
-  only where their sums could reach 2^53.  Whole batch members share each
-  transform and reduce call, and every chunk writes into one block made per
-  product.
+  with no transform.
+- Otherwise one real FFT over the whole tower.  Element digit (i, a), tower
+  multi-index i and base digit a, sits at index (i, a) of the slot grid
+  viewed as (*_ext_shape, 2d-1); index sums never leave the grid, so the
+  cyclic convolution is the linear one.  The product stays in float64 from
+  the slots to the residues: rounding the inverse transform is exact while
+  a worst-case error bound stays below 1/2, and the float64 matmuls of the
+  reduction take a mod p only where their sums could reach 2^53.  Whole
+  batch members share each transform and reduce call, and every chunk
+  writes into one block made per product.
 
 The transform packs f = 2 slots per float where it can (segmentation:
 Kronecker substitution with a radix, D. Harvey, J. Symbolic Comput. 44,
@@ -238,30 +234,26 @@ def matmul(field, x, y):
     """x @ y over ``field`` for x (..., r, k, *field.shape) and y (..., k, c,
     *field.shape), reduced, with the leading axes broadcast as np.matmul
     broadcasts them.  A base field, or a tower of at most _TABLE_DIGITS
-    digits, multiplies by its structure constants.  On a larger tower, with
-    S the axes that both span, it is one product over the sub-tower F_S =
-    F_q0(a_k : k in S), x's other axes joining its rows and y's its columns
-    (_fold): by F_S's table if it is small enough (F_S = F_q0 for S empty),
-    else a transform over F_S."""
+    digits, multiplies by its structure constants; a larger tower by one
+    transform over the whole of it (_product)."""
     n = len(field.shape)
     (r, k), c, d = x.shape[-n - 2 : -n], y.shape[-n - 1], field.base.d
     if field.L:
-        # A sub-tower's bound lies below this one, fewer digits and a shorter
-        # transform, and so does a table's (rounding_bound >= k n (p-1)^2 2^-52).
+        # A table's bound lies below this one (rounding_bound >= k n (p-1)^2 2^-52).
         check_rounding(k, field.flat_size * d, field.base.p, fft_length(field._ext_flat, d))
     if _by_table_fits(field):
         return _by_table(field, x, y)
     xl, yl = x.shape[: -n - 2], y.shape[: -n - 2]
     lead = xl if xl == yl else np.broadcast_shapes(xl, yl)
+    if not r * k * c:  # the zero product: _product takes r, k and c positive
+        return np.zeros(lead + (r, c) + field.shape, dtype=np.int64)
 
     def stacked(t):  # t with its leading axes broadcast to lead, as one batch axis
         if t.shape[: -n - 2] != lead:
             t = np.broadcast_to(t, lead + t.shape[-n - 2 :])
         return t.reshape((math.prod(lead),) + t.shape[-n - 2 :])
 
-    x, y = stacked(x), stacked(y)
-    out = _fold(field, x, y, support(field, x), support(field, y))
-    return out.reshape(lead + (r, c) + field.shape)
+    return _product(field, stacked(x), stacked(y)).reshape(lead + (r, c) + field.shape)
 
 
 def _by_table_fits(field):
@@ -304,39 +296,6 @@ def _by_table(field, x, y):
         prod = np.matmul(rows, by_y.reshape(yl + (cs, k * n, n)))  # [c, r, o]
         part[...] = prod.astype(np.int64).swapaxes(-3, -2) % p
     return out.reshape(out.shape[:-1] + field.shape)
-
-
-def _fold(field, x, y, sx, sy):
-    """x @ y for a batch of x supported on the axes sx and y on sy: the
-    product over the sub-tower on the axes in both (F_q0 for none, the field
-    itself for all), of x with its axes only in sx folded into its rows and
-    y with its axes only in sy into its columns.  Monomials on disjoint axes
-    multiply without reduction, so the result unfolds into place, with the
-    axes in neither at index 0."""
-    L, primes, (B, r, k), c = field.L, field.primes, x.shape[:3], y.shape[2]
-    both = [a for a in sx if a in sy]
-    only_x = [a for a in sx if a not in sy]
-    only_y = [a for a in sy if a not in sx]
-    sub = field.subtower(both)
-
-    def spanned(t, axes):  # t at index 0 on the axes outside ``axes``
-        return t[(slice(None),) * 3 + tuple(slice(None) if a in axes else 0 for a in range(L))]
-
-    xs = spanned(x, sx).transpose(0, 1, *(3 + sx.index(a) for a in only_x), 2,
-                                  *(3 + sx.index(a) for a in both), 3 + len(sx))
-    ys = spanned(y, sy).transpose(0, 1, 2, *(3 + sy.index(a) for a in only_y),
-                                  *(3 + sy.index(a) for a in both), 3 + len(sy))
-    rows, cols = (math.prod(primes[a] for a in only) for only in (only_x, only_y))
-    by = _by_table if _by_table_fits(sub) else _product
-    prod = by(sub, xs.reshape((B, r * rows, k) + sub.shape),
-              ys.reshape((B, k, c * cols) + sub.shape))
-    prod = prod.reshape((B, r, *(primes[a] for a in only_x), c, *(primes[a] for a in only_y))
-                        + sub.shape)
-    at = {a: j for j, a in enumerate(["b", "r", *only_x, "c", *only_y, *both])}  # prod's axes
-    span = sorted(sx + tuple(only_y))
-    out = np.zeros((B, r, c) + field.shape, dtype=np.int64)
-    spanned(out, span)[...] = prod.transpose(0, 1, at["c"], *(at[a] for a in span), prod.ndim - 1)
-    return out
 
 
 def segmentation(field, inner):

@@ -98,10 +98,9 @@ def evaluate(field, coeffs, points):
     first, run along axis 0 of coeffs (deg + 1, ..., *field.shape), as a
     (len(points), ..., *field.shape) tensor.  At the points in F_q0 this is
     one F_q0 Vandermonde product, one float64 F_p matmul of the coefficients'
-    F_q0 digits with the powers' multiplication matrices.  At any other
-    point, one product of the row of its powers with the coefficients
-    replaces that product's row; the powers are made one point at a time,
-    so that a generator's stay on its own axis."""
+    F_q0 digits with the powers' multiplication matrices.  At the other
+    points, one product of the rows of their powers with the coefficients
+    replaces those rows."""
     n, d, p = len(coeffs), field.base.d, field.base.p
     points = np.reshape(points, (-1,) + field.shape) % p
     if not n:
@@ -114,9 +113,10 @@ def evaluate(field, coeffs, points):
     out = kernels.fp_mod(out, p).astype(np.int64)
     out = out.reshape(-1, len(points), d).transpose(1, 0, 2).reshape((len(points),) + coeffs.shape[1:])
     columns = coeffs.reshape((n, -1) + field.shape)
-    for j in np.flatnonzero(flat[:, 1:].any(axis=(1, 2))):
-        row = powers(field, points[j], n).swapaxes(0, 1)
-        out[j] = kernels.matmul(field, row, columns).reshape(out.shape[1:])
+    past = np.flatnonzero(flat[:, 1:].any(axis=(1, 2)))  # the points outside F_q0
+    if len(past):
+        rows = powers(field, points[past], n).swapaxes(0, 1)
+        out[past] = kernels.matmul(field, rows, columns).reshape((len(past),) + out.shape[1:])
     return out
 
 

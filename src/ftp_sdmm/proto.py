@@ -653,10 +653,7 @@ class Server:
     (``_refuse``).  Connections share nothing but the tower cache and ``stats``."""
 
     def __init__(self, host="127.0.0.1", port=0):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
+        self._sock = socket.create_server((host, port), backlog=16)  # closed if the bind fails
         self.host, self.port = self._sock.getsockname()
         self._conns = set()
         self._conns_lock = threading.Lock()
@@ -703,6 +700,8 @@ class Server:
             with conn:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 _serve(conn, self.stats)
+        except OSError:  # the client reset the connection: it ends, as a timeout ends it
+            pass
         finally:
             with self._conns_lock:
                 self._conns.discard(conn)
@@ -765,12 +764,3 @@ def _dispatch(mtype, body, job, stats, amounts):
                        parse_s=t1 - t0, server_step_s=t2 - t1, reply_s=time.perf_counter() - t2)
         return pack_message(MSG_RESPONSES, body), None
     return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}")), job
-
-
-def serve(port, host="127.0.0.1"):
-    """Blocking server entry point used by the CLI."""
-    server = Server(host=host, port=port)
-    try:
-        server.serve_forever()
-    finally:
-        server.stop()

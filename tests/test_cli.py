@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +189,41 @@ def test_serve_port_out_of_range_exit_2(capsys, port):
     code, out, err = run_cli(capsys, ["serve", "--port", port])
     assert code == 2 and not out
     assert err.startswith("ERROR InvalidParams:") and "0..65535" in err
+
+
+def _serve_argv(port):
+    return [sys.executable, "-m", "ftp_sdmm.cli", "serve", "--port", str(port)]
+
+
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_serve_prints_the_port_it_bound():
+    """serve --port 0 prints the port the kernel gave it, and that port
+    answers HELLO."""
+    daemon = subprocess.Popen(_serve_argv(0), env=_ENV, stdout=subprocess.PIPE, text=True)
+    try:
+        line = daemon.stdout.readline()
+        host, port = line.split()[-1].rsplit(":", 1)
+        assert line.startswith("serving on ") and host == "127.0.0.1" and int(port) > 0, line
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(proto.pack_message(proto.MSG_HELLO, b""))
+            assert proto.read_message(sock) == (proto.MSG_HELLO, b"")
+    finally:
+        daemon.terminate()
+        daemon.wait(timeout=10)
+        daemon.stdout.close()
+
+
+def test_serve_on_a_busy_port_exits_2_before_printing():
+    """A port that another socket listens on is refused with exit 2, an
+    error line on stderr and nothing on stdout."""
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        out = subprocess.run(_serve_argv(busy.getsockname()[1]), env=_ENV,
+                             capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stdout == "", (out.stdout, out.stderr)
+    assert out.stderr.startswith("ERROR OSError:")
 
 
 def test_audit_rank(capsys):

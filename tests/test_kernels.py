@@ -625,8 +625,8 @@ def test_table_product_matches_transform_and_loop_oracle(p, d, primes):
 
 def test_every_support_draw_on_the_transform_paths(monkeypatch):
     """The every-support draws again with the table's limit at 0, so that
-    _fold, over sub-towers of every support and by _product where both
-    operands span every axis, still meets the loop oracle on small towers."""
+    every product goes by the transform over the whole tower, whatever its
+    operands span, and still meets the loop oracle on small towers."""
     monkeypatch.setattr(kernels, "_TABLE_DIGITS", 0)
     test_matmul_on_every_support_matches_loop_oracle()
 
@@ -642,25 +642,22 @@ def _route_spy(monkeypatch):
     return calls
 
 
-def test_products_past_the_table_fold_onto_the_sub_tower_both_span(monkeypatch):
-    """On paper-full's tower, past _TABLE_DIGITS: with y in F_q0 and x on
-    axis 1 (a_2, of degree 7), a 2 x 2 by 2 x 1 product is one product by
-    tower.base's table whose rows are x's 7 spanned coefficients per row,
-    and no _product; with both spanning every axis it is one _product over
-    the tower itself, the sub-tower of all its axes.  Both equal the
-    per-element triple loop."""
+def test_products_past_the_table_are_one_transform_over_the_tower(monkeypatch):
+    """On paper-full's tower, past _TABLE_DIGITS, a 2 x 2 by 2 x 1 product
+    is one _product over the tower itself (its own sub-tower of every axis)
+    and no _by_table, whatever its operands span: with y in F_q0 and x on
+    axis 1 (a_2, of degree 7), and with both spanning every axis.  Both
+    equal the per-element triple loop."""
     tower = _tower(3, 3, (5, 7, 11))
     assert tower.subtower(range(tower.L)) is tower
     rng = SplitMix64(27)
     x, y = random_mat(2, 2, tower, rng=rng).data, random_mat(2, 1, tower, rng=rng).data
     calls = _route_spy(monkeypatch)
-    cases = [(_on_axes(tower, x, {1}), _on_axes(tower, y, set()),
-              ("_by_table", tower.base, (1, 2 * 7, 2) + tower.base.shape)),
-             (x, y, ("_product", tower, (1, 2, 2) + tower.shape))]
-    for xs, ys, (name, field, shape) in cases:
+    for xs, ys in [(_on_axes(tower, x, {1}), _on_axes(tower, y, set())), (x, y)]:
         calls.clear()
         got = kernels.matmul(tower, xs, ys)
-        assert [(n, f is field, s) for n, f, s in calls] == [(name, True, shape)]
+        want_calls = [("_product", True, (1, 2, 2) + tower.shape)]
+        assert [(n, f is tower, s) for n, f, s in calls] == want_calls
         want = _mat_mul_loop(Mat(tower, 2, 2, xs), Mat(tower, 2, 1, ys),
                              lambda u, v: _mul_oracle(tower, u, v))
         assert np.array_equal(got, want)
@@ -733,7 +730,7 @@ def test_paper_full_jobs_keep_their_heap():
 def test_empty_products_are_zero_on_every_path(limit, r, k, c, monkeypatch):
     """A product with no rows, no columns or an empty inner index is the
     (zero) product of its shape, with y in F_q0 or spanning an axis, by the
-    table and, with the table's limit at 0, by _fold."""
+    table and, with the table's limit at 0, by the transform."""
     monkeypatch.setattr(kernels, "_TABLE_DIGITS", limit)
     tower = _tower(11, 1, (2, 3))
     x = np.ones((2, r, k) + tower.shape, dtype=np.int64)

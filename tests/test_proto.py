@@ -1001,6 +1001,31 @@ def test_an_invalid_timeout_gets_an_error_frame_from_the_handler(live_server, mo
     assert escaped == []
 
 
+def test_a_client_reset_ends_its_connection_quietly(scheme, live_server, monkeypatch):
+    """A client that resets its connection (SO_LINGER 0) with several
+    PARAMS frames queued makes the handler's read or reply fail: the
+    connection ends, no exception escapes the handler thread, and the next
+    run_remote job decodes."""
+    import socket
+
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
+    before = set(threading.enumerate())
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        sock.sendall(proto.pack_message(proto.MSG_HELLO, b""))
+        assert proto.read_message(sock)[0] == proto.MSG_HELLO  # its handler runs
+        params = proto.pack_message(proto.MSG_PARAMS, proto.params_body(b"resetjob", scheme, 1))
+        sock.sendall(params * 8)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    _wait_until(lambda: not live_server._conns)
+    for thread in set(threading.enumerate()) - before:  # the handler, past its excepthook
+        thread.join(timeout=5)
+    assert escaped == []
+    A, B = _job(scheme)
+    product, _ = proto.run_remote([("127.0.0.1", live_server.port)] * scheme.N[-1], scheme, A, B)
+    assert product.eq(mat_mul(A, B))
+
+
 def test_stopped_server_shuts_down_the_kept_socket(scheme, live_server):
     A, B = _job(scheme)
     endpoint = ("127.0.0.1", live_server.port)
