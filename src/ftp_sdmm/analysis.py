@@ -199,8 +199,12 @@ def format_rational(x):
 
 
 def parse_rational(s):
+    """The Fraction written as an integer or num/den; ValueError for text of
+    another form or a zero denominator."""
     if "/" in s:
         num, den = s.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

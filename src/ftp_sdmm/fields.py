@@ -223,9 +223,12 @@ class _Field:
         """The (n, n n) float64 table C, n = prod(self.shape), whose row v,
         column (u, o) holds digit o of e_u e_v, for e_u the basis element
         with digit u equal to 1: y's multiplication matrix is y's digits
-        times C.  Built on first use and cached, as subtowers are."""
+        times C.  It is mul_matrix of the basis (a base field's _by_digit),
+        built on first use and cached, as subtowers are."""
         if self._structure is None:
-            self._structure = self._structure_table().astype(np.float64)
+            n = math.prod(self.shape)
+            basis = np.eye(n, dtype=np.int64).reshape((n,) + self.shape)
+            self._structure = self.mul_matrix(basis).reshape(n, n * n).astype(np.float64)
         return self._structure
 
     def pow(self, x, e):
@@ -308,9 +311,6 @@ class BaseField(_Field):
         for c in x:
             v = v * self.p + int(c)
         return v
-
-    def _structure_table(self):
-        return self._by_digit
 
     @functools.cached_property
     def _element_mats(self):
@@ -405,44 +405,22 @@ class TowerField(_Field):
             sub = self._subtowers.setdefault(axes, sub)
         return sub
 
-    def _structure_table(self):
-        """The digits of e_u e_v as an (n, n n) array, with no transform and
-        no reduce.  On axis k, a_k^s = sum_t X_k[s, t] a_k^t, X_k[s] in F_q0
-        the rows of axis k's reduction table, so the F_q0 coefficient of
-        a^o in a^u a^v is the product over the axes of X_k[u_k + v_k, o_k]:
-        a Kronecker product of the per-axis tables, chained through
-        mul_matrix, and then times the base digits' x^(a + a')."""
-        base, p, d = self.base, self.base.p, self.base.d
-        coeff = base.one()[None, None, None]  # [v, u, o] on the axes so far
-        for n_k, R in zip(self.primes, self._redmats):
-            s = np.arange(n_k)
-            axis = R.reshape(2 * n_k - 1, d, n_k, d)[s[:, None] + s, 0]  # [v_k, u_k, o_k]
-            coeff = np.einsum("vuoa,wxyab->vwuxoyb", coeff, base.mul_matrix(axis))
-            coeff = np.remainder(coeff, p, out=coeff).reshape((len(coeff) * n_k,) * 3 + (d,))
-        m, n = len(coeff), self.flat_size * d
-        by_x = base.mul_matrix(base._by_digit.reshape(d, d, d))  # [a', a]: times x^(a + a')
-        table = coeff.reshape(-1, d) @ by_x.transpose(2, 0, 1, 3).reshape(d, -1)
-        table = np.remainder(table, p, out=table).reshape((m,) * 3 + (d,) * 3)
-        return table.transpose(0, 3, 1, 4, 2, 5).reshape(n, n * n)
-
-    def mul_matrix(self, z, axes):
+    def mul_matrix(self, z):
         """The (..., n, n) float64 F_p matrices of multiplication by the
-        elements z (..., *shape) of the sub-tower on the given ascending
-        0-based axes, on its n digits: row u holds the digits of e_u z.  No
-        product of elements makes them: the rows are z times each x^a on the
-        base digit, then, axis by axis from the last, the rows so far times
-        each power of a_k, by the matrix of a_k that axis k's reduction
-        table holds in its rows for x^1 .. x^(p_k)."""
-        sub, d, p = self.subtower(axes), self.base.d, self.base.p
-        z = np.asarray(z)[(..., *(slice(None) if k in axes else 0 for k in range(self.L)), slice(None))]
-        at = z.ndim - len(sub.shape)  # the row axis, after z's leading axes
-        z = (z % p).astype(np.float64)
-        rows = np.stack([on_axes(sub, z, (), by_x.reshape(d, d)) for by_x in self.base._by_digit], at)
-        for k in reversed(range(sub.L)):
-            by_a = sub._redmats[k][d : (sub.primes[k] + 1) * d]
+        elements z (..., *shape) of this field, on its n digits: row u holds
+        the digits of e_u z.  No product of elements makes them: the rows
+        are z times each x^a on the base digit, then, axis by axis from the
+        last, the rows so far times each power of a_k, by the matrix of a_k
+        that axis k's reduction table holds in its rows for x^1 .. x^(p_k)."""
+        d, p = self.base.d, self.base.p
+        at = np.ndim(z) - len(self.shape)  # the row axis, after z's leading axes
+        z = (np.asarray(z) % p).astype(np.float64)
+        rows = np.stack([on_axes(self, z, (), by_x.reshape(d, d)) for by_x in self.base._by_digit], at)
+        for k in reversed(range(self.L)):
+            by_a = self._redmats[k][d : (self.primes[k] + 1) * d]
             powers = [rows]
-            for _ in range(sub.primes[k] - 1):
-                powers.append(on_axes(sub, powers[-1], (k,), by_a))
+            for _ in range(self.primes[k] - 1):
+                powers.append(on_axes(self, powers[-1], (k,), by_a))
             rows = np.concatenate(powers, at)
         return rows.reshape(rows.shape[: at + 1] + (-1,))
 

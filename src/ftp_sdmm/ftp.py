@@ -194,19 +194,18 @@ def _node_factors(tower, quotients, pt_inv, to_axis, between, scalars):
     and sits in the (2, ..., 2) corner of the tower axes.  by_gen: per axis
     k, multiplication by a_k."""
     base, L, T = tower.base, tower.L, len(scalars)
-    randoms = list(range(L, L + T))
-    scales = [((k,), tower.subtower((k,)).mul_matrix(np.stack([pt_inv[k], *to_axis[k][:T]]), (0,)),
-               [k, *randoms]) for k in range(L)]
-    scales += [((i, k), tower.subtower((i, k)).mul_matrix(np.moveaxis(between[i + 1, k + 1], 0, 1),
-                                                          (0, 1)), [i, k])
-               for i, k in combinations(range(L), 2)]
+    randoms, subs = list(range(L, L + T)), [tower.subtower((k,)) for k in range(L)]
+    scales = [((k,), sub.mul_matrix(np.stack([pt_inv[k], *to_axis[k][:T]])), [k, *randoms])
+              for k, sub in enumerate(subs)]
+    scales += [((i, k), tower.subtower((i, k)).mul_matrix(np.moveaxis(between[i + 1, k + 1], 0, 1)),
+                [i, k]) for i, k in combinations(range(L), 2)]
     signs = base.one() * (-1) ** np.arange(L)[:, None] % base.p
     per_node = np.concatenate([signs, scalars]).reshape((1, L + T) + (1,) * L + (base.d,))
     corner = quotients[(slice(None), slice(None), *(slice(2),) * L)]  # [s, k, S, digit]
     by = base.mul_matrix(np.moveaxis(base.mul(corner, per_node), (0, 1), (L, L + 1)))
     return dict(node_scales=scales,
                 combine=by.reshape(2**L * (L + T), (L + T) * base.d, base.d).astype(np.float64),
-                by_gen=[tower.mul_matrix(tower.gen(k + 1), (k,)) for k in range(L)])
+                by_gen=[sub.mul_matrix(sub.gen(1)) for sub in subs])
 
 
 def _vandermonde_blocks(base, alpha_powers, primes, N):

@@ -257,8 +257,9 @@ def matmul(field, x, y):
 
 
 def _by_table_fits(field):
-    """Whether ``field`` multiplies by its table: a base field always, as it
-    keeps its (d, d^2) table for mul_matrix, and a tower up to the limit."""
+    """Whether ``field`` multiplies by its table, mul_matrix of its basis
+    (structure_constants): a base field always, as that is the (d, d^2)
+    table its mul_matrix keeps, and a tower up to the limit."""
     return not field.L or math.prod(field.shape) <= _TABLE_DIGITS
 
 

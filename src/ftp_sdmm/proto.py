@@ -371,21 +371,6 @@ class TrafficLedger:
         self.spans[stage] = self.spans.get(stage, 0.0) + (time.perf_counter_ns() - start) / 1e9
         return out
 
-    def _slot(self, j):
-        return self.per_server.setdefault(
-            j, {"up_sym": 0, "up_bytes": 0, "down_sym": 0, "down_bytes": 0}
-        )
-
-    def add_upload(self, j, symbols, nbytes):
-        slot = self._slot(j)
-        slot["up_sym"] += symbols
-        slot["up_bytes"] += nbytes
-
-    def add_download(self, j, symbols, nbytes):
-        slot = self._slot(j)
-        slot["down_sym"] += symbols
-        slot["down_bytes"] += nbytes
-
     @property
     def upload_symbols(self):
         return sum(s["up_sym"] for s in self.per_server.values())
@@ -421,8 +406,9 @@ def _job(scheme, A, B, seed, job_id, exchange):
     replies = ledger.timed("wire", parse_responses, scheme, job_id, received)
     for j, (up, down) in enumerate(zip(sent, received), start=1):
         traced = [r[j - 1] for r in replies.values() if j <= len(r)]
-        ledger.add_upload(j, (F[j - 1].size + G[j - 1].size) // d, len(up) - 10 - 16)
-        ledger.add_download(j, sum(r.size for r in traced) // d, len(down) - 11 - 9 * len(traced))
+        ledger.per_server[j] = dict(
+            up_sym=(F[j - 1].size + G[j - 1].size) // d, up_bytes=len(up) - 10 - 16,
+            down_sym=sum(r.size for r in traced) // d, down_bytes=len(down) - 11 - 9 * len(traced))
     return ledger.timed("decode", decode, scheme, replies), ledger
 
 

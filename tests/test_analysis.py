@@ -138,6 +138,11 @@ def test_rational_format_roundtrip():
         assert parse_rational(format_rational(fr)) == fr
 
 
+def test_parse_rational_refuses_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+
+
 def test_rates_table_parses_back():
     rows = [_big(1, 3, 1), RateParams(a=2, b=2, c=2, L=2, T=1, primes=(2, 3))]
     text = rates_table(rows)

@@ -1,9 +1,12 @@
 """The names perfbench/tracing.py patches exist, a traced in-process job
-still times its server stage: one server_compute call per job, and the
-call perfbench/run.py times as kernels.convolve_us still returns the
-convolution, from an addtable that towers build only when it is read."""
+still times its server stage: one server_compute call per job, the call
+perfbench/run.py times as kernels.convolve_us still returns the
+convolution, from an addtable that towers build only when it is read, and
+the benchmark's own selftest passes."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,3 +140,12 @@ def test_setup_calls_the_make_tower_the_tracer_times(tracing):
             build_scheme(L, T, primes, BaseField(p, d), a, b, c)
             spans, _ = tracer.take()
         assert spans.get("fields.make_tower_s", 0) > 0, name
+
+
+def test_the_benchmark_selftest_passes():
+    """perfbench/selftest/selftest.py, which guards Mat, a writable
+    product.data and the ledger's per-server counts, exits 0."""
+    selftest = Path(__file__).resolve().parents[1] / "perfbench" / "selftest" / "selftest.py"
+    out = subprocess.run([sys.executable, "-B", str(selftest)], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and "selftest: ok" in out.stdout.splitlines(), out.stdout + out.stderr

@@ -182,6 +182,20 @@ def test_crossover_invalid_params_exit_2(capsys, argv, why):
     assert err.startswith(f"ERROR {name}:") and why in err
 
 
+def test_crossover_zero_denominator_exit_2(capsys, tmp_path):
+    """eta = 1/0 is refused as a ValueError with exit 2, as a flag (by
+    argparse) and in a config file (by main), and prints no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crossover", "--eta", "1/0"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    cfg = tmp_path / "cross.cfg"
+    cfg.write_text("eta=1/0\n")
+    code, out, err = run_cli(capsys, ["crossover", "--config", str(cfg)])
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.startswith("ERROR ValueError:") and "zero denominator" in err
+
+
 @pytest.mark.parametrize("port", ["70000", "-1"])
 def test_serve_port_out_of_range_exit_2(capsys, port):
     """A port outside 0..65535 is refused with exit 2 before the daemon

@@ -564,17 +564,25 @@ def test_float_reduction_past_its_bound_raises():
 
 # The fields of FIELDS whose products go by their structure constants.
 SMALL_FIELDS = [f for f in FIELDS if math.prod(f[2]) * f[1] <= kernels._TABLE_DIGITS]
+# Those and the base fields, then the only tables a paper-full build makes:
+# the one-axis sub-towers of its tower, of 15, 21 and 33 digits.
+TABLES = ([(*f, None) for f in SMALL_FIELDS + BASE_FIELDS]
+          + [(3, 3, (5, 7, 11), k) for k in range(3)])
 
 
-@pytest.mark.parametrize("p,d,primes", SMALL_FIELDS + BASE_FIELDS)
-def test_structure_constants_are_the_products_of_basis_elements(p, d, primes):
-    """The Kronecker-built table, row v and column (u, o), holds digit o of
-    e_u e_v: on towers the transform product of every pair of basis
-    elements, on base fields the convolution oracle."""
+@pytest.mark.parametrize("p,d,primes,axis", TABLES, ids=[
+    f"{p}-{d}-primes{i}" if axis is None else f"paper-full-axis{axis}"
+    for i, (p, d, _, axis) in enumerate(TABLES)])
+def test_structure_constants_are_the_products_of_basis_elements(p, d, primes, axis):
+    """The table, mul_matrix of the basis, holds digit o of e_u e_v in row
+    v and column (u, o): on towers and sub-towers the transform product of
+    every pair of basis elements, on base fields the convolution oracle."""
     field = _tower(p, d, primes) if primes else make_base_field(p, d)
+    if axis is not None:
+        field = field.subtower((axis,))
     n = math.prod(field.shape)
     basis = np.eye(n, dtype=np.int64).reshape((n,) + field.shape)
-    if primes:
+    if field.L:
         pairs = kernels._product(field, basis[None, :, None], basis[None, None, :])
     else:
         pairs = np.array([[_mul_oracle(field, u, v) for v in basis] for u in basis])
@@ -810,12 +818,13 @@ def test_fp_mod_is_exact_below_2_53(p):
 
 @pytest.mark.parametrize("p,d,primes", FIELDS)
 def test_on_axes_by_mul_matrix_is_the_product(p, d, primes):
-    """For elements z of the sub-tower on any set of axes, tower.mul_matrix
-    gives the products of z with that sub-tower's basis (checked for the
-    first z, on sub-towers of at most 256 digits: paper-full's pairs of
-    axes, not its whole tower), and on_axes by
-    those matrices multiplies a stack by z as tower.mul does: one matrix
-    for every entry, and one per entry of the first axis."""
+    """For elements z of the sub-tower on any set of axes, its mul_matrix
+    gives the transform products (kernels._product, which no table made)
+    of z with that sub-tower's basis (checked for the first z, on
+    sub-towers of at most 256 digits: paper-full's pairs of axes, not its
+    whole tower), and on_axes by those matrices multiplies a stack by z as
+    tower.mul does: one matrix for every entry, and one per entry of the
+    first axis."""
     tower = _tower(p, d, primes)
     rng = np.random.default_rng(3)
     xs = rng.integers(0, p, (3, 1) + tower.shape)
@@ -825,10 +834,11 @@ def test_on_axes_by_mul_matrix_is_the_product(p, d, primes):
             sub = tower.subtower(axes)
             n = math.prod(sub.shape)
             zs = rng.integers(0, p, (3,) + sub.shape)
-            mats = tower.mul_matrix(tower.embed_base(zs, axes), axes)
+            mats = sub.mul_matrix(zs)
             if n <= 256:
                 basis = np.eye(n, dtype=np.int64).reshape((n,) + sub.shape)
-                assert np.array_equal(mats[0], sub.mul(basis, zs[0]).reshape(n, n))
+                by_z = kernels._product(sub, basis[None, :, None], zs[None, None, :1])
+                assert np.array_equal(mats[0], by_z.reshape(n, n))
             want = tower.mul(xs, tower.embed_base(zs, axes)[:, None])
             assert np.array_equal(kernels.on_axes(tower, xs, axes, mats), want)
             assert np.array_equal(kernels.on_axes(tower, xs[0], axes, mats[0]), want[0])
