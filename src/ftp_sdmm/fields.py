@@ -323,6 +323,12 @@ class BaseField(_Field):
         digits j of s of s[j] times the matrix of multiplication by x^j."""
         return (s @ self._by_digit % self.p).reshape(np.shape(s)[:-1] + (self.d, self.d))
 
+    def mul(self, x, y):
+        """x * y element by element, leading axes broadcast: x's digits times
+        y's multiplication matrices, one int64 matmul of d terms, which stays
+        exact where mul_matrix's does."""
+        return (np.asarray(x)[..., None, :] @ self.mul_matrix(y))[..., 0, :] % self.p
+
     def inv(self, x):
         """Element by element over a stack x (..., d): one Fermat power."""
         if not (np.asarray(x) % self.p).any(axis=-1).all():

@@ -47,15 +47,13 @@ class SchemeParams:
     server_taus: list       # [i-1]: trace_scalars of group i's stacked w, (N_i, p_i, d) over F_q0
     lambdas: list           # lambda bases per group, each (p_i, *tower.shape)
     mus: list               # trace-dual bases per group, each (p_i, *tower.shape)
-    vandermonde: list = dc_field(repr=False)
-    # Per group i, the (N_i d, p_i d) F_p matrix of r -> c_is = -sum_j alpha_j^s r_ij.
-    # encode's Lagrange step.  On a tower that multiplies by its table
-    # (kernels._by_table_fits), only the basis: (L+T, L+T, *tower.shape),
-    # basis[s][k] = coefficient s of l_k on the L+T nodes.  Past its limit,
-    # only the basis's factors, as float64 F_p matrices (_node_factors).
-    basis: object = dc_field(default=None, repr=False)
+    decoders: list = dc_field(repr=False)  # [i-1]: (N_i d, p_i d) float64, replies -> h_i (decode)
+    # encode's Lagrange step.  On a tower of n digits that multiplies by its table
+    # (kernels._by_table_fits), only the generator, ((L+T) n, N_L n) float64: block
+    # (k, j) multiplies by l_k(alpha_j).  Past its limit, only the basis's factors.
+    generator: object = dc_field(default=None, repr=False)
     node_scales: list = dc_field(default=None, repr=False)  # [(axes, matrices, nodes)]
-    combine: object = dc_field(default=None, repr=False)    # (2^L (L+T), (L+T) d, d)
+    combine: object = dc_field(default=None, repr=False)    # (live (S, s), ((L+T) d, live d))
     by_gen: list = dc_field(default=None, repr=False)       # per axis k, times a_k
 
 
@@ -132,8 +130,7 @@ def build_scheme(L, T, primes, base, a, b, c):
                   for k in ks]
         start = from_axis[[N[-1] - 1, T - 1]].reshape((2,) + (1,) * (L - 1) + sub.shape)
         gen_inverses.append(np.moveaxis(reduce(sub.mul, others, start), -2, i))
-        duals.append([tower.embed_base(v, [i - 1])  # scale 1/P_i(a_i)
-                      for v in power_basis_dual(sub, from_axis[n_i - 1], 1)])
+        duals.append(power_basis_dual(sub, from_axis[n_i - 1], 1))  # scale 1/P_i(a_i)
         k_polys.append(_times_generators(tower, ks, annihilator(base, alphas[n_i:])))
 
     # At the upload points prod_i (alpha_j - a_i)^-1, an outer product over the axes, times
@@ -152,18 +149,22 @@ def build_scheme(L, T, primes, base, a, b, c):
           for t in range(T))], axis=1)  # [s, k]
     if kernels._by_table_fits(tower):
         node_inv = np.concatenate([[g[1] for g in gen_inverses], upload[N[-1] :]])
-        lagrange = dict(basis=tower.mul(quotients, node_inv))
+        lagrange = dict(generator=_generator(tower, tower.mul(quotients, node_inv), points[L:]))
     else:
         lagrange = _node_factors(tower, quotients, pt_inv, to_axis, between, deriv_inv[0][:T])
+    # Decode's Vandermonde step, then the matrix whose block (s, e) multiplies by mu_ise in F_q0.
+    by_mu = [base.mul_matrix(mu).transpose(0, 2, 1, 3) for _, mu in duals]  # [s, a, e, b]
     return SchemeParams(
         L=L, T=T, primes=primes, base=base, tower=tower, a=a, b=b, c=c,
         N=N, n=n, points=points,
         domain=EvalDomain(tower, points, weights=weights),
         k_polys=k_polys, server_scalars=server_scalars,
         server_taus=[tower.trace_scalars(w, i) for i, w in enumerate(server_scalars, start=1)],
-        lambdas=[lam for lam, _ in duals], mus=[mu for _, mu in duals],
-        vandermonde=_vandermonde_blocks(base, alpha_powers, primes, N), **lagrange,
-    )
+        lambdas=[tower.embed_base(lam, [i]) for i, (lam, _) in enumerate(duals)],
+        mus=[tower.embed_base(mu, [i]) for i, (_, mu) in enumerate(duals)],
+        decoders=[(v @ m.reshape(v.shape[1], -1) % base.p).astype(np.float64)
+                  for v, m in zip(_vandermonde_blocks(base, alpha_powers, primes, N), by_mu)],
+        **lagrange)
 
 
 def _times_generators(tower, axes, r):
@@ -180,6 +181,15 @@ def _times_generators(tower, axes, r):
     return Poly(tower, out)
 
 
+def _generator(tower, basis, points):
+    """The generator from the Lagrange basis [s, k]: block (k, j), the matrix of l_k(alpha_j),
+    is its n digits times the structure constants, one matmul for every block."""
+    values, n, p = evaluate(tower, basis, points), tower.flat_size * tower.base.d, tower.base.p
+    kernels.check_fp_exact(n, p)
+    by = kernels.fp_mod(values.reshape(-1, n) @ tower.structure_constants(), p)  # [(j, k), (u, o)]
+    return by.reshape(values.shape[:2] + (n, n)).transpose(1, 2, 0, 3).reshape(len(basis) * n, -1)
+
+
 def _node_factors(tower, quotients, pt_inv, to_axis, between, scalars):
     """encode's Lagrange step past the table's limit, from the quotients
     A/(x - w_k) [s, k], as SchemeParams fields.  node_scales: (axes,
@@ -191,8 +201,9 @@ def _node_factors(tower, quotients, pt_inv, to_axis, between, scalars):
     and generator k's F_q0 scalar is (-1)^k.  combine: [(S, s), (k, a), b]
     is entry [a, b] of the multiplication matrix of node k's F_q0 scalar
     times the coefficient of a_S x^s in its quotient, which lies in F_q0
-    and sits in the (2, ..., 2) corner of the tower axes.  by_gen: per axis
-    k, multiplication by a_k."""
+    and sits in the (2, ..., 2) corner of the tower axes, kept for the live
+    (S, s) alone, with a nonzero block, side by side.  by_gen: per axis k,
+    multiplication by a_k."""
     base, L, T = tower.base, tower.L, len(scalars)
     randoms, subs = list(range(L, L + T)), [tower.subtower((k,)) for k in range(L)]
     scales = [((k,), sub.mul_matrix(np.stack([pt_inv[k], *to_axis[k][:T]])), [k, *randoms])
@@ -203,8 +214,10 @@ def _node_factors(tower, quotients, pt_inv, to_axis, between, scalars):
     per_node = np.concatenate([signs, scalars]).reshape((1, L + T) + (1,) * L + (base.d,))
     corner = quotients[(slice(None), slice(None), *(slice(2),) * L)]  # [s, k, S, digit]
     by = base.mul_matrix(np.moveaxis(base.mul(corner, per_node), (0, 1), (L, L + 1)))
+    by = by.reshape(2**L * (L + T), (L + T) * base.d, base.d)
+    live = np.flatnonzero(by.any(axis=(1, 2)))
     return dict(node_scales=scales,
-                combine=by.reshape(2**L * (L + T), (L + T) * base.d, base.d).astype(np.float64),
+                combine=(live, np.hstack(by[live]).astype(np.float64)),
                 by_gen=[sub.mul_matrix(sub.gen(1)) for sub in subs])
 
 
@@ -231,12 +244,12 @@ def encode(scheme, A, B, seed=0, randoms=None):
     points as the share stacks F (N_L, a, b/L, *tower.shape) and G (N_L,
     b/L, c, *tower.shape), views into one evaluation array: server j's
     share is F[j - 1] and G[j - 1].  On a tower that multiplies by its
-    table, the coefficients of f and g are one product of the Lagrange basis
-    with the stacked nodes.
-    Past its limit, they come from the basis's factors (_interpolate), each
-    an F_p matrix on the tower axes it spans.  Their values are one F_q0
-    Vandermonde product, since the upload points lie in F_q0."""
-    tower, L, T = scheme.tower, scheme.L, scheme.T
+    table, they are the nodes' digits times the generator, one float64 F_p
+    matmul.  Past its limit, the coefficients of f and g come from the
+    basis's factors (_interpolate), each an F_p matrix on the tower axes it
+    spans, and their values are one F_q0 Vandermonde product, since the
+    upload points lie in F_q0."""
+    tower, L, T, p = scheme.tower, scheme.L, scheme.T, scheme.base.p
     a, w, c = scheme.a, scheme.b // L, scheme.c
     R, S = randoms if randoms is not None else _draw_randoms(scheme, seed)
     operands = [(A, (a, scheme.b)), (B, (scheme.b, c)),
@@ -250,12 +263,14 @@ def encode(scheme, A, B, seed=0, randoms=None):
         np.concatenate([f.data.reshape((a * w,) + tower.shape),
                         g.data.reshape((w * c,) + tower.shape)])
         for f, g in zip(part.A_blocks + list(R), part.B_blocks + list(S))
-    ])
-    if scheme.basis is not None:
-        coeffs = kernels.matmul(tower, scheme.basis, nodes)
+    ], axis=1)  # [m, k]
+    if scheme.generator is not None:  # inner dimension (L+T) n
+        kernels.check_fp_exact(len(scheme.generator), p)
+        digits = (nodes.reshape(len(nodes), -1) % p).astype(np.float64)
+        evals = kernels.fp_mod(digits @ scheme.generator, p).astype(np.int64)
+        evals = evals.reshape((len(nodes), -1) + tower.shape).swapaxes(0, 1)
     else:
-        coeffs = _interpolate(scheme, nodes)
-    evals = evaluate(tower, coeffs, scheme.points[L:])
+        evals = evaluate(tower, _interpolate(scheme, nodes.swapaxes(0, 1)), scheme.points[L:])
     n = len(evals)
     return (evals[:, : a * w].reshape((n, a, w) + tower.shape),
             evals[:, a * w :].reshape((n, w, c) + tower.shape))
@@ -267,21 +282,23 @@ def _interpolate(scheme, nodes):
     v_k, from the factors that setup keeps: each node v_k times its scale's
     tower factors, one on_axes product per factor; then, with A/(x - w_k) =
     sum_S a_S sum_s c_Sks x^s, c_Sks in F_q0, and node k's F_q0 scalar
-    folded in, the sums sum_k c_Sks v_k for every subset S and power s as
-    one float64 F_p matmul; then sum_S a_S of those in L Horner steps, the
+    folded in, the sums sum_k c_Sks v_k for every subset S and power s, one
+    float64 F_p matmul over the (S, s) of a nonzero c_Sks, the others 0;
+    then sum_S a_S of those in L Horner steps, the
     terms with a_k in S times a_k, on axis k, and added to the rest."""
     tower, p, d, n = scheme.tower, scheme.base.p, scheme.base.d, len(nodes)
     kernels.check_fp_exact(n * d, p)
     u = (nodes % p).astype(np.float64)
     for axes, matrices, which in scheme.node_scales:
         u[which] = kernels.on_axes(tower, u[which], axes, matrices)
-    out = np.empty(nodes.shape, dtype=np.int64)
+    out, (live, combine) = np.empty(nodes.shape, dtype=np.int64), scheme.combine
     # The m columns in chunks, each with about _CHUNK_BYTES of sums, 2^L per node.
     step = max(1, kernels._CHUNK_BYTES // (8 * 2**scheme.L * nodes[:, 0].size))
     for c in range(0, nodes.shape[1], step):
         part = u[:, c : c + step]
         rows = part.reshape(n, -1, d).transpose(1, 0, 2).reshape(-1, n * d)  # [(m, F_q0 coeff), (k, a)]
-        sums = kernels.fp_mod(np.matmul(rows, scheme.combine), p)  # [(S, s), (m, F_q0 coeff), b]
+        sums = np.zeros((2**scheme.L * n, len(rows), d))  # [(S, s), (m, F_q0 coeff), b]
+        sums[live] = kernels.fp_mod(rows @ combine, p).reshape(len(rows), -1, d).swapaxes(0, 1)
         sums = sums.reshape((2,) * scheme.L + part.shape)  # S as one 0/1 axis per tower axis
         for k, by_a in enumerate(scheme.by_gen):
             sums = kernels.fp_mod(sums[0] + kernels.on_axes(tower, sums[1], (k,), by_a), p)
@@ -338,29 +355,27 @@ def decode(scheme, replies):
     For each group i, the Vandermonde step over F_q0 gives c_is = -sum_j
     alpha_j^s r_ij from the replies r_ij on F_i's axes, and the trace-dual
     basis gives h_i = sum_s c_is mu_is, the mirror of server_step: mu_is lies
-    in F_q0(a_i), so coefficient e of h_i on axis i is sum_s c_is mu_ise with
-    every mu_ise in F_q0: with c_is on axis i, one on_axes product with the
-    (p_i d, p_i d) matrix whose block (s, e) multiplies by mu_ise."""
+    in F_q0(a_i), so coefficient e of h_i on axis i is sum_s c_is mu_ise
+    with every mu_ise in F_q0.  Both steps are F_q0-linear, and setup folds
+    them into one (N_i d, p_i d) matrix: one float64 F_p matmul of the
+    replies' digits, its column block e added on axis i."""
     tower, base = scheme.tower, scheme.base
     a, c, d, p = scheme.a, scheme.c, base.d, base.p
     if sorted(replies) != list(range(1, scheme.L + 1)):
         raise ShapeMismatch(f"replies for groups {sorted(replies)}, not 1..{scheme.L}")
-    total = np.zeros((a, c) + tower.shape, dtype=np.int64)
+    total = np.zeros((a, c) + tower.shape)
     for i in range(1, scheme.L + 1):
-        p_i, n_i = scheme.primes[i - 1], scheme.N[i - 1]
-        r_i = replies[i]
+        n_i, r_i = scheme.N[i - 1], replies[i]
         shape = (n_i, a, c) + tower.shape[: i - 1] + tower.shape[i:]
         if np.shape(r_i) != shape:
             raise ShapeMismatch(f"group {i}'s replies are {np.shape(r_i)}, not a {shape} stack")
-        flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
-        c_is = flat @ scheme.vandermonde[i - 1] % p  # [(a, c, F_i), (s, digit)]
-        mu = np.moveaxis(scheme.mus[i - 1], i, 1).reshape(p_i, p_i, -1, d)[:, :, 0]  # [s, e, digit]
-        by_mu = base.mul_matrix(mu).transpose(0, 2, 1, 3).reshape(p_i * d, p_i * d)
-        c_i = c_is.reshape(total.shape[: 1 + i] + total.shape[2 + i :-1] + (p_i, d))  # s last
-        n = c_i.ndim  # transposes, as moveaxis costs more per call
-        c_i = c_i.transpose(*range(1 + i), n - 2, *range(1 + i, n - 2), n - 1)  # s on axis i
-        total += kernels.on_axes(tower, c_i, (i - 1,), by_mu)
-    return Mat(tower, a, c, total % p)
+        kernels.check_fp_exact(n_i * d, p)
+        flat = (np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d) % p).astype(np.float64)
+        h_i = kernels.fp_mod(flat @ scheme.decoders[i - 1], p)  # [(a, c, F_i), (e, digit)]
+        h_i = h_i.reshape(total.shape[: 1 + i] + total.shape[2 + i : -1] + (tower.primes[i - 1], d))
+        n = h_i.ndim  # transposes, as moveaxis costs more per call
+        total += h_i.transpose(*range(1 + i), n - 2, *range(1 + i, n - 2), n - 1)  # e on axis i
+    return Mat(tower, a, c, total.astype(np.int64) % p)
 
 
 def cost_report(scheme):

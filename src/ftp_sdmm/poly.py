@@ -129,9 +129,22 @@ def eval_poly(f, x, field=None):
 
 def annihilator(field, points):
     """Monic product of (x - a) over the points, one linear factor at a time
-    as P <- xP - aP; the empty set gives 1."""
-    out = Poly.one(field)
-    for a in points:
+    as P <- xP - aP: those in F_q0 first, over F_q0 by their multiplication
+    matrices, embedded once, then the others over the field; the empty set
+    gives 1."""
+    base = field.base
+    points = np.asarray(points, dtype=np.int64).reshape((-1,) + field.shape) % base.p
+    origin = (slice(None),) + (0,) * field.L
+    inside = (np.count_nonzero(points, axis=tuple(range(1, points.ndim)))
+              == np.count_nonzero(points[origin], axis=-1))  # no digit off the origin
+    c = np.zeros((np.count_nonzero(inside) + 1, base.d), dtype=np.int64)
+    c[0] = base.one()
+    for by_a in base.mul_matrix(points[origin][inside]):  # c's last row, past P's degree, is 0
+        c = (np.concatenate([c[-1:], c[:-1]]) - c @ by_a) % base.p
+    out = np.zeros((len(c),) + field.shape, dtype=np.int64)
+    out[origin] = c
+    out = Poly(field, out)
+    for a in points[~inside]:
         out = Poly(field, [field.zero(), *out.coeffs]).sub(out.scale(a))
     return out
 

@@ -36,7 +36,7 @@ from ftp_sdmm.proto import run_inprocess
 
 from conftest import _DIGEST_SCHEMES
 from test_linalg import _elim
-from ftp_sdmm.poly import annihilator, dual_weights, eval_poly, evaluate, lagrange_coefficients
+from ftp_sdmm.poly import annihilator, dual_weights, eval_poly, evaluate, lagrange_coefficients, powers
 
 CONFIGS = [
     dict(L=1, T=1, primes=(2,), p=2, d=2),
@@ -143,7 +143,7 @@ def test_encode_matches_the_lagrange_oracle(digest_schemes, name, monkeypatch):
     if name.endswith("no table"):
         monkeypatch.setattr(kernels, "_TABLE_DIGITS", 0)
     s = digest_schemes[name] if name in digest_schemes else _scheme(CONFIGS[int(name[7])])
-    assert (s.basis is None) == (not kernels._by_table_fits(s.tower)) == (s.combine is not None)
+    assert (s.generator is None) == (not kernels._by_table_fits(s.tower)) == (s.combine is not None)
     A = random_mat(s.a, s.b, s.tower, seed=60)
     B = random_mat(s.b, s.c, s.tower, seed=61)
     given_randoms = ftp_module._draw_randoms(s, 62)
@@ -416,13 +416,26 @@ def _digest(arrays):
     return h.hexdigest()
 
 
-def _basis(s):
-    """The Lagrange basis on the L + T nodes: the one setup keeps, or, past
-    the table's limit where setup keeps its factors instead, the general
-    route's."""
-    if s.basis is None:
-        return lagrange_coefficients(s.tower, s.points[: s.L + s.T])
-    return s.basis
+def _basis_values(s):
+    """The values l_k(alpha_j) [k, j] of the Lagrange basis on the L + T
+    nodes at the upload points: row 0 of block (k, j) of the generator
+    matrix that setup keeps, the digits of 1 times l_k(alpha_j), or, past
+    the table's limit where setup keeps the basis's factors instead, the
+    general route's."""
+    t, K, J = s.tower, s.L + s.T, s.N[-1]
+    if s.generator is None:
+        basis = lagrange_coefficients(t, s.points[:K])
+        return np.swapaxes(evaluate(t, basis, s.points[s.L :]), 0, 1)
+    n = t.flat_size * s.base.d
+    return s.generator.reshape(K, n, J, n)[:, 0].astype(np.int64).reshape((K, J) + t.shape)
+
+
+def _vandermonde(s):
+    """Decode's Vandermonde step per group, (N_i d, p_i d), by the setup
+    helper whose matrices build_scheme folds into its decoders."""
+    alphas = np.stack([s.base.from_int(k) for k in range(s.N[-1])])
+    return ftp_module._vandermonde_blocks(s.base, powers(s.base, alphas, max(s.primes) + 1),
+                                          s.primes, s.N)
 
 
 @pytest.mark.parametrize("name", ["small-tower", "tcp-wide", "paper-full", 0, 1, 2, 3])
@@ -433,8 +446,7 @@ def test_setup_values_are_pinned(digest_schemes, name):
     s = digest_schemes[name] if isinstance(name, str) else _scheme(CONFIGS[name], a=4, b=6, c=4)
     values = (s.domain.weights, [np.stack(r) for r in s.server_scalars],
               [np.stack(b) for b in s.lambdas], [np.stack(b) for b in s.mus],
-              [np.swapaxes(evaluate(s.tower, _basis(s), s.points[s.L :]), 0, 1)],
-              s.vandermonde, [k.coeffs for k in s.k_polys])
+              [_basis_values(s)], _vandermonde(s), [k.coeffs for k in s.k_polys])
     got = dict(zip(_SETUP_VALUES, map(_digest, values)))
     key = (s.L, s.T, s.primes, s.base.p, s.base.d)
     assert got == dict(zip(_SETUP_VALUES, _SETUP_DIGESTS[key]))
@@ -466,7 +478,12 @@ def _assert_closed_forms_match(s):
         assert np.array_equal(s.server_scalars[i], scalars[i])
         assert np.array_equal(s.lambdas[i][0], scales[i])  # lambda_0 = scale * a_i^0
         assert np.array_equal(s.k_polys[i].coeffs, k_polys[i])
-    assert np.array_equal(_basis(s), basis)
+    values = np.swapaxes(evaluate(s.tower, basis, s.points[s.L :]), 0, 1)
+    assert np.array_equal(_basis_values(s), values)
+    if s.generator is not None:  # block (k, j) multiplies by l_k(alpha_j), element by element
+        n = s.tower.flat_size * s.base.d
+        blocks = s.generator.reshape(s.L + s.T, n, s.N[-1], n).swapaxes(1, 2)
+        assert np.array_equal(blocks, s.tower.mul_matrix(values))
     # The leading coefficient of l_k is A'(w_k)^-1, the node's inverse.
     nodes = s.points[: s.L + s.T]
     assert np.array_equal(basis[-1], dual_weights(s.tower, nodes))
@@ -571,7 +588,7 @@ def _staged_decode(scheme, replies):
         p_i, n_i = scheme.primes[i - 1], scheme.N[i - 1]
         r_i = replies[i]
         flat = np.moveaxis(r_i, 0, -2).reshape(-1, n_i * d)
-        c_is = (flat @ scheme.vandermonde[i - 1] % p).reshape(a * c, -1, p_i, d)
+        c_is = (flat @ _vandermonde(scheme)[i - 1] % p).reshape(a * c, -1, p_i, d)
         c_i = np.zeros((a * c, p_i) + tower.shape, dtype=np.int64)
         in_f_i = np.moveaxis(c_i, 1 + i, 2)[:, :, 0]
         in_f_i[...] = np.moveaxis(c_is, 2, 1).reshape(in_f_i.shape)
@@ -594,6 +611,68 @@ def test_decode_matches_staged_oracle(digest_schemes, name):
         got = decode(s, replies)
         assert np.array_equal(got.data, _staged_decode(s, replies).data)
         assert got.eq(mat_mul(A, B))
+
+
+def test_jobs_apply_the_matrices_setup_keeps(digest_schemes, monkeypatch):
+    """On small-tower and tcp-wide, encode is one product by the generator
+    matrix: it calls neither kernels.matmul nor poly.evaluate.  On every
+    benchmark scheme decode is one product by each group's decoder: it
+    makes no multiplication matrix and no on_axes product.  paper-full's
+    encode still goes through _interpolate, whose combine keeps only the
+    16 of its 40 (S, s) blocks that are nonzero."""
+    from ftp_sdmm import fields, poly
+
+    calls = []
+
+    def spy(name, f):
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return recording
+
+    for owner, name in [(kernels, "matmul"), (fields, "matmul"), (ftp_module, "evaluate"),
+                        (poly, "evaluate"), (kernels, "on_axes"), (fields, "on_axes"),
+                        (fields.BaseField, "mul_matrix"), (TowerField, "mul_matrix"),
+                        (ftp_module, "_interpolate")]:
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    for name, s in digest_schemes.items():
+        A = random_mat(s.a, s.b, s.tower, seed=70)
+        B = random_mat(s.b, s.c, s.tower, seed=71)
+        calls.clear()
+        F, G = encode(s, A, B, seed=72)
+        if name == "paper-full":
+            assert "_interpolate" in calls and len(s.combine[0]) == 16
+        else:
+            assert not {"matmul", "evaluate", "_interpolate"} & set(calls), (name, calls)
+        replies = server_compute(s, F, G)
+        calls.clear()
+        assert decode(s, replies).eq(mat_mul(A, B))
+        assert not {"mul_matrix", "on_axes"} & set(calls), (name, calls)
+
+
+def test_job_over_f_65521_is_exact(monkeypatch):
+    """Over F_65521(2, 3), a prime the wire format refuses, encode ->
+    server_compute -> decode called directly gives mat_mul's product, and
+    the shares and the decoded product equal the Lagrange and staged-decode
+    oracles bit for bit.  The generator's product checks its inner
+    dimension (L+T) n and each decoder's its N_i d."""
+    s = build_scheme(L=2, T=2, primes=(2, 3), base=make_base_field(65521, 1), a=2, b=4, c=3)
+    checked, check = [], kernels.check_fp_exact
+    monkeypatch.setattr(kernels, "check_fp_exact", lambda k, p: checked.append((k, p)) or check(k, p))
+    A = random_mat(s.a, s.b, s.tower, seed=80)
+    B = random_mat(s.b, s.c, s.tower, seed=81)
+    R, S = ftp_module._draw_randoms(s, 82)
+    F, G = encode(s, A, B, randoms=(R, S))
+    assert checked == [((s.L + s.T) * 6, 65521)]
+    got = np.concatenate([F.reshape((len(F), -1) + s.tower.shape),
+                          G.reshape((len(G), -1) + s.tower.shape)], axis=1)
+    assert np.array_equal(got, _lagrange_oracle(s, A, B, R, S))
+    replies = server_compute(s, F, G)
+    checked.clear()
+    product = decode(s, replies)
+    assert checked == [(n_i, 65521) for n_i in s.N]
+    assert np.array_equal(product.data, _staged_decode(s, replies).data)
+    assert product.eq(mat_mul(A, B))
 
 
 @settings(max_examples=60, deadline=None)

@@ -219,6 +219,35 @@ def test_tensor_poly_matches_elementwise_oracles(oracle_fields, which, seed, deg
         lagrange_interpolate(field, pts + [pts[-1]], values + [values[0]])
 
 
+def _annihilator_one_at_a_time(field, points):
+    """annihilator as it was before the points in F_q0 went over F_q0:
+    every linear factor over the field, as P <- xP - aP."""
+    out = Poly.one(field)
+    for a in points:
+        out = Poly(field, [field.zero(), *out.coeffs]).sub(out.scale(a))
+    return out
+
+
+def test_annihilator_takes_the_base_points_over_the_base_field(digest_schemes, monkeypatch):
+    """On paper-full's 22 points, 19 of them in F_q0, annihilator equals the
+    one-factor-at-a-time product bit for bit, with one transform product
+    per point outside F_q0: 3, where that product makes 22.  On small-tower's
+    points, generators and base scalars mixed, they agree too."""
+    from ftp_sdmm import kernels
+
+    s, products, product = digest_schemes["paper-full"], [], kernels._product
+    monkeypatch.setattr(kernels, "_product", lambda *args: products.append(1) or product(*args))
+    got = annihilator(s.tower, s.points)
+    assert len(products) == 3
+    want = _annihilator_one_at_a_time(s.tower, s.points)
+    assert len(products) == 3 + 22
+    assert np.array_equal(got.coeffs, want.coeffs)
+    small = digest_schemes["small-tower"]
+    points = small.points[6:] + small.points[:6]  # the generators among the base scalars
+    assert np.array_equal(annihilator(small.tower, points).coeffs,
+                          _annihilator_one_at_a_time(small.tower, points).coeffs)
+
+
 def _evaluate_einsum(field, coeffs, points):
     """evaluate as it was before its F_q0 Vandermonde product became one
     float64 matmul: the same product as an int64 einsum."""
