@@ -17,14 +17,15 @@ over TCP.  A daemon parses each SHARE frame alone, as hostile bytes, with
 the same parser, and computes on stacks of one.
 
 The TCP runner keeps one open connection per endpoint across jobs, with
-TCP_NODELAY set on both ends, and starts no thread.  Each server's PARAMS
-and SHARE go out back to back in one sendall; the servers at one endpoint
-take its connection in rounds, so distinct endpoints compute at once.  A
-kept connection that fails before the first byte of its reply (the daemon
-closed it while idle) is replaced once by a fresh one.  The daemon serves
-each connection from one thread for as many jobs as it carries, and keeps
-at most one pending job per connection, on that connection alone.  A STATS
-frame, of empty body, gets its counters since it started, as JSON."""
+TCP_NODELAY set on both ends, and starts no thread.  On each connection it
+sends as many servers' PARAMS and SHARE as their replies fit
+REPLY_WINDOW_BYTES in one sendall, then reads their replies in order, so
+distinct endpoints compute at once.  A kept connection that fails before
+its first reply byte (the daemon closed it while idle) is replaced once.
+The daemon serves each connection from one thread, keeps at most one
+pending job per connection, on that connection alone, and parses a PARAMS
+body once (_params_cache).  A STATS frame, of empty body, gets its
+counters since it started, as JSON."""
 
 import json
 import os
@@ -32,7 +33,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import accumulate
 from math import prod
 
@@ -206,8 +207,10 @@ MAX_FRAME_BYTES = 2 * MAX_PRODUCT_DIGITS + 4096
 MAX_CONNECTIONS = 16  # connections served at once, each by its own thread
 _REFUSE_DRAIN_SECONDS = 0.2  # the most a refused connection holds up accept
 TOWER_CACHE_SIZE = 8
+PARAMS_CACHE_SIZE = 64  # at least paper-full's N_L = 19 servers
 
 _tower_cache = {}
+_params_cache = {}  # a body past its job id -> its tower's _tower_cache key, its job's tower None
 _tower_cache_lock = threading.Lock()
 
 
@@ -236,6 +239,7 @@ class ServerJob:
     c: int
     L: int
     taus: dict   # group i -> trace_scalars of w_ij as a stack of one, (1, p_i, d)
+    cached: bool = False  # served from _params_cache
 
 
 def parse_params(body):
@@ -245,7 +249,12 @@ def parse_params(body):
     outside 1..L or twice (so never more than L groups), or has a b that L
     does not divide, and FieldTooLarge past MAX_AXIS_DIGITS,
     MAX_ELEMENT_DIGITS or MAX_PRODUCT_DIGITS in any of its matrices.  Then
-    trace_scalars raises InvalidParams for a w_ij outside F_q0(a_i)."""
+    trace_scalars raises InvalidParams for a w_ij outside F_q0(a_i).  A body
+    that matches a parsed one past its job id is served from _params_cache,
+    which keeps the PARAMS_CACHE_SIZE bodies parsed last, and no tower."""
+    hit = _params_cache.get(bytes(body[8:]))  # one dict lookup: atomic, so it takes no lock
+    if hit is not None:
+        return replace(hit[1], job_id=bytes(body[:8]), tower=_cached_tower(*hit[0]), cached=True)
     if len(body) < 13:
         raise MalformedFrame("params header truncated")
     job_id = bytes(body[:8])
@@ -281,7 +290,12 @@ def parse_params(body):
     tower = _cached_tower(p, d, modulus, primes)
     taus = {i: tower.trace_scalars(elem_from_bytes(tower, body[at + 1 : at + step])[None], i)
             for i, at in zip(ids, range(off, len(body), step))}
-    return ServerJob(job_id, server_index, tower, a, b, c, L, taus)
+    job = ServerJob(job_id, server_index, tower, a, b, c, L, taus)
+    with _tower_cache_lock:
+        _params_cache[bytes(body[8:])] = (p, d, modulus, primes), replace(job, tower=None)
+        while len(_params_cache) > PARAMS_CACHE_SIZE:
+            del _params_cache[next(iter(_params_cache))]
+    return job
 
 
 def share_bodies(job_id, tower, F, G):
@@ -440,27 +454,32 @@ def _reply(sock, j, expected):
 _kept = {}
 _kept_lock = threading.Lock()
 
+# The most reply bytes a connection may have sent to it and unread: a
+# quarter of Linux's default 128 KiB loopback receive buffer, so that the
+# daemon never blocks sending, keeps reading, and the client's sendall ends.
+REPLY_WINDOW_BYTES = 32 << 10
+
 
 class _Link:
     """A job's connection to one endpoint: the kept socket if there is one,
     else a fresh one opened at the first send.  The daemon may have closed
     a kept socket while it was idle, so a send error, a reset or EOF before
     the first byte of its first reply replaces it once by a fresh one, which
-    takes the server's PARAMS and SHARE again.  After a timeout the endpoint
-    takes no more of the job's servers: a hung daemon costs one timeout, not
-    one each."""
+    takes every frame in flight again.  After a timeout the endpoint takes
+    no more of the job's servers: a hung daemon costs one timeout, not one
+    each."""
 
     def __init__(self, endpoint, timeout):
         self.endpoint, self.timeout = endpoint, timeout
         with _kept_lock:
             self.sock = _kept.pop(endpoint, None)
         self.on_trial = self.sock is not None
-        self.busy = False  # frames sent whose replies are not all read
+        self.frames = []  # the PARAMS and SHARE frames of each server in flight
         self.stage = None
         self.timed_out = None  # the server whose exchange timed out
 
     def send(self, frames):
-        """One server's PARAMS and SHARE frames, in one sendall."""
+        """Each server's PARAMS and SHARE frames, ``frames``, in one sendall."""
         if self.timed_out:
             self.stage = "PARAMS"
             raise ProtocolTimeout(f"not sent: the endpoint timed out on server {self.timed_out}")
@@ -469,23 +488,25 @@ class _Link:
             self.sock = socket.create_connection(self.endpoint, timeout=self.timeout)
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock.settimeout(self.timeout)
-        self.stage, self.busy = "PARAMS", True
+        self.stage = "PARAMS"
+        self.frames = frames
         try:
-            self.sock.sendall(frames)
+            self.sock.sendall(b"".join(frames))
         except ConnectionError:
             if not self.on_trial:
                 raise
-            self._renew(frames)
+            self._renew()
 
-    def receive(self, j, frames):
-        """Server j's PARAMS reply, then its RESPONSES body."""
+    def receive(self, j):
+        """Server j's PARAMS reply, then its RESPONSES body: the next ones in flight."""
         if self.on_trial and not self._answering():
-            self._renew(frames)
+            self._renew()
         self.on_trial = False
+        self.stage = "PARAMS"
         _reply(self.sock, j, MSG_PARAMS)
         self.stage = "SHARE"
         body = _reply(self.sock, j, MSG_RESPONSES)
-        self.busy = False
+        self.frames.pop(0)
         return body
 
     def _answering(self):
@@ -497,20 +518,20 @@ class _Link:
         except ConnectionError:
             return False
 
-    def _renew(self, frames):
-        """Replace the socket on trial by a fresh connection, and resend."""
+    def _renew(self):
+        """Replace the socket on trial by a fresh connection, and resend what is in flight."""
         self.sock.close()
         self.sock, self.on_trial = None, False
-        self.send(frames)
+        self.send(self.frames)
 
     def close(self):
         if self.sock is not None:
             self.sock.close()
-        self.sock, self.busy = None, False
+        self.sock, self.on_trial, self.frames = None, False, []
 
     def release(self):
         """Keep the socket if its exchanges all ended, else close it."""
-        if self.busy or self.sock is None:
+        if self.frames or self.sock is None:
             self.close()
             return
         with _kept_lock:
@@ -547,30 +568,47 @@ def run_remote(endpoints, scheme, A, B, seed=0):
                 lambda bodies: _exchange(endpoints, scheme, job_id, bodies, timeout))
 
 
+def _reply_bytes(scheme, j):
+    """The bytes of server j's PARAMS reply and RESPONSES frames."""
+    n = prod(scheme.primes)
+    return 18 + 21 + sum(9 + scheme.a * scheme.c * n // p * scheme.base.d
+                         for p, n_i in zip(scheme.primes, scheme.N) if j <= n_i)
+
+
 def _exchange(endpoints, scheme, job_id, bodies, timeout):
     """The RESPONSES bodies of servers 1..n for their SHARE bodies.  With no
-    thread, in rounds: each round sends the next pending server's PARAMS
-    and SHARE on every endpoint's connection, then reads each connection's
-    replies in endpoint order, so distinct endpoints compute at once, and no
-    connection ever has more than one request outstanding."""
-    queues = {}  # endpoint -> [(j, PARAMS and SHARE frames)]
+    thread, in flights: each sends on every endpoint's connection the frames
+    of as many of its pending servers as their replies fit
+    REPLY_WINDOW_BYTES (one at least), then reads each connection's replies
+    in endpoint order and in the order sent, so distinct endpoints compute
+    at once.  An error on server j closes its connection, and the servers
+    sent after j go again in the next flight, on a fresh one."""
+    queues = {}  # endpoint -> [(j, PARAMS and SHARE frames, their replies' bytes)]
     for j, body in enumerate(bodies, start=1):
         frames = (pack_message(MSG_PARAMS, params_body(job_id, scheme, j))
                   + pack_message(MSG_SHARE, body))
-        queues.setdefault(tuple(endpoints[j - 1]), []).append((j, frames))
+        queues.setdefault(tuple(endpoints[j - 1]), []).append((j, frames, _reply_bytes(scheme, j)))
     links = {endpoint: _Link(endpoint, timeout) for endpoint in queues}
     received = {}
     errors = {}
     try:
-        for turn in range(max(map(len, queues.values()))):
-            pending = [(links[e], queue[turn]) for e, queue in queues.items() if turn < len(queue)]
-            for link, (j, frames) in pending:
-                _attempt(errors, j, link, link.send, frames)
-            for link, (j, frames) in pending:
-                if j not in errors:
-                    body = _attempt(errors, j, link, link.receive, j, frames)
-                    if body is not None:
-                        received[j] = body
+        while any(queues.values()):
+            flights = {}
+            for e, queue in queues.items():
+                if queue:
+                    totals = accumulate(size for *_, size in queue)
+                    n = max(1, sum(total <= REPLY_WINDOW_BYTES for total in totals))
+                    flights[e], queues[e] = queue[:n], queue[n:]
+                    _attempt(errors, queue[0][0], links[e], links[e].send,
+                             [frames for _, frames, _ in flights[e]])
+            for e, flight in flights.items():
+                link = links[e]
+                for k, (j, *_) in enumerate(flight):
+                    body = None if j in errors else _attempt(errors, j, link, link.receive, j)
+                    if body is None:  # the link is closed
+                        queues[e][:0] = flight[k + 1 :]
+                        break
+                    received[j] = body
     finally:
         for link in links.values():
             link.release()
@@ -607,12 +645,13 @@ class DaemonStats:
     """A daemon's counters since it started, under one lock: jobs answered,
     their payload bytes in and out as the client's ledger counts them, the
     seconds spent parsing frames, in server_step and replying (the
-    RESPONSES body and every send), and the error frames sent, by code."""
+    RESPONSES body and every send), the PARAMS frames served from
+    _params_cache, and the error frames sent, by code."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._totals = {"jobs": 0, "bytes_in": 0, "bytes_out": 0, "parse_s": 0.0,
-                        "server_step_s": 0.0, "reply_s": 0.0, "errors": {}}
+                        "server_step_s": 0.0, "reply_s": 0.0, "params_cached": 0, "errors": {}}
 
     def add(self, error=None, **amounts):
         """Each amount to its counter, and one error frame of code ``error``, if any."""
@@ -733,7 +772,7 @@ def _dispatch(mtype, body, job, stats, amounts):
     if mtype == MSG_PARAMS:
         start = time.perf_counter()
         job = parse_params(body)
-        amounts["parse_s"] = time.perf_counter() - start
+        amounts.update(parse_s=time.perf_counter() - start, params_cached=int(job.cached))
         return pack_message(MSG_PARAMS, job.job_id), job
     if mtype == MSG_SHARE:
         if len(body) < 10:

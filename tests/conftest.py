@@ -53,11 +53,24 @@ def digest_schemes():
             for name, (L, T, primes, p, d, a, b, c) in _DIGEST_SCHEMES.items()}
 
 
+@pytest.fixture(autouse=True)
+def _fresh_proto_caches(monkeypatch):
+    """Each test starts with an empty parsed-PARAMS cache, so that a body
+    parsed by an earlier test is parsed again, and under that test's limits;
+    after it, every socket that run_remote kept is closed."""
+    monkeypatch.setattr(proto, "_params_cache", {})
+    yield
+    with proto._kept_lock:
+        kept = list(proto._kept.values())
+        proto._kept.clear()
+    for sock in kept:
+        sock.close()
+
+
 @pytest.fixture()
 def serve():
     """Starts a proto.Server on loopback, in a thread, per call, and returns
-    it.  At teardown each is stopped, and the idle socket that run_remote
-    kept for its endpoint, if any, is closed."""
+    it.  At teardown each is stopped."""
     started = []
 
     def start():
@@ -71,7 +84,3 @@ def serve():
     for server, thread in started:
         server.stop()
         thread.join(timeout=5)
-        with proto._kept_lock:
-            kept = proto._kept.pop(("127.0.0.1", server.port), None)
-        if kept is not None:
-            kept.close()

@@ -1296,3 +1296,167 @@ def test_daemon_resident_size_stays_flat_over_many_jobs(scheme, connections):
             daemon.kill()
             daemon.wait()
         daemon.stdout.close()
+
+
+def test_an_error_on_one_server_names_it_alone(scheme, live_server, monkeypatch):
+    """The daemon fails server 3's SHARE while the servers after it are in
+    flight on the same connection: the job's error names server 3 alone,
+    since those servers go again on a fresh connection, and the next job
+    decodes."""
+    real = proto.server_step
+    calls = []
+
+    def failing_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ValueError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(proto, "server_step", failing_third)
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    with pytest.raises(ProtocolError) as err:
+        proto.run_remote(endpoints, scheme, A, B, seed=1)
+    assert str(err.value) == "server 3 at SHARE: ValueError: injected"
+    product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
+    assert product.eq(mat_mul(A, B))
+
+
+@pytest.fixture()
+def client_sends(live_server, monkeypatch):
+    """The length of each sendall on a socket whose peer is the live
+    daemon's port: the client's writes, not the daemon's."""
+    import socket
+
+    sent = []
+    real = socket.socket.sendall
+
+    def counting(sock, data, *args):
+        try:
+            to_daemon = sock.getpeername()[1] == live_server.port
+        except OSError:
+            to_daemon = False
+        if to_daemon:
+            sent.append(len(data))
+        return real(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counting)
+    return sent
+
+
+def test_one_endpoint_takes_a_job_in_one_sendall(scheme, live_server, client_sends):
+    """The replies of the N_L servers fit REPLY_WINDOW_BYTES, so their
+    PARAMS and SHARE frames go out in one write."""
+    A, B = _job(scheme)
+    product, _ = proto.run_remote([("127.0.0.1", live_server.port)] * scheme.N[-1], scheme, A, B)
+    assert product.eq(mat_mul(A, B))
+    assert len(client_sends) == 1
+
+
+def _windows(reply_sizes, cap):
+    """How many flights a greedy fill of windows of ``cap`` reply bytes takes."""
+    flights, room = 0, -1
+    for size in reply_sizes:
+        if size > room:
+            flights, room = flights + 1, max(cap, size)
+        room -= size
+    return flights
+
+
+def test_replies_past_the_window_go_in_several_flights(live_server, client_sends):
+    """F_11(2, 3) with a = c = 48: each server's replies hold 4.6 to 11.6
+    KB, about 74 KB in all.  The job takes as many writes as windows of
+    REPLY_WINDOW_BYTES hold its replies, more than one and fewer than N_L,
+    ends well within its timeout, and its product and ledger equal
+    run_inprocess's."""
+    big = build_scheme(L=2, T=1, primes=(2, 3), base=make_base_field(11, 1), a=48, b=2, c=48)
+    sizes = [18 + 21 + sum(9 + 48 * 48 * 6 // p for p, n_i in zip(big.primes, big.N) if j <= n_i)
+             for j in range(1, big.N[-1] + 1)]
+    assert sum(sizes) > 2 * proto.REPLY_WINDOW_BYTES
+    A, B = _job(big)
+    start = time.perf_counter()
+    product, ledger = proto.run_remote([("127.0.0.1", live_server.port)] * big.N[-1], big, A, B)
+    assert time.perf_counter() - start < 10.0
+    local_product, local_ledger = proto.run_inprocess(big, A, B)
+    assert np.array_equal(product.data, local_product.data)
+    assert ledger.per_server == local_ledger.per_server
+    assert 1 < len(client_sends) == _windows(sizes, proto.REPLY_WINDOW_BYTES) < big.N[-1]
+
+
+def test_a_window_of_zero_sends_one_server_at_a_time(scheme, live_server, client_sends,
+                                                     monkeypatch):
+    """With REPLY_WINDOW_BYTES = 0 each server's replies alone pass it, so
+    each server goes alone, one write each, and the replies are identical,
+    past their job ids, to those of the same job in one window."""
+    real = proto._exchange
+    received = []
+    monkeypatch.setattr(proto, "_exchange", lambda *args: received.append(real(*args)) or received[-1])
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    windowed = proto.run_remote(endpoints, scheme, A, B, seed=4)
+    monkeypatch.setattr(proto, "REPLY_WINDOW_BYTES", 0)
+    alone = proto.run_remote(endpoints, scheme, A, B, seed=4)
+    assert len(client_sends) == 1 + scheme.N[-1]
+    assert [body[8:] for body in received[0]] == [body[8:] for body in received[1]]
+    assert np.array_equal(windowed[0].data, alone[0].data)
+    assert windowed[1].per_server == alone[1].per_server
+
+
+def _stats(server):
+    import socket
+
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        return json.loads(_exchange(sock, proto.MSG_STATS, b"")[1])
+
+
+def test_a_repeated_params_body_is_parsed_once(scheme, serve):
+    """Two identical jobs on one daemon: its STATS reply counts no PARAMS
+    frame served from the parse cache after the first, and N_L after the
+    second, whose frames differ from the first's only in their job id."""
+    server = serve()
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", server.port)] * scheme.N[-1]
+    hits = []
+    for _ in range(2):
+        product, _ = proto.run_remote(endpoints, scheme, A, B, seed=3)
+        assert product.eq(mat_mul(A, B))
+        hits.append(_stats(server)["params_cached"])
+    assert hits == [0, scheme.N[-1]]
+
+
+def test_a_body_one_w_digit_away_from_a_cached_one_is_parsed_afresh(scheme):
+    """A cached body is served again under another job id.  One digit of a
+    w changed on its axis is parsed afresh, to other trace scalars; one
+    changed off its axis is refused, as InvalidParams."""
+    body = proto.params_body(b"cachejb1", scheme, 1)
+    first = proto.parse_params(body)
+    again = proto.parse_params(b"cachejb2" + body[8:])
+    assert not first.cached and again.cached and again.job_id == b"cachejb2"
+    assert again.tower is first.tower and again.taus is first.taus
+    # group 1's w: positions 0 and 3 lie on axis 1, the others off it (d = 1)
+    on_axis = _set_byte(body, _GROUPS_AT + 1 + 3, (body[_GROUPS_AT + 1 + 3] + 1) % scheme.base.p)
+    moved = proto.parse_params(on_axis)
+    assert not moved.cached
+    assert not np.array_equal(moved.taus[1], first.taus[1])
+    with pytest.raises(InvalidParams):
+        proto.parse_params(_set_byte(body, _GROUPS_AT + 1 + 1, 1))
+
+
+def test_the_params_cache_keeps_no_tower_alive(monkeypatch):
+    """After TOWER_CACHE_SIZE + 1 fields, the first field's tower is gone
+    from the tower cache, and the parse cache holds it no longer: a weak
+    reference to it is dead after a collection.  A body of that field is
+    still served from the parse cache, on its tower built again."""
+    import gc
+    import weakref
+
+    monkeypatch.setattr(proto, "_tower_cache", {})
+    primes = (3, 5, 7, 13, 17, 19, 23, 29, 31, 37)[: proto.TOWER_CACHE_SIZE + 1]
+    assert len(primes) == proto.TOWER_CACHE_SIZE + 1
+    first = weakref.ref(proto.parse_params(_params_for(primes[0], 1, (0, 1), (2,))).tower)
+    for p in primes[1:]:
+        proto.parse_params(_params_for(p, 1, (0, 1), (2,)))
+    gc.collect()
+    assert first() is None
+    job = proto.parse_params(_params_for(primes[0], 1, (0, 1), (2,)))
+    assert job.cached and job.tower.base.p == primes[0]
