@@ -13,8 +13,10 @@ A job stays three stacks from encode to decode: the shares F and G, one
 row per server, and per group i the (N_i, a, c, *F_i.shape) stack of its
 traces.  Both runners take one path (_job) and differ only in how SHARE
 bodies become RESPONSES bodies: server_compute in process, or the daemons
-over TCP.  A daemon parses each SHARE frame alone, as hostile bytes, with
-the same parser, and computes on stacks of one.
+over TCP.  A daemon answers every whole frame that has arrived on a
+connection as one batch, in one write: it checks the SHARE bodies as hostile
+bytes over all their rows at once, and parses and computes a flight's
+servers as one stack, with the same parser and server_step.
 
 The TCP runner keeps one open connection per endpoint across jobs, with
 TCP_NODELAY set on both ends, and starts no thread.  On each connection it
@@ -33,6 +35,7 @@ import socket
 import struct
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import accumulate
 from math import prod
@@ -146,12 +149,16 @@ def pack_message(msg_type, body):
 
 
 def _header(buf):
-    """Type and body length from the 10-byte frame header at the head of buf."""
+    """Type and body length from the 10-byte frame header at the head of
+    buf.  MalformedFrame for a bad magic or a body past MAX_FRAME_BYTES."""
     if buf[:4] != MAGIC:
         raise MalformedFrame("bad magic")
     if buf[4] != VERSION:
         raise VersionMismatch(f"peer version {buf[4]}, expected {VERSION}")
-    return buf[5], struct.unpack_from(">I", buf, 6)[0]
+    length = struct.unpack_from(">I", buf, 6)[0]
+    if length > MAX_FRAME_BYTES:
+        raise MalformedFrame(f"a body of {length} bytes is past {MAX_FRAME_BYTES}")
+    return buf[5], length
 
 
 def _recv_exact(sock, n):
@@ -169,8 +176,6 @@ def _recv_exact(sock, n):
 
 def read_message(sock):
     msg_type, length = _header(_recv_exact(sock, 10))
-    if length > MAX_FRAME_BYTES:
-        raise MalformedFrame(f"a body of {length} bytes is past {MAX_FRAME_BYTES}")
     return msg_type, _recv_exact(sock, length)
 
 
@@ -653,12 +658,12 @@ class DaemonStats:
         self._totals = {"jobs": 0, "bytes_in": 0, "bytes_out": 0, "parse_s": 0.0,
                         "server_step_s": 0.0, "reply_s": 0.0, "params_cached": 0, "errors": {}}
 
-    def add(self, error=None, **amounts):
-        """Each amount to its counter, and one error frame of code ``error``, if any."""
+    def add(self, *errors, **amounts):
+        """Each amount to its counter, and one error frame of each code in ``errors``."""
         with self._lock:
             for key, amount in amounts.items():
                 self._totals[key] += amount
-            if error is not None:
+            for error in errors:
                 self._totals["errors"][error] = self._totals["errors"].get(error, 0) + 1
 
     def body(self):
@@ -673,8 +678,9 @@ class Server:
     A new PARAMS ends the pending job, as does any frame refused with error
     code 1; a SHARE for another job gets error 3 and leaves it pending.  A
     SHARE is computed only if its matrices are a x b/L and b/L x c.  One
-    thread serves each connection, for as many jobs as its client sends; a
-    connection past MAX_CONNECTIONS open ones gets an error frame and EOF
+    thread serves each connection, for as many jobs as its client sends,
+    and answers the frames that arrive together in one write (``_serve``);
+    a connection past MAX_CONNECTIONS open ones gets an error frame and EOF
     (``_refuse``).  Connections share nothing but the tower cache and ``stats``."""
 
     def __init__(self, host="127.0.0.1", port=0):
@@ -733,59 +739,136 @@ class Server:
 
 
 def _serve(conn, stats):
+    """Answer conn's frames in batches until EOF, a timeout or a bad header:
+    the whole frames that have arrived (_read_frames) in one _dispatch, and
+    their replies in one sendall.  The batch's amounts go to ``stats``
+    before it is sent, the send's own time with the next batch's."""
     try:  # read per connection, so that a new value reaches the next one
         conn.settimeout(_timeout_seconds())
     except InvalidParams as exc:
         stats.add(1)
         return _refuse(conn, 1, f"{type(exc).__name__}: {exc}")
-    job = None  # the ServerJob of this connection's last PARAMS, until its SHARE
+    job, buf, sent_s = None, bytearray(), 0.0  # job: the ServerJob of the last PARAMS, until its SHARE
     while True:
+        frames, end = _read_frames(conn, buf)
+        replies, job, amounts = _dispatch(frames, job)
+        if isinstance(end, VersionMismatch):
+            replies.append(pack_message(MSG_ERROR, error_body(2, str(end))))
+        amounts["reply_s"] += sent_s  # the last batch's send; then each error frame's code
+        stats.add(*(reply[10] for reply in replies if reply and reply[5] == MSG_ERROR), **amounts)
+        start = time.perf_counter()
+        if replies:  # a STATS frame's None reads the counters now
+            conn.sendall(b"".join(reply or pack_message(MSG_STATS, stats.body()) for reply in replies))
+        sent_s = time.perf_counter() - start
+        if end is not None:
+            return stats.add(reply_s=sent_s)
+
+
+def _read_frames(conn, buf):
+    """The whole frames at the head of buf, taken out of it as (type, body)
+    pairs, reading from conn until it holds one; and the error after them
+    that ends the connection, or None: EOF, a timeout or a bad header."""
+    frames = []
+    try:
+        while True:
+            while len(buf) >= 10 and len(buf) >= (end := 10 + _header(buf)[1]):
+                frames.append((buf[5], buf[10:end]))
+                del buf[:end]
+            if frames:
+                return frames, None
+            if not (part := conn.recv(1 << 16)):
+                raise MalformedFrame("connection closed")
+            buf += part
+    except (MalformedFrame, VersionMismatch, TimeoutError) as exc:
+        return frames, exc
+
+
+def _dispatch(frames, job):
+    """The replies to a batch of frames in order, None for a STATS frame's;
+    the connection's pending job after them; and the batch's amounts for
+    DaemonStats.  Each frame passes the pending-job state machine in turn;
+    the SHAREs that match their jobs are then answered in runs
+    (_answer_run): consecutive ones of one job id, tower and (a, b, c),
+    none in a group that the one before it is not in."""
+    replies, runs, amounts = [], [], Counter()
+    for mtype, body in frames:
+        reply = None
         try:
-            mtype, body = read_message(conn)
-        except (MalformedFrame, ProtocolTimeout):
-            return
-        except VersionMismatch as exc:
-            stats.add(2)
-            conn.sendall(pack_message(MSG_ERROR, error_body(2, str(exc))))
-            return
-        amounts = {"reply_s": 0.0}
-        try:
-            reply, job = _dispatch(mtype, body, job, stats, amounts)
+            if mtype == MSG_HELLO:
+                reply = pack_message(MSG_HELLO, b"")
+            elif mtype == MSG_STATS:
+                if body:
+                    raise MalformedFrame("a STATS frame has an empty body")
+            elif mtype == MSG_PARAMS:
+                start = time.perf_counter()
+                job = parse_params(body)
+                amounts["parse_s"] += time.perf_counter() - start
+                amounts["params_cached"] += job.cached
+                reply = pack_message(MSG_PARAMS, job.job_id)
+            elif mtype != MSG_SHARE:
+                reply = pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}"))
+            elif len(body) < 10:
+                raise MalformedFrame("share header truncated")
+            elif job is None or body[:10] != job.job_id + struct.pack(">H", job.server_index):
+                reply = pack_message(MSG_ERROR, error_body(3, "unknown job id"))
+            else:
+                last = runs[-1][-1][1] if runs else None
+                if not (last and last.tower is job.tower and job.taus.keys() <= last.taus.keys()
+                        and (last.job_id, last.a, last.b, last.c) == (job.job_id, job.a, job.b, job.c)):
+                    runs.append([])
+                runs[-1].append((len(replies), job, body))
+                job = None
         except Exception as exc:
-            reply = pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}"))
-            job = None
-        start = time.perf_counter()
-        conn.sendall(reply)
-        amounts["reply_s"] += time.perf_counter() - start
-        stats.add(reply[10] if reply[5] == MSG_ERROR else None, **amounts)  # an error body's code
+            reply, job = pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}")), None
+        replies.append(reply)
+    for run in runs:
+        _answer_run(run, replies, amounts)
+    return replies, job, amounts
 
 
-def _dispatch(mtype, body, job, stats, amounts):
-    """The reply to one frame, and the connection's pending job after it;
-    ``amounts`` takes the frame's counts for ``stats``."""
-    if mtype == MSG_HELLO:
-        return pack_message(MSG_HELLO, b""), job
-    if mtype == MSG_STATS:
-        if body:
-            raise MalformedFrame("a STATS frame has an empty body")
-        return pack_message(MSG_STATS, stats.body()), job
-    if mtype == MSG_PARAMS:
-        start = time.perf_counter()
-        job = parse_params(body)
-        amounts.update(parse_s=time.perf_counter() - start, params_cached=int(job.cached))
-        return pack_message(MSG_PARAMS, job.job_id), job
-    if mtype == MSG_SHARE:
-        if len(body) < 10:
-            raise MalformedFrame("share header truncated")
-        if job is None or body[:10] != job.job_id + struct.pack(">H", job.server_index):
-            return pack_message(MSG_ERROR, error_body(3, "unknown job id")), job
-        t0 = time.perf_counter()
-        F, G = parse_shares(job.tower, [body], job.a, job.b // job.L, job.c)
-        t1 = time.perf_counter()
-        replies = server_step(job.tower, job.taus, F, G)
-        t2 = time.perf_counter()
-        body = responses_body(job.job_id, job.tower, replies, [job.server_index])[0]
-        amounts.update(jobs=1, bytes_in=F.size + G.size, bytes_out=sum(r.size for r in replies.values()),
-                       parse_s=t1 - t0, server_step_s=t2 - t1, reply_s=time.perf_counter() - t2)
-        return pack_message(MSG_RESPONSES, body), None
-    return pack_message(MSG_ERROR, error_body(4, f"unknown message type {mtype}")), job
+def _answer_run(run, replies, amounts):
+    """Answer a run of matched SHAREs, (position in replies, job, body)
+    triples: the bodies that pass the checks of parse_shares, found over
+    the run's rows at once (_well_formed), in one parse_shares, one
+    server_step over their jobs' taus stacked and one responses_body; each
+    other body alone, to get the error that parse_shares raises on it."""
+    first = run[0][1]
+    tower, dims = first.tower, (first.a, first.b // first.L, first.c)
+    start = time.perf_counter()
+    fine = _well_formed(tower, [body for *_, body in run], *dims)
+    good = [m for m, ok in zip(run, fine) if ok]
+    for part in filter(None, [good, *([m] for m, ok in zip(run, fine) if not ok)]):
+        jobs = [job for _, job, _ in part]
+        try:
+            F, G = parse_shares(tower, [body for *_, body in part], *dims)
+            taus = {i: np.concatenate([job.taus[i] for job in jobs if i in job.taus])
+                    for i in jobs[0].taus}
+            parsed = time.perf_counter()
+            step = server_step(tower, taus, F, G)
+            stepped = time.perf_counter()
+            out = [pack_message(MSG_RESPONSES, body) for body in
+                   responses_body(first.job_id, tower, step, [job.server_index for job in jobs])]
+        except Exception as exc:  # each member alone would raise it: they share the tower and dims
+            out = [pack_message(MSG_ERROR, error_body(1, f"{type(exc).__name__}: {exc}"))] * len(part)
+        else:
+            amounts.update(jobs=len(part), bytes_in=F.size + G.size,
+                           bytes_out=sum(r.size for r in step.values()), parse_s=parsed - start,
+                           server_step_s=stepped - parsed, reply_s=time.perf_counter() - stepped)
+        for (at, *_), reply in zip(part, out):
+            replies[at] = reply
+
+
+def _well_formed(tower, bodies, a, w, c):
+    """Whether each SHARE body passes parse_shares(tower, [body], a, w, c),
+    over the rows of all of them at once: its length, its matrices' headers
+    and each digit below p."""
+    n = tower.flat_size * tower.base.d
+    length, at = 26 + (a * w + w * c) * n, 18 + a * w * n  # G's header at ``at``
+    sized = np.array([len(body) == length for body in bodies])
+    rows = np.frombuffer(b"".join(body if ok else bytes(length) for body, ok in zip(bodies, sized)),
+                         dtype=np.uint8).reshape(len(bodies), length)
+    high = rows >= tower.base.p
+    high[:, :18] = high[:, at : at + 8] = False  # not digits: the job id, server index and headers
+    heads = np.hstack([rows[:, 10:18], rows[:, at : at + 8]])
+    want = np.frombuffer(struct.pack(">IIII", a, w, w, c), dtype=np.uint8)
+    return sized & (heads == want).all(axis=1) & ~high.any(axis=1)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -1036,26 +1037,32 @@ def test_stopped_server_shuts_down_the_kept_socket(scheme, live_server):
     assert sock.recv(1) == b""
 
 
+def _corrupting_server_3(scheme):
+    """share_bodies with one digit of server 3's body set to p, in its
+    first call only."""
+    real, calls = proto.share_bodies, []
+
+    def bodies(*args):
+        out = real(*args)
+        if not calls:
+            out[2] = _digit_p(out[2], scheme)
+        calls.append(args)
+        return out
+    return bodies
+
+
 def test_an_error_reply_fails_its_job_and_the_next_job_runs(scheme, live_server, monkeypatch):
-    """The daemon answers server 3's SHARE with MSG_ERROR once: that job
-    raises, naming server 3 at SHARE, and the next job decodes."""
+    """Server 3's SHARE carries a digit not below p, so the daemon answers
+    it with MSG_ERROR: that job raises, naming server 3 at SHARE, and the
+    next job decodes."""
     from ftp_sdmm.errors import ProtocolError
 
-    real = proto.server_step
-    calls = []
-
-    def failing_third(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise ValueError("injected")
-        return real(*args)
-
-    monkeypatch.setattr(proto, "server_step", failing_third)
+    monkeypatch.setattr(proto, "share_bodies", _corrupting_server_3(scheme))
     A, B = _job(scheme)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     with pytest.raises(ProtocolError) as err:
         proto.run_remote(endpoints, scheme, A, B, seed=1)
-    assert str(err.value).startswith("server 3 at SHARE: ValueError: injected")
+    assert str(err.value) == "server 3 at SHARE: MalformedFrame: a digit is not below p = 11"
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
     assert product.eq(mat_mul(A, B))
 
@@ -1070,11 +1077,15 @@ def _answering_as_the_next_server(real):
 
 
 def _adding_group_1(real):
-    """server_step with a zero group-1 reply for the servers past N_1."""
+    """server_step with group 1's stack padded with zero replies to one per
+    share, so that the servers past N_1 answer group 1."""
     def step(tower, taus, F, G):
         replies = real(tower, taus, F, G)
         f_1 = tower.subtower(list(range(1, tower.L)))
-        replies.setdefault(1, np.zeros((len(F), F.shape[1], G.shape[2]) + f_1.shape, np.int64))
+        padded = np.zeros((len(F), F.shape[1], G.shape[2]) + f_1.shape, np.int64)
+        group_1 = replies.get(1, padded[:0])
+        padded[: len(group_1)] = group_1
+        replies[1] = padded
         return replies
     return step
 
@@ -1299,25 +1310,16 @@ def test_daemon_resident_size_stays_flat_over_many_jobs(scheme, connections):
 
 
 def test_an_error_on_one_server_names_it_alone(scheme, live_server, monkeypatch):
-    """The daemon fails server 3's SHARE while the servers after it are in
-    flight on the same connection: the job's error names server 3 alone,
-    since those servers go again on a fresh connection, and the next job
-    decodes."""
-    real = proto.server_step
-    calls = []
-
-    def failing_third(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise ValueError("injected")
-        return real(*args)
-
-    monkeypatch.setattr(proto, "server_step", failing_third)
+    """The daemon fails server 3's SHARE, whose body carries a digit not
+    below p, while the servers after it are in flight on the same
+    connection: the job's error names server 3 alone, since those servers
+    go again on a fresh connection, and the next job decodes."""
+    monkeypatch.setattr(proto, "share_bodies", _corrupting_server_3(scheme))
     A, B = _job(scheme)
     endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
     with pytest.raises(ProtocolError) as err:
         proto.run_remote(endpoints, scheme, A, B, seed=1)
-    assert str(err.value) == "server 3 at SHARE: ValueError: injected"
+    assert str(err.value) == "server 3 at SHARE: MalformedFrame: a digit is not below p = 11"
     product, _ = proto.run_remote(endpoints, scheme, A, B, seed=2)
     assert product.eq(mat_mul(A, B))
 
@@ -1460,3 +1462,209 @@ def test_the_params_cache_keeps_no_tower_alive(monkeypatch):
     assert first() is None
     job = proto.parse_params(_params_for(primes[0], 1, (0, 1), (2,)))
     assert job.cached and job.tower.base.p == primes[0]
+
+
+def _daemon_sends(monkeypatch, port, pause=0.0):
+    """The length of each sendall made by the daemon listening on ``port``,
+    each followed by a pause of ``pause`` seconds."""
+    import socket
+
+    sent = []
+    real = socket.socket.sendall
+
+    def counting(sock, data, *args):
+        daemon = sock.getsockname()[1] == port  # the daemon's end of a connection
+        if daemon:
+            sent.append(len(data))  # before the peer can read it
+        out = real(sock, data, *args)
+        if daemon:
+            time.sleep(pause)
+        return out
+
+    monkeypatch.setattr(socket.socket, "sendall", counting)
+    return sent
+
+
+@pytest.fixture()
+def daemon_sends(live_server, monkeypatch):
+    return _daemon_sends(monkeypatch, live_server.port)
+
+
+@pytest.fixture()
+def daemon_steps(monkeypatch):
+    """The share count of each server_step call the daemon makes."""
+    rows = []
+    real = proto.server_step
+    monkeypatch.setattr(proto, "server_step",
+                        lambda tower, taus, F, G: rows.append(len(F)) or real(tower, taus, F, G))
+    return rows
+
+
+def _inprocess_bodies(scheme, seed=1):
+    """The SHARE and RESPONSES bodies of run_inprocess's job on _job(scheme),
+    whose job id is eight zero bytes."""
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("share_bodies", "responses_body"):
+            real = getattr(proto, name)
+            mp.setattr(proto, name,
+                       lambda *args, real=real, name=name: seen.setdefault(name, real(*args)))
+        proto.run_inprocess(scheme, *_job(scheme), seed=seed)
+    return seen["share_bodies"], seen["responses_body"]
+
+
+def _flight(scheme, shares, job_id=bytes(8)):
+    """The PARAMS and SHARE frames of servers 1..len(shares) in order."""
+    return [proto.pack_message(mtype, body) for j, share in enumerate(shares, start=1)
+            for mtype, body in ((proto.MSG_PARAMS, proto.params_body(job_id, scheme, j)),
+                                (proto.MSG_SHARE, share))]
+
+
+def _answered(responses, job_id=bytes(8)):
+    """The replies to _flight's frames when each server's RESPONSES body is
+    responses[j - 1]."""
+    return [reply for body in responses
+            for reply in ((proto.MSG_PARAMS, job_id), (proto.MSG_RESPONSES, body))]
+
+
+def _read_replies(sock, n):
+    return [proto.read_message(sock) for _ in range(n)]
+
+
+def test_a_flight_takes_one_server_step_and_one_daemon_write(scheme, live_server, daemon_sends,
+                                                               daemon_steps):
+    """A job on one endpoint: the daemon computes its N_L servers in one
+    server_step, over N_L shares, and answers them in one write; the product
+    and ledger equal run_inprocess's."""
+    A, B = _job(scheme)
+    product, ledger = proto.run_remote([("127.0.0.1", live_server.port)] * scheme.N[-1],
+                                       scheme, A, B, seed=5)
+    local_product, local_ledger = proto.run_inprocess(scheme, A, B, seed=5)
+    assert np.array_equal(product.data, local_product.data)
+    assert ledger.per_server == local_ledger.per_server
+    assert daemon_steps == [scheme.N[-1]] and len(daemon_sends) == 1
+
+
+def test_a_bad_share_mid_flight_fails_alone(scheme, live_server, daemon_sends, daemon_steps):
+    """One write of every server's PARAMS and SHARE frames, server 3's SHARE
+    with a digit not below p: one daemon write answers them in order,
+    server 3's SHARE with the error it gets alone, and every other server's
+    with run_inprocess's RESPONSES body, from one server_step over them."""
+    import socket
+
+    shares, responses = _inprocess_bodies(scheme)
+    shares[2] = _digit_p(shares[2], scheme)
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        sock.sendall(b"".join(_flight(scheme, shares)))
+        got = _read_replies(sock, 2 * len(shares))
+    want = _answered(responses)
+    want[5] = (proto.MSG_ERROR, proto.error_body(1, "MalformedFrame: a digit is not below p = 11"))
+    assert got == want
+    assert daemon_steps == [len(shares) - 1] and len(daemon_sends) == 1
+
+
+def test_a_run_whose_server_step_raises_fails_each_member(scheme, live_server, daemon_sends,
+                                                           monkeypatch):
+    """server_step raises on the daemon: one write of every server's frames
+    gets each SHARE error 1 with its message, in one daemon write, and the
+    connection then serves a HELLO."""
+    import socket
+
+    def failing(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(proto, "server_step", failing)
+    shares, responses = _inprocess_bodies(scheme)
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        sock.sendall(b"".join(_flight(scheme, shares)))
+        got = _read_replies(sock, 2 * len(shares))
+        assert _exchange(sock, proto.MSG_HELLO, b"") == (proto.MSG_HELLO, b"")
+    failed = (proto.MSG_ERROR, proto.error_body(1, "ValueError: injected"))
+    assert got == [reply if reply[0] == proto.MSG_PARAMS else failed for reply in _answered(responses)]
+    assert len(daemon_sends) == 2
+
+
+def test_shares_in_groups_that_do_not_nest_go_as_stacks_of_one(scheme, live_server, daemon_sends,
+                                                                 daemon_steps):
+    """One write of two PARAMS and SHARE pairs, server 1's in group 1 alone
+    and server 2's in group 2 alone: {2} is not within {1}, so each is
+    computed alone, and its reply equals server_step's on its stack of one."""
+    import socket
+
+    from ftp_sdmm.ftp import server_step
+
+    job_id = b"nonnest!"
+    params, shares = [], [_share_body(job_id, scheme, j) for j in (1, 2)]
+    for j, at in ((1, _GROUPS_AT), (2, _GROUPS_AT + _STEP)):
+        body = proto.params_body(job_id, scheme, j)
+        params.append(body[: _GROUPS_AT - 1] + bytes([1]) + body[at : at + _STEP])
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        sock.sendall(b"".join(proto.pack_message(proto.MSG_PARAMS, p)
+                              + proto.pack_message(proto.MSG_SHARE, s) for p, s in zip(params, shares)))
+        got = _read_replies(sock, 4)
+    want = []
+    for body, share in zip(params, shares):
+        job = proto.parse_params(body)
+        assert len(job.taus) == 1
+        F, G = proto.parse_shares(job.tower, [share], job.a, job.b // job.L, job.c)
+        reply = proto.responses_body(job_id, job.tower, server_step(job.tower, job.taus, F, G),
+                                     [job.server_index])[0]
+        want += [(proto.MSG_PARAMS, job_id), (proto.MSG_RESPONSES, reply)]
+    assert got == want
+    assert daemon_steps == [1, 1] and len(daemon_sends) == 1
+
+
+def test_a_flight_split_mid_frame_gets_the_same_replies(scheme, live_server, daemon_sends):
+    """The flight of every server's frames in three writes, the first two
+    each cut inside a frame: the replies are those of one write, and the
+    daemon answers the frames each write completes in one write."""
+    import socket
+
+    shares, responses = _inprocess_bodies(scheme)
+    frames = _flight(scheme, shares)
+    flight, ends = b"".join(frames), list(accumulate(map(len, frames)))
+    cuts = [0, ends[2] + 5, ends[8] + 30, len(flight)]  # inside frames 4 and 10, of 14
+    got = []
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        for start, stop in zip(cuts, cuts[1:]):
+            sock.sendall(flight[start:stop])
+            got += _read_replies(sock, sum(start < end <= stop for end in ends))
+    assert got == _answered(responses)
+    assert len(daemon_sends) == 3
+
+
+@pytest.mark.parametrize("bad", ["magic", "version"])
+def test_a_bad_header_after_good_frames_comes_after_their_replies(scheme, live_server, daemon_sends,
+                                                                   bad):
+    """Two servers' frames, then in the same write a header with a bad magic
+    or a wrong version: one daemon write answers the good frames, and for a
+    wrong version error 2 after them; then the daemon closes."""
+    import socket
+
+    shares, responses = _inprocess_bodies(scheme)
+    hello = _frame_header(proto.MSG_HELLO, 0)
+    header = {"magic": b"XXXX" + hello[4:], "version": hello[:4] + bytes([99]) + hello[5:]}
+    want = _answered(responses[:2])
+    if bad == "version":
+        want.append((proto.MSG_ERROR, proto.error_body(2, f"peer version 99, expected {proto.VERSION}")))
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
+        sock.sendall(b"".join(_flight(scheme, shares[:2])) + header[bad])
+        assert _read_replies(sock, len(want)) == want
+        assert sock.recv(1) == b""
+    assert len(daemon_sends) == 1
+
+
+def test_stats_counts_a_job_before_its_reply_leaves(scheme, live_server, monkeypatch):
+    """With a pause of 0.1 s after each daemon write, a STATS reply asked for
+    as soon as a job's replies are read counts its N_L jobs, and after a
+    second identical job N_L PARAMS frames served from the parse cache."""
+    _daemon_sends(monkeypatch, live_server.port, pause=0.1)
+    A, B = _job(scheme)
+    endpoints = [("127.0.0.1", live_server.port)] * scheme.N[-1]
+    counts = []
+    for _ in range(2):
+        product, _ = proto.run_remote(endpoints, scheme, A, B, seed=3)
+        assert product.eq(mat_mul(A, B))
+        stats = _stats(live_server)
+        counts.append((stats["jobs"], stats["params_cached"]))
+    assert counts == [(scheme.N[-1], 0), (2 * scheme.N[-1], scheme.N[-1])]
